@@ -256,8 +256,10 @@ def cmd_faults_list(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.workload.probe import probe_clean_run
     from repro.workload.profiler import profile_kernel
-    profile = profile_kernel(args.arch, seed=args.seed, ops=args.ops)
+    profile = profile_kernel(probe_clean_run(args.arch, seed=args.seed,
+                                             ops=args.ops))
     total = sum(profile.counts.values()) or 1
     print(f"kernel usage profile ({args.arch}, {profile.samples} "
           f"samples):")

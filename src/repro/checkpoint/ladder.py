@@ -3,8 +3,8 @@
 Every injection experiment replays the clean run from the fork point
 (``boot_instret``) up to its trigger instant before anything
 campaign-specific happens.  That prefix is **identical across the whole
-campaign**, so it is paid for once here: one extra clean run per
-:class:`~repro.injection.campaign.CampaignContext` captures K COW
+campaign**, so it is paid for once here: one block-mode clean run of
+the window, forked off the context's base machine, captures K COW
 machine forks — plus the driver/program state beside them — at evenly
 spaced instret points along the window, and the dispatcher
 (:meth:`Campaign.spec_for` + :class:`~repro.injection.injector
@@ -56,6 +56,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.compile import BlockCache
 from repro.machine.machine import Machine
 from repro.workload.driver import UnixBenchDriver
 from repro.workload.programs import BenchProgram, clone_programs
@@ -101,6 +102,10 @@ class CheckpointLadder:
     boot_instret: int
     total_instret: int
     checkpoints: List[Checkpoint]
+    #: the capture run's compiled blocks; the context's base machine
+    #: adopts them, sound because the capture never changes kernel
+    #: text (asserted) and adopted blocks re-validate on first use
+    blocks: Optional[BlockCache] = None
 
     def best_for(self, trigger_instret: int,
                  inclusive: bool = False) -> Optional[Checkpoint]:
@@ -128,8 +133,9 @@ def build_ladder(context, count: int) -> CheckpointLadder:
     scheduling boundary at or past each of *count* evenly spaced
     instret thresholds.  Raises :class:`LadderInvariantError` if the
     capture run consumed any per-machine RNG or transmitted a packet —
-    the preconditions for dispatch being bit-identical — or if it
-    failed to retrace the clean-run probe exactly.
+    the preconditions for dispatch being bit-identical — if it failed
+    to retrace the clean-run probe exactly, or if it changed kernel
+    text (see ``CheckpointLadder.blocks``).
     """
     if count <= 0:
         raise ValueError(f"checkpoint count must be positive, "
@@ -186,6 +192,12 @@ def build_ladder(context, count: int) -> CheckpointLadder:
         raise LadderInvariantError(
             f"capture run retired {machine.cpu.instret} instructions; "
             f"the clean-run probe retired {total}")
+    image = machine.image
+    if machine.cpu.mem.read(image.text_base, len(image.text_bytes)) \
+            != image.text_bytes:
+        raise LadderInvariantError(
+            "capture run wrote kernel text: its compiled blocks are "
+            "not valid on the base machine")
     for checkpoint in checkpoints:
         if checkpoint.machine._rng is not None:
             raise LadderInvariantError(
@@ -194,4 +206,4 @@ def build_ladder(context, count: int) -> CheckpointLadder:
     return CheckpointLadder(
         arch=context.arch, seed=context.seed, ops=context.ops,
         boot_instret=boot, total_instret=total,
-        checkpoints=checkpoints)
+        checkpoints=checkpoints, blocks=machine.cpu._block_cache)

@@ -32,6 +32,7 @@ from repro.machine.machine import KSTACK_SIZE, Machine, MachineConfig
 from repro.workload.driver import UnixBenchDriver
 from repro.workload.probe import CleanRunProbe, probe_clean_run
 from repro.workload.profiler import FunctionProfile, profile_kernel
+from repro.workload.programs import clone_programs
 
 logger = logging.getLogger(__name__)
 
@@ -126,8 +127,10 @@ class CampaignResult:
 class CampaignContext:
     """Shared per-(arch, seed, ops) expensive state.
 
-    One boot + workload setup, one clean-run probe, one kernel profile —
-    then every injection forks from the prepared machine.
+    One observed clean pass (probe + profile), forked at the window's
+    start into the base machine; then one block-mode replay of the
+    window — the default ladder's capture run — whose compiled blocks
+    the base adopts.  Every injection forks from the base machine.
     """
 
     _cache: Dict[tuple, "CampaignContext"] = {}
@@ -136,29 +139,26 @@ class CampaignContext:
         self.arch = arch
         self.seed = seed
         self.ops = ops
-        self.base_machine = Machine(
-            arch, config=MachineConfig(seed=seed))
-        self.base_machine.boot()
-        base_driver = UnixBenchDriver(self.base_machine, seed=seed)
-        base_driver.setup()
-        self.base_programs = base_driver.programs
         #: campaign-level crash-record aggregate; every run folds its
         #: per-experiment collector in here, and ``Campaign.run``
         #: clears it so records never leak between campaigns sharing
         #: a cached context (e.g. consecutive ``Study.run`` campaigns)
         self.collector = CrashDataCollector()
-        self.probe: CleanRunProbe = probe_clean_run(arch, seed=seed,
-                                                    ops=ops)
-        self.profile: FunctionProfile = profile_kernel(arch, seed=seed,
-                                                       ops=ops)
-        #: checkpoint ladders by rung count, built lazily (one extra
-        #: clean run each) and shared by every campaign on this context
+        self.probe: CleanRunProbe = probe_clean_run(
+            arch, seed=seed, ops=ops, at_window=self._fork_base)
+        self.profile: FunctionProfile = profile_kernel(self.probe)
+        #: checkpoint ladders by rung count, built on first use (the
+        #: default one right here) and shared by every campaign
         self._ladders: Dict[int, CheckpointLadder] = {}
-        if self.base_machine.cpu.instret != self.probe.boot_instret:
-            raise RuntimeError(
-                "clean-run probe diverged from the base machine: "
-                f"{self.base_machine.cpu.instret} != "
-                f"{self.probe.boot_instret}")
+        replay = self.ladder(DEFAULT_CHECKPOINTS)
+        self.base_machine.cpu._block_cache.inherit(replay.blocks)
+
+    def _fork_base(self, machine: Machine,
+                   driver: UnixBenchDriver) -> None:
+        """The probe's window start becomes the base machine."""
+        self.base_machine = machine.fork(
+            config=MachineConfig(seed=self.seed))
+        self.base_programs = clone_programs(driver.programs)
 
     @classmethod
     def get(cls, arch: str, seed: int = 0, ops: int = 48
@@ -173,8 +173,8 @@ class CampaignContext:
         """Drop every cached context.
 
         The cache is process-global and never invalidated on its own;
-        worker processes call this on startup so a forked child always
-        rebuilds from ``(arch, seed, ops)``, and the test suite calls
+        forked workers call this only when the inherited cache lacks
+        their key (``parallel._worker_init``), and the test suite calls
         it so session fixtures can't leak between parametrized arches.
         """
         cls._cache.clear()

@@ -12,10 +12,10 @@ shard results back into one :class:`CampaignResult`, under a strict
 * each target travels with its **global** index, and the per-experiment
   seed stays ``config.seed + global_index * 7919`` — identical to the
   serial derivation, regardless of which shard runs it;
-* every worker rebuilds its own ``CampaignContext`` from
-  ``(arch, seed, ops)`` on startup (machines don't pickle; context
-  construction is deterministic, so the rebuilt context is equivalent
-  to the parent's), after clearing the process-global context cache;
+* every worker reuses the ``CampaignContext`` it inherits through the
+  OS fork, and rebuilds one from ``(arch, seed, ops)`` only when it
+  has none (machines don't pickle; context construction is
+  deterministic, so a rebuilt context is equivalent to the parent's);
 * merged results are ordered by global index, so the result sequence is
   bit-identical to ``workers=1``.
 

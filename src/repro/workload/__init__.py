@@ -10,10 +10,11 @@ the same two capabilities against the simulated kernel:
   each validating its own results;
 * :mod:`repro.workload.driver` — the executive that interleaves user
   programs and kernel threads under the kernel's own scheduler;
-* :mod:`repro.workload.profiler` — kernprof-style sampling profiler
-  used to pick code-injection targets;
-* :mod:`repro.workload.probe` — the clean-run recorder whose access
-  trace and executed-address set drive activation screening.
+* :mod:`repro.workload.probe` — the one observed clean pass, whose
+  access trace and executed-address set drive activation screening
+  and whose PC samples feed the profiler;
+* :mod:`repro.workload.profiler` — kernprof-style attribution of those
+  samples to kernel functions, used to pick code-injection targets.
 """
 
 from repro.workload.driver import UnixBenchDriver, WorkloadResult

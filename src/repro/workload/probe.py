@@ -1,6 +1,7 @@
-"""Clean-run probe: records what an unperturbed workload run touches.
+"""Clean-run probe: one observed pass over boot, setup and the window.
 
-One instrumented run per (architecture, seed, ops) yields:
+One step-mode run per (architecture, seed, ops), watched by a CPU
+tracer, yields every fact a campaign takes from the clean run:
 
 * the **data access trace** — every load/store (instret, addr, width,
   kind) — used to decide *activation* of stack and data injections
@@ -15,6 +16,9 @@ One instrumented run per (architecture, seed, ops) yields:
   executed only during boot can never fire a breakpoint in the
   monitored window) and tells the checkpoint dispatcher
   (:mod:`repro.checkpoint`) how far it may fast-forward;
+* kernprof-style **PC samples**, which
+  :func:`repro.workload.profiler.profile_kernel` attributes to kernel
+  functions to pick code-injection targets;
 * run-length figures (instret, cycles) used to place injection instants
   uniformly inside the monitoring window.
 
@@ -25,6 +29,7 @@ activation, so the clean trace decides activation exactly.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -33,6 +38,9 @@ from repro.workload.driver import UnixBenchDriver
 
 #: (instret, addr, width, kind) where kind is "r" or "w"
 AccessRecord = Tuple[int, int, int, str]
+
+#: fetches between PC samples, counted from machine construction
+SAMPLE_EVERY = 23
 
 
 @dataclass
@@ -47,6 +55,9 @@ class CleanRunProbe:
     #: fetches are excluded, so an address only here when the monitored
     #: workload actually reaches it
     first_executed: Dict[int, int]
+    #: pc -> samples taken there, one every ``SAMPLE_EVERY`` fetches of
+    #: the whole pass (boot included), in first-sample order
+    pc_samples: Dict[int, int]
     boot_instret: int
     total_instret: int
     total_cycles: int
@@ -70,7 +81,6 @@ class CleanRunProbe:
         """First access overlapping [addr, addr+length) after instret."""
         if not self._index and self.accesses:
             self._build_index()
-        import bisect
         best: Optional[AccessRecord] = None
         for byte in range(addr, addr + length):
             records = self._index.get(byte)
@@ -125,82 +135,70 @@ class CleanRunProbe:
                 for pid in allocations}
 
 
-def _instrument(machine: Machine, accesses: List[AccessRecord],
-                executed: Set[int],
-                first_cell: List[Dict[int, int]]) -> None:
-    """*first_cell* is a one-element list holding the first-execution
-    map currently being recorded into; swapping the element lets the
-    probe discard boot-time fetches once the window opens."""
-    cpu = machine.cpu
-    if machine.arch == "x86":
-        original_load = cpu.load
-        original_store = cpu.store
-        original_step = cpu.step
+class _Observer:
+    """Collects the clean-run facts through the flight recorder's CPU
+    hooks; an armed ``cpu.tracer`` also keeps ``call_kernel`` on the
+    step core, so no instruction goes unseen."""
 
-        def load(addr, width, seg=3):
-            accesses.append((cpu.instret, addr & 0xFFFFFFFF, width, "r"))
-            return original_load(addr, width, seg)
+    __slots__ = ("accesses", "executed", "first_executed", "pc_samples",
+                 "_countdown")
 
-        def store(addr, value, width, seg=3):
-            accesses.append((cpu.instret, addr & 0xFFFFFFFF, width, "w"))
-            return original_store(addr, value, width, seg)
+    def __init__(self) -> None:
+        self.accesses: List[AccessRecord] = []
+        self.executed: Set[int] = set()
+        self.first_executed: Dict[int, int] = {}
+        self.pc_samples: Dict[int, int] = {}
+        self._countdown = SAMPLE_EVERY
 
-        def step():
-            pc = cpu.eip
-            executed.add(pc)
-            first = first_cell[0]
-            if pc not in first:
-                first[pc] = cpu.instret
-            original_step()
-    else:
-        original_load = cpu.load
-        original_store = cpu.store
-        original_step = cpu.step
+    def on_fetch(self, cpu, pc: int) -> None:
+        self.executed.add(pc)
+        first = self.first_executed
+        if pc not in first:
+            first[pc] = cpu.instret
+        self._countdown -= 1
+        if not self._countdown:
+            self._countdown = SAMPLE_EVERY
+            samples = self.pc_samples
+            samples[pc] = samples.get(pc, 0) + 1
 
-        def load(addr, width):
-            accesses.append((cpu.instret, addr & 0xFFFFFFFF, width, "r"))
-            return original_load(addr, width)
+    def on_load(self, cpu, addr: int, width: int, value: int) -> None:
+        self.accesses.append((cpu.instret, addr, width, "r"))
 
-        def store(addr, value, width):
-            accesses.append((cpu.instret, addr & 0xFFFFFFFF, width, "w"))
-            return original_store(addr, value, width)
+    def on_store(self, cpu, addr: int, width: int, value: int) -> None:
+        self.accesses.append((cpu.instret, addr, width, "w"))
 
-        def step():
-            pc = cpu.pc & 0xFFFFFFFC
-            executed.add(pc)
-            first = first_cell[0]
-            if pc not in first:
-                first[pc] = cpu.instret
-            original_step()
-
-    cpu.load = load
-    cpu.store = store
-    cpu.step = step
+    def on_reg_write(self, cpu, reg: str, old: int, new: int) -> None:
+        pass                              # register writes are not probed
 
 
-def probe_clean_run(arch: str, seed: int = 0, ops: int = 60
-                    ) -> CleanRunProbe:
-    """Run the workload once, instrumented, and record everything."""
-    # the instrumentation wraps cpu.load/store/step, which compiled
-    # blocks bypass — the probe must observe every single instruction
-    machine = Machine(arch, config=MachineConfig(exec_mode="step"))
-    accesses: List[AccessRecord] = []
-    executed: Set[int] = set()
-    first_cell: List[Dict[int, int]] = [{}]
-    _instrument(machine, accesses, executed, first_cell)
+def probe_clean_run(arch: str, seed: int = 0, ops: int = 60,
+                    at_window=None) -> CleanRunProbe:
+    """Boot, set up and run the workload once, observed.
+
+    *at_window*, when given, is called with the machine and its driver
+    the moment the monitored window opens (``boot_instret``), before
+    any window instruction runs.
+    """
+    observer = _Observer()
+    machine = Machine(arch, config=MachineConfig(seed=seed,
+                                                 exec_mode="step"))
+    machine.cpu.tracer = observer
     machine.boot()
     driver = UnixBenchDriver(machine, seed=seed)
     driver.setup()
     boot_instret = machine.cpu.instret
+    if at_window is not None:
+        at_window(machine, driver)
     # window opens here: discard boot-time first-fetch records so
     # first_executed covers exactly what an injected run can reach
-    first_cell[0] = {}
+    observer.first_executed = {}
     result = driver.run(ops)
     return CleanRunProbe(
         arch=arch, seed=seed, ops=ops,
-        accesses=accesses,
-        executed_pcs=executed,
-        first_executed=first_cell[0],
+        accesses=observer.accesses,
+        executed_pcs=observer.executed,
+        first_executed=observer.first_executed,
+        pc_samples=observer.pc_samples,
         boot_instret=boot_instret,
         total_instret=machine.cpu.instret,
         total_cycles=machine.cpu.cycles,

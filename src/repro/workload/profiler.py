@@ -3,17 +3,19 @@
 The paper profiles the kernel under UnixBench and selects the most
 frequently used functions representing **at least 95% of kernel usage**
 as code-injection targets (Section 3.5).  This module reproduces that:
-sample the program counter during a clean workload run, attribute
-samples to kernel functions, and return the hot list with its coverage.
+the clean-run probe (:mod:`repro.workload.probe`) samples the program
+counter, and :func:`profile_kernel` attributes those samples to kernel
+functions and returns the hot list with its coverage.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.machine.machine import Machine, MachineConfig
-from repro.workload.driver import UnixBenchDriver
+from repro.kernel.build import build_kernel
+from repro.workload.probe import CleanRunProbe
 
 
 @dataclass
@@ -41,48 +43,25 @@ class FunctionProfile:
         return out
 
 
-def profile_kernel(arch: str, seed: int = 0, ops: int = 60,
-                   sample_every: int = 23) -> FunctionProfile:
-    """Sample the PC during a clean run and attribute to functions."""
-    # PC sampling wraps cpu.step, which compiled blocks bypass — the
-    # profiler must single-step to see every instruction boundary
-    machine = Machine(arch, config=MachineConfig(exec_mode="step"))
-    cpu = machine.cpu
-    image = machine.image
+def profile_kernel(probe: CleanRunProbe) -> FunctionProfile:
+    """Attribute *probe*'s PC samples to kernel functions.
 
-    # sorted function ranges for fast attribution
+    Functions appear in ``counts`` in first-sample order, which breaks
+    ties in :meth:`FunctionProfile.hot_functions`.
+    """
+    image = build_kernel(probe.arch)
     ranges = sorted((info.addr, info.addr + info.size, name)
                     for name, info in image.functions.items())
     starts = [entry[0] for entry in ranges]
-
     counts: Dict[str, int] = {}
-    state = {"countdown": sample_every, "samples": 0}
-    original_step = cpu.step
-
-    import bisect
-
-    def attributed(pc: int) -> str:
+    for pc, hits in probe.pc_samples.items():
+        name = "(outside-kernel-text)"
         position = bisect.bisect_right(starts, pc) - 1
         if position >= 0:
-            start, end, name = ranges[position]
+            start, end, function = ranges[position]
             if start <= pc < end:
-                return name
-        return "(outside-kernel-text)"
-
-    def step():
-        state["countdown"] -= 1
-        if state["countdown"] <= 0:
-            state["countdown"] = sample_every
-            state["samples"] += 1
-            pc = cpu.eip if arch == "x86" else cpu.pc
-            name = attributed(pc)
-            counts[name] = counts.get(name, 0) + 1
-        original_step()
-
-    cpu.step = step
-    machine.boot()
-    driver = UnixBenchDriver(machine, seed=seed)
-    driver.setup()
-    driver.run(ops)
-    return FunctionProfile(arch=arch, samples=state["samples"],
+                name = function
+        counts[name] = counts.get(name, 0) + hits
+    return FunctionProfile(arch=probe.arch,
+                           samples=sum(probe.pc_samples.values()),
                            counts=counts)

@@ -208,21 +208,36 @@ def test_best_for_selection_strictness():
 
 def test_poisoned_capture_run_fails_loudly(x86_context):
     """A capture run that materializes per-machine randomness violates
-    the seed-invariance precondition and must abort the build."""
+    the seed-invariance precondition, and one that writes kernel text
+    would hand the base machine compiled blocks of other code: either
+    must abort the build."""
 
-    class PoisonedBase:
-        def fork(self):
+    def materialize_rng(machine):
+        machine._rng = random.Random(0)
+
+    def write_cold_text(machine):
+        # the entry of a function the clean run never calls, so the
+        # capture still completes and only its postcondition sees this
+        addr = next(info.addr
+                    for info in machine.image.functions.values()
+                    if info.addr not in x86_context.probe.executed_pcs)
+        machine.cpu.mem.write_u8(addr,
+                                 machine.cpu.mem.read_u8(addr) ^ 0xFF)
+
+    for poison, message in ((materialize_rng, "Machine.rng"),
+                            (write_cold_text, "kernel text")):
+        def poisoned_fork(poison=poison):
             machine = x86_context.base_machine.fork()
-            machine._rng = random.Random(0)
+            poison(machine)
             return machine
 
-    shim = SimpleNamespace(
-        arch=x86_context.arch, seed=x86_context.seed,
-        ops=x86_context.ops, probe=x86_context.probe,
-        base_machine=PoisonedBase(),
-        base_programs=x86_context.base_programs)
-    with pytest.raises(LadderInvariantError):
-        build_ladder(shim, 2)
+        shim = SimpleNamespace(
+            arch=x86_context.arch, seed=x86_context.seed,
+            ops=x86_context.ops, probe=x86_context.probe,
+            base_machine=SimpleNamespace(fork=poisoned_fork),
+            base_programs=x86_context.base_programs)
+        with pytest.raises(LadderInvariantError, match=message):
+            build_ladder(shim, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +259,7 @@ def test_workers_inherit_parent_ladder(x86_context, tmp_path,
 
     real_build = campaign_mod.build_ladder
     real_probe = campaign_mod.probe_clean_run
+    real_profile = campaign_mod.profile_kernel
 
     def counting_build(context, count):
         with build_log.open("a") as fh:
@@ -255,8 +271,14 @@ def test_workers_inherit_parent_ladder(x86_context, tmp_path,
             fh.write("probe\n")
         return real_probe(*args, **kwargs)
 
+    def counting_profile(*args, **kwargs):
+        with probe_log.open("a") as fh:
+            fh.write("profile\n")
+        return real_profile(*args, **kwargs)
+
     monkeypatch.setattr(campaign_mod, "build_ladder", counting_build)
     monkeypatch.setattr(campaign_mod, "probe_clean_run", counting_probe)
+    monkeypatch.setattr(campaign_mod, "profile_kernel", counting_profile)
     # a rung count nothing else uses, dropped first so the test is
     # order-independent within the session-scoped context
     x86_context._ladders.pop(5, None)
@@ -270,4 +292,4 @@ def test_workers_inherit_parent_ladder(x86_context, tmp_path,
     assert build_log.read_text().count("build") == 1, \
         "ladder must be built exactly once, in the parent"
     assert not probe_log.exists(), \
-        "no worker may re-run the clean-run probe"
+        "no worker may re-run the clean pass or its profile"

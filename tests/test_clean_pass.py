@@ -1,0 +1,117 @@
+"""The observed clean pass reproduces the pinned probe and profile.
+
+``tests/data/clean_pass_digests.json`` was recorded from the two
+separate instrumented runs that preceded the single observed pass: a
+step-mode probe with monkeypatched ``load``/``store``/``step`` and a
+step-mode profiler with its own ``step`` wrapper, each booting its own
+machine.  Every fact a campaign takes from the clean run is hashed —
+the access trace, the executed addresses, the window first-fetch map,
+the run-length figures, the fail-silence flag, and the profile — so the
+one pass that replaced both runs must reproduce all of them exactly.
+
+The file also checks the structure of context construction: one boot,
+two window runs (the observed pass and the block-mode replay), and a
+base machine whose block cache already holds the window's blocks.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+import repro.injection.campaign as campaign_mod
+from repro.checkpoint.ladder import DEFAULT_CHECKPOINTS
+from repro.injection.campaign import (
+    Campaign, CampaignConfig, CampaignContext,
+)
+from repro.injection.injector import InjectionRun
+from repro.injection.outcomes import CampaignKind
+from repro.machine.machine import Machine
+from repro.workload.driver import UnixBenchDriver
+from repro.workload.probe import probe_clean_run
+from repro.workload.profiler import profile_kernel
+
+DIGEST_PATH = Path(__file__).parent / "data" / "clean_pass_digests.json"
+DIGESTS = json.loads(DIGEST_PATH.read_text())
+
+
+def _sha(items) -> str:
+    digest = hashlib.sha256()
+    for item in items:
+        digest.update(repr(item).encode())
+        digest.update(b";")
+    return digest.hexdigest()
+
+
+def clean_pass_digest(probe, profile) -> dict:
+    """Every clean-run fact a campaign consumes, hashed or verbatim."""
+    return {
+        "accesses": _sha(probe.accesses),
+        "executed_pcs": _sha(sorted(probe.executed_pcs)),
+        "first_executed": _sha(sorted(probe.first_executed.items())),
+        "boot_instret": probe.boot_instret,
+        "total_instret": probe.total_instret,
+        "total_cycles": probe.total_cycles,
+        "fsv_clean": probe.fsv_clean,
+        "profile_samples": profile.samples,
+        # insertion order kept: hot-function ties break on it
+        "profile_counts": _sha(profile.counts.items()),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS))
+def test_observed_pass_matches_pinned_digest(key):
+    recorded = DIGESTS[key]
+    probe = probe_clean_run(recorded["arch"], seed=recorded["seed"],
+                            ops=recorded["ops"])
+    observed = clean_pass_digest(probe, profile_kernel(probe))
+    expected = {name: value for name, value in recorded.items()
+                if name not in ("arch", "seed", "ops")}
+    assert observed == expected
+
+
+def test_context_boots_once_and_runs_the_window_twice(monkeypatch):
+    """One observed pass, one block-mode replay; the probe and the
+    profile go through the module globals the end-to-end benchmark
+    wraps to time set-up."""
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    counting(Machine, "boot")
+    counting(UnixBenchDriver, "run")
+    counting(campaign_mod, "probe_clean_run")
+    counting(campaign_mod, "profile_kernel")
+    context = CampaignContext("ppc", seed=0, ops=12)
+    assert calls == ["probe_clean_run", "boot", "run", "profile_kernel",
+                     "run"]
+    # the default ladder is the replay: asking for it reruns nothing
+    context.ladder(DEFAULT_CHECKPOINTS)
+    assert len(calls) == 5
+    assert context.base_machine.cpu.instret == context.probe.boot_instret
+    cache = context.base_machine.cpu._block_cache
+    assert cache.warm and not cache.hot
+
+
+def test_checkpoints_off_experiments_start_warm(x86_context):
+    """An experiment forked from the base machine inherits the
+    window's compiled blocks, with or without a ladder."""
+    window_blocks = x86_context.base_machine.cpu._block_cache.snapshot()
+    config = CampaignConfig(arch="x86", kind=CampaignKind.REGISTER,
+                            count=1, seed=0, ops=x86_context.ops,
+                            checkpoints=0)
+    campaign = Campaign(config, x86_context)
+    spec = campaign.spec_for(0, campaign.generate_targets()[0])
+    assert spec.checkpoint is None
+    run = InjectionRun(spec)
+    assert run.machine.cpu._block_cache.warm is window_blocks
+    assert window_blocks

@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine.machine import KSTACK_SIZE
 from repro.workload.driver import UnixBenchDriver, run_clean_workload
+from repro.workload.probe import probe_clean_run
 from repro.workload.profiler import profile_kernel
 from repro.workload.programs import collect_fsv, default_mix
 
@@ -98,7 +99,7 @@ class TestProbe:
 class TestProfiler:
     @pytest.mark.parametrize("arch", ["x86", "ppc"])
     def test_hot_functions_cover(self, arch):
-        profile = profile_kernel(arch, seed=0, ops=16)
+        profile = profile_kernel(probe_clean_run(arch, seed=0, ops=16))
         hot = profile.hot_functions(0.95)
         total = sum(profile.counts.values())
         covered = sum(profile.counts[name] for name, _ in hot
@@ -107,7 +108,7 @@ class TestProfiler:
         assert "memcpy" in dict(hot)          # the workload's hottest
 
     def test_coverage_parameter(self):
-        profile = profile_kernel("ppc", seed=0, ops=12)
+        profile = profile_kernel(probe_clean_run("ppc", seed=0, ops=12))
         small = profile.hot_functions(0.5)
         large = profile.hot_functions(0.999)
         assert len(large) >= len(small)
