@@ -1,12 +1,11 @@
-"""Fork throughput: eager page copies vs copy-on-write warm-start.
+"""Fork throughput: copy-on-write warm-start forks.
 
 ``Machine.fork()`` is the per-injection cost floor — every experiment
 "reboots" by forking the booted base machine.  This benchmark measures
 
-* **forks/sec** for the eager baseline (deep page copy + cold decode
-  cache, ``fork(eager=True)``) against the COW path (shared pages +
-  inherited warm decode cache) on both arches — the COW path must be
-  >= 3x the eager baseline;
+* **forks/sec** of the COW path (shared pages + inherited warm decode
+  cache) on both arches; the end-to-end benchmark tracks the same cost
+  per experiment as ``machine.fork_us``;
 * **page-copy counts** for a forked clone that runs a representative
   injection window, so the COW hit rate (pages shared vs privatized)
   stays visible;
@@ -33,7 +32,6 @@ from repro.machine.machine import Machine
 _SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 FORKS = max(50, int(200 * _SCALE))
 COUNT = max(24, int(48 * _SCALE))
-MIN_SPEEDUP = 3.0
 
 
 @pytest.fixture(scope="module", params=["x86", "ppc"])
@@ -43,31 +41,20 @@ def booted(request) -> Machine:
     return machine
 
 
-def _forks_per_sec(machine: Machine, eager: bool) -> float:
-    start = time.perf_counter()
-    for _ in range(FORKS):
-        machine.fork(eager=eager)
-    return FORKS / (time.perf_counter() - start)
-
-
 def test_bench_fork_rate(benchmark, booted):
     state = {}
 
     def run_once():
-        state["eager"] = _forks_per_sec(booted, eager=True)
-        state["cow"] = _forks_per_sec(booted, eager=False)
+        start = time.perf_counter()
+        for _ in range(FORKS):
+            booted.fork()
+        state["cow"] = FORKS / (time.perf_counter() - start)
 
     benchmark.pedantic(run_once, rounds=1, iterations=1)
-    speedup = state["cow"] / state["eager"]
-    print(f"\n[{booted.arch}] eager: {state['eager']:.0f} forks/s, "
-          f"COW: {state['cow']:.0f} forks/s ({speedup:.1f}x)")
+    print(f"\n[{booted.arch}] COW: {state['cow']:.0f} forks/s")
     common.emit(common.env_json_path(), "fork_rate",
                 arch=booted.arch, forks=FORKS,
-                eager_per_s=round(state["eager"], 1),
-                cow_per_s=round(state["cow"], 1),
-                speedup=round(speedup, 3))
-    assert speedup >= MIN_SPEEDUP, (
-        f"{booted.arch}: COW fork only {speedup:.2f}x eager baseline")
+                cow_per_s=round(state["cow"], 1))
 
 
 def test_bench_cow_hit_rate(benchmark, booted):

@@ -1,4 +1,4 @@
-"""Static analyzer cost and the --prune-dead payoff.
+"""Static analyzer cost and the --prune dead payoff.
 
 Two questions the static subsystem has to answer for its keep:
 

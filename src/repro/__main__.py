@@ -49,22 +49,47 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from repro.analysis.figures import render_distribution
 from repro.analysis.latency import BUCKET_LABELS, latency_percentages
 from repro.analysis.tables import build_row, render_table
 from repro.core import Study, StudyConfig
-from repro.injection.campaign import run_campaign
+from repro.injection.campaign import (
+    ARCHES, Campaign, CampaignConfig, CampaignKnobs, run_campaign,
+)
 from repro.injection.outcomes import CampaignKind
 
+#: the campaign knobs the campaign-running commands expose as flags
+#: (dump_loss_probability stays a library and service field)
+CLI_KNOBS = ("seed", "ops", "prune", "exec_mode", "checkpoints",
+             "fault_model")
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--arch", choices=["x86", "ppc"],
-                        default="x86",
+
+def _add_knobs(parser: argparse.ArgumentParser,
+               names=CLI_KNOBS, config=CampaignKnobs) -> None:
+    """One ``--flag`` per knob, with its default, type, choices and
+    help taken from the knob table."""
+    table = {spec_field.name: spec_field for spec_field in fields(config)}
+    for name in names:
+        spec = table[name].metadata["knob"]
+        allowed = spec.allowed()
+        parser.add_argument(
+            "--" + name.replace("_", "-"), type=spec.type,
+            default=table[name].default,
+            choices=list(allowed) if allowed else None,
+            help=spec.help + " (default: %(default)s)")
+
+
+def _knob_args(args: argparse.Namespace) -> dict:
+    return {name: getattr(args, name) for name in CLI_KNOBS}
+
+
+def _add_common(parser: argparse.ArgumentParser,
+                knobs=("seed", "ops")) -> None:
+    parser.add_argument("--arch", choices=list(ARCHES), default="x86",
                         help="target platform (default: x86/P4)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ops", type=int, default=40,
-                        help="monitored workload window (operations)")
+    _add_knobs(parser, knobs)
 
 
 def _positive_int(text: str) -> int:
@@ -110,72 +135,33 @@ def _progress_printer(label: str = ""):
     return callback
 
 
-def _add_prune(parser: argparse.ArgumentParser) -> None:
-    from repro.injection.campaign import PRUNE_POLICIES
-    parser.add_argument(
-        "--prune", choices=list(PRUNE_POLICIES), default=None,
-        help="redraw code targets the static analyzer proves inert: "
-        "'dead' skips decode-identical flips and unreachable code, "
-        "'taint' additionally skips corruptions the taint engine "
-        "proves die before reaching any sink; code campaigns only")
-    parser.add_argument(
-        "--prune-dead", action="store_true",
-        help="shorthand for --prune=dead")
-
-
-def _resolve_prune(args: argparse.Namespace) -> str:
-    if args.prune is not None:
-        if args.prune_dead and args.prune != "dead":
-            raise SystemExit(
-                f"--prune-dead conflicts with --prune={args.prune}")
-        return args.prune
-    return "dead" if args.prune_dead else "none"
-
-
-def _add_exec_mode(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--exec-mode", choices=["step", "block"], default="block",
-        help="execution core: 'block' runs compiled superblocks "
-        "(default; bit-identical results, much faster), 'step' is "
-        "the plain interpreter")
-
-
-def _add_fault_model(parser: argparse.ArgumentParser) -> None:
-    from repro.faults import DEFAULT_MODEL, available_models
-    parser.add_argument(
-        "--fault-model", choices=list(available_models()),
-        default=DEFAULT_MODEL, dest="fault_model",
-        help="registered fault model to inject (default "
-        f"'{DEFAULT_MODEL}', the paper's single-shot single-bit "
-        "flip; see `repro faults list`)")
-
-
-def _add_checkpoints(parser: argparse.ArgumentParser) -> None:
-    from repro.checkpoint.ladder import DEFAULT_CHECKPOINTS
-    parser.add_argument(
-        "--checkpoints", type=int, default=DEFAULT_CHECKPOINTS,
-        metavar="N",
-        help="clean-run snapshots to dispatch experiments from "
-        f"(default {DEFAULT_CHECKPOINTS}; 0 disables; bit-identical "
-        "results either way, skipping the pre-trigger replay)")
-
-
 def _check_store_args(args: argparse.Namespace) -> None:
     if args.resume and not args.store:
         raise SystemExit("--resume requires --store DIR")
 
 
+def _config(build, **kwargs):
+    """Build a config; a rejected value is a one-line exit, not a
+    traceback."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
+def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
+    return _config(CampaignConfig, arch=args.arch,
+                   kind=CampaignKind(args.kind), count=args.count,
+                   **_knob_args(args))
+
+
 def cmd_study(args: argparse.Namespace) -> int:
     _check_store_args(args)
-    config = StudyConfig(seed=args.seed, scale=args.scale,
-                         ops=args.ops, workers=args.workers,
-                         store=args.store, resume=args.resume,
-                         prune=_resolve_prune(args),
-                         exec_mode=args.exec_mode,
-                         checkpoints=args.checkpoints,
-                         fault_model=args.fault_model)
+    config = _config(StudyConfig, scale=args.scale, workers=args.workers,
+                     store=args.store, resume=args.resume,
+                     **_knob_args(args))
     study = Study(config)
-    for arch in ("x86", "ppc"):
+    for arch in ARCHES:
         for kind in CampaignKind:
             count = config.campaign_count(arch, kind)
             print(f"running {arch}/{kind.value} ({count} injections)...",
@@ -189,32 +175,18 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     _check_store_args(args)
-    kind = CampaignKind(args.kind)
-    prune = _resolve_prune(args)
-    if prune != "none" and kind is not CampaignKind.CODE:
-        raise SystemExit(f"--prune={prune} requires --kind code")
-    from repro.faults import model_applies
-    if not model_applies(args.fault_model, kind.value):
-        raise SystemExit(
-            f"--fault-model={args.fault_model} does not apply to "
-            f"--kind {kind.value}")
-    outcome = run_campaign(args.arch, kind, count=args.count,
-                           seed=args.seed, ops=args.ops,
-                           workers=args.workers,
-                           store=args.store, resume=args.resume,
-                           progress_callback=_progress_printer()
-                           if args.progress else None,
-                           prune=prune,
-                           exec_mode=args.exec_mode,
-                           checkpoints=args.checkpoints,
-                           fault_model=args.fault_model)
+    config = _campaign_config(args)
+    kind = config.kind
+    outcome = Campaign(config).run(
+        workers=args.workers, store=args.store, resume=args.resume,
+        progress_callback=_progress_printer() if args.progress else None)
     if outcome.prune_escaped:
-        print(f"prune={prune} conservatively escaped: fault model "
-              f"{args.fault_model!r} flips multiple bits and "
+        print(f"prune={config.prune} conservatively escaped: fault "
+              f"model {config.fault_model!r} flips multiple bits and "
               f"single-bit inertness proofs do not compose",
               file=sys.stderr)
-    elif prune != "none":
-        print(f"prune={prune}: {outcome.pruned_draws} draw(s) "
+    elif config.prune != "none":
+        print(f"prune={config.prune}: {outcome.pruned_draws} draw(s) "
               f"rejected and redrawn", file=sys.stderr)
     row = build_row(kind, outcome.results)
     print(render_table([row],
@@ -230,8 +202,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if kind is CampaignKind.CODE:
         from repro.analysis.sensitivity import render_sensitivity
         from repro.injection.campaign import CampaignContext
-        image = CampaignContext.get(args.arch, args.seed,
-                                    args.ops).base_machine.image
+        image = CampaignContext.get(config.arch, config.seed,
+                                    config.ops).base_machine.image
         print()
         print(render_sensitivity(outcome.results, image,
                                  f"{args.arch} code campaign"))
@@ -243,13 +215,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_faults_list(args: argparse.Namespace) -> int:
-    from repro.faults import available_models, get_model
+    from repro.faults import DEFAULT_MODEL, available_models, get_model
     print(f"{'model':<14} {'digest':<14} description")
     for name in available_models():
         model = get_model(name)
         spec = model.spec
         line = f"{name:<14} {spec.digest()[:12]:<14} {spec.describe()}"
-        if name == "single-bit":
+        if name == DEFAULT_MODEL:
             line += "  [default]"
         print(line)
     return 0
@@ -322,7 +294,7 @@ def cmd_static(args: argparse.Namespace) -> int:
             outcome = run_campaign(
                 report.arch, CampaignKind.CODE, count=args.validate,
                 seed=args.seed, ops=args.ops, workers=args.workers,
-                progress=_progress_printer() if args.progress
+                progress_callback=_progress_printer() if args.progress
                 else None)
             validation = validate_code_campaign(outcome.results,
                                                 report)
@@ -468,18 +440,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceError
-    prune = _resolve_prune(args)
-    if prune != "none" and args.kind != "code":
-        raise SystemExit(f"--prune={prune} requires --kind code")
+    from repro.service.protocol import config_to_payload
+    payload = config_to_payload(_campaign_config(args))
     client = _service_client(args)
-    config = {"arch": args.arch, "kind": args.kind,
-              "count": args.count, "seed": args.seed, "ops": args.ops,
-              "exec_mode": args.exec_mode,
-              "checkpoints": args.checkpoints,
-              "prune": prune,
-              "fault_model": args.fault_model}
     try:
-        out = client.submit(config, tenant=args.tenant,
+        out = client.submit(payload, tenant=args.tenant,
                             priority=args.priority,
                             workers=args.workers)
     except (OSError, ServiceError) as exc:
@@ -558,20 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     study = sub.add_parser("study", help="run the full study")
-    study.add_argument("--scale", type=float, default=0.01,
-                       help="fraction of the paper's campaign sizes")
-    study.add_argument("--seed", type=int, default=0)
-    study.add_argument("--ops", type=int, default=40)
+    _add_knobs(study, ("scale",), StudyConfig)
+    _add_knobs(study)
     _add_workers(study)
     _add_store(study)
-    _add_prune(study)
-    _add_exec_mode(study)
-    _add_checkpoints(study)
-    _add_fault_model(study)
     study.set_defaults(func=cmd_study)
 
     campaign = sub.add_parser("campaign", help="run one campaign")
-    _add_common(campaign)
+    _add_common(campaign, CLI_KNOBS)
     campaign.add_argument("--kind", required=True,
                           choices=[kind.value for kind in CampaignKind])
     campaign.add_argument("-n", "--count", type=int, default=100)
@@ -579,10 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also dump results as JSON lines")
     _add_workers(campaign)
     _add_store(campaign)
-    _add_prune(campaign)
-    _add_exec_mode(campaign)
-    _add_checkpoints(campaign)
-    _add_fault_model(campaign)
     campaign.set_defaults(func=cmd_campaign)
 
     store = sub.add_parser("store",
@@ -619,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     submit = sub.add_parser(
         "submit", help="submit a campaign to a running service")
-    _add_common(submit)
+    _add_common(submit, CLI_KNOBS)
     submit.add_argument("--kind", required=True,
                         choices=[kind.value for kind in CampaignKind])
     submit.add_argument("-n", "--count", type=_positive_int,
@@ -636,10 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "job finishes")
     submit.add_argument("--timeout", type=float, default=3600.0,
                         help="--wait timeout in seconds")
-    _add_prune(submit)
-    _add_exec_mode(submit)
-    _add_checkpoints(submit)
-    _add_fault_model(submit)
     _add_url(submit)
     submit.set_defaults(func=cmd_submit)
 
@@ -699,8 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         "static", help="static error-sensitivity analysis")
     static.add_argument("--arch", choices=["x86", "ppc", "both"],
                         default="both")
-    static.add_argument("--seed", type=int, default=0)
-    static.add_argument("--ops", type=int, default=48)
+    _add_knobs(static, ("seed", "ops"))
     static.add_argument(
         "--taint", action="store_true",
         help="run the interprocedural taint engine: per-bit "

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.checkpoint.ladder import DEFAULT_CHECKPOINTS
+from repro.injection.campaign import (
+    KNOBS, CampaignConfig, CampaignKnobs, knob,
+)
 from repro.injection.outcomes import CampaignKind
 
 #: Paper Table 1: Experiment Setup Summary.
@@ -47,45 +49,28 @@ PAPER_CAMPAIGN_SIZES: Dict[str, Dict[CampaignKind, int]] = {
 }
 
 
-@dataclass
-class StudyConfig:
+@dataclass(kw_only=True)
+class StudyConfig(CampaignKnobs):
     """Configuration for a full two-platform study.
 
-    ``scale`` scales the paper's campaign sizes (1.0 = the full
-    115,000+ injections; the default 0.02 runs in minutes on a laptop
-    while keeping the distribution shapes stable).  ``overrides`` pins
-    exact campaign sizes when given.  ``workers`` is the number of
-    campaign worker processes (1 = in-process serial loop; any value
-    produces bit-identical results, see
-    :mod:`repro.injection.parallel`).  ``store`` is a directory for
-    the durable result store (:mod:`repro.store`): every campaign
-    journals its results there as they complete, and with ``resume``
-    a killed study continues from the journals bit-identically.
+    The campaign knobs (:class:`CampaignKnobs`) apply to all eight
+    campaigns; :meth:`campaign_config` is the one place a study expands
+    into them.  ``overrides`` pins exact campaign sizes when given.
+    ``store`` is a directory for the durable result store
+    (:mod:`repro.store`): every campaign journals its results there as
+    they complete, and with ``resume`` a killed study continues from
+    the journals bit-identically.
     """
 
-    seed: int = 0
-    scale: float = 0.02
-    ops: int = 48
-    dump_loss_probability: float = 0.08
-    min_campaign: int = 40
-    workers: int = 1
+    scale: float = knob(
+        "fraction of the paper's campaign sizes (1.0 = the full "
+        "115,000+ injections)", 0.02, type=float, low=0.0, high=1.0)
+    min_campaign: int = knob("smallest campaign size", 40, low=1)
+    workers: int = knob(
+        "campaign worker processes (1 = in-process serial loop; any "
+        "value gives bit-identical results)", 1, low=1)
     store: Optional[str] = None
     resume: bool = False
-    #: "dead" redraws code targets the static analyzer proves inert;
-    #: "taint" additionally redraws bits the taint engine proves
-    #: masked (applies to the code campaigns only; see repro.static)
-    prune: str = "none"
-    #: execution core for every campaign machine ("block" | "step");
-    #: results are bit-identical either way (see repro.compile)
-    exec_mode: str = "block"
-    #: clean-run snapshots per campaign context (0 disables); results
-    #: are bit-identical either way (see repro.checkpoint)
-    checkpoints: int = DEFAULT_CHECKPOINTS
-    #: registered fault-model name (see repro.faults); campaigns whose
-    #: kind the model does not apply to (e.g. "targeted" outside data)
-    #: fall back to the single-bit default so the study matrix always
-    #: completes
-    fault_model: str = "single-bit"
     overrides: Dict[str, Dict[CampaignKind, int]] = field(
         default_factory=dict)
 
@@ -94,3 +79,24 @@ class StudyConfig:
             return self.overrides[arch][kind]
         paper = PAPER_CAMPAIGN_SIZES[arch][kind]
         return max(self.min_campaign, int(round(paper * self.scale)))
+
+    def campaign_config(self, arch: str, kind: CampaignKind,
+                        count: Optional[int] = None) -> CampaignConfig:
+        """The study's (arch, kind) campaign.
+
+        A knob whose value does not apply to *kind* falls back to its
+        default: pruning stays on the code campaigns, and a fault model
+        scoped to some kinds (e.g. "targeted", data only) leaves the
+        rest of the matrix on the single-bit default, so the study
+        always completes.
+        """
+        knobs = self.knob_values()
+        for spec_field in KNOBS:
+            applies = spec_field.metadata["knob"].applies
+            if applies is not None and \
+                    not applies(knobs[spec_field.name], kind.value):
+                knobs[spec_field.name] = spec_field.default
+        return CampaignConfig(
+            arch=arch, kind=kind,
+            count=count if count is not None
+            else self.campaign_count(arch, kind), **knobs)

@@ -17,12 +17,9 @@ from repro.analysis.figures import render_distribution
 from repro.analysis.latency import BUCKET_LABELS, latency_percentages
 from repro.analysis.tables import build_table, render_table
 from repro.core.config import StudyConfig
-from repro.injection.campaign import (
-    Campaign, CampaignConfig, CampaignContext,
-)
+from repro.injection.campaign import ARCHES, Campaign, CampaignContext
 from repro.injection.outcomes import CampaignKind, InjectionResult
 
-ARCHES = ("x86", "ppc")
 KINDS = (CampaignKind.STACK, CampaignKind.REGISTER, CampaignKind.DATA,
          CampaignKind.CODE)
 
@@ -50,30 +47,6 @@ class Study:
 
     # -- running -----------------------------------------------------------
 
-    def _campaign_config(self, arch: str, kind: CampaignKind,
-                         count: Optional[int]) -> CampaignConfig:
-        config = self.config
-        from repro.faults import DEFAULT_MODEL, model_applies
-        fault_model = config.fault_model
-        if not model_applies(fault_model, kind.value):
-            # e.g. "targeted" resolves named data structures, so only
-            # the data campaigns can use it; the rest of the matrix
-            # runs the paper's single-bit model
-            fault_model = DEFAULT_MODEL
-        return CampaignConfig(
-            arch=arch, kind=kind,
-            count=count if count is not None
-            else config.campaign_count(arch, kind),
-            seed=config.seed, ops=config.ops,
-            dump_loss_probability=config.dump_loss_probability,
-            # pruning is a code-campaign concept; other kinds always
-            # run unpruned so their identities stay policy-free
-            prune=config.prune if kind is CampaignKind.CODE
-            else "none",
-            exec_mode=config.exec_mode,
-            checkpoints=config.checkpoints,
-            fault_model=fault_model)
-
     def _store(self, store=None):
         """Resolve *store* (path or CampaignStore) or the config's."""
         target = store if store is not None else self.config.store
@@ -88,16 +61,15 @@ class Study:
                      count: Optional[int] = None,
                      workers: Optional[int] = None,
                      store=None, resume: Optional[bool] = None,
-                     progress=None,
                      progress_callback=None) -> List[InjectionResult]:
         config = self.config
-        campaign_config = self._campaign_config(arch, kind, count)
+        campaign_config = config.campaign_config(arch, kind, count)
         context = CampaignContext.get(arch, config.seed, config.ops)
         outcome = Campaign(campaign_config, context).run(
             workers=workers if workers is not None else config.workers,
             store=self._store(store),
             resume=config.resume if resume is None else resume,
-            progress=progress, progress_callback=progress_callback)
+            progress_callback=progress_callback)
         self.results.setdefault(arch, {})[kind] = outcome.results
         return outcome.results
 
@@ -123,8 +95,8 @@ class Study:
         if resolved is None:
             raise ValueError("no store: pass store= or set "
                              "StudyConfig.store")
-        campaign_config = self._campaign_config(arch, kind, count)
-        outcome = resolved.load(campaign_config)
+        outcome = resolved.load(
+            self.config.campaign_config(arch, kind, count))
         self.results.setdefault(arch, {})[kind] = outcome.results
         return outcome.results
 

@@ -15,13 +15,15 @@ serial one: per-target seeds derive from the *global* target index.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.checkpoint.ladder import (
     DEFAULT_CHECKPOINTS, CheckpointLadder, build_ladder,
 )
-from repro.faults import DEFAULT_MODEL, FaultModelError, get_model
+from repro.faults import (
+    DEFAULT_MODEL, available_models, get_model, model_applies,
+)
 from repro.injection.collector import CrashDataCollector
 from repro.injection.injector import InjectionRun, RunSpec
 from repro.injection.outcomes import (
@@ -36,63 +38,145 @@ from repro.workload.programs import clone_programs
 
 logger = logging.getLogger(__name__)
 
+ARCHES = ("x86", "ppc")
+
 #: valid ``CampaignConfig.prune`` policies
 PRUNE_POLICIES = ("none", "dead", "taint")
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
-@dataclass
-class CampaignConfig:
-    arch: str                            # "x86" | "ppc"
-    kind: CampaignKind
-    count: int                           # number of injections
-    seed: int = 0
-    ops: int = 48                        # monitored workload window
-    dump_loss_probability: float = 0.08
-    profile_coverage: float = 0.95
-    #: "none"; "dead" to redraw code targets landing on bits the
-    #: static analyzer proves inert (decode-identical flips and
-    #: unreachable code); or "taint" to additionally redraw bits the
-    #: taint engine proves masked (the corruption dies on every
-    #: static path before reaching a sink); code campaigns only
-    prune: str = "none"
-    #: execution core for every experiment machine ("block" | "step");
-    #: bit-identical results either way, "block" is just faster
-    exec_mode: str = "block"
-    #: clean-run snapshots to dispatch experiments from (0 disables);
-    #: like ``exec_mode``, a pure performance knob — bit-identical
-    #: results either way, excluded from campaign identity
-    checkpoints: int = DEFAULT_CHECKPOINTS
-    #: registered fault-model name (:mod:`repro.faults`); part of
-    #: campaign identity — two campaigns differing only here are
-    #: different experiments
-    fault_model: str = DEFAULT_MODEL
+
+@dataclass(frozen=True)
+class Knob:
+    """How one config field is checked, identified and shown.
+
+    Carried in the field's ``metadata["knob"]``.  Validation, the
+    service wire format, store identity, study fan-out and the CLI
+    flags all read it from there, so each fact is stated once.
+    """
+
+    help: str
+    type: type = int
+    low: Optional[float] = None
+    high: Optional[float] = None
+    #: allowed values, or a callable returning them (called at check
+    #: time, so a fault model registered after import is accepted)
+    choices: Union[Tuple[str, ...], Callable[[], Tuple[str, ...]],
+                   None] = None
+    #: the value joins the stored campaign's identity
+    #: (:mod:`repro.store.manifest`)
+    identity: bool = False
+    #: ``applies(value, kind_value)`` is False when *value* means
+    #: nothing for a campaign of that kind
+    applies: Optional[Callable[[object, str], bool]] = None
+
+    def allowed(self) -> Optional[Tuple[str, ...]]:
+        return self.choices() if callable(self.choices) else self.choices
+
+    def check(self, name: str, value):
+        """*value* validated (an int given for a float is widened);
+        raises ``ValueError`` naming the field."""
+        if self.type is float and isinstance(value, int) and \
+                not isinstance(value, bool):
+            value = float(value)
+        if isinstance(value, bool) or not isinstance(value, self.type):
+            raise ValueError(
+                f"{name} must be "
+                f"{_TYPE_NAMES.get(self.type, self.type.__name__)}, "
+                f"got {value!r}")
+        if self.high is not None and not self.low <= value <= self.high:
+            raise ValueError(f"{name} must be in [{self.low}, "
+                             f"{self.high}], got {value}")
+        if self.low is not None and value < self.low:
+            raise ValueError(f"{name} must be >= {self.low}, "
+                             f"got {value}")
+        allowed = self.allowed()
+        if allowed is not None and value not in allowed:
+            raise ValueError(
+                f"{name}: unknown {name.replace('_', ' ')} {value!r}; "
+                f"expected one of {allowed}")
+        return value
+
+
+def knob(help: str, default=MISSING, **spec):
+    """A dataclass field described by a :class:`Knob`."""
+    return field(default=default, metadata={"knob": Knob(help, **spec)})
+
+
+@dataclass(kw_only=True)
+class CampaignKnobs:
+    """The per-campaign knobs: the one table every view derives from.
+
+    ``CampaignConfig`` and ``StudyConfig`` extend it; the service
+    protocol, the store manifest, trace replay and the CLI read these
+    fields and their :class:`Knob` metadata rather than re-declaring
+    them.
+    """
+
+    seed: int = knob("campaign seed: targets and per-experiment seeds "
+                     "derive from it", 0, identity=True)
+    ops: int = knob("monitored workload window (operations)", 48,
+                    low=1, identity=True)
+    dump_loss_probability: float = knob(
+        "probability the crash dump is lost on the network", 0.08,
+        type=float, low=0.0, high=1.0, identity=True)
+    prune: str = knob(
+        "redraw code targets the static analyzer proves inert: 'dead' "
+        "skips decode-identical flips and unreachable code, 'taint' "
+        "additionally skips corruptions the taint engine proves die "
+        "before reaching any sink; code campaigns only", "none",
+        type=str, choices=PRUNE_POLICIES, identity=True,
+        applies=lambda value, kind: value == "none" or kind == "code")
+    exec_mode: str = knob(
+        "execution core: 'block' runs compiled superblocks, 'step' is "
+        "the plain interpreter; bit-identical results either way",
+        "block", type=str, choices=("step", "block"))
+    checkpoints: int = knob(
+        "clean-run snapshots to dispatch experiments from (0 disables; "
+        "bit-identical results either way)", DEFAULT_CHECKPOINTS, low=0)
+    fault_model: str = knob(
+        "registered fault model to inject (see `repro faults list`); "
+        f"'{DEFAULT_MODEL}' is the paper's single-shot single-bit flip",
+        DEFAULT_MODEL, type=str, choices=available_models,
+        identity=True, applies=model_applies)
 
     def __post_init__(self):
-        try:
-            model = get_model(self.fault_model)
-        except FaultModelError as exc:
-            raise ValueError(str(exc)) from None
-        if not model.applies_to(self.kind.value):
-            raise ValueError(
-                f"fault model {self.fault_model!r} does not apply to "
-                f"{self.kind.value} campaigns")
-        if self.exec_mode not in ("step", "block"):
-            raise ValueError(
-                f"exec_mode must be 'step' or 'block', "
-                f"got {self.exec_mode!r}")
-        if not isinstance(self.checkpoints, int) or \
-                isinstance(self.checkpoints, bool) or \
-                self.checkpoints < 0:
-            raise ValueError(
-                f"checkpoints must be a non-negative integer, "
-                f"got {self.checkpoints!r}")
-        if self.prune not in PRUNE_POLICIES:
-            raise ValueError(f"unknown prune policy {self.prune!r}; "
-                             f"expected one of {PRUNE_POLICIES}")
-        if self.prune != "none" and self.kind is not CampaignKind.CODE:
-            raise ValueError(
-                f"prune={self.prune!r} only applies to code "
-                f"campaigns, not {self.kind.value}")
+        for spec_field in fields(self):
+            spec = spec_field.metadata.get("knob")
+            if spec is not None:
+                setattr(self, spec_field.name, spec.check(
+                    spec_field.name, getattr(self, spec_field.name)))
+
+    def knob_values(self) -> Dict[str, object]:
+        """This config's campaign knobs, in table order."""
+        return {spec_field.name: getattr(self, spec_field.name)
+                for spec_field in KNOBS}
+
+
+#: the knob table: one dataclass field (default + :class:`Knob`) each
+KNOBS = fields(CampaignKnobs)
+
+#: knobs that join stored campaign identity; ``exec_mode`` and
+#: ``checkpoints`` are pure performance knobs with bit-identical results
+IDENTITY_KNOBS = tuple(spec_field.name for spec_field in KNOBS
+                       if spec_field.metadata["knob"].identity)
+
+
+@dataclass(kw_only=True)
+class CampaignConfig(CampaignKnobs):
+    arch: str = knob("target platform", type=str, choices=ARCHES)
+    kind: CampaignKind = knob("campaign target class", type=CampaignKind)
+    count: int = knob("number of injections", low=1)
+
+    def __post_init__(self):
+        super().__post_init__()
+        for spec_field in KNOBS:
+            applies = spec_field.metadata["knob"].applies
+            value = getattr(self, spec_field.name)
+            if applies is not None and not applies(value, self.kind.value):
+                raise ValueError(
+                    f"{spec_field.name}={value!r} does not apply to "
+                    f"{self.kind.value} campaigns")
 
 
 @dataclass
@@ -373,8 +457,7 @@ class Campaign:
         self.context.collector.absorb(run.collector)
         return result
 
-    def run(self, progress=None, workers: int = 1, store=None,
-            resume: bool = False,
+    def run(self, workers: int = 1, store=None, resume: bool = False,
             progress_callback=None) -> CampaignResult:
         """Run the campaign.
 
@@ -385,8 +468,7 @@ class Campaign:
         stored campaign up.  *resume* must be set to continue a
         campaign that already has journaled results.
 
-        *progress* is the legacy ``(done, total)`` tick.
-        *progress_callback* is the batch form ``(done, total, batch)``
+        *progress_callback* is called as ``(done, total, batch)``
         where *batch* is the list of ``(global_index, result)`` pairs
         merged since the previous call — one pair per call on the
         serial path, one shard per call on the parallel path, and the
@@ -399,11 +481,11 @@ class Campaign:
         if store is not None:
             from repro.store.resume import run_with_store
             out = run_with_store(self, store, resume=resume,
-                                 progress=progress, workers=workers,
+                                 workers=workers,
                                  progress_callback=progress_callback)
         elif workers > 1:
             from repro.injection.parallel import run_parallel
-            out = run_parallel(self, workers, progress=progress,
+            out = run_parallel(self, workers,
                                progress_callback=progress_callback)
         else:
             out = CampaignResult(config=self.config)
@@ -414,8 +496,6 @@ class Campaign:
                 if progress_callback is not None:
                     progress_callback(index + 1, len(targets),
                                       [(index, result)])
-                if progress is not None:
-                    progress(index + 1, len(targets))
         # every path above calls generate_targets on this instance
         out.pruned_draws = self.pruned_draws
         out.prune_escaped = self.prune_escaped
@@ -423,18 +503,11 @@ class Campaign:
 
 
 def run_campaign(arch: str, kind: CampaignKind, count: int,
-                 seed: int = 0, ops: int = 48,
                  workers: int = 1, store=None, resume: bool = False,
-                 progress=None, prune: str = "none",
-                 exec_mode: str = "block",
-                 checkpoints: int = DEFAULT_CHECKPOINTS,
-                 fault_model: str = DEFAULT_MODEL,
-                 progress_callback=None) -> CampaignResult:
-    """One-call convenience wrapper."""
-    config = CampaignConfig(arch=arch, kind=kind, count=count, seed=seed,
-                            ops=ops, prune=prune, exec_mode=exec_mode,
-                            checkpoints=checkpoints,
-                            fault_model=fault_model)
+                 progress_callback=None, **knobs) -> CampaignResult:
+    """One-call convenience wrapper; *knobs* are ``CampaignKnobs``
+    fields."""
+    config = CampaignConfig(arch=arch, kind=kind, count=count, **knobs)
     return Campaign(config).run(workers=workers, store=store,
-                                resume=resume, progress=progress,
+                                resume=resume,
                                 progress_callback=progress_callback)

@@ -131,7 +131,7 @@ def _mp_context():
 
 
 def run_items(campaign: Campaign, items: Sequence[Tuple[int, object]],
-              workers: int, progress=None,
+              workers: int,
               fail_shards: Optional[Sequence[int]] = None,
               sink=None, done_base: int = 0,
               total: Optional[int] = None,
@@ -147,12 +147,12 @@ def run_items(campaign: Campaign, items: Sequence[Tuple[int, object]],
 
     *sink*, when given, is called as ``sink(index, result)`` **in the
     parent, in shard-completion order, before the progress callback**
-    — the write-ahead hook the journal attaches to.  *progress* is
-    reported as ``done_base`` plus completed items, out of *total*
-    (default ``done_base + len(items)``).  *progress_callback* is the
-    batch form, ``(done, total, batch)`` with *batch* the just-merged
-    shard's ``(global_index, result)`` pairs in index order, called
-    after the sink; raising from it aborts the run at the next shard
+    — the write-ahead hook the journal attaches to.
+    *progress_callback* is called as ``(done, total, batch)``: *done*
+    is ``done_base`` plus completed items, out of *total* (default
+    ``done_base + len(items)``), and *batch* the just-merged shard's
+    ``(global_index, result)`` pairs in index order, called after the
+    sink; raising from it aborts the run at the next shard
     boundary (queued shards are cancelled, running ones drain).
 
     Returns ``(merged, failures)`` with *merged* sorted by global
@@ -193,8 +193,6 @@ def run_items(campaign: Campaign, items: Sequence[Tuple[int, object]],
             progress_callback(done, total,
                               sorted(shard_results,
                                      key=lambda pair: pair[0]))
-        if progress is not None:
-            progress(done, total)
 
     pool = ProcessPoolExecutor(
         max_workers=workers, mp_context=_mp_context(),
@@ -236,15 +234,14 @@ def run_items(campaign: Campaign, items: Sequence[Tuple[int, object]],
     return merged, failures
 
 
-def run_parallel(campaign: Campaign, workers: int, progress=None,
+def run_parallel(campaign: Campaign, workers: int,
                  fail_shards: Optional[Sequence[int]] = None,
                  progress_callback=None) -> CampaignResult:
     """Run *campaign* across *workers* processes.
 
     Bit-identical to ``campaign.run()``; see the module docstring for
-    the contract.  *progress* is the same ``(done, total)`` callback
-    the serial loop takes, called once per completed shard;
-    *progress_callback* is the batch form (see :func:`run_items`).
+    the contract.  *progress_callback* is called once per completed
+    shard (see :func:`run_items`).
     *fail_shards* injects worker-side failures for the degradation
     tests.
     """
@@ -253,7 +250,7 @@ def run_parallel(campaign: Campaign, workers: int, progress=None,
     out = CampaignResult(config=campaign.config)
     merged, failures = run_items(
         campaign, list(enumerate(targets)), workers,
-        progress=progress, fail_shards=fail_shards,
+        fail_shards=fail_shards,
         progress_callback=progress_callback)
     out.failures.extend(failures)
     out.results.extend(result for _index, result in merged)

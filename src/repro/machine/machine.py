@@ -223,8 +223,7 @@ class Machine:
     # forking (campaign speed: boot + workload setup once, clone many)
 
     def fork(self, config: Optional[MachineConfig] = None,
-             collector: Optional[Callable] = None,
-             eager: bool = False) -> "Machine":
+             collector: Optional[Callable] = None) -> "Machine":
         """Clone this booted machine into an independent twin.
 
         The clone shares memory pages copy-on-write with this machine
@@ -237,9 +236,6 @@ class Machine:
         debug unit, watchdog, NIC channel, and RNG (seeded from
         *config*), so campaigns can boot and set up the workload once
         and fork a pristine machine per injection.
-
-        *eager* restores the pre-COW deep page copy with a cold CPU —
-        the benchmark baseline, bit-identical in results but slower.
         """
         if not self.booted:
             raise RuntimeError("fork() requires a booted machine")
@@ -248,21 +244,14 @@ class Machine:
         clone.image = self.image
         clone.config = config if config is not None else self.config
         clone._rng = None
-        if eager:
-            # faithful pre-COW baseline: RNGs were built at construction
-            clone._rng = random.Random(clone.config.seed)
-            clone.cpu = X86CPU() if self.arch == "x86" else PPCCPU()
-        else:
-            memory = self.cpu.mem.fork()
-            clone.cpu = X86CPU(memory=memory) if self.arch == "x86" \
-                else PPCCPU(memory=memory)
-            clone.cpu.inherit_icache(self.cpu)
+        memory = self.cpu.mem.fork()
+        clone.cpu = X86CPU(memory=memory) if self.arch == "x86" \
+            else PPCCPU(memory=memory)
+        clone.cpu.inherit_icache(self.cpu)
         clone.clock_hz = self.clock_hz
         clone.tick_cycles = self.tick_cycles
         channel = LossyChannel(clone.config.dump_loss_probability,
                                seed=clone.config.seed ^ 0x5EED)
-        if eager:
-            channel._rng = random.Random(channel._seed)
         clone.nic = NIC(channel, receiver=collector)
         clone.watchdog = Watchdog(clone.config.watchdog_cycles)
         clone.tasks = {pid: Task(task.pid, task.name, task.kind,
@@ -280,21 +269,13 @@ class Machine:
 
         if clone.config.exec_mode == "block":
             cache = BlockCache()
-            if not eager and self.cpu._block_cache is not None:
+            if self.cpu._block_cache is not None:
                 cache.inherit(self.cpu._block_cache)
             clone.cpu._block_cache = cache
 
-        # memory: eager baseline copies touched pages and replays the
-        # region mapping (COW shares pages above and adopts the
-        # already-validated region table wholesale)
-        if eager:
-            clone.cpu.mem._pages = {
-                index: bytearray(page)
-                for index, page in self.cpu.mem._pages.items()}
-            for region in self.cpu.aspace.regions:
-                clone.cpu.aspace.map_region(region)
-        else:
-            clone.cpu.aspace.clone_layout(self.cpu.aspace)
+        # memory pages are shared above; adopt the already-validated
+        # region table wholesale
+        clone.cpu.aspace.clone_layout(self.cpu.aspace)
 
         # CPU architectural state
         src, dst = self.cpu, clone.cpu

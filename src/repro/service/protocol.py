@@ -1,83 +1,44 @@
 """Submission payload validation and JSON views.
 
 Everything that crosses the service's wire boundary goes through this
-module: a submitted campaign payload is validated field-by-field into
-a real :class:`CampaignConfig` (so a bad submission is a 400 with a
-message, never a worker-side traceback), a study payload expands into
-the eight per-(arch, kind) campaign configs via :class:`StudyConfig`,
-and jobs serialize to plain-JSON views for status and list endpoints.
+module: a submitted campaign payload is validated into a real
+:class:`CampaignConfig` (so a bad submission is a 400 with a message,
+never a worker-side traceback), a study payload expands into the eight
+per-(arch, kind) campaign configs via
+:meth:`StudyConfig.campaign_config`, and jobs serialize to plain-JSON
+views for status and list endpoints.  Field sets, defaults and bounds
+all come from the knob table (:class:`CampaignKnobs`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.checkpoint.ladder import DEFAULT_CHECKPOINTS
 from repro.core.config import StudyConfig
-from repro.faults import DEFAULT_MODEL, available_models, model_applies
-from repro.injection.campaign import PRUNE_POLICIES, CampaignConfig
+from repro.injection.campaign import ARCHES, KNOBS, CampaignConfig
 from repro.injection.outcomes import CampaignKind
 
-ARCHES = ("x86", "ppc")
 KINDS = tuple(kind.value for kind in CampaignKind)
-EXEC_MODES = ("block", "step")
+
+REQUIRED_FIELDS = ("arch", "kind", "count")
 
 #: fields a campaign submission may carry (everything optional except
 #: arch/kind/count); unknown keys are rejected so a typo'd field name
 #: fails loudly instead of silently running with the default
-CAMPAIGN_FIELDS = ("arch", "kind", "count", "seed", "ops",
-                   "dump_loss_probability", "prune", "exec_mode",
-                   "checkpoints", "fault_model")
+CAMPAIGN_FIELDS = REQUIRED_FIELDS + tuple(
+    spec_field.name for spec_field in KNOBS)
 
-STUDY_FIELDS = ("seed", "scale", "ops", "dump_loss_probability",
-                "min_campaign", "prune", "exec_mode", "checkpoints",
-                "fault_model")
+STUDY_FIELDS = ("scale", "min_campaign") + tuple(
+    spec_field.name for spec_field in KNOBS)
 
 
 class ValidationError(Exception):
     """A submission payload failed validation (maps to HTTP 400)."""
 
 
-def _require(payload: dict, field: str):
-    if field not in payload:
-        raise ValidationError(f"missing required field {field!r}")
-    return payload[field]
-
-
-def _int_field(payload: dict, field: str, default: int,
-               minimum: Optional[int] = None) -> int:
-    value = payload.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{field} must be an integer, "
-                              f"got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{field} must be >= {minimum}, "
-                              f"got {value}")
-    return value
-
-
-def _float_field(payload: dict, field: str, default: float,
-                 low: float, high: float) -> float:
-    value = payload.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{field} must be a number, got {value!r}")
-    if not (low <= value <= high):
-        raise ValidationError(f"{field} must be in [{low}, {high}], "
-                              f"got {value}")
-    return float(value)
-
-
-def _choice_field(payload: dict, field: str, default: str,
-                  choices: Tuple[str, ...]) -> str:
-    value = payload.get(field, default)
-    if value not in choices:
-        raise ValidationError(f"{field} must be one of {choices}, "
-                              f"got {value!r}")
-    return value
-
-
-def _reject_unknown(payload: dict, allowed: Tuple[str, ...],
-                    what: str) -> None:
+def _check_object(payload, allowed, what: str) -> None:
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{what} must be a JSON object")
     unknown = sorted(set(payload) - set(allowed))
     if unknown:
         raise ValidationError(f"unknown {what} field(s): "
@@ -86,91 +47,33 @@ def _reject_unknown(payload: dict, allowed: Tuple[str, ...],
 
 def campaign_config_from_payload(payload) -> CampaignConfig:
     """Validate one campaign submission into a ``CampaignConfig``."""
-    if not isinstance(payload, dict):
-        raise ValidationError("campaign config must be a JSON object")
-    _reject_unknown(payload, CAMPAIGN_FIELDS, "campaign config")
-    arch = _require(payload, "arch")
-    if arch not in ARCHES:
-        raise ValidationError(f"arch must be one of {ARCHES}, "
-                              f"got {arch!r}")
-    kind_name = _require(payload, "kind")
-    if kind_name not in KINDS:
+    _check_object(payload, CAMPAIGN_FIELDS, "campaign config")
+    for name in REQUIRED_FIELDS:
+        if name not in payload:
+            raise ValidationError(f"missing required field {name!r}")
+    if payload["kind"] not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, "
-                              f"got {kind_name!r}")
-    _require(payload, "count")
+                              f"got {payload['kind']!r}")
     try:
         return CampaignConfig(
-            arch=arch, kind=CampaignKind(kind_name),
-            count=_int_field(payload, "count", 0, minimum=1),
-            seed=_int_field(payload, "seed", 0),
-            ops=_int_field(payload, "ops", 48, minimum=1),
-            dump_loss_probability=_float_field(
-                payload, "dump_loss_probability", 0.08, 0.0, 1.0),
-            prune=_choice_field(payload, "prune", "none",
-                                PRUNE_POLICIES),
-            exec_mode=_choice_field(payload, "exec_mode", "block",
-                                    EXEC_MODES),
-            checkpoints=_int_field(payload, "checkpoints",
-                                   DEFAULT_CHECKPOINTS, minimum=0),
-            fault_model=_choice_field(payload, "fault_model",
-                                      DEFAULT_MODEL,
-                                      available_models()))
-    except ValueError as exc:      # e.g. prune on a non-code campaign
+            **dict(payload, kind=CampaignKind(payload["kind"])))
+    except ValueError as exc:
         raise ValidationError(str(exc))
 
 
 def study_configs_from_payload(payload) -> List[CampaignConfig]:
-    """Expand a study submission into its eight campaign configs.
-
-    Mirrors ``Study._campaign_config``: campaign sizes come from
-    ``StudyConfig.campaign_count`` (paper sizes x scale, floored at
-    ``min_campaign``) and pruning applies to code campaigns only.
-    """
-    if not isinstance(payload, dict):
-        raise ValidationError("study config must be a JSON object")
-    _reject_unknown(payload, STUDY_FIELDS, "study config")
-    study = StudyConfig(
-        seed=_int_field(payload, "seed", 0),
-        scale=_float_field(payload, "scale", 0.02, 0.0, 1.0),
-        ops=_int_field(payload, "ops", 48, minimum=1),
-        dump_loss_probability=_float_field(
-            payload, "dump_loss_probability", 0.08, 0.0, 1.0),
-        min_campaign=_int_field(payload, "min_campaign", 40, minimum=1),
-        prune=_choice_field(payload, "prune", "none", PRUNE_POLICIES),
-        exec_mode=_choice_field(payload, "exec_mode", "block",
-                                EXEC_MODES),
-        checkpoints=_int_field(payload, "checkpoints",
-                               DEFAULT_CHECKPOINTS, minimum=0),
-        fault_model=_choice_field(payload, "fault_model",
-                                  DEFAULT_MODEL, available_models()))
-    configs = []
-    for arch in ARCHES:
-        for kind in CampaignKind:
-            configs.append(CampaignConfig(
-                arch=arch, kind=kind,
-                count=study.campaign_count(arch, kind),
-                seed=study.seed, ops=study.ops,
-                dump_loss_probability=study.dump_loss_probability,
-                prune=study.prune if kind is CampaignKind.CODE
-                else "none",
-                exec_mode=study.exec_mode,
-                checkpoints=study.checkpoints,
-                # mirror Study._campaign_config: kinds the model does
-                # not apply to fall back to the single-bit default
-                fault_model=study.fault_model
-                if model_applies(study.fault_model, kind.value)
-                else DEFAULT_MODEL))
-    return configs
+    """Expand a study submission into its eight campaign configs."""
+    _check_object(payload, STUDY_FIELDS, "study config")
+    try:
+        study = StudyConfig(**payload)
+    except ValueError as exc:
+        raise ValidationError(str(exc))
+    return [study.campaign_config(arch, kind)
+            for arch in ARCHES for kind in CampaignKind]
 
 
 def config_to_payload(config: CampaignConfig) -> Dict[str, object]:
     """The JSON view of a campaign config (round-trips through
     :func:`campaign_config_from_payload`)."""
-    return {
-        "arch": config.arch, "kind": config.kind.value,
-        "count": config.count, "seed": config.seed, "ops": config.ops,
-        "dump_loss_probability": config.dump_loss_probability,
-        "prune": config.prune, "exec_mode": config.exec_mode,
-        "checkpoints": config.checkpoints,
-        "fault_model": config.fault_model,
-    }
+    return {"arch": config.arch, "kind": config.kind.value,
+            "count": config.count, **config.knob_values()}

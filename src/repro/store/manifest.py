@@ -1,8 +1,11 @@
 """Campaign manifests: content-addressed campaign identity.
 
 A store holds many campaigns side by side; each is identified by a
-hash of everything that determines its result stream — ``(arch, kind,
-ops, seed, dump-loss probability, profile coverage, code version)``.
+hash of everything that determines its result stream — ``arch``,
+``kind``, the identity-flagged campaign knobs (``IDENTITY_KNOBS``:
+seed, ops, dump-loss probability, prune policy, fault model) and the
+code version, plus the fixed ``profile_coverage`` constant that early
+store formats recorded.
 Two configs with the same identity produce bit-identical results, so
 their journals are interchangeable; any drift in those fields changes
 the identity and lands in a different campaign directory instead of
@@ -23,6 +26,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.faults import DEFAULT_MODEL
 from repro.store.codec import canonical_json
 
 #: bump when the journal record layout or the identity derivation
@@ -31,6 +35,10 @@ from repro.store.codec import canonical_json
 #: journal records carry activation_instret/crash_instret; format 4:
 #: the fault model joins campaign identity)
 STORE_FORMAT = 4
+
+#: written into every manifest so stored campaign ids stay stable; an
+#: identity constant from when it was a (never read) config field
+PROFILE_COVERAGE = 0.95
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
@@ -58,39 +66,36 @@ class CampaignManifest:
     dump_loss_probability: float
     profile_coverage: float
     code_version: str
-    #: target prune policy ("none" | "dead" | "taint"); part of the
-    #: identity — a pruned campaign draws a different target stream
-    prune: str = "none"
-    #: fault-model name (:mod:`repro.faults`); part of the identity —
-    #: two campaigns differing only in fault model are different
-    #: experiments
-    fault_model: str = "single-bit"
+    #: target prune policy (recorded since store format 2)
+    prune: str
+    #: fault-model name; format-3 manifests predate it and ran the
+    #: default model
+    fault_model: str = DEFAULT_MODEL
 
     @classmethod
     def from_config(cls, config) -> "CampaignManifest":
         """Build from an ``injection.campaign.CampaignConfig``."""
+        # deferred: repro.injection imports the store (via the codec)
+        from repro.injection.campaign import IDENTITY_KNOBS
         return cls(
             arch=config.arch, kind=config.kind.value,
-            count=config.count, ops=config.ops, seed=config.seed,
-            dump_loss_probability=config.dump_loss_probability,
-            profile_coverage=config.profile_coverage,
+            count=config.count, profile_coverage=PROFILE_COVERAGE,
             code_version=code_version(),
-            prune=getattr(config, "prune", "none"),
-            fault_model=getattr(config, "fault_model", "single-bit"))
+            **{name: getattr(config, name) for name in IDENTITY_KNOBS})
 
     # -- identity ----------------------------------------------------------
 
     def _hash_payload(self) -> dict:
         """The dict the identity and hash derivations cover.
 
-        The default ``single-bit`` model serializes to the
-        pre-fault-model (format 3) shape — the field is dropped — so
-        legacy single-bit manifests keep their campaign ids and verify
-        against their stored hashes unchanged; any other model joins
-        the payload and forks the identity.
+        The default model serializes to the pre-fault-model (format 3)
+        shape — the field is dropped — so legacy single-bit manifests
+        keep their campaign ids and verify against their stored hashes
+        unchanged; any other model joins the payload and forks the
+        identity.
         """
         payload = dataclasses.asdict(self)
-        if payload["fault_model"] == "single-bit":
+        if payload["fault_model"] == DEFAULT_MODEL:
             payload.pop("fault_model")
         return payload
 

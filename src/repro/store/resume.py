@@ -27,8 +27,7 @@ def _as_store(store) -> CampaignStore:
 
 
 def run_with_store(campaign, store, resume: bool = False,
-                   progress=None, workers: int = 1,
-                   progress_callback=None):
+                   workers: int = 1, progress_callback=None):
     """Execute *campaign* with write-ahead journaling and resume.
 
     Returns the same ``CampaignResult`` the plain run would; results
@@ -50,19 +49,16 @@ def run_with_store(campaign, store, resume: bool = False,
             (index, targets[index]) for index in range(total)
             if index not in opened.done]
         done_base = total - len(pending)
-        if done_base:
-            if progress_callback is not None:
-                progress_callback(done_base, total,
-                                  sorted(opened.done.items()))
-            if progress is not None:
-                progress(done_base, total)
+        if done_base and progress_callback is not None:
+            progress_callback(done_base, total,
+                              sorted(opened.done.items()))
 
         failures: list = []
         if pending and workers > 1:
             from repro.injection.parallel import run_items
             _merged, failures = run_items(
-                campaign, pending, workers, progress=progress,
-                sink=opened.record, done_base=done_base, total=total,
+                campaign, pending, workers, sink=opened.record,
+                done_base=done_base, total=total,
                 progress_callback=progress_callback)
         elif pending:
             for offset, (index, target) in enumerate(pending):
@@ -71,8 +67,6 @@ def run_with_store(campaign, store, resume: bool = False,
                 if progress_callback is not None:
                     progress_callback(done_base + offset + 1, total,
                                       [(index, result)])
-                if progress is not None:
-                    progress(done_base + offset + 1, total)
 
         out = CampaignResult(config=campaign.config)
         out.failures.extend(failures)

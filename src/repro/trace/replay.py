@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.injection.campaign import Campaign, CampaignConfig
+from repro.injection.campaign import (
+    IDENTITY_KNOBS, Campaign, CampaignConfig,
+)
 from repro.injection.injector import InjectionRun, RunSpec
 from repro.injection.outcomes import (
     CampaignKind, InjectionResult, Outcome,
@@ -110,12 +112,8 @@ class Replayer:
             arch=self.manifest.arch,
             kind=CampaignKind(self.manifest.kind),
             count=self.manifest.count,
-            seed=self.manifest.seed,
-            ops=self.manifest.ops,
-            dump_loss_probability=self.manifest.dump_loss_probability,
-            profile_coverage=self.manifest.profile_coverage,
-            prune=self.manifest.prune,
-            fault_model=self.manifest.fault_model,
+            **{name: getattr(self.manifest, name)
+               for name in IDENTITY_KNOBS},
             # replay always single-steps: the dissector reasons about
             # per-instruction trace events, and a recorder forces the
             # step core anyway — exec_mode is not part of campaign

@@ -60,16 +60,38 @@ class TestParser:
 
     def test_prune_dead_flag_parsed(self):
         args = build_parser().parse_args(
-            ["campaign", "--kind", "code", "--prune-dead"])
-        assert args.prune_dead
-        assert not build_parser().parse_args(
-            ["campaign", "--kind", "code"]).prune_dead
+            ["campaign", "--kind", "code", "--prune", "dead"])
+        assert args.prune == "dead"
         assert build_parser().parse_args(
-            ["study", "--prune-dead"]).prune_dead
+            ["campaign", "--kind", "code"]).prune == "none"
+        assert build_parser().parse_args(
+            ["study", "--prune", "dead"]).prune == "dead"
 
     def test_prune_dead_requires_code_kind(self):
-        with pytest.raises(SystemExit):
-            main(["campaign", "--kind", "stack", "--prune-dead"])
+        with pytest.raises(SystemExit, match="does not apply"):
+            main(["campaign", "--kind", "stack", "--prune", "dead"])
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["-n", "0"], "count"),
+        (["-n", "-3"], "count"),
+        (["--ops", "0"], "ops"),
+        (["--checkpoints", "-1"], "checkpoints"),
+    ])
+    def test_campaign_rejects_bad_config(self, argv, fragment):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--kind", "stack"] + argv)
+        message = str(excinfo.value.code)
+        assert message.startswith("error:") and fragment in message
+        assert "\n" not in message
+
+    def test_bad_count_exits_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign", "--kind",
+             "stack", "-n", "-3"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == "error: count must be >= 1, got -3"
 
     def test_static_subcommand_parsed(self):
         args = build_parser().parse_args(["static"])
@@ -205,8 +227,8 @@ class TestServiceParser:
             build_parser().parse_args(["cancel"])
 
     def test_submit_prune_dead_requires_code(self):
-        with pytest.raises(SystemExit):
-            main(["submit", "--kind", "stack", "--prune-dead"])
+        with pytest.raises(SystemExit, match="does not apply"):
+            main(["submit", "--kind", "stack", "--prune", "dead"])
 
 
 class TestStoreErrorPaths:

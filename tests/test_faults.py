@@ -509,18 +509,18 @@ class TestProtocol:
 
 class TestStudyFallback:
     def test_inapplicable_model_falls_back_per_kind(self):
-        from repro.core import Study, StudyConfig
-        study = Study(StudyConfig(fault_model="targeted"))
-        data = study._campaign_config("x86", CampaignKind.DATA, 4)
-        stack = study._campaign_config("x86", CampaignKind.STACK, 4)
+        from repro.core import StudyConfig
+        study = StudyConfig(fault_model="targeted")
+        data = study.campaign_config("x86", CampaignKind.DATA, 4)
+        stack = study.campaign_config("x86", CampaignKind.STACK, 4)
         assert data.fault_model == "targeted"
         assert stack.fault_model == "single-bit"
 
     def test_applicable_model_used_everywhere(self):
-        from repro.core import Study, StudyConfig
-        study = Study(StudyConfig(fault_model="burst"))
+        from repro.core import StudyConfig
+        study = StudyConfig(fault_model="burst")
         for kind in CampaignKind:
-            config = study._campaign_config("ppc", kind, 4)
+            config = study.campaign_config("ppc", kind, 4)
             assert config.fault_model == "burst"
 
 

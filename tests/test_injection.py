@@ -167,5 +167,6 @@ class TestCampaign:
         config = CampaignConfig(arch="x86", kind=CampaignKind.DATA,
                                 count=10, seed=1, ops=x86_context.ops)
         Campaign(config, x86_context).run(
-            progress=lambda done, total: seen.append((done, total)))
+            progress_callback=lambda done, total, batch: seen.append(
+                (done, total)))
         assert seen[-1] == (10, 10)

@@ -88,7 +88,8 @@ class TestSerialParallelEquivalence:
         ticks = []
         config = _config("x86", CampaignKind.DATA)
         result = Campaign(config, x86_context).run(
-            workers=2, progress=lambda done, total: ticks.append(
+            workers=2,
+            progress_callback=lambda done, total, batch: ticks.append(
                 (done, total)))
         assert result.injected == config.count
         assert ticks[-1] == (config.count, config.count)

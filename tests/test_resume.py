@@ -37,7 +37,7 @@ class Killed(RuntimeError):
 
 
 def kill_after(threshold: int):
-    def callback(done: int, total: int) -> None:
+    def callback(done: int, total: int, batch) -> None:
         if done >= threshold:
             raise Killed(f"killed at {done}/{total}")
     return callback
@@ -81,7 +81,7 @@ class TestKillResumeEquivalence:
         with pytest.raises(Killed):
             Campaign(config, context).run(
                 store=store, workers=workers,
-                progress=kill_after(threshold))
+                progress_callback=kill_after(threshold))
 
         # the kill left a genuinely partial journal...
         plan = resume_plan(store, config)
@@ -103,7 +103,7 @@ class TestKillResumeEquivalence:
         store = CampaignStore(tmp_path / "store")
         with pytest.raises(Killed):
             Campaign(config, x86_context).run(
-                store=store, workers=2, progress=kill_after(4))
+                store=store, workers=2, progress_callback=kill_after(4))
         resumed = Campaign(config, x86_context).run(store=store,
                                                     resume=True)
         assert resumed.results == baseline.results
@@ -115,10 +115,10 @@ class TestKillResumeEquivalence:
         store = CampaignStore(tmp_path / "store")
         with pytest.raises(Killed):
             Campaign(config, x86_context).run(
-                store=store, progress=kill_after(3))
+                store=store, progress_callback=kill_after(3))
         with pytest.raises(Killed):
             Campaign(config, x86_context).run(
-                store=store, resume=True, progress=kill_after(8))
+                store=store, resume=True, progress_callback=kill_after(8))
         resumed = Campaign(config, x86_context).run(store=store,
                                                     resume=True)
         assert resumed.results == baseline.results
@@ -173,7 +173,7 @@ class TestResumeReusesWork:
         store = CampaignStore(tmp_path / "store")
         with pytest.raises(Killed):
             Campaign(config, x86_context).run(
-                store=store, progress=kill_after(5))
+                store=store, progress_callback=kill_after(5))
         manifest = CampaignManifest.from_config(config)
         journal_path = store.campaign_dir(
             manifest.campaign_id) / JOURNAL_NAME

@@ -130,6 +130,17 @@ class TestProtocol:
           "prune": "dead"}, "prune"),
         ({"arch": "x86", "kind": "stack", "count": 5,
           "dump_loss_probability": 2.0}, "dump_loss_probability"),
+        ({"arch": "x86", "kind": "stack", "count": 5,
+          "dump_loss_probability": -0.5}, "dump_loss_probability"),
+        ({"arch": "x86", "kind": "stack", "count": -1}, "count"),
+        ({"arch": "x86", "kind": "stack", "count": True}, "count"),
+        ({"arch": "x86", "kind": "stack", "count": 5, "ops": 0}, "ops"),
+        ({"arch": "x86", "kind": "stack", "count": 5,
+          "checkpoints": -1}, "checkpoints"),
+        ({"arch": "x86", "kind": "stack", "count": 5,
+          "seed": 1.5}, "seed"),
+        ({"arch": "x86", "kind": "stack", "count": 5,
+          "exec_mode": "jit"}, "exec_mode"),
         ("not a dict", "object"),
     ])
     def test_rejections(self, payload, fragment):
