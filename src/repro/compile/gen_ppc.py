@@ -1,7 +1,14 @@
 """PowerPC superblock code generator.
 
-Same contract as :mod:`repro.compile.gen_x86`, with the G4-specific
-observation points replicated exactly:
+Same contract as :mod:`repro.compile.gen_x86`.  Instruction bodies
+come from the :mod:`repro.ppc.isa` table: each row's body is lowered
+once into text templates whose holes a decoded instruction fills with
+its folded operands (register numbers, ``ra|0``, ``imm<<16``, the
+rlwinm mask).  Bodies that touch supervisor state or raise faults of
+their own become generic calls of the step executor.  Only the
+block-final branches (BO/BI decomposed at compile time) and
+``lmw``/``stmw`` (unrolled) are written out here.  The G4-specific
+observation points are replicated exactly:
 
 * ``cr`` is carried in a local (the PPC analogue of EFLAGS); ``lr``,
   ``ctr`` and ``xer`` stay on the CPU object — they are touched by few
@@ -19,11 +26,15 @@ observation points replicated exactly:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+import ast
+import re
+from typing import Callable, List, Tuple
 
 from repro.isa.faults import AccessKind, MemoryFault
 from repro.ppc import decoder as pdec
+from repro.ppc import isa
 from repro.ppc.exceptions import PPCFault, PPCVector
+from repro.ppc.insn import PPCInstr
 
 M = 0xFFFFFFFF
 
@@ -32,8 +43,6 @@ GENERIC_SLACK = 150
 
 #: register-count-driven loops; cycle cost unbounded per instruction
 UNBOUNDED = frozenset()
-
-_NAMED_SPRS = {8: "lr", 9: "ctr", 1: "xer"}
 
 
 def insn_length(instr) -> int:
@@ -72,6 +81,7 @@ class _Gen:
             "AKW": AccessKind.WRITE,
             "PF": PPCFault,
             "ALV": PPCVector.ALIGNMENT,
+            "int": int,
         }
         self.pend = 0
         self.max_cycles = 0
@@ -214,328 +224,135 @@ def _store(g: _Gen, width: int, value: str,
     _wp_sync(g, width, "AKW")
 
 
-def _signed(g: _Gen, var: str) -> None:
-    g.w(f"{var} = {var} - 4294967296 if {var} & 2147483648 else {var}")
-
-
-def _set_cr0(g: _Gen, result: str) -> None:
-    """set_cr0_signed: LT if negative, EQ if zero, else GT, into field 0."""
-    g.w(f"cr = (cr & 268435455) | (2147483648 if {result} & 2147483648"
-        f" else (536870912 if {result} == 0 else 1073741824))")
-
-
-def _crf(g: _Gen, field: int, a: str, b: str) -> None:
-    shift = 28 - 4 * field
-    clear = (~(0xF << shift)) & M
-    g.w(f"cr = (cr & {clear}) | "
-        f"((8 if {a} < {b} else (4 if {a} > {b} else 2)) << {shift})")
-
-
 # ---------------------------------------------------------------------------
-# emitters
+# lowering from the instruction table
 
 
-def _e_addi(g, i, a, n, k) -> bool:
-    if i.ra:
-        g.w(f"gpr[{i.rt}] = (gpr[{i.ra}] + {i.imm}) & 4294967295")
+Hole = Callable[[PPCInstr, int, int], str]
+Template = Tuple[str, Tuple[Hole, ...]]
+
+#: block-mode text of each register operand, and each static operand's
+#: value, for one decoded instruction
+_REG_TEXT = {name: eval(f"lambda i, a, n: {text}", dict(isa.NS))
+             for name, (_, text, _) in isa.REGS.items()}
+_STATIC_VALUE = {name: isa.static_fn(ast.Name(name)) for name in isa.STATIC}
+
+
+def _template(node: ast.AST) -> Template:
+    """A body statement (or expression) as block-mode text with ``{n}``
+    holes, each filled per decoded instruction (address ``a``, next
+    address ``n``): register operands become ``gpr[3]``/``cpu.lr``/
+    ``cr``, static operands their folded values, temporaries ``x_``
+    locals; a CR field write updates the ``cr`` local."""
+    holes: List[Hole] = []
+
+    def hole(fn: Hole) -> str:
+        holes.append(fn)
+        return f"__h{len(holes) - 1}__"
+
+    def name(node: ast.Name):
+        if node.id in isa.STATIC:
+            value = _STATIC_VALUE[node.id]
+            return isa.expr(hole(lambda i, a, n: f"({value(i, a, n)!r})"))
+        if node.id in isa.REGS:
+            return isa.expr(hole(_REG_TEXT[node.id]))
+        if node.id in isa.CONSTS or node.id in isa.PASS:
+            return isa.static_names(node)
+        return ast.Name(f"x_{node.id}", node.ctx)
+
+    field = isa.assigned_name(node) if isinstance(node, ast.stmt) else None
+    if field in isa.FIELDS:
+        number = eval(f"lambda i: {isa.FIELDS[field]}")
+        value = isa.rename(node.value, name)
+        clear = hole(lambda i, a, n: str(~(0xF << 28 - 4 * number(i)) & M))
+        shift = hole(lambda i, a, n: str(28 - 4 * number(i)))
+        src = f"cr = cr & {clear} | ({value}) << {shift}"
     else:
-        g.w(f"gpr[{i.rt}] = {i.imm & M}")
-    return True
-
-
-def _e_addis(g, i, a, n, k) -> bool:
-    hi = i.imm << 16
-    if i.ra:
-        g.w(f"gpr[{i.rt}] = (gpr[{i.ra}] + {hi}) & 4294967295")
-    else:
-        g.w(f"gpr[{i.rt}] = {hi & M}")
-    return True
-
-
-def _e_addic(g, i, a, n, k) -> bool:
-    g.w(f"t_ = gpr[{i.ra}] + {i.imm}")
-    g.w("cpu.xer = (cpu.xer & -536870913)"
-        " | (536870912 if t_ > 4294967295 else 0)")
-    g.w(f"gpr[{i.rt}] = t_ & 4294967295")
-    return True
-
-
-def _e_subfic(g, i, a, n, k) -> bool:
-    g.w(f"v_ = gpr[{i.ra}]")
-    g.w(f"cpu.xer = (cpu.xer & -536870913)"
-        f" | (536870912 if v_ <= {i.imm & M} else 0)")
-    g.w(f"gpr[{i.rt}] = ({i.imm} - v_) & 4294967295")
-    return True
-
-
-def _e_adde(g, i, a, n, k) -> bool:
-    g.w(f"t_ = gpr[{i.ra}] + gpr[{i.rb}]"
-        " + (1 if cpu.xer & 536870912 else 0)")
-    g.w("cpu.xer = (cpu.xer & -536870913)"
-        " | (536870912 if t_ > 4294967295 else 0)")
-    g.w(f"gpr[{i.rt}] = t_ & 4294967295")
-    return True
-
-
-def _e_addze(g, i, a, n, k) -> bool:
-    g.w(f"t_ = gpr[{i.ra}] + (1 if cpu.xer & 536870912 else 0)")
-    g.w("cpu.xer = (cpu.xer & -536870913)"
-        " | (536870912 if t_ > 4294967295 else 0)")
-    g.w(f"gpr[{i.rt}] = t_ & 4294967295")
-    return True
-
-
-def _e_mulli(g, i, a, n, k) -> bool:
-    g.w(f"v_ = gpr[{i.ra}]")
-    _signed(g, "v_")
-    g.w(f"gpr[{i.rt}] = (v_ * {i.imm}) & 4294967295")
-    g.pend += 3
-    return True
-
-
-def _e_mullw(g, i, a, n, k) -> bool:
-    g.w(f"v_ = gpr[{i.ra}]")
-    _signed(g, "v_")
-    g.w(f"t_ = gpr[{i.rb}]")
-    _signed(g, "t_")
-    g.w(f"gpr[{i.rt}] = (v_ * t_) & 4294967295")
-    g.pend += 3
-    return True
-
-
-def _e_add(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.rt}] = (gpr[{i.ra}] + gpr[{i.rb}]) & 4294967295")
-    return True
-
-
-def _e_subf(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.rt}] = (gpr[{i.rb}] - gpr[{i.ra}]) & 4294967295")
-    return True
-
-
-def _e_neg(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.rt}] = (-gpr[{i.ra}]) & 4294967295")
-    return True
-
-
-def _e_and(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.ra}] = gpr[{i.rt}] & gpr[{i.rb}]")
-    return True
-
-
-def _e_or(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.ra}] = gpr[{i.rt}] | gpr[{i.rb}]")
-    return True
-
-
-def _e_xor(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.ra}] = gpr[{i.rt}] ^ gpr[{i.rb}]")
-    return True
-
-
-def _e_nand(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.ra}] = (gpr[{i.rt}] & gpr[{i.rb}]) ^ 4294967295")
-    return True
-
-
-def _e_nor(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.ra}] = (gpr[{i.rt}] | gpr[{i.rb}]) ^ 4294967295")
-    return True
-
-
-def _e_slw(g, i, a, n, k) -> bool:
-    g.w(f"s_ = gpr[{i.rb}] & 63")
-    g.w(f"gpr[{i.ra}] = (gpr[{i.rt}] << s_) & 4294967295"
-        " if s_ < 32 else 0")
-    return True
-
-
-def _e_srw(g, i, a, n, k) -> bool:
-    g.w(f"s_ = gpr[{i.rb}] & 63")
-    g.w(f"gpr[{i.ra}] = (gpr[{i.rt}] >> s_) if s_ < 32 else 0")
-    return True
-
-
-def _e_sraw(g, i, a, n, k) -> bool:
-    g.w(f"s_ = gpr[{i.rb}] & 63")
-    g.w(f"v_ = gpr[{i.rt}]")
-    _signed(g, "v_")
-    g.w("gpr[%d] = (v_ >> (s_ if s_ < 31 else 31)) & 4294967295" % i.ra)
-    return True
-
-
-def _e_srawi(g, i, a, n, k) -> bool:
-    sh = i.rb
-    g.w(f"v_ = gpr[{i.rt}]")
-    g.w(f"gpr[{i.ra}] = ((v_ - 4294967296) >> {sh}) & 4294967295"
-        f" if v_ & 2147483648 else v_ >> {sh}")
-    return True
-
-
-def _e_ori(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.ra}] = gpr[{i.rt}] | {i.imm}")
-    return True
-
-
-def _e_oris(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.ra}] = gpr[{i.rt}] | {i.imm << 16}")
-    return True
-
-
-def _e_xori(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.ra}] = gpr[{i.rt}] ^ {i.imm}")
-    return True
-
-
-def _e_xoris(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.ra}] = gpr[{i.rt}] ^ {i.imm << 16}")
-    return True
-
-
-def _e_andi_dot(g, i, a, n, k) -> bool:
-    g.w(f"r_ = gpr[{i.rt}] & {i.imm}")
-    g.w(f"gpr[{i.ra}] = r_")
-    _set_cr0(g, "r_")
-    return True
-
-
-def _e_andis_dot(g, i, a, n, k) -> bool:
-    g.w(f"r_ = gpr[{i.rt}] & {i.imm << 16}")
-    g.w(f"gpr[{i.ra}] = r_")
-    _set_cr0(g, "r_")
-    return True
-
-
-def _e_rlwinm(g, i, a, n, k) -> bool:
-    sh, mb, me = i.rb, i.imm, i.op2
-    if mb <= me:
-        mask = ((1 << (me - mb + 1)) - 1) << (31 - me)
-    else:
-        mask = M ^ (((1 << (mb - me - 1)) - 1) << (31 - mb + 1))
-    g.w(f"v_ = gpr[{i.rt}]")
-    if sh:
-        g.w(f"gpr[{i.ra}] = ((v_ << {sh}) | (v_ >> {32 - sh})) & {mask}")
-    else:
-        g.w(f"gpr[{i.ra}] = v_ & {mask}")
-    return True
-
-
-def _e_cntlzw(g, i, a, n, k) -> bool:
-    g.w(f"v_ = gpr[{i.rt}]")
-    g.w(f"gpr[{i.ra}] = 32 - v_.bit_length() if v_ else 32")
-    return True
-
-
-def _e_extsb(g, i, a, n, k) -> bool:
-    g.w(f"v_ = gpr[{i.rt}] & 255")
-    g.w(f"gpr[{i.ra}] = (v_ | 4294967040) if v_ & 128 else v_")
-    return True
-
-
-def _e_extsh(g, i, a, n, k) -> bool:
-    g.w(f"v_ = gpr[{i.rt}] & 65535")
-    g.w(f"gpr[{i.ra}] = (v_ | 4294901760) if v_ & 32768 else v_")
-    return True
-
-
-def _e_cmpwi(g, i, a, n, k) -> bool:
-    g.w(f"va_ = gpr[{i.ra}]")
-    _signed(g, "va_")
-    _crf(g, i.op2, "va_", str(i.imm))
-    return True
-
-
-def _e_cmplwi(g, i, a, n, k) -> bool:
-    _crf(g, i.op2, f"gpr[{i.ra}]", str(i.imm))
-    return True
-
-
-def _e_cmpw(g, i, a, n, k) -> bool:
-    g.w(f"va_ = gpr[{i.ra}]")
-    _signed(g, "va_")
-    g.w(f"vb_ = gpr[{i.rb}]")
-    _signed(g, "vb_")
-    _crf(g, i.op2, "va_", "vb_")
-    return True
-
-
-def _e_cmplw(g, i, a, n, k) -> bool:
-    g.w(f"va_ = gpr[{i.ra}]")
-    g.w(f"vb_ = gpr[{i.rb}]")
-    _crf(g, i.op2, "va_", "vb_")
-    return True
-
-
-def _e_mfcr(g, i, a, n, k) -> bool:
-    g.w(f"gpr[{i.rt}] = cr")
-    return True
-
-
-def _e_mfspr(g, i, a, n, k) -> bool:
-    attr = _NAMED_SPRS.get(i.imm)
-    if attr is None:
+        src = isa.rename(node, name)
+    src = src.replace("{", "{{").replace("}", "}}")
+    return re.sub(r"__h(\d+)__", r"{\1}", src), tuple(holes)
+
+
+def _fill(template: Template, i, a: int, n: int) -> str:
+    text, holes = template
+    return text.format(*[hole(i, a, n) for hole in holes])
+
+
+def _plan(stmts: List[ast.stmt]) -> list:
+    """Lowering steps of a body: ("code", template), ("load", target,
+    address, width), ("store", address, value, width), ("cycles", n),
+    ("if", static test, then, else), and ("generic",) for a statement
+    only the step executor runs (faults, supervisor state)."""
+    steps: list = []
+    for s in stmts:
+        calls = [c for c in map(isa.helper, ast.walk(s)) if c is not None]
+        value = getattr(s, "value", None)
+        if isinstance(s, ast.If) and isa.is_static(s.test):
+            steps.append(("if", isa.static_fn(s.test), _plan(s.body),
+                          _plan(s.orelse)))
+        elif isinstance(s, ast.AugAssign):               # cycles += n
+            steps.append(("cycles", s.value.value))
+        elif calls == ["load"] and isinstance(s, ast.Assign) \
+                and isa.helper(value) == "load":
+            addr, width = value.args
+            steps.append(("load", _template(s.targets[0]), _template(addr),
+                          width.value))
+        elif calls == ["store"] and isa.helper(value) == "store":
+            addr, data, width = value.args
+            steps.append(("store", _template(addr), _template(data),
+                          width.value))
+        elif calls:
+            steps.append(("generic",))
+        else:
+            steps.append(("code", _template(s)))
+    return steps
+
+
+def _live(steps: list, i, a: int, n: int) -> list:
+    """The steps one decoded instruction runs: static ifs resolved."""
+    out = []
+    for step in steps:
+        if step[0] == "if":
+            out += _live(step[2] if step[1](i, a, n) else step[3], i, a, n)
+        else:
+            out.append(step)
+    return out
+
+
+def _lower(g: _Gen, i, a: int, n: int, k: int) -> bool:
+    plan = _PLANS.get(i.execute)
+    if plan is None:
+        plan = _PLANS[i.execute] = _plan(isa.op_of(i).body)
+    steps = _live(plan, i, a, n)
+    if any(step[0] == "generic" for step in steps):
         return False
-    g.w(f"gpr[{i.rt}] = cpu.{attr}")
+    if any(step[0] in ("load", "store") for step in steps):
+        g.entry(a, n, k)
+    for step in steps:
+        if step[0] == "code":
+            for line in _fill(step[1], i, a, n).split("\n"):
+                g.w(line)
+        elif step[0] == "cycles":
+            g.pend += step[1]
+            g.max_cycles += step[1]
+        elif step[0] == "load":
+            g.w(f"a_ = {_fill(step[2], i, a, n)}")
+            _load(g, step[3])
+            g.w(f"{_fill(step[1], i, a, n)} = v_")
+        else:
+            g.w(f"a_ = {_fill(step[1], i, a, n)}")
+            _store(g, step[3], _fill(step[2], i, a, n))
     return True
 
 
-def _e_mtspr(g, i, a, n, k) -> bool:
-    attr = _NAMED_SPRS.get(i.imm)
-    if attr is None:
-        return False
-    g.w(f"cpu.{attr} = gpr[{i.rt}] & 4294967295")
-    return True
+
+# -- lmw/stmw -----------------------------------------------------------------
 
 
-def _e_nopish(g, i, a, n, k) -> bool:
-    g.pend += 2
-    return True
-
-
-# -- memory -----------------------------------------------------------------
-
-
-def _d_addr(i) -> str:
+def _multiple_addr(i) -> str:
     if i.ra:
         return f"(gpr[{i.ra}] + {i.imm}) & 4294967295"
     return str(i.imm & M)
-
-
-def _x_addr(i) -> str:
-    if i.ra:
-        return f"(gpr[{i.ra}] + gpr[{i.rb}]) & 4294967295"
-    return f"gpr[{i.rb}]"
-
-
-def _mk_load(addr_fn, width, sign=False, update=False):
-    def emit(g, i, a, n, k) -> bool:
-        g.entry(a, n, k)
-        g.w(f"a_ = {addr_fn(i)}")
-        _load(g, width)
-        if sign:
-            g.w(f"gpr[{i.rt}] = (v_ | 4294901760) if v_ & 32768 else v_")
-        else:
-            g.w(f"gpr[{i.rt}] = v_")
-        if update:
-            g.w(f"gpr[{i.ra}] = a_")
-        return True
-    return emit
-
-
-def _mk_store(addr_fn, width, update=False):
-    def emit(g, i, a, n, k) -> bool:
-        g.entry(a, n, k)
-        g.w(f"a_ = {addr_fn(i)}")
-        _store(g, width, f"gpr[{i.rt}]")
-        if update:
-            g.w(f"gpr[{i.ra}] = a_")
-        return True
-    return emit
-
-
-def _u_addr(i) -> str:
-    # lwzu/stwu: no ra==0 folding — the executor always reads gpr[ra]
-    return f"(gpr[{i.ra}] + {i.imm}) & 4294967295"
 
 
 def _e_lmw(g, i, a, n, k) -> bool:
@@ -543,7 +360,7 @@ def _e_lmw(g, i, a, n, k) -> bool:
     so the cycle cost is bounded (2 per word after the alignment
     check, exactly like the per-word cpu.load calls)."""
     g.entry(a, n, k)
-    g.w(f"a_ = {_d_addr(i)}")
+    g.w(f"a_ = {_multiple_addr(i)}")
     g.w("if a_ & 3:")
     g.w('    raise PF(ALV, a_, "lmw operand not aligned")')
     for reg in range(i.rt, 32):
@@ -557,7 +374,7 @@ def _e_lmw(g, i, a, n, k) -> bool:
 
 def _e_stmw(g, i, a, n, k) -> bool:
     g.entry(a, n, k)
-    g.w(f"a_ = {_d_addr(i)}")
+    g.w(f"a_ = {_multiple_addr(i)}")
     g.w("if a_ & 3:")
     g.w('    raise PF(ALV, a_, "stmw operand not aligned")')
     for reg in range(i.rt, 32):
@@ -653,71 +470,14 @@ def _e_bcctr(g, i, a, n, k) -> bool:
     return True
 
 
-_INLINE: Dict[Callable, Callable] = {
-    pdec.exec_addi: _e_addi,
-    pdec.exec_addis: _e_addis,
-    pdec.exec_addic: _e_addic,
-    pdec.exec_subfic: _e_subfic,
-    pdec.exec_adde: _e_adde,
-    pdec.exec_addze: _e_addze,
-    pdec.exec_mulli: _e_mulli,
-    pdec.exec_mullw: _e_mullw,
-    pdec.exec_add: _e_add,
-    pdec.exec_subf: _e_subf,
-    pdec.exec_neg: _e_neg,
-    pdec.exec_and: _e_and,
-    pdec.exec_or: _e_or,
-    pdec.exec_xor: _e_xor,
-    pdec.exec_nand: _e_nand,
-    pdec.exec_nor: _e_nor,
-    pdec.exec_slw: _e_slw,
-    pdec.exec_srw: _e_srw,
-    pdec.exec_sraw: _e_sraw,
-    pdec.exec_srawi: _e_srawi,
-    pdec.exec_ori: _e_ori,
-    pdec.exec_oris: _e_oris,
-    pdec.exec_xori: _e_xori,
-    pdec.exec_xoris: _e_xoris,
-    pdec.exec_andi_dot: _e_andi_dot,
-    pdec.exec_andis_dot: _e_andis_dot,
-    pdec.exec_rlwinm: _e_rlwinm,
-    pdec.exec_cntlzw: _e_cntlzw,
-    pdec.exec_extsb: _e_extsb,
-    pdec.exec_extsh: _e_extsh,
-    pdec.exec_cmpwi: _e_cmpwi,
-    pdec.exec_cmplwi: _e_cmplwi,
-    pdec.exec_cmpw: _e_cmpw,
-    pdec.exec_cmplw: _e_cmplw,
-    pdec.exec_mfcr: _e_mfcr,
-    pdec.exec_mfspr: _e_mfspr,
-    pdec.exec_mtspr: _e_mtspr,
-    pdec.exec_nopish: _e_nopish,
-    pdec.exec_lwz: _mk_load(_d_addr, 4),
-    pdec.exec_lbz: _mk_load(_d_addr, 1),
-    pdec.exec_lhz: _mk_load(_d_addr, 2),
-    pdec.exec_lha: _mk_load(_d_addr, 2, sign=True),
-    pdec.exec_lwzx: _mk_load(_x_addr, 4),
-    pdec.exec_lbzx: _mk_load(_x_addr, 1),
-    pdec.exec_lhzx: _mk_load(_x_addr, 2),
-    pdec.exec_lhax: _mk_load(_x_addr, 2, sign=True),
-    pdec.exec_lwzu: _mk_load(_u_addr, 4, update=True),
-    pdec.exec_stw: _mk_store(_d_addr, 4),
-    pdec.exec_stb: _mk_store(_d_addr, 1),
-    pdec.exec_sth: _mk_store(_d_addr, 2),
-    pdec.exec_stwx: _mk_store(_x_addr, 4),
-    pdec.exec_stbx: _mk_store(_x_addr, 1),
-    pdec.exec_sthx: _mk_store(_x_addr, 2),
-    pdec.exec_stwu: _mk_store(_u_addr, 4, update=True),
-    pdec.exec_lmw: _e_lmw,
-    pdec.exec_stmw: _e_stmw,
-}
 
-_INLINE_FINAL: Dict[Callable, Callable] = {
-    pdec.exec_b: _e_b,
-    pdec.exec_bc: _e_bc,
-    pdec.exec_bclr: _e_bclr,
-    pdec.exec_bcctr: _e_bcctr,
-}
+#: rows whose block code is written out here rather than derived:
+#: block-final branches, and lmw/stmw (register count unrolled)
+_FINAL = {"b": _e_b, "bc": _e_bc, "bclr": _e_bclr, "bcctr": _e_bcctr}
+_EXPLICIT = {"lmw": _e_lmw, "stmw": _e_stmw}
+
+#: lowering plan per row, built on first use
+_PLANS: dict = {}
 
 
 def _emit_generic(g: _Gen, i, a: int, n: int, k: int, final: bool) -> None:
@@ -750,21 +510,17 @@ def generate(nodes: List[Tuple[int, object]], ends_hard: bool):
     total = len(nodes)
     for k, (a, instr) in enumerate(nodes):
         n = (a + 4) & M
-        last = k == total - 1
-        if last and ends_hard:
-            emitter = _INLINE_FINAL.get(instr.execute)
-            if emitter is not None and emitter(g, instr, a, n, k):
-                g.pend += instr.cycles
-                g.max_cycles += instr.cycles + INLINE_SLACK
-            else:
-                _emit_generic(g, instr, a, n, k, final=True)
+        name = isa.op_of(instr).name
+        final = ends_hard and k == total - 1
+        if final:
+            inline = name in _FINAL and _FINAL[name](g, instr, a, n, k)
         else:
-            emitter = _INLINE.get(instr.execute)
-            if emitter is not None and emitter(g, instr, a, n, k):
-                g.pend += instr.cycles
-                g.max_cycles += instr.cycles + INLINE_SLACK
-            else:
-                _emit_generic(g, instr, a, n, k, final=False)
+            inline = _EXPLICIT.get(name, _lower)(g, instr, a, n, k)
+        if inline:
+            g.pend += instr.cycles
+            g.max_cycles += instr.cycles + INLINE_SLACK
+        else:
+            _emit_generic(g, instr, a, n, k, final=final)
     last_a = nodes[-1][0]
     if not g.returned:
         g.flush()

@@ -1,7 +1,8 @@
 """Structured PowerPC assembler used by the ``kcc`` PPC backend.
 
 Same philosophy as :mod:`repro.x86.assembler`: a builder API producing
-exactly the encodings the decoder understands, with local label fixups
+exactly the encodings the decoder understands (opcode numbers and
+operand forms come from :mod:`repro.ppc.isa`), with local label fixups
 (14-bit conditional and 24-bit unconditional branch displacements) and
 linker relocations for cross-function ``bl`` and ``lis``/``ori`` address
 materialization.
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.ppc.isa import encode
 from repro.ppc.registers import SPR_CTR, SPR_LR
 
 
@@ -74,10 +76,10 @@ class PPCAssembler:
     # -- arithmetic ---------------------------------------------------------
 
     def addi(self, rt: int, ra: int, imm: int) -> None:
-        self.emit(dform(14, rt, ra, imm))
+        self.emit(encode("addi", rt=rt, ra=ra, imm=imm))
 
     def addis(self, rt: int, ra: int, imm: int) -> None:
-        self.emit(dform(15, rt, ra, imm))
+        self.emit(encode("addis", rt=rt, ra=ra, imm=imm))
 
     def li(self, rt: int, imm: int) -> None:
         self.addi(rt, 0, imm)
@@ -86,72 +88,69 @@ class PPCAssembler:
         self.addis(rt, 0, imm)
 
     def mulli(self, rt: int, ra: int, imm: int) -> None:
-        self.emit(dform(7, rt, ra, imm))
+        self.emit(encode("mulli", rt=rt, ra=ra, imm=imm))
 
     def add(self, rt: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rt, ra, rb, 266))
+        self.emit(encode("add", rt=rt, ra=ra, rb=rb))
 
     def subf(self, rt: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rt, ra, rb, 40))
+        self.emit(encode("subf", rt=rt, ra=ra, rb=rb))
 
     def neg(self, rt: int, ra: int) -> None:
-        self.emit(xform(31, rt, ra, 0, 104))
+        self.emit(encode("neg", rt=rt, ra=ra))
 
     def mullw(self, rt: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rt, ra, rb, 235))
+        self.emit(encode("mullw", rt=rt, ra=ra, rb=rb))
 
     def divw(self, rt: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rt, ra, rb, 491))
+        self.emit(encode("divw", rt=rt, ra=ra, rb=rb))
 
     def divwu(self, rt: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rt, ra, rb, 459))
+        self.emit(encode("divwu", rt=rt, ra=ra, rb=rb))
 
     # -- logic (note rs-in-rt-slot encoding for X-form logicals) -------------
 
     def and_(self, ra: int, rs: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 28))
+        self.emit(encode("and", rt=rs, ra=ra, rb=rb))
 
     def or_(self, ra: int, rs: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 444))
+        self.emit(encode("or", rt=rs, ra=ra, rb=rb))
 
     def mr(self, ra: int, rs: int) -> None:
         self.or_(ra, rs, rs)
 
     def xor_(self, ra: int, rs: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 316))
+        self.emit(encode("xor", rt=rs, ra=ra, rb=rb))
 
     def nor(self, ra: int, rs: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 124))
+        self.emit(encode("nor", rt=rs, ra=ra, rb=rb))
 
     def slw(self, ra: int, rs: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 24))
+        self.emit(encode("slw", rt=rs, ra=ra, rb=rb))
 
     def srw(self, ra: int, rs: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 536))
+        self.emit(encode("srw", rt=rs, ra=ra, rb=rb))
 
     def sraw(self, ra: int, rs: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 792))
+        self.emit(encode("sraw", rt=rs, ra=ra, rb=rb))
 
     def srawi(self, ra: int, rs: int, sh: int) -> None:
-        self.emit(xform(31, rs, ra, sh, 824))
+        self.emit(encode("srawi", rt=rs, ra=ra, rb=sh))
 
     def ori(self, ra: int, rs: int, imm: int) -> None:
-        self.emit(dform(24, rs, ra, imm))
+        self.emit(encode("ori", rt=rs, ra=ra, imm=imm))
 
     def oris(self, ra: int, rs: int, imm: int) -> None:
-        self.emit(dform(25, rs, ra, imm))
+        self.emit(encode("oris", rt=rs, ra=ra, imm=imm))
 
     def xori(self, ra: int, rs: int, imm: int) -> None:
-        self.emit(dform(26, rs, ra, imm))
+        self.emit(encode("xori", rt=rs, ra=ra, imm=imm))
 
     def andi_dot(self, ra: int, rs: int, imm: int) -> None:
-        self.emit(dform(28, rs, ra, imm))
+        self.emit(encode("andi.", rt=rs, ra=ra, imm=imm))
 
     def rlwinm(self, ra: int, rs: int, sh: int, mb: int, me: int) -> None:
-        word = ((21 & 0x3F) << 26) | ((rs & 0x1F) << 21) | \
-            ((ra & 0x1F) << 16) | ((sh & 0x1F) << 11) | \
-            ((mb & 0x1F) << 6) | ((me & 0x1F) << 1)
-        self.emit(word)
+        self.emit(encode("rlwinm", rt=rs, ra=ra, rb=sh, imm=mb, op2=me))
 
     def nop(self) -> None:
         self.ori(0, 0, 0)
@@ -159,83 +158,83 @@ class PPCAssembler:
     # -- compare ---------------------------------------------------------------
 
     def cmpwi(self, ra: int, imm: int, crf: int = 0) -> None:
-        self.emit(dform(11, crf << 2, ra, imm))
+        self.emit(encode("cmpwi", ra=ra, imm=imm, op2=crf))
 
     def cmplwi(self, ra: int, imm: int, crf: int = 0) -> None:
-        self.emit(dform(10, crf << 2, ra, imm))
+        self.emit(encode("cmplwi", ra=ra, imm=imm, op2=crf))
 
     def cmpw(self, ra: int, rb: int, crf: int = 0) -> None:
-        self.emit(xform(31, crf << 2, ra, rb, 0))
+        self.emit(encode("cmpw", ra=ra, rb=rb, op2=crf))
 
     def cmplw(self, ra: int, rb: int, crf: int = 0) -> None:
-        self.emit(xform(31, crf << 2, ra, rb, 32))
+        self.emit(encode("cmplw", ra=ra, rb=rb, op2=crf))
 
     # -- memory ---------------------------------------------------------------
 
     def lwz(self, rt: int, d: int, ra: int) -> None:
-        self.emit(dform(32, rt, ra, d))
+        self.emit(encode("lwz", rt=rt, ra=ra, imm=d))
 
     def lwzu(self, rt: int, d: int, ra: int) -> None:
-        self.emit(dform(33, rt, ra, d))
+        self.emit(encode("lwzu", rt=rt, ra=ra, imm=d))
 
     def lbz(self, rt: int, d: int, ra: int) -> None:
-        self.emit(dform(34, rt, ra, d))
+        self.emit(encode("lbz", rt=rt, ra=ra, imm=d))
 
     def lhz(self, rt: int, d: int, ra: int) -> None:
-        self.emit(dform(40, rt, ra, d))
+        self.emit(encode("lhz", rt=rt, ra=ra, imm=d))
 
     def lha(self, rt: int, d: int, ra: int) -> None:
-        self.emit(dform(42, rt, ra, d))
+        self.emit(encode("lha", rt=rt, ra=ra, imm=d))
 
     def stw(self, rs: int, d: int, ra: int) -> None:
-        self.emit(dform(36, rs, ra, d))
+        self.emit(encode("stw", rt=rs, ra=ra, imm=d))
 
     def stwu(self, rs: int, d: int, ra: int) -> None:
-        self.emit(dform(37, rs, ra, d))
+        self.emit(encode("stwu", rt=rs, ra=ra, imm=d))
 
     def stb(self, rs: int, d: int, ra: int) -> None:
-        self.emit(dform(38, rs, ra, d))
+        self.emit(encode("stb", rt=rs, ra=ra, imm=d))
 
     def sth(self, rs: int, d: int, ra: int) -> None:
-        self.emit(dform(44, rs, ra, d))
+        self.emit(encode("sth", rt=rs, ra=ra, imm=d))
 
     def lmw(self, rt: int, d: int, ra: int) -> None:
-        self.emit(dform(46, rt, ra, d))
+        self.emit(encode("lmw", rt=rt, ra=ra, imm=d))
 
     def stmw(self, rs: int, d: int, ra: int) -> None:
-        self.emit(dform(47, rs, ra, d))
+        self.emit(encode("stmw", rt=rs, ra=ra, imm=d))
 
     def lwzx(self, rt: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rt, ra, rb, 23))
+        self.emit(encode("lwzx", rt=rt, ra=ra, rb=rb))
 
     def stwx(self, rs: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 151))
+        self.emit(encode("stwx", rt=rs, ra=ra, rb=rb))
 
     def lbzx(self, rt: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rt, ra, rb, 87))
+        self.emit(encode("lbzx", rt=rt, ra=ra, rb=rb))
 
     def stbx(self, rs: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 215))
+        self.emit(encode("stbx", rt=rs, ra=ra, rb=rb))
 
     def lhzx(self, rt: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rt, ra, rb, 279))
+        self.emit(encode("lhzx", rt=rt, ra=ra, rb=rb))
 
     def sthx(self, rs: int, ra: int, rb: int) -> None:
-        self.emit(xform(31, rs, ra, rb, 407))
+        self.emit(encode("sthx", rt=rs, ra=ra, rb=rb))
 
     # -- branches ----------------------------------------------------------------
 
     def b_label(self, label: str) -> None:
         self._fixups.append((len(self.words), label, "rel24"))
-        self.emit((18 << 26))
+        self.emit(encode("b"))
 
     def bl_sym(self, symbol: str) -> None:
         self.relocs.append(Reloc(len(self.words) * 4, symbol, "rel24"))
-        self.emit((18 << 26) | 1)
+        self.emit(encode("b", op2=1))
 
     def bc_label(self, bo: int, bi: int, label: str) -> None:
         self._fixups.append((len(self.words), label, "rel14"))
-        self.emit((16 << 26) | ((bo & 0x1F) << 21) | ((bi & 0x1F) << 16))
+        self.emit(encode("bc", rt=bo, ra=bi))
 
     def beq(self, label: str, crf: int = 0) -> None:
         self.bc_label(12, 4 * crf + 2, label)
@@ -256,23 +255,21 @@ class PPCAssembler:
         self.bc_label(4, 4 * crf + 1, label)
 
     def blr(self) -> None:
-        self.emit((19 << 26) | (20 << 21) | (16 << 1))
+        self.emit(encode("bclr", rt=20))
 
     def bctrl(self) -> None:
-        self.emit((19 << 26) | (20 << 21) | (528 << 1) | 1)
+        self.emit(encode("bcctr", rt=20, op2=1))
 
     def bctr(self) -> None:
-        self.emit((19 << 26) | (20 << 21) | (528 << 1))
+        self.emit(encode("bcctr", rt=20))
 
     # -- SPR / system --------------------------------------------------------------
 
     def mfspr(self, rt: int, spr: int) -> None:
-        swapped = ((spr & 0x1F) << 16) | (((spr >> 5) & 0x1F) << 11)
-        self.emit((31 << 26) | ((rt & 0x1F) << 21) | swapped | (339 << 1))
+        self.emit(encode("mfspr", rt=rt, imm=spr))
 
     def mtspr(self, spr: int, rs: int) -> None:
-        swapped = ((spr & 0x1F) << 16) | (((spr >> 5) & 0x1F) << 11)
-        self.emit((31 << 26) | ((rs & 0x1F) << 21) | swapped | (467 << 1))
+        self.emit(encode("mtspr", rt=rs, imm=spr))
 
     def mflr(self, rt: int) -> None:
         self.mfspr(rt, SPR_LR)
@@ -287,26 +284,26 @@ class PPCAssembler:
         self.mtspr(SPR_CTR, rs)
 
     def mfmsr(self, rt: int) -> None:
-        self.emit(xform(31, rt, 0, 0, 83))
+        self.emit(encode("mfmsr", rt=rt))
 
     def mtmsr(self, rs: int) -> None:
-        self.emit(xform(31, rs, 0, 0, 146))
+        self.emit(encode("mtmsr", rt=rs))
 
     def sc(self) -> None:
-        self.emit((17 << 26) | 2)
+        self.emit(encode("sc"))
 
     def twi(self, to: int, ra: int, imm: int) -> None:
-        self.emit(dform(3, to, ra, imm))
+        self.emit(encode("twi", rt=to, ra=ra, imm=imm))
 
     def trap(self) -> None:
         """Unconditional trap — the kernel's BUG() on PowerPC."""
-        self.emit(xform(31, 31, 0, 0, 4))    # tw 31,r0,r0
+        self.emit(encode("tw", rt=31))    # tw 31,r0,r0
 
     def isync(self) -> None:
-        self.emit((19 << 26) | (150 << 1))
+        self.emit(encode("isync"))
 
     def sync(self) -> None:
-        self.emit(xform(31, 0, 0, 0, 598))
+        self.emit(encode("sync"))
 
     # -- address materialization -----------------------------------------------------
 

@@ -30,7 +30,7 @@ from repro.ppc.exceptions import (
 )
 from repro.ppc.insn import PPCInstr
 from repro.ppc.registers import (
-    MSR_DR, MSR_IR, MSR_ME, MSR_PR, SPR_CTR, SPR_LR, SPR_PVR, SPR_XER,
+    MSR_DR, MSR_IR, MSR_ME, MSR_PR, NAMED_SPRS, SPR_PVR,
 )
 
 
@@ -109,29 +109,6 @@ class PPCCPU:
         self._block_cache = None
 
     # ------------------------------------------------------------------
-    # condition register helpers
-
-    def set_cr0_signed(self, value: int) -> None:
-        self.set_crf_cmp_signed(0, value - (1 << 32)
-                                if value & 0x80000000 else value, 0)
-
-    def set_crf_cmp_signed(self, field: int, a: int, b: int) -> None:
-        if a < b:
-            bits = decoder.CR_LT
-        elif a > b:
-            bits = decoder.CR_GT
-        else:
-            bits = decoder.CR_EQ
-        shift = 28 - 4 * field
-        self.cr = (self.cr & ~(0xF << shift)) | (bits << shift)
-
-    def set_crf_cmp_unsigned(self, field: int, a: int, b: int) -> None:
-        self.set_crf_cmp_signed(field, a, b)
-
-    def get_cr_bit(self, bit: int) -> int:
-        return (self.cr >> (31 - bit)) & 1
-
-    # ------------------------------------------------------------------
     # MSR / SPR
 
     def set_msr(self, value: int) -> None:
@@ -149,24 +126,16 @@ class PPCCPU:
             self._high_fetch_fault = None
 
     def get_spr(self, spr: int) -> int:
-        if spr == SPR_LR:
-            return self.lr
-        if spr == SPR_CTR:
-            return self.ctr
-        if spr == SPR_XER:
-            return self.xer
+        named = NAMED_SPRS.get(spr)
+        if named is not None:
+            return getattr(self, named)
         return self.spr.get(spr, 0)
 
     def set_spr(self, spr: int, value: int) -> None:
         value &= MASK32
-        if spr == SPR_LR:
-            self.lr = value
-            return
-        if spr == SPR_CTR:
-            self.ctr = value
-            return
-        if spr == SPR_XER:
-            self.xer = value
+        named = NAMED_SPRS.get(spr)
+        if named is not None:
+            setattr(self, named, value)
             return
         old = self.spr.get(spr, 0)
         self.spr[spr] = value
@@ -176,7 +145,7 @@ class PPCCPU:
             self.on_spr_write(spr, old, value)
 
     def check_supervisor_spr(self, spr: int) -> None:
-        if spr in (SPR_LR, SPR_CTR, SPR_XER):
+        if spr in NAMED_SPRS:
             return
         self.check_privileged(f"spr {spr}")
 

@@ -1,490 +1,16 @@
-"""PowerPC subset decoder and instruction semantics for the G4-like core.
+"""PowerPC decode for the G4-like core, derived from :mod:`repro.ppc.isa`.
 
-The decoder dispatches on the 6-bit primary opcode (bits 31-26) and, for
-the register-register family (opcode 31) and the branch-unit family
-(opcode 19), on the 10-bit extended opcode.  Our subset defines 25 of
-the 64 primary opcodes and a few dozen extended opcodes; everything else
-raises a Program exception with the illegal-instruction reason — the
-sparse encoding space that gives the G4 its 41% Illegal-Instruction
-share in the paper's code campaigns.
-
-Semantics notes:
-
-* ``divw`` by zero yields an undefined (here: zero) result rather than
-  trapping — the PowerPC has no divide-error exception, which is why the
-  paper's Table 4 has no Divide Error category;
-* word and halfword loads/stores to unaligned addresses raise Alignment
-  (Table 4 lists Alignment at 1-2% of crashes);
-* ``twi``/``tw`` implement the kernel's BUG() trap (Program exception
-  with the trap reason — surfaced as Kernel Panic by the classifier).
+A word decodes to the table row its primary (and, for the families 19
+and 31, extended) opcode selects, or to ``(illegal)``.  The step
+executor of each row is re-exported here as ``exec_<op>``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
-from repro.isa.bits import MASK32, sign_extend, to_signed
-from repro.ppc.exceptions import PPCVector, ProgramReason
 from repro.ppc.insn import PPCInstr
-
-# CR0 bits within the 4-bit field (MSB-first PowerPC convention).
-CR_LT = 0x8
-CR_GT = 0x4
-CR_EQ = 0x2
-CR_SO = 0x1
-
-
-def _d(word: int) -> int:
-    """Sign-extended 16-bit displacement / immediate."""
-    return sign_extend(word & 0xFFFF, 16)
-
-
-def _uimm(word: int) -> int:
-    return word & 0xFFFF
-
-
-def _rt(word: int) -> int:
-    return (word >> 21) & 0x1F
-
-
-def _ra(word: int) -> int:
-    return (word >> 16) & 0x1F
-
-
-def _rb(word: int) -> int:
-    return (word >> 11) & 0x1F
-
-
-def _spr_field(word: int) -> int:
-    """The SPR number with its two 5-bit halves swapped, as encoded."""
-    return ((word >> 16) & 0x1F) | (((word >> 11) & 0x1F) << 5)
-
-
-# ---------------------------------------------------------------------------
-# semantics
-
-
-def exec_illegal(cpu, i: PPCInstr) -> None:
-    cpu.fault(PPCVector.PROGRAM, detail=f"illegal encoding {i.word:#010x}",
-              program_reason=ProgramReason.ILLEGAL)
-
-
-def exec_addi(cpu, i: PPCInstr) -> None:
-    base = cpu.gpr[i.ra] if i.ra else 0
-    cpu.gpr[i.rt] = (base + i.imm) & MASK32
-
-
-def exec_addis(cpu, i: PPCInstr) -> None:
-    base = cpu.gpr[i.ra] if i.ra else 0
-    cpu.gpr[i.rt] = (base + (i.imm << 16)) & MASK32
-
-
-def exec_addic(cpu, i: PPCInstr) -> None:
-    total = cpu.gpr[i.ra] + i.imm
-    cpu.xer = (cpu.xer & ~0x20000000) | \
-        (0x20000000 if total > MASK32 else 0)      # XER[CA]
-    cpu.gpr[i.rt] = total & MASK32
-
-
-def exec_subfic(cpu, i: PPCInstr) -> None:
-    result = (i.imm - cpu.gpr[i.ra]) & MASK32
-    carry = 1 if cpu.gpr[i.ra] <= (i.imm & MASK32) else 0
-    cpu.xer = (cpu.xer & ~0x20000000) | (0x20000000 if carry else 0)
-    cpu.gpr[i.rt] = result
-
-
-def exec_adde(cpu, i: PPCInstr) -> None:
-    carry = 1 if cpu.xer & 0x20000000 else 0
-    total = cpu.gpr[i.ra] + cpu.gpr[i.rb] + carry
-    cpu.xer = (cpu.xer & ~0x20000000) | \
-        (0x20000000 if total > MASK32 else 0)
-    cpu.gpr[i.rt] = total & MASK32
-
-
-def exec_addze(cpu, i: PPCInstr) -> None:
-    carry = 1 if cpu.xer & 0x20000000 else 0
-    total = cpu.gpr[i.ra] + carry
-    cpu.xer = (cpu.xer & ~0x20000000) | \
-        (0x20000000 if total > MASK32 else 0)
-    cpu.gpr[i.rt] = total & MASK32
-
-
-def exec_cntlzw(cpu, i: PPCInstr) -> None:
-    value = cpu.gpr[i.rt]
-    cpu.gpr[i.ra] = 32 - value.bit_length() if value else 32
-
-
-def exec_extsb(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = sign_extend(cpu.gpr[i.rt] & 0xFF, 8)
-
-
-def exec_extsh(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = sign_extend(cpu.gpr[i.rt] & 0xFFFF, 16)
-
-
-def exec_mulli(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.rt] = (to_signed(cpu.gpr[i.ra]) * i.imm) & MASK32
-    cpu.cycles += 3
-
-
-def exec_add(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.rt] = (cpu.gpr[i.ra] + cpu.gpr[i.rb]) & MASK32
-
-
-def exec_subf(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.rt] = (cpu.gpr[i.rb] - cpu.gpr[i.ra]) & MASK32
-
-
-def exec_neg(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.rt] = (-cpu.gpr[i.ra]) & MASK32
-
-
-def exec_mullw(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.rt] = (to_signed(cpu.gpr[i.ra]) *
-                     to_signed(cpu.gpr[i.rb])) & MASK32
-    cpu.cycles += 3
-
-
-def exec_divw(cpu, i: PPCInstr) -> None:
-    divisor = to_signed(cpu.gpr[i.rb])
-    if divisor == 0:
-        cpu.gpr[i.rt] = 0        # boundedly-undefined; no trap on PowerPC
-    else:
-        cpu.gpr[i.rt] = int(to_signed(cpu.gpr[i.ra]) / divisor) & MASK32
-    cpu.cycles += 19
-
-
-def exec_divwu(cpu, i: PPCInstr) -> None:
-    divisor = cpu.gpr[i.rb]
-    if divisor == 0:
-        cpu.gpr[i.rt] = 0
-    else:
-        cpu.gpr[i.rt] = (cpu.gpr[i.ra] // divisor) & MASK32
-    cpu.cycles += 19
-
-
-def exec_and(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = cpu.gpr[i.rt] & cpu.gpr[i.rb]
-
-
-def exec_or(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = cpu.gpr[i.rt] | cpu.gpr[i.rb]
-
-
-def exec_xor(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = cpu.gpr[i.rt] ^ cpu.gpr[i.rb]
-
-
-def exec_nand(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = (~(cpu.gpr[i.rt] & cpu.gpr[i.rb])) & MASK32
-
-
-def exec_nor(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = (~(cpu.gpr[i.rt] | cpu.gpr[i.rb])) & MASK32
-
-
-def exec_slw(cpu, i: PPCInstr) -> None:
-    amount = cpu.gpr[i.rb] & 0x3F
-    cpu.gpr[i.ra] = (cpu.gpr[i.rt] << amount) & MASK32 if amount < 32 else 0
-
-
-def exec_srw(cpu, i: PPCInstr) -> None:
-    amount = cpu.gpr[i.rb] & 0x3F
-    cpu.gpr[i.ra] = (cpu.gpr[i.rt] >> amount) if amount < 32 else 0
-
-
-def exec_sraw(cpu, i: PPCInstr) -> None:
-    amount = cpu.gpr[i.rb] & 0x3F
-    value = to_signed(cpu.gpr[i.rt])
-    cpu.gpr[i.ra] = (value >> min(amount, 31)) & MASK32
-
-
-def exec_srawi(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = (to_signed(cpu.gpr[i.rt]) >> i.rb) & MASK32
-
-
-def exec_ori(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = cpu.gpr[i.rt] | i.imm
-
-
-def exec_oris(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = cpu.gpr[i.rt] | (i.imm << 16)
-
-
-def exec_xori(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = cpu.gpr[i.rt] ^ i.imm
-
-
-def exec_xoris(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.ra] = cpu.gpr[i.rt] ^ (i.imm << 16)
-
-
-def exec_andi_dot(cpu, i: PPCInstr) -> None:
-    result = cpu.gpr[i.rt] & i.imm
-    cpu.gpr[i.ra] = result
-    cpu.set_cr0_signed(result)
-
-
-def exec_andis_dot(cpu, i: PPCInstr) -> None:
-    result = cpu.gpr[i.rt] & (i.imm << 16)
-    cpu.gpr[i.ra] = result
-    cpu.set_cr0_signed(result)
-
-
-def exec_rlwinm(cpu, i: PPCInstr) -> None:
-    sh, mb, me = i.rb, i.imm, i.op2
-    value = cpu.gpr[i.rt]
-    rotated = ((value << sh) | (value >> (32 - sh))) & MASK32 if sh \
-        else value
-    if mb <= me:
-        mask = ((1 << (me - mb + 1)) - 1) << (31 - me)
-    else:
-        mask = MASK32 ^ (((1 << (mb - me - 1)) - 1) << (31 - mb + 1))
-    cpu.gpr[i.ra] = rotated & mask
-
-
-def exec_cmpwi(cpu, i: PPCInstr) -> None:
-    cpu.set_crf_cmp_signed(i.op2, to_signed(cpu.gpr[i.ra]), i.imm)
-
-
-def exec_cmplwi(cpu, i: PPCInstr) -> None:
-    cpu.set_crf_cmp_unsigned(i.op2, cpu.gpr[i.ra], i.imm)
-
-
-def exec_cmpw(cpu, i: PPCInstr) -> None:
-    cpu.set_crf_cmp_signed(i.op2, to_signed(cpu.gpr[i.ra]),
-                           to_signed(cpu.gpr[i.rb]))
-
-
-def exec_cmplw(cpu, i: PPCInstr) -> None:
-    cpu.set_crf_cmp_unsigned(i.op2, cpu.gpr[i.ra], cpu.gpr[i.rb])
-
-
-# -- loads/stores -----------------------------------------------------------
-
-
-def exec_lwz(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + i.imm) & MASK32
-    cpu.gpr[i.rt] = cpu.load(addr, 4)
-
-
-def exec_lwzu(cpu, i: PPCInstr) -> None:
-    addr = (cpu.gpr[i.ra] + i.imm) & MASK32
-    cpu.gpr[i.rt] = cpu.load(addr, 4)
-    cpu.gpr[i.ra] = addr
-
-
-def exec_lbz(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + i.imm) & MASK32
-    cpu.gpr[i.rt] = cpu.load(addr, 1)
-
-
-def exec_lhz(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + i.imm) & MASK32
-    cpu.gpr[i.rt] = cpu.load(addr, 2)
-
-
-def exec_lha(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + i.imm) & MASK32
-    cpu.gpr[i.rt] = sign_extend(cpu.load(addr, 2), 16)
-
-
-def exec_stw(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + i.imm) & MASK32
-    cpu.store(addr, cpu.gpr[i.rt], 4)
-
-
-def exec_stwu(cpu, i: PPCInstr) -> None:
-    addr = (cpu.gpr[i.ra] + i.imm) & MASK32
-    cpu.store(addr, cpu.gpr[i.rt], 4)
-    cpu.gpr[i.ra] = addr
-
-
-def exec_stb(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + i.imm) & MASK32
-    cpu.store(addr, cpu.gpr[i.rt], 1)
-
-
-def exec_sth(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + i.imm) & MASK32
-    cpu.store(addr, cpu.gpr[i.rt], 2)
-
-
-def exec_lwzx(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + cpu.gpr[i.rb]) & MASK32
-    cpu.gpr[i.rt] = cpu.load(addr, 4)
-
-
-def exec_stwx(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + cpu.gpr[i.rb]) & MASK32
-    cpu.store(addr, cpu.gpr[i.rt], 4)
-
-
-def exec_lbzx(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + cpu.gpr[i.rb]) & MASK32
-    cpu.gpr[i.rt] = cpu.load(addr, 1)
-
-
-def exec_stbx(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + cpu.gpr[i.rb]) & MASK32
-    cpu.store(addr, cpu.gpr[i.rt], 1)
-
-
-def exec_lhzx(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + cpu.gpr[i.rb]) & MASK32
-    cpu.gpr[i.rt] = cpu.load(addr, 2)
-
-
-def exec_lhax(cpu, i: PPCInstr) -> None:
-    # The paper's Figure 15: a bit flip turns mflr into lhax and the
-    # resulting gpr8+gpr0 address crashes with "bad area".
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + cpu.gpr[i.rb]) & MASK32
-    cpu.gpr[i.rt] = sign_extend(cpu.load(addr, 2), 16)
-
-
-def exec_sthx(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + cpu.gpr[i.rb]) & MASK32
-    cpu.store(addr, cpu.gpr[i.rt], 2)
-
-
-def exec_lmw(cpu, i: PPCInstr) -> None:
-    # load multiple word: rt..r31; requires word alignment (this is the
-    # instruction class behind Table 4's Alignment category)
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + i.imm) & MASK32
-    if addr & 3:
-        cpu.fault(PPCVector.ALIGNMENT, addr, "lmw operand not aligned")
-    for reg in range(i.rt, 32):
-        cpu.gpr[reg] = cpu.load(addr, 4)
-        addr = (addr + 4) & MASK32
-
-
-def exec_stmw(cpu, i: PPCInstr) -> None:
-    addr = ((cpu.gpr[i.ra] if i.ra else 0) + i.imm) & MASK32
-    if addr & 3:
-        cpu.fault(PPCVector.ALIGNMENT, addr, "stmw operand not aligned")
-    for reg in range(i.rt, 32):
-        cpu.store(addr, cpu.gpr[reg], 4)
-        addr = (addr + 4) & MASK32
-
-
-# -- branches -----------------------------------------------------------------
-
-
-def exec_b(cpu, i: PPCInstr) -> None:
-    if i.op2 & 1:                           # LK
-        cpu.lr = cpu.pc
-    target = i.imm if i.op2 & 2 else (cpu.current_pc + i.imm) & MASK32
-    cpu.branch(target)
-
-
-def _bc_taken(cpu, bo: int, bi: int) -> bool:
-    ctr_ok = True
-    if not bo & 0x4:
-        cpu.ctr = (cpu.ctr - 1) & MASK32
-        ctr_ok = (cpu.ctr == 0) if bo & 0x2 else (cpu.ctr != 0)
-    cond_ok = True
-    if not bo & 0x10:
-        bit = (cpu.cr >> (31 - bi)) & 1
-        cond_ok = bool(bit) if bo & 0x8 else not bit
-    return ctr_ok and cond_ok
-
-
-def exec_bc(cpu, i: PPCInstr) -> None:
-    if i.op2 & 1:
-        cpu.lr = cpu.pc
-    if _bc_taken(cpu, i.rt, i.ra):
-        target = i.imm if i.op2 & 2 else (cpu.current_pc + i.imm) & MASK32
-        cpu.branch(target)
-
-
-def exec_bclr(cpu, i: PPCInstr) -> None:
-    taken = _bc_taken(cpu, i.rt, i.ra)
-    target = cpu.lr & ~3
-    if i.op2 & 1:
-        cpu.lr = cpu.pc
-    if taken:
-        cpu.branch(target)
-
-
-def exec_bcctr(cpu, i: PPCInstr) -> None:
-    if _bc_taken(cpu, i.rt | 0x4, i.ra):    # bcctr must not decrement CTR
-        if i.op2 & 1:
-            cpu.lr = cpu.pc
-        cpu.branch(cpu.ctr & ~3)
-
-
-# -- system -----------------------------------------------------------------
-
-
-def exec_sc(cpu, i: PPCInstr) -> None:
-    cpu.fault(PPCVector.SYSCALL, detail="sc")
-
-
-def exec_twi(cpu, i: PPCInstr) -> None:
-    to = i.rt
-    a = to_signed(cpu.gpr[i.ra])
-    b = i.imm
-    if _trap_cond(to, a, b, cpu.gpr[i.ra], b & MASK32):
-        cpu.fault(PPCVector.PROGRAM, detail="twi trap (BUG)",
-                  program_reason=ProgramReason.TRAP)
-
-
-def exec_tw(cpu, i: PPCInstr) -> None:
-    to = i.rt
-    a = to_signed(cpu.gpr[i.ra])
-    b = to_signed(cpu.gpr[i.rb])
-    if _trap_cond(to, a, b, cpu.gpr[i.ra], cpu.gpr[i.rb]):
-        cpu.fault(PPCVector.PROGRAM, detail="tw trap (BUG)",
-                  program_reason=ProgramReason.TRAP)
-
-
-def _trap_cond(to: int, a: int, b: int, ua: int, ub: int) -> bool:
-    return bool((to & 0x10 and a < b) or (to & 0x08 and a > b)
-                or (to & 0x04 and a == b) or (to & 0x02 and ua < ub)
-                or (to & 0x01 and ua > ub))
-
-
-def exec_mfspr(cpu, i: PPCInstr) -> None:
-    cpu.check_supervisor_spr(i.imm)
-    cpu.gpr[i.rt] = cpu.get_spr(i.imm)
-
-
-def exec_mtspr(cpu, i: PPCInstr) -> None:
-    cpu.check_supervisor_spr(i.imm)
-    cpu.set_spr(i.imm, cpu.gpr[i.rt])
-
-
-def exec_mfmsr(cpu, i: PPCInstr) -> None:
-    cpu.check_privileged("mfmsr")
-    cpu.gpr[i.rt] = cpu.msr
-
-
-def exec_mtmsr(cpu, i: PPCInstr) -> None:
-    cpu.check_privileged("mtmsr")
-    cpu.set_msr(cpu.gpr[i.rt])
-
-
-def exec_mfcr(cpu, i: PPCInstr) -> None:
-    cpu.gpr[i.rt] = cpu.cr
-
-
-def exec_rfi(cpu, i: PPCInstr) -> None:
-    cpu.check_privileged("rfi")
-    cpu.set_msr(cpu.get_spr(27))             # SRR1
-    cpu.branch(cpu.get_spr(26) & ~3)         # SRR0
-    cpu.cycles += 10
-
-
-def exec_nopish(cpu, i: PPCInstr) -> None:
-    """isync / sync / eieio / dcbf-style barriers: timing only."""
-    cpu.cycles += 2
-
-
-# ---------------------------------------------------------------------------
-# decode tables
-
-_EXT31: Dict[int, Callable] = {}
-_EXT19: Dict[int, Callable] = {}
+from repro.ppc.isa import ILLEGAL_OP, OPS, lookup
 
 #: word -> decoded instruction.  PowerPC decoding depends on nothing
 #: but the 32-bit word (branch targets are resolved at execute time
@@ -495,183 +21,16 @@ _EXT19: Dict[int, Callable] = {}
 _WORD_MEMO: Dict[int, PPCInstr] = {}
 _WORD_MEMO_LIMIT = 1 << 16          # bound growth under random flips
 
+exec_illegal = ILLEGAL_OP.execute
+exec_lhax = OPS["lhax"].execute
+exec_mfspr = OPS["mfspr"].execute
+
 
 def decode(word: int, addr: int = 0) -> PPCInstr:
     """Decode one 32-bit instruction word.  Never raises."""
     instr = _WORD_MEMO.get(word)
-    if instr is not None:
-        return instr
-    opcd = (word >> 26) & 0x3F
-    handler = _PRIMARY.get(opcd)
-    if handler is None:
-        instr = PPCInstr("(illegal)", exec_illegal, word=word)
-    else:
-        instr = handler(word, addr)
-    if len(_WORD_MEMO) < _WORD_MEMO_LIMIT:
-        _WORD_MEMO[word] = instr
+    if instr is None:
+        instr = lookup(word).build(word)
+        if len(_WORD_MEMO) < _WORD_MEMO_LIMIT:
+            _WORD_MEMO[word] = instr
     return instr
-
-
-def _mk_dform(mnemonic: str, execute, cycles: int = 1, unsigned: bool = False
-              ) -> Callable:
-    def build(word: int, addr: int) -> PPCInstr:
-        imm = _uimm(word) if unsigned else _d(word)
-        return PPCInstr(mnemonic, execute, rt=_rt(word), ra=_ra(word),
-                        imm=imm, cycles=cycles, word=word)
-    return build
-
-
-def _build_cmpwi(word: int, addr: int) -> PPCInstr:
-    return PPCInstr("cmpwi", exec_cmpwi, ra=_ra(word), imm=_d(word),
-                    op2=(word >> 23) & 0x7, word=word)
-
-
-def _build_cmplwi(word: int, addr: int) -> PPCInstr:
-    return PPCInstr("cmplwi", exec_cmplwi, ra=_ra(word), imm=_uimm(word),
-                    op2=(word >> 23) & 0x7, word=word)
-
-
-def _build_twi(word: int, addr: int) -> PPCInstr:
-    return PPCInstr("twi", exec_twi, rt=_rt(word), ra=_ra(word),
-                    imm=_d(word), word=word)
-
-
-def _build_b(word: int, addr: int) -> PPCInstr:
-    li = sign_extend(word & 0x03FFFFFC, 26)
-    aa_lk = word & 3
-    name = {0: "b", 1: "bl", 2: "ba", 3: "bla"}[aa_lk]
-    return PPCInstr(name, exec_b, imm=li, op2=aa_lk, cycles=2, word=word)
-
-
-def _build_bc(word: int, addr: int) -> PPCInstr:
-    bd = sign_extend(word & 0xFFFC, 16)
-    aa_lk = word & 3
-    return PPCInstr("bc", exec_bc, rt=_rt(word), ra=_ra(word), imm=bd,
-                    op2=aa_lk, cycles=2, word=word)
-
-
-def _build_sc(word: int, addr: int) -> PPCInstr:
-    return PPCInstr("sc", exec_sc, cycles=10, word=word)
-
-
-def _build_rlwinm(word: int, addr: int) -> PPCInstr:
-    sh = (word >> 11) & 0x1F
-    mb = (word >> 6) & 0x1F
-    me = (word >> 1) & 0x1F
-    return PPCInstr("rlwinm", exec_rlwinm, rt=_rt(word), ra=_ra(word),
-                    rb=sh, imm=mb, op2=me, word=word)
-
-
-def _build_19(word: int, addr: int) -> PPCInstr:
-    ext = (word >> 1) & 0x3FF
-    if ext == 16:
-        return PPCInstr("bclr", exec_bclr, rt=_rt(word), ra=_ra(word),
-                        op2=word & 1, cycles=2, word=word)
-    if ext == 528:
-        return PPCInstr("bcctr", exec_bcctr, rt=_rt(word), ra=_ra(word),
-                        op2=word & 1, cycles=2, word=word)
-    if ext == 150:
-        return PPCInstr("isync", exec_nopish, word=word)
-    if ext == 50:
-        return PPCInstr("rfi", exec_rfi, cycles=10, word=word)
-    if ext == 0:
-        return PPCInstr("mcrf", exec_nopish, word=word)
-    return PPCInstr("(illegal)", exec_illegal, word=word)
-
-
-_X_FORMS = {
-    0: ("cmpw", exec_cmpw, 1),
-    32: ("cmplw", exec_cmplw, 1),
-    4: ("tw", exec_tw, 1),
-    266: ("add", exec_add, 1),
-    40: ("subf", exec_subf, 1),
-    104: ("neg", exec_neg, 1),
-    138: ("adde", exec_adde, 1),
-    202: ("addze", exec_addze, 1),
-    26: ("cntlzw", exec_cntlzw, 1),
-    954: ("extsb", exec_extsb, 1),
-    922: ("extsh", exec_extsh, 1),
-    235: ("mullw", exec_mullw, 1),
-    491: ("divw", exec_divw, 1),
-    459: ("divwu", exec_divwu, 1),
-    28: ("and", exec_and, 1),
-    444: ("or", exec_or, 1),
-    316: ("xor", exec_xor, 1),
-    476: ("nand", exec_nand, 1),
-    124: ("nor", exec_nor, 1),
-    24: ("slw", exec_slw, 1),
-    536: ("srw", exec_srw, 1),
-    792: ("sraw", exec_sraw, 1),
-    824: ("srawi", exec_srawi, 1),
-    23: ("lwzx", exec_lwzx, 3),
-    151: ("stwx", exec_stwx, 2),
-    87: ("lbzx", exec_lbzx, 3),
-    215: ("stbx", exec_stbx, 2),
-    279: ("lhzx", exec_lhzx, 3),
-    343: ("lhax", exec_lhax, 3),
-    407: ("sthx", exec_sthx, 2),
-    339: ("mfspr", exec_mfspr, 3),
-    467: ("mtspr", exec_mtspr, 3),
-    83: ("mfmsr", exec_mfmsr, 3),
-    146: ("mtmsr", exec_mtmsr, 4),
-    19: ("mfcr", exec_mfcr, 1),
-    598: ("sync", exec_nopish, 3),
-    854: ("eieio", exec_nopish, 3),
-    982: ("icbi", exec_nopish, 3),
-    86: ("dcbf", exec_nopish, 3),
-    470: ("dcbi", exec_nopish, 3),
-}
-
-
-def _build_31(word: int, addr: int) -> PPCInstr:
-    ext = (word >> 1) & 0x3FF
-    entry = _X_FORMS.get(ext)
-    if entry is None:
-        return PPCInstr("(illegal)", exec_illegal, word=word)
-    name, execute, cycles = entry
-    if execute in (exec_mfspr, exec_mtspr):
-        return PPCInstr(name, execute, rt=_rt(word), imm=_spr_field(word),
-                        cycles=cycles, word=word)
-    if execute is exec_srawi:
-        return PPCInstr(name, execute, rt=_rt(word), ra=_ra(word),
-                        rb=_rb(word), cycles=cycles, word=word)
-    if execute in (exec_cmpw, exec_cmplw):
-        return PPCInstr(name, execute, ra=_ra(word), rb=_rb(word),
-                        op2=(word >> 23) & 0x7, cycles=cycles, word=word)
-    return PPCInstr(name, execute, rt=_rt(word), ra=_ra(word),
-                    rb=_rb(word), cycles=cycles, word=word)
-
-
-_PRIMARY: Dict[int, Callable] = {
-    3: _build_twi,
-    7: _mk_dform("mulli", exec_mulli, 3),
-    8: _mk_dform("subfic", exec_subfic),
-    10: _build_cmplwi,
-    11: _build_cmpwi,
-    12: _mk_dform("addic", exec_addic),
-    14: _mk_dform("addi", exec_addi),
-    15: _mk_dform("addis", exec_addis),
-    16: _build_bc,
-    17: _build_sc,
-    18: _build_b,
-    19: _build_19,
-    21: _build_rlwinm,
-    24: _mk_dform("ori", exec_ori, unsigned=True),
-    25: _mk_dform("oris", exec_oris, unsigned=True),
-    26: _mk_dform("xori", exec_xori, unsigned=True),
-    27: _mk_dform("xoris", exec_xoris, unsigned=True),
-    28: _mk_dform("andi.", exec_andi_dot, unsigned=True),
-    29: _mk_dform("andis.", exec_andis_dot, unsigned=True),
-    31: _build_31,
-    32: _mk_dform("lwz", exec_lwz, 3),
-    33: _mk_dform("lwzu", exec_lwzu, 3),
-    34: _mk_dform("lbz", exec_lbz, 3),
-    36: _mk_dform("stw", exec_stw, 2),
-    37: _mk_dform("stwu", exec_stwu, 2),
-    38: _mk_dform("stb", exec_stb, 2),
-    40: _mk_dform("lhz", exec_lhz, 3),
-    42: _mk_dform("lha", exec_lha, 3),
-    44: _mk_dform("sth", exec_sth, 2),
-    46: _mk_dform("lmw", exec_lmw, 4),
-    47: _mk_dform("stmw", exec_stmw, 4),
-}

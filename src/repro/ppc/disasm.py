@@ -2,6 +2,9 @@
 
     c008d798: 81 7f 00 28   lwz r11,40(r31)
     c008d79c: 2c 0b 00 00   cmpwi r11,0
+
+Each row of :mod:`repro.ppc.isa` carries its syntax (and aliases such
+as ``li``/``mr``/``blr``); this module only fills in the operands.
 """
 
 from __future__ import annotations
@@ -11,110 +14,7 @@ from typing import List, Tuple
 from repro.isa.bits import to_signed
 from repro.ppc import decoder
 from repro.ppc.insn import PPCInstr
-from repro.ppc.decoder import (
-    exec_add, exec_addi, exec_addic, exec_addis, exec_and, exec_andi_dot,
-    exec_b, exec_bc, exec_bcctr, exec_bclr, exec_cmplw, exec_cmplwi,
-    exec_cmpw, exec_cmpwi, exec_divw, exec_divwu, exec_illegal,
-    exec_lbz, exec_lbzx, exec_lha, exec_lhax, exec_lhz, exec_lhzx,
-    exec_lmw, exec_lwz, exec_lwzu, exec_lwzx, exec_mfcr, exec_mfmsr,
-    exec_mfspr, exec_mtmsr, exec_mtspr, exec_mulli, exec_mullw,
-    exec_nand, exec_neg, exec_nor, exec_or, exec_ori, exec_oris,
-    exec_rfi, exec_rlwinm, exec_sc, exec_slw, exec_sraw, exec_srawi,
-    exec_srw, exec_stb, exec_stbx, exec_sth, exec_sthx, exec_stmw,
-    exec_stw, exec_stwu, exec_stwx, exec_subf, exec_tw, exec_twi,
-    exec_xor, exec_xori,
-)
-from repro.ppc.registers import SPR_CTR, SPR_LR
-
-_DFORM_ARITH = {exec_addi, exec_addis, exec_addic, exec_mulli}
-_DFORM_LOGIC = {exec_ori, exec_oris, exec_xori, exec_andi_dot}
-_DFORM_MEM = {exec_lwz, exec_lwzu, exec_lbz, exec_lhz, exec_lha,
-              exec_stw, exec_stwu, exec_stb, exec_sth, exec_lmw,
-              exec_stmw}
-_XFORM_MEM = {exec_lwzx, exec_lbzx, exec_lhzx, exec_lhax,
-              exec_stwx, exec_stbx, exec_sthx}
-_XFORM_ARITH = {exec_add, exec_subf, exec_mullw, exec_divw, exec_divwu}
-_XFORM_LOGIC = {exec_and, exec_or, exec_xor, exec_nand, exec_nor,
-                exec_slw, exec_srw, exec_sraw}
-
-
-def format_instr(i: PPCInstr, addr: int = 0) -> str:
-    fn = i.execute
-    name = i.mnemonic
-    if fn is exec_illegal:
-        return f".long {i.word:#010x}  (illegal)"
-    if fn in _DFORM_ARITH:
-        if fn is exec_addi and i.ra == 0:
-            return f"li r{i.rt},{to_signed(i.imm)}"
-        if fn is exec_addis and i.ra == 0:
-            return f"lis r{i.rt},{to_signed(i.imm)}"
-        return f"{name} r{i.rt},r{i.ra},{to_signed(i.imm)}"
-    if fn in _DFORM_LOGIC:
-        if fn is exec_ori and i.rt == 0 and i.ra == 0 and i.imm == 0:
-            return "nop"
-        return f"{name} r{i.ra},r{i.rt},{i.imm}"
-    if fn in _DFORM_MEM:
-        return f"{name} r{i.rt},{to_signed(i.imm)}(r{i.ra})"
-    if fn in _XFORM_MEM:
-        return f"{name} r{i.rt},r{i.ra},r{i.rb}"
-    if fn in _XFORM_ARITH or fn is exec_neg:
-        if fn is exec_neg:
-            return f"neg r{i.rt},r{i.ra}"
-        return f"{name} r{i.rt},r{i.ra},r{i.rb}"
-    if fn in _XFORM_LOGIC:
-        if fn is exec_or and i.rt == i.rb:
-            return f"mr r{i.ra},r{i.rt}"
-        return f"{name} r{i.ra},r{i.rt},r{i.rb}"
-    if fn is exec_srawi:
-        return f"srawi r{i.ra},r{i.rt},{i.rb}"
-    if fn is exec_rlwinm:
-        return f"rlwinm r{i.ra},r{i.rt},{i.rb},{i.imm},{i.op2}"
-    if fn is exec_cmpwi:
-        return f"cmpwi r{i.ra},{to_signed(i.imm)}"
-    if fn is exec_cmplwi:
-        return f"cmplwi r{i.ra},{i.imm}"
-    if fn is exec_cmpw:
-        return f"cmpw r{i.ra},r{i.rb}"
-    if fn is exec_cmplw:
-        return f"cmplw r{i.ra},r{i.rb}"
-    if fn is exec_b:
-        target = i.imm if i.op2 & 2 else (addr + i.imm) & 0xFFFFFFFF
-        return f"{name} {target:#x}"
-    if fn is exec_bc:
-        target = i.imm if i.op2 & 2 else (addr + i.imm) & 0xFFFFFFFF
-        cond = _bc_name(i.rt, i.ra)
-        return f"{cond} {target:#x}"
-    if fn is exec_bclr:
-        return "blr" if i.rt & 0x14 == 0x14 else f"bclr {i.rt},{i.ra}"
-    if fn is exec_bcctr:
-        return "bctr" if i.rt & 0x14 == 0x14 else f"bcctr {i.rt},{i.ra}"
-    if fn is exec_mfspr:
-        if i.imm == SPR_LR:
-            return f"mflr r{i.rt}"
-        if i.imm == SPR_CTR:
-            return f"mfctr r{i.rt}"
-        return f"mfspr r{i.rt},{i.imm}"
-    if fn is exec_mtspr:
-        if i.imm == SPR_LR:
-            return f"mtlr r{i.rt}"
-        if i.imm == SPR_CTR:
-            return f"mtctr r{i.rt}"
-        return f"mtspr {i.imm},r{i.rt}"
-    if fn is exec_mfmsr:
-        return f"mfmsr r{i.rt}"
-    if fn is exec_mtmsr:
-        return f"mtmsr r{i.rt}"
-    if fn is exec_mfcr:
-        return f"mfcr r{i.rt}"
-    if fn is exec_sc:
-        return "sc"
-    if fn is exec_twi:
-        return f"twi {i.rt},r{i.ra},{to_signed(i.imm)}"
-    if fn is exec_tw:
-        return f"tw {i.rt},r{i.ra},r{i.rb}"
-    if fn is exec_rfi:
-        return "rfi"
-    return name
+from repro.ppc.isa import op_of
 
 
 def _bc_name(bo: int, bi: int) -> str:
@@ -125,6 +25,18 @@ def _bc_name(bo: int, bi: int) -> str:
     prefix = "b" if bo & 0x8 else "bn"
     suffix = f" cr{crf}," if crf else ""
     return f"{prefix}{cond}{suffix}".rstrip(",")
+
+
+def format_instr(i: PPCInstr, addr: int = 0) -> str:
+    op = op_of(i)
+    syntax = next((text for applies, text in op.aliases if applies(i)),
+                  op.asm)
+    target = i.imm if i.op2 & 2 else (addr + i.imm) & 0xFFFFFFFF
+    return syntax.format(
+        name=i.mnemonic, rt=f"r{i.rt}", ra=f"r{i.ra}", rb=f"r{i.rb}",
+        si=to_signed(i.imm), ui=i.imm, d=f"{to_signed(i.imm)}(r{i.ra})",
+        sh=i.rb, mb=i.imm, me=i.op2, to=i.rt, spr=i.imm, bo=i.rt, bi=i.ra,
+        target=f"{target:#x}", cond=_bc_name(i.rt, i.ra), word=i.word)
 
 
 def disassemble_word(word: int, addr: int = 0) -> Tuple[PPCInstr, str]:

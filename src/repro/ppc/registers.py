@@ -40,6 +40,17 @@ SPR_L2CR = 1017
 SPR_ICTC = 1019
 SPR_PIR = 1023
 
+#: the user-level SPRs the core keeps as plain attributes (``cpu.xer``
+#: …): ``mfspr``/``mtspr`` of these need no privilege and stay inside
+#: the liveness domain; every other SPR is supervisor state
+NAMED_SPRS = {SPR_XER: "xer", SPR_LR: "lr", SPR_CTR: "ctr"}
+
+# Condition-register field bits (MSB-first within each 4-bit field).
+CR_LT = 0x8
+CR_GT = 0x4
+CR_EQ = 0x2
+CR_SO = 0x1
+
 # MSR bits (32-bit OEA layout).
 MSR_EE = 0x00008000      # external interrupts enabled
 MSR_PR = 0x00004000      # problem (user) state

@@ -4,21 +4,26 @@ Every decoded instruction (``x86.insn.Instr`` / ``ppc.insn.PPCInstr``)
 is mapped to an :class:`InsnEffects` record: the architectural
 *resources* it reads and writes, whether it touches memory, how it
 terminates (or does not terminate) a basic block, and whether it can
-fault on its own.  The tables below are keyed by the decoder's
-``execute`` function object, so they stay mechanically in sync with
+fault on its own.  The x86 table below is keyed by the decoder's
+``execute`` function object, so it stays mechanically in sync with
 the decode tables — an instruction the decoder can produce but the
-table does not know is a hard error, not a silent default.
+table does not know is a hard error, not a silent default.  The ppc
+effects are derived from the bodies of :mod:`repro.ppc.isa`, the same
+source the step and block cores execute.
 
 Resource vocabulary (the liveness domain):
 
 * x86 — the eight 32-bit GPRs by name (``eax`` … ``edi``; 8/16-bit
   accesses alias their parent register) plus ``eflags``, meaning the
-  arithmetic condition flags as one unit.  Partial-flag updates
-  (``inc``, ``bt``, ``clc``…) are modelled read-modify-write so they
-  never kill flag liveness; system bits (IF, NT) are *not* part of
-  the resource, so ``cli``/``sti`` neither use nor define it.
+  arithmetic condition flags as one unit.  Partial updates (an 8/16-bit
+  register write; ``inc``, ``bt``, ``clc``… on the flags) are modelled
+  read-modify-write so they never kill liveness; system bits (IF, NT)
+  are *not* part of the resource, so ``cli``/``sti`` neither use nor
+  define it.
 * ppc — ``r0`` … ``r31``, ``lr``, ``ctr``, ``xer``, and the eight
-  condition fields ``cr0`` … ``cr7`` as separate resources.
+  condition fields ``cr0`` … ``cr7`` as separate resources.  A write
+  that may leave part of the old value in place (XER's carry bit; a
+  link written on only one path) is a use too, for the same reason.
 
 Supervisor state (segment registers, control registers, MSR, unnamed
 SPRs — see :mod:`repro.machine.register_semantics`) is outside the
@@ -28,15 +33,17 @@ never dead.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, List, Optional, Tuple, Union, cast,
+)
 
 from repro.x86 import decoder as xdec
 from repro.x86.insn import Instr
 from repro.x86.registers import GPR_NAMES
-from repro.ppc import decoder as pdec
+from repro.ppc import isa
 from repro.ppc.insn import PPCInstr
-from repro.ppc.registers import SPR_CTR, SPR_LR, SPR_XER
 
 # -- block-terminator kinds -------------------------------------------------
 
@@ -71,9 +78,7 @@ EFLAGS = "eflags"
 
 X86_RESOURCES: Tuple[str, ...] = GPR_NAMES + (EFLAGS,)
 
-PPC_GPRS: Tuple[str, ...] = tuple(f"r{n}" for n in range(32))
-PPC_CRS: Tuple[str, ...] = tuple(f"cr{n}" for n in range(8))
-PPC_RESOURCES: Tuple[str, ...] = PPC_GPRS + ("lr", "ctr", "xer") + PPC_CRS
+PPC_RESOURCES: Tuple[str, ...] = isa.GPRS + ("lr", "ctr", "xer") + isa.CRS
 
 _EMPTY: FrozenSet[str] = frozenset()
 
@@ -116,6 +121,11 @@ def _xr(reg: int, width: int) -> str:
     if width == 1 and reg >= 4:
         return GPR_NAMES[reg - 4]
     return GPR_NAMES[reg]
+
+
+def _partial(reg: int, width: int) -> FrozenSet[str]:
+    """A sub-word register write merges into its parent register."""
+    return frozenset({_xr(reg, width)}) if width < 4 else _EMPTY
 
 
 def _x_mem_uses(i: Instr) -> set:
@@ -217,7 +227,7 @@ def _(i: Instr, addr: int) -> InsnEffects:
 def _(i: Instr, addr: int) -> InsnEffects:
     uses = _x_mem_uses(i) | {_xr(i.reg, i.width)}
     if i.rm_reg >= 0:
-        return InsnEffects(frozenset(uses),
+        return InsnEffects(frozenset(uses | _partial(i.rm_reg, i.width)),
                            frozenset({_xr(i.rm_reg, i.width)}))
     return InsnEffects(frozenset(uses), _EMPTY, writes_mem=True,
                        may_fault=True)
@@ -229,19 +239,22 @@ def _(i: Instr, addr: int) -> InsnEffects:
     reads = i.rm_reg < 0
     if not reads:
         uses.add(_xr(i.rm_reg, i.width))
+    uses |= _partial(i.reg, i.width)
     return InsnEffects(frozenset(uses), frozenset({_xr(i.reg, i.width)}),
                        reads, may_fault=reads)
 
 
 @_x86(xdec.exec_mov_r_imm)
 def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(_EMPTY, frozenset({_xr(i.reg, i.width)}))
+    return InsnEffects(_partial(i.reg, i.width),
+                       frozenset({_xr(i.reg, i.width)}))
 
 
 @_x86(xdec.exec_mov_rm_imm)
 def _(i: Instr, addr: int) -> InsnEffects:
     if i.rm_reg >= 0:
-        return InsnEffects(_EMPTY, frozenset({_xr(i.rm_reg, i.width)}))
+        return InsnEffects(_partial(i.rm_reg, i.width),
+                           frozenset({_xr(i.rm_reg, i.width)}))
     return InsnEffects(frozenset(_x_mem_uses(i)), _EMPTY, writes_mem=True,
                        may_fault=True)
 
@@ -440,12 +453,14 @@ def _(i: Instr, addr: int) -> InsnEffects:
 @_x86(xdec.exec_grp2)
 def _(i: Instr, addr: int) -> InsnEffects:
     op = i.op2 & 7
-    if op in (2, 3, 6):            # rcl/rcr/undefined shift: faults
-        return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
     uses = _x_mem_uses(i)
-    defs = {EFLAGS}
     if (i.op2 >> 3) == 2:          # count in CL
         uses.add("ecx")
+    if op in (2, 3, 6):            # rcl/rcr/undefined shift: faults
+        # after reading its count and operand
+        return InsnEffects(frozenset(uses), reads_mem=i.rm_reg < 0,
+                           kind=KIND_ILLEGAL, may_fault=True)
+    defs = {EFLAGS}
     reads = writes = False
     if i.rm_reg >= 0:
         uses.add(_xr(i.rm_reg, i.width))
@@ -512,6 +527,7 @@ def _(i: Instr, addr: int) -> InsnEffects:
     reads = i.rm_reg < 0
     if not reads:
         uses.add(_xr(i.rm_reg, i.width))
+    uses |= _partial(i.reg, i.width)
     return InsnEffects(frozenset(uses), frozenset({_xr(i.reg, i.width)}),
                        reads, may_fault=reads)
 
@@ -657,7 +673,7 @@ def _(i: Instr, addr: int) -> InsnEffects:
 def _(i: Instr, addr: int) -> InsnEffects:
     uses = _x_mem_uses(i) | {EFLAGS}
     if i.rm_reg >= 0:
-        return InsnEffects(frozenset(uses),
+        return InsnEffects(frozenset(uses | _partial(i.rm_reg, 1)),
                            frozenset({_xr(i.rm_reg, 1)}))
     return InsnEffects(frozenset(uses), _EMPTY, writes_mem=True,
                        may_fault=True)
@@ -763,328 +779,108 @@ def _(i: Instr, addr: int) -> InsnEffects:
 
 
 # ---------------------------------------------------------------------------
-# ppc
+# ppc: derived from the instruction table
 # ---------------------------------------------------------------------------
 
-_PFX = Dict[Callable, Callable[[PPCInstr, int], InsnEffects]]
-_PPC_EFFECTS: _PFX = {}
 
-
-def _ppc(fn: Callable) -> Callable:
-    def register(handler: Callable[[PPCInstr, int], InsnEffects]) -> Callable:
-        _PPC_EFFECTS[fn] = handler
-        return handler
-    return register
-
-
-def _g(n: int) -> str:
-    return PPC_GPRS[n]
-
-
-@_ppc(pdec.exec_illegal)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
-
-
-def _d_arith(i: PPCInstr, addr: int) -> InsnEffects:
-    """addi/addis: rt <- (ra|0) + imm."""
-    uses = frozenset({_g(i.ra)}) if i.ra else _EMPTY
-    return InsnEffects(uses, frozenset({_g(i.rt)}))
-
-
-_PPC_EFFECTS[pdec.exec_addi] = _d_arith
-_PPC_EFFECTS[pdec.exec_addis] = _d_arith
-
-
-def _d_carry(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra)}),
-                       frozenset({_g(i.rt), "xer"}))
-
-
-_PPC_EFFECTS[pdec.exec_addic] = _d_carry
-_PPC_EFFECTS[pdec.exec_subfic] = _d_carry
-
-
-@_ppc(pdec.exec_adde)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra), _g(i.rb), "xer"}),
-                       frozenset({_g(i.rt), "xer"}))
-
-
-@_ppc(pdec.exec_addze)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra), "xer"}),
-                       frozenset({_g(i.rt), "xer"}))
-
-
-def _logic_unary(i: PPCInstr, addr: int) -> InsnEffects:
-    """cntlzw/extsb/extsh/srawi/ori/…: ra <- f(rt)."""
-    return InsnEffects(frozenset({_g(i.rt)}), frozenset({_g(i.ra)}))
-
-
-for _fn in (pdec.exec_cntlzw, pdec.exec_extsb, pdec.exec_extsh,
-            pdec.exec_srawi, pdec.exec_ori, pdec.exec_oris,
-            pdec.exec_xori, pdec.exec_xoris, pdec.exec_rlwinm):
-    _PPC_EFFECTS[_fn] = _logic_unary
-
-
-def _andi_dot(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.rt)}),
-                       frozenset({_g(i.ra), "cr0"}))
-
-
-_PPC_EFFECTS[pdec.exec_andi_dot] = _andi_dot
-_PPC_EFFECTS[pdec.exec_andis_dot] = _andi_dot
-
-
-@_ppc(pdec.exec_mulli)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra)}), frozenset({_g(i.rt)}))
-
-
-def _xo_arith(i: PPCInstr, addr: int) -> InsnEffects:
-    """add/subf/mullw/divw/divwu: rt <- ra op rb (no trap on ppc)."""
-    return InsnEffects(frozenset({_g(i.ra), _g(i.rb)}),
-                       frozenset({_g(i.rt)}))
-
-
-for _fn in (pdec.exec_add, pdec.exec_subf, pdec.exec_mullw,
-            pdec.exec_divw, pdec.exec_divwu):
-    _PPC_EFFECTS[_fn] = _xo_arith
-
-
-@_ppc(pdec.exec_neg)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra)}), frozenset({_g(i.rt)}))
-
-
-def _logic_binary(i: PPCInstr, addr: int) -> InsnEffects:
-    """and/or/xor/nand/nor/slw/srw/sraw: ra <- rt op rb."""
-    return InsnEffects(frozenset({_g(i.rt), _g(i.rb)}),
-                       frozenset({_g(i.ra)}))
-
-
-for _fn in (pdec.exec_and, pdec.exec_or, pdec.exec_xor, pdec.exec_nand,
-            pdec.exec_nor, pdec.exec_slw, pdec.exec_srw, pdec.exec_sraw):
-    _PPC_EFFECTS[_fn] = _logic_binary
-
-
-def _cmp_imm(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra)}),
-                       frozenset({PPC_CRS[i.op2]}))
-
-
-_PPC_EFFECTS[pdec.exec_cmpwi] = _cmp_imm
-_PPC_EFFECTS[pdec.exec_cmplwi] = _cmp_imm
-
-
-def _cmp_reg(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra), _g(i.rb)}),
-                       frozenset({PPC_CRS[i.op2]}))
-
-
-_PPC_EFFECTS[pdec.exec_cmpw] = _cmp_reg
-_PPC_EFFECTS[pdec.exec_cmplw] = _cmp_reg
-
-
-def _d_load(i: PPCInstr, addr: int) -> InsnEffects:
-    uses = frozenset({_g(i.ra)}) if i.ra else _EMPTY
-    return InsnEffects(uses, frozenset({_g(i.rt)}), reads_mem=True,
-                       may_fault=True)
-
-
-for _fn in (pdec.exec_lwz, pdec.exec_lbz, pdec.exec_lhz, pdec.exec_lha):
-    _PPC_EFFECTS[_fn] = _d_load
-
-
-@_ppc(pdec.exec_lwzu)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra)}),
-                       frozenset({_g(i.rt), _g(i.ra)}), reads_mem=True,
-                       may_fault=True)
-
-
-def _d_store(i: PPCInstr, addr: int) -> InsnEffects:
-    uses = {_g(i.rt)}
-    if i.ra:
-        uses.add(_g(i.ra))
-    return InsnEffects(frozenset(uses), _EMPTY, writes_mem=True,
-                       may_fault=True)
-
-
-for _fn in (pdec.exec_stw, pdec.exec_stb, pdec.exec_sth):
-    _PPC_EFFECTS[_fn] = _d_store
-
-
-@_ppc(pdec.exec_stwu)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.rt), _g(i.ra)}),
-                       frozenset({_g(i.ra)}), writes_mem=True,
-                       may_fault=True)
-
-
-def _x_load(i: PPCInstr, addr: int) -> InsnEffects:
-    uses = {_g(i.rb)}
-    if i.ra:
-        uses.add(_g(i.ra))
-    return InsnEffects(frozenset(uses), frozenset({_g(i.rt)}),
-                       reads_mem=True, may_fault=True)
-
-
-for _fn in (pdec.exec_lwzx, pdec.exec_lbzx, pdec.exec_lhzx,
-            pdec.exec_lhax):
-    _PPC_EFFECTS[_fn] = _x_load
-
-
-def _x_store(i: PPCInstr, addr: int) -> InsnEffects:
-    uses = {_g(i.rt), _g(i.rb)}
-    if i.ra:
-        uses.add(_g(i.ra))
-    return InsnEffects(frozenset(uses), _EMPTY, writes_mem=True,
-                       may_fault=True)
-
-
-for _fn in (pdec.exec_stwx, pdec.exec_stbx, pdec.exec_sthx):
-    _PPC_EFFECTS[_fn] = _x_store
-
-
-@_ppc(pdec.exec_lmw)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    uses = frozenset({_g(i.ra)}) if i.ra else _EMPTY
-    return InsnEffects(uses,
-                       frozenset(_g(n) for n in range(i.rt, 32)),
-                       reads_mem=True, may_fault=True)
-
-
-@_ppc(pdec.exec_stmw)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    uses = set(_g(n) for n in range(i.rt, 32))
-    if i.ra:
-        uses.add(_g(i.ra))
-    return InsnEffects(frozenset(uses), _EMPTY, writes_mem=True,
-                       may_fault=True)
-
-
-def _bc_cond_resources(i: PPCInstr) -> Tuple[set, set]:
-    """uses/defs from the BO/BI condition machinery of bc-family."""
-    bo, bi = i.rt, i.ra
-    uses: set = set()
-    defs: set = set()
-    if not bo & 0x4:               # decrements and tests CTR
-        uses.add("ctr")
-        defs.add("ctr")
-    if not bo & 0x10:              # tests a CR bit
-        uses.add(PPC_CRS[bi >> 2])
-    return uses, defs
-
-
-def _bc_is_conditional(i: PPCInstr) -> bool:
-    bo = i.rt
-    return not (bo & 0x4 and bo & 0x10)
-
-
-@_ppc(pdec.exec_b)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    target = i.imm if i.op2 & 2 else (addr + i.imm) & MASK32
-    if i.op2 & 1:                  # bl: call
-        return InsnEffects(_EMPTY, frozenset({"lr"}), kind=KIND_CALL,
-                           target=target)
-    return InsnEffects(kind=KIND_JUMP, target=target)
-
-
-@_ppc(pdec.exec_bc)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    uses, defs = _bc_cond_resources(i)
-    target = i.imm if i.op2 & 2 else (addr + i.imm) & MASK32
-    if i.op2 & 1:
-        defs.add("lr")
-        kind = KIND_CALL
-    elif _bc_is_conditional(i):
-        kind = KIND_BRANCH
-    else:
-        kind = KIND_JUMP
-    return InsnEffects(frozenset(uses), frozenset(defs), kind=kind,
-                       target=target)
-
-
-@_ppc(pdec.exec_bclr)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    uses, defs = _bc_cond_resources(i)
-    uses.add("lr")
-    if i.op2 & 1:
-        defs.add("lr")
-    kind = KIND_RET if not _bc_is_conditional(i) else KIND_BRANCH
-    return InsnEffects(frozenset(uses), frozenset(defs), kind=kind)
-
-
-@_ppc(pdec.exec_bcctr)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    uses, defs = _bc_cond_resources(i)
-    uses.add("ctr")
-    defs.discard("ctr")            # bcctr never decrements CTR
-    if i.op2 & 1:
-        defs.add("lr")
-    return InsnEffects(frozenset(uses), frozenset(defs),
-                       kind=KIND_JUMP_INDIRECT)
-
-
-@_ppc(pdec.exec_sc)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(may_fault=True, system=True)
-
-
-@_ppc(pdec.exec_twi)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra)}), _EMPTY, may_fault=True)
-
-
-@_ppc(pdec.exec_tw)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.ra), _g(i.rb)}), _EMPTY,
-                       may_fault=True)
-
-
-_NAMED_SPRS = {SPR_XER: "xer", SPR_LR: "lr", SPR_CTR: "ctr"}
-
-
-@_ppc(pdec.exec_mfspr)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    named = _NAMED_SPRS.get(i.imm)
-    uses = frozenset({named}) if named else _EMPTY
-    return InsnEffects(uses, frozenset({_g(i.rt)}), system=named is None)
-
-
-@_ppc(pdec.exec_mtspr)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    named = _NAMED_SPRS.get(i.imm)
-    defs = frozenset({named}) if named else _EMPTY
-    return InsnEffects(frozenset({_g(i.rt)}), defs, system=named is None)
-
-
-@_ppc(pdec.exec_mfmsr)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(_EMPTY, frozenset({_g(i.rt)}), system=True)
-
-
-@_ppc(pdec.exec_mtmsr)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_g(i.rt)}), _EMPTY, may_fault=True,
-                       system=True)
-
-
-@_ppc(pdec.exec_mfcr)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset(PPC_CRS), frozenset({_g(i.rt)}))
-
-
-@_ppc(pdec.exec_rfi)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects(kind=KIND_RET, may_fault=True, system=True)
-
-
-@_ppc(pdec.exec_nopish)
-def _(i: PPCInstr, addr: int) -> InsnEffects:
-    return InsnEffects()
+def _effect_name(node: ast.Name) -> Optional[ast.expr]:
+    return isa.static_names(node) or ast.Name(f"x_{node.id}", node.ctx)
+
+
+def _value(node: ast.AST) -> str:
+    """Effect-function source for a static or loop-index expression."""
+    return isa.rename(node, _effect_name)
+
+
+class _PPCEffects:
+    """Source of one row's effect function, read off its body: register
+    operands read are uses, register operands written are defs, helper
+    calls carry their roles.  Static ifs stay ifs (resolved per decoded
+    instruction); a def on only one side of a runtime if may leave the
+    old value in place, so it is also a use."""
+
+    def __init__(self, op: isa.Op) -> None:
+        self.lines = ["def effects(i, addr):",
+                      "    cia = addr",
+                      "    nia = (addr + 4) & 4294967295",
+                      "    u = set(); d = set(); f = set(); tg = None"]
+        self.sets = 0
+        self.block(op.body, 1, "d")
+        self.lines.append(
+            "    return InsnEffects(frozenset(u), frozenset(d), "
+            "'reads_mem' in f, 'writes_mem' in f, kind(i), tg, "
+            "'may_fault' in f, 'system' in f)")
+
+    def w(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    def block(self, stmts: List[ast.stmt], depth: int, defs: str) -> None:
+        self.w(depth, "pass")
+        for s in stmts:
+            if isinstance(s, ast.If) and isa.is_static(s.test):
+                self.w(depth, f"if {_value(s.test)}:")
+                self.block(s.body, depth + 1, defs)
+                self.w(depth, "else:")
+                self.block(s.orelse, depth + 1, defs)
+            elif isinstance(s, ast.If):
+                self.reads(s.test, depth)
+                sides = []
+                for branch in (s.body, s.orelse):
+                    self.sets += 1
+                    sides.append(f"s{self.sets}")
+                    self.w(depth, f"{sides[-1]} = set()")
+                    self.block(branch, depth, sides[-1])
+                self.w(depth, f"{defs} |= {sides[0]} | {sides[1]}")
+                self.w(depth, f"u |= {sides[0]} ^ {sides[1]}")
+            elif isinstance(s, ast.For):
+                self.w(depth, f"for {_value(s.target)} in {_value(s.iter)}:")
+                self.block(s.body, depth + 1, defs)
+            elif isinstance(s, ast.Assign):
+                self.reads(s.value, depth)
+                self.writes(s.targets[0], depth, defs)
+            elif isinstance(s, ast.Expr):
+                self.reads(s.value, depth)
+            elif not (isinstance(s, ast.AugAssign)
+                      and ast.unparse(s.target) == "cycles"):
+                raise ValueError(f"no effect rule for {ast.unparse(s)!r}")
+
+    def reads(self, node: ast.AST, depth: int) -> None:
+        for sub in ast.walk(node):
+            name = isa.helper(sub)
+            if isinstance(sub, ast.Name) and sub.id in isa.REGS:
+                self.w(depth, f"u.update({isa.REGS[sub.id][2]})")
+            elif isinstance(sub, ast.Subscript) and _is_gpr(sub):
+                self.w(depth, f"u.add(GPRS[{_value(sub.slice)}])")
+            elif isinstance(sub, ast.Call) and name is not None:
+                roles = isa.HELPERS[name][1].split()
+                if roles:
+                    self.w(depth, f"f.update({roles!r})")
+                if name == "branch" and ast.unparse(sub.args[0]) == "target":
+                    self.w(depth, f"tg = {_value(sub.args[0])}")
+
+    def writes(self, target: ast.expr, depth: int, defs: str) -> None:
+        if isinstance(target, ast.Name) and target.id in isa.REGS:
+            self.w(depth, f"{defs}.update({isa.REGS[target.id][2]})")
+        elif isinstance(target, ast.Name) and target.id in isa.FIELDS:
+            self.w(depth, f"{defs}.add(CRS[{isa.FIELDS[target.id]}])")
+        elif isinstance(target, ast.Subscript) and _is_gpr(target):
+            self.w(depth, f"{defs}.add(GPRS[{_value(target.slice)}])")
+
+
+def _is_gpr(node: ast.Subscript) -> bool:
+    return isinstance(node.value, ast.Name) and node.value.id == "gpr"
+
+
+def _ppc_effects(op: isa.Op) -> Callable[[PPCInstr, int], InsnEffects]:
+    kind = op.kind if op.kind is not None else (lambda i: KIND_FALL)
+    ns = dict(isa.NS, InsnEffects=InsnEffects, kind=kind)
+    exec(compile("\n".join(_PPCEffects(op).lines), f"<effects {op.name}>",
+                 "exec"), ns)
+    return cast(Callable[[PPCInstr, int], InsnEffects], ns["effects"])
+
+
+#: effect function per row, generated on first use
+_PPC_EFFECT_FNS: Dict[isa.Op, Callable[[PPCInstr, int], InsnEffects]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -1100,13 +896,18 @@ def insn_effects(insn: Union[Instr, PPCInstr], addr: int) -> InsnEffects:
     """
     if isinstance(insn, Instr):
         handler = _X86_EFFECTS.get(insn.execute)
+        if handler is not None:
+            return handler(insn, addr)
     else:
-        handler = _PPC_EFFECTS.get(insn.execute)
-    if handler is None:
-        raise UnknownInstructionError(
-            f"no effect model for {insn.mnemonic!r} "
-            f"({getattr(insn.execute, '__name__', insn.execute)})")
-    return handler(insn, addr)
+        op = isa.BY_EXECUTE.get(insn.execute)
+        if op is not None:
+            ppc = _PPC_EFFECT_FNS.get(op)
+            if ppc is None:
+                ppc = _PPC_EFFECT_FNS[op] = _ppc_effects(op)
+            return ppc(insn, addr)
+    raise UnknownInstructionError(
+        f"no effect model for {insn.mnemonic!r} "
+        f"({getattr(insn.execute, '__name__', insn.execute)})")
 
 
 def resources_for(arch: str) -> Tuple[str, ...]:

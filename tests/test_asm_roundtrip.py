@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.ppc import decoder as ppc_decoder
-from repro.ppc.assembler import PPCAssembler
+from repro.ppc.assembler import PPCAssembler, dform, xform
 from repro.ppc.disasm import disassemble_word
 from repro.x86 import decoder as x86_decoder
 from repro.x86.assembler import Mem, X86Assembler
@@ -206,3 +206,20 @@ class TestPPCRoundtrip:
         assert text == "lwz r11,40(r31)"
         _, text = disassemble_word(0x2C0B0000)
         assert text == "cmpwi r11,0"
+
+    def test_disassembly_operands(self):
+        """Every row formats its operands (the table's syntax column),
+        including the ones the disassembler once printed bare."""
+        cases = {
+            0x6C640010: "xoris r4,r3,16",
+            dform(29, 3, 4, 0xFF00): "andis. r4,r3,65280",
+            dform(8, 3, 4, 50): "subfic r3,r4,50",
+            dform(8, 3, 4, -1): "subfic r3,r4,-1",
+            xform(31, 5, 6, 7, 138): "adde r5,r6,r7",
+            xform(31, 5, 6, 0, 202): "addze r5,r6",
+            xform(31, 4, 3, 0, 26): "cntlzw r3,r4",
+            xform(31, 4, 3, 0, 954): "extsb r3,r4",
+            xform(31, 4, 3, 0, 922): "extsh r3,r4",
+        }
+        for word, expected in cases.items():
+            assert disassemble_word(word)[1] == expected
