@@ -102,9 +102,10 @@ class CheckpointLadder:
     boot_instret: int
     total_instret: int
     checkpoints: List[Checkpoint]
-    #: the capture run's compiled blocks; the context's base machine
-    #: adopts them, sound because the capture never changes kernel
-    #: text (asserted) and adopted blocks re-validate on first use
+    #: the capture run's compiled blocks; every rung and the context's
+    #: base machine adopt them, sound because the capture never
+    #: changes kernel text (asserted) and adopted blocks re-validate
+    #: on first use
     blocks: Optional[BlockCache] = None
 
     def best_for(self, trigger_instret: int,
@@ -197,13 +198,20 @@ def build_ladder(context, count: int) -> CheckpointLadder:
             != image.text_bytes:
         raise LadderInvariantError(
             "capture run wrote kernel text: its compiled blocks are "
-            "not valid on the base machine")
+            "not valid on the base machine or the rungs")
     for checkpoint in checkpoints:
         if checkpoint.machine._rng is not None:
             raise LadderInvariantError(
                 "captured machine carries a materialized RNG")
 
+    # each rung was forked partway through the window; give it the
+    # blocks the rest of the window compiled too (sound for the same
+    # reason the base machine's adoption is: no kernel-text write)
+    blocks = machine.cpu._block_cache
+    for checkpoint in checkpoints:
+        checkpoint.machine.cpu._block_cache.inherit(blocks)
+
     return CheckpointLadder(
         arch=context.arch, seed=context.seed, ops=context.ops,
         boot_instret=boot, total_instret=total,
-        checkpoints=checkpoints, blocks=machine.cpu._block_cache)
+        checkpoints=checkpoints, blocks=blocks)

@@ -2,12 +2,22 @@
 
 A *superblock* here is a straight-line run of decoded instructions
 ending at the first control-flow terminator, system instruction, basic
-block leader (from the static CFG when one is available), unknown
-encoding, or size cap.  Each run is handed to the per-arch generator
-(``gen_x86``/``gen_ppc``) which emits one Python function with operand
-fields, register indices and memory handlers bound at compile time, so
-per-instruction dispatch cost is paid once per block instead of once
-per instruction.
+block leader (from the static CFG), unknown encoding, or size cap.
+Each run is handed to the per-arch generator (``gen_x86``/``gen_ppc``)
+which emits one Python function with operand fields, register indices
+and memory handlers bound at compile time, so per-instruction dispatch
+cost is paid once per block instead of once per instruction.
+
+When a block compiles: only code that runs again.  ``lookup_block``
+compiles on every call, but the dispatch loop
+(``Machine.call_kernel``) calls it only for an address that is in the
+warm tier or was already missed once (``BlockCache.missed``); an
+address's first miss is single-stepped and remembered.  Compiling
+costs far more than stepping one instruction, and most first misses
+never come back: the successive mid-block addresses just before an
+injection instant (whose blocks the pending-action guard would refuse
+to run anyway), the tail after a fault fires, crash paths.  The missed
+set starts empty in every fork.
 
 Correctness contract (everything the step core observes must match):
 
@@ -28,12 +38,16 @@ Correctness contract (everything the step core observes must match):
 The cache mirrors the two-tier warm icache: ``fork()`` snapshots the
 parent's blocks into the child's warm tier (shared dict, copy-on-write
 on first eviction), and the first execution re-validates via
-``_prepare`` exactly like a warm icache hit does.
+``_prepare`` exactly like a warm icache hit does.  A campaign's
+machines start with the whole clean window's blocks: the checkpoint
+ladder's capture run compiles them once, and the context's base
+machine and every ladder rung ``inherit`` its final cache (see
+``repro.checkpoint.ladder``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.isa.faults import AccessKind, MemoryFault
 from repro.static.effects import UnknownInstructionError, insn_effects
@@ -79,15 +93,17 @@ class BlockCache:
     icache (safe to run directly); ``warm`` holds inherited or demoted
     blocks that must pass ``_prepare`` before running.  The warm dict
     may be shared with forked machines and is copied before the first
-    mutation.
+    mutation.  ``missed`` holds the addresses the dispatch loop has
+    single-stepped on a first miss; it is never inherited.
     """
 
-    __slots__ = ("hot", "warm", "_warm_owned", "_version",
+    __slots__ = ("hot", "warm", "missed", "_warm_owned", "_version",
                  "_snapshot", "_snapshot_version")
 
     def __init__(self) -> None:
         self.hot: Dict[int, CompiledBlock] = {}
         self.warm: Dict[int, CompiledBlock] = {}
+        self.missed: Set[int] = set()
         self._warm_owned = True
         self._version = 0
         self._snapshot: Optional[Dict[int, CompiledBlock]] = None
@@ -157,35 +173,28 @@ class BlockCache:
 # block-leader discovery (static CFG, cached per kernel image)
 
 _LEADER_ATTR = "_compiled_block_leaders"
-_leader_fallback: Dict[int, frozenset] = {}
 
 
 def leaders_for(arch: str, image) -> frozenset:
-    """Basic-block leader addresses from the static CFG; empty set when
-    no CFG can be built (decode-until-branch fallback).
+    """Basic-block leader addresses from the static CFG of *image*.
+
+    ``image`` None (raw-memory harnesses with no kernel) means no
+    leaders: blocks then end only at terminators and the size cap.  A
+    CFG that fails to build on a real image raises.
 
     Cached on the image object itself — ``build_kernel`` is lru-cached,
     so every machine for an arch shares one image and one leader set.
     """
+    if image is None:
+        return frozenset()
     cached = getattr(image, _LEADER_ATTR, None)
     if cached is not None:
         return cached
-    cached = _leader_fallback.get(id(image))
-    if cached is not None:
-        return cached
-    try:
-        from repro.static.cfg import build_cfg
-        cfg = build_cfg(arch, image)
-        leaders = set()
-        for function in cfg.functions.values():
-            leaders.update(function.blocks)
-        leaders = frozenset(leaders)
-    except Exception:
-        leaders = frozenset()
-    try:
-        setattr(image, _LEADER_ATTR, leaders)
-    except Exception:
-        _leader_fallback[id(image)] = leaders
+    from repro.static.cfg import build_cfg
+    cfg = build_cfg(arch, image)
+    leaders = frozenset(address for function in cfg.functions.values()
+                        for address in function.blocks)
+    setattr(image, _LEADER_ATTR, leaders)
     return leaders
 
 
@@ -284,8 +293,9 @@ def _prepare(cpu, block: CompiledBlock, gen) -> bool:
 def lookup_block(cpu, cache: BlockCache, addr: int, arch: str,
                  image) -> Optional[CompiledBlock]:
     """Slow path behind a hot-tier miss: try the warm tier, else
-    compile.  Returns a hot-ready block, a negative marker, or None
-    (caller single-steps)."""
+    compile (always; the dispatch loop's second-miss policy decides
+    when to call this).  Returns a hot-ready block, a negative marker,
+    or None (caller single-steps)."""
     gen = _generator(arch)
     block = cache.warm.get(addr)
     if block is not None:

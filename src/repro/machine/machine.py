@@ -423,11 +423,16 @@ class Machine:
         # unobservable because dispatch only runs a block when the
         # budget/pending-action/watchdog checks could not fire inside
         # it (the guards below are sufficient, not just heuristics).
+        # A block compiles only on an address's second miss: the first
+        # is stepped and remembered in ``cache.missed``, so code that
+        # runs once (the approach to an injection instant, crash
+        # paths) is never compiled.
         cache = cpu._block_cache
         use_blocks = (cache is not None and self.trace is None
                       and cpu.tracer is None)
         if use_blocks:
             hot = cache.hot
+            missed = cache.missed
             debug = cpu.debug
             wd = self.watchdog
             arch, image = self.arch, self.image
@@ -452,7 +457,11 @@ class Machine:
                 if fetch_ok:
                     blk = hot.get(addr)
                     if blk is None:
-                        blk = lookup_block(cpu, cache, addr, arch, image)
+                        if addr in missed or addr in cache.warm:
+                            blk = lookup_block(cpu, cache, addr, arch,
+                                               image)
+                        else:
+                            missed.add(addr)
                     if (blk is not None and blk.fn is not None
                             and steps + blk.n <= budget
                             and (pending is None

@@ -21,13 +21,16 @@ promise two ways:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compile import BlockCache, lookup_block
+import repro.static.cfg as cfg_mod
+from repro.compile import BlockCache, leaders_for, lookup_block
 from repro.isa.memory import Region
+from repro.kernel.build import build_kernel
 from repro.machine.machine import Machine, MachineConfig
 from repro.ppc.assembler import PPCAssembler
 from repro.ppc.cpu import PPCCPU
@@ -456,3 +459,30 @@ class TestKernelWorkload:
             driver.run(10)
             finals[mode] = _snapshot(arch, clone.cpu)
         assert finals["step"] == finals["block"]
+
+
+class TestLeaders:
+    def test_no_image_means_no_leaders(self):
+        """Raw-memory harnesses pass no image: blocks end only at
+        terminators and the size cap."""
+        assert leaders_for("x86", None) == frozenset()
+        assert leaders_for("ppc", None) == frozenset()
+
+    @pytest.mark.parametrize("arch", ["x86", "ppc"])
+    def test_real_image_leaders_cached_on_image(self, arch):
+        image = dataclasses.replace(build_kernel(arch))
+        leaders = leaders_for(arch, image)
+        assert image.functions[next(iter(image.functions))].addr \
+            in leaders
+        assert leaders_for(arch, image) is leaders
+
+    @pytest.mark.parametrize("arch", ["x86", "ppc"])
+    def test_cfg_failure_on_real_image_raises(self, arch, monkeypatch):
+        """A real kernel whose CFG cannot be built must not fall back
+        silently to decode-until-branch blocks."""
+        def broken(*args, **kwargs):
+            raise RuntimeError("cfg build failed")
+        monkeypatch.setattr(cfg_mod, "build_cfg", broken)
+        image = dataclasses.replace(build_kernel(arch))
+        with pytest.raises(RuntimeError, match="cfg build failed"):
+            leaders_for(arch, image)

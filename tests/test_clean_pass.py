@@ -11,7 +11,8 @@ one pass that replaced both runs must reproduce all of them exactly.
 
 The file also checks the structure of context construction: one boot,
 two window runs (the observed pass and the block-mode replay), and a
-base machine whose block cache already holds the window's blocks.
+base machine and ladder rungs whose block caches already hold the
+window's blocks, so a campaign's experiments compile almost nothing.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.compile.blocks as blocks_mod
 import repro.injection.campaign as campaign_mod
 from repro.checkpoint.ladder import DEFAULT_CHECKPOINTS
 from repro.injection.campaign import (
@@ -115,3 +117,57 @@ def test_checkpoints_off_experiments_start_warm(x86_context):
     run = InjectionRun(spec)
     assert run.machine.cpu._block_cache.warm is window_blocks
     assert window_blocks
+
+
+def _same_blocks(cache, window_blocks) -> bool:
+    """*cache* holds exactly *window_blocks*, object for object."""
+    blocks = cache.snapshot()
+    return blocks.keys() == window_blocks.keys() and all(
+        blocks[addr] is block for addr, block in window_blocks.items())
+
+
+@pytest.mark.parametrize("arch", ["x86", "ppc"])
+def test_rung_dispatched_experiments_start_warm(arch, request):
+    """Every rung, and an experiment forked from one, holds the whole
+    window's blocks — not just those compiled before the rung's
+    capture instant."""
+    context = request.getfixturevalue(f"{arch}_context")
+    window_blocks = context.base_machine.cpu._block_cache.snapshot()
+    assert window_blocks
+    ladder = context.ladder(DEFAULT_CHECKPOINTS)
+    assert len(ladder.checkpoints) > 1
+    for checkpoint in ladder.checkpoints:
+        assert _same_blocks(checkpoint.machine.cpu._block_cache,
+                            window_blocks)
+    config = CampaignConfig(arch=arch, kind=CampaignKind.REGISTER,
+                            count=8, seed=0, ops=context.ops)
+    campaign = Campaign(config, context)
+    specs = [campaign.spec_for(index, target) for index, target
+             in enumerate(campaign.generate_targets())]
+    spec = next(spec for spec in specs if spec.checkpoint is not None)
+    run = InjectionRun(spec)
+    assert _same_blocks(run.machine.cpu._block_cache, window_blocks)
+
+
+@pytest.mark.parametrize("arch", ["x86", "ppc"])
+def test_register_campaign_compiles_no_block_it_discards(
+        arch, request, monkeypatch):
+    """Experiments start with the window's blocks and compile an
+    address only on its second miss, so a register campaign compiles
+    nothing the window already has and far fewer blocks than it runs
+    experiments."""
+    context = request.getfixturevalue(f"{arch}_context")
+    window_blocks = context.base_machine.cpu._block_cache.snapshot()
+    compiled = []
+    real = blocks_mod.compile_block
+
+    def counting(cpu, addr, *args):
+        compiled.append(addr)
+        return real(cpu, addr, *args)
+    monkeypatch.setattr(blocks_mod, "compile_block", counting)
+    config = CampaignConfig(arch=arch, kind=CampaignKind.REGISTER,
+                            count=20, seed=0, ops=context.ops)
+    result = Campaign(config, context).run()
+    assert len(result.results) == 20
+    assert not set(compiled) & window_blocks.keys()
+    assert len(compiled) < len(result.results)

@@ -441,6 +441,9 @@ class TestBlockCacheSMC:
         invalidated their hot-tier guarantee)."""
         base = _machine(arch, booted_x86, booted_ppc)
         clone = base.fork()
+        # a block compiles on its address's second miss: run the path
+        # twice so the second pass leaves its blocks hot
+        clone.syscall(1)
         clone.syscall(1)
         cache = clone.cpu._block_cache
         assert cache is not None and cache.hot, \
