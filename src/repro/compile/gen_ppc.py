@@ -15,10 +15,12 @@ observation points are replicated exactly:
   instructions and always via plain attribute access.
 * Loads add the +2 misalignment penalty *before* the permission check;
   misaligned stores raise ALIGNMENT before checking, exactly like
-  ``cpu.store``.
+  ``cpu.store``.  The access itself is the big-endian soft-TLB
+  lowering of :mod:`repro.compile.access`.
 * The MSR[DR]-clear trap (``_high_data_fault``) is hoisted into a
-  local: only system instructions can change it and they always end a
-  block.
+  local and tested before the TLB probe: only system instructions can
+  change it and they always end a block.  ``translation_on`` never
+  changes on this core.
 * Every taken branch goes through the BTIC-poisoning check; the
   poisoned path delegates to ``cpu.branch`` so the PROGRAM fault is
   raised with identical attribution.
@@ -30,6 +32,7 @@ import ast
 import re
 from typing import Callable, List, Tuple
 
+from repro.compile.access import load, store
 from repro.isa.faults import AccessKind, MemoryFault
 from repro.ppc import decoder as pdec
 from repro.ppc import isa
@@ -69,6 +72,11 @@ def fetch(cpu, addr: int):
 
 
 class _Gen:
+    #: byte order and watchpoint-hook state sync for repro.compile.access
+    little = False
+    sync = ("cpu.cycles = cyc; cpu.instret = ins + ri; cpu.cr = cr; "
+            "cpu.current_pc = cur; cpu.pc = nxt")
+
     def __init__(self) -> None:
         self.lines: List[str] = []
         self.ns: Dict[str, object] = {
@@ -108,120 +116,28 @@ class _Gen:
         self.w(f"cur = {a}; nxt = {n}; ri = {k}")
 
 
-def _wp_sync(g: _Gen, width: int, kind: str) -> None:
-    g.w("if debug._watchpoints:")
-    g.w("    cpu.cycles = cyc; cpu.instret = ins + ri; cpu.cr = cr")
-    g.w("    cpu.current_pc = cur; cpu.pc = nxt")
-    g.w(f"    debug.check_access(a_, {width}, {kind}, cyc)")
-
-
-_READS = {4: "mem.read_u32(a_, False)", 2: "mem.read_u16(a_, False)",
-          1: "mem.read_u8(a_)"}
-
-
 def _load(g: _Gen, width: int, known_aligned: bool = False) -> None:
-    """cpu.load(); address in ``a_``, result in ``v_``.
-
-    The fast path inlines ``aspace.check``'s last-region hit (the same
-    containment + permission test, without the call) and the
-    single-page big-endian read; the G4 core never turns
-    ``translation_on`` off (high-address faults go through the ``hdf``
-    guard above instead).  Misses fall back to the real calls so
-    faults are attributed identically.  ``known_aligned`` skips the
-    misalignment cycle penalty when the emitter has already proven
-    word alignment (lmw)."""
+    """cpu.load(): the MSR[DR] trap, then the +2 misalignment penalty
+    before the permission check (skipped when the emitter has proven
+    word alignment: lmw), then the shared lowering."""
     g.w("if hdf is not None and a_ >= 2147483648:")
     g.w("    cpu._high_data_trap(a_)")
     if width > 1 and not known_aligned:
         g.w(f"if a_ & {width - 1}:")
         g.w("    cyc += 2")
-    cell = g.bind("s", [None, None, -1])
-    g.w(f"rg_ = {cell}[0]")
-    g.w(f"if {cell}[1] is aspace and {cell}[2] == aspace._epoch and "
-        f"rg_.start <= a_ and "
-        f"a_ + {width} <= rg_.start + rg_.size and \"r\" in rg_.perm:")
-    if width == 4:
-        g.w("    o_ = a_ & 4095")
-        g.w("    pg_ = pages.get(a_ >> 12)")
-        g.w("    if pg_ is not None and o_ < 4093:")
-        g.w("        v_ = (pg_[o_] << 24) | (pg_[o_ + 1] << 16) | "
-            "(pg_[o_ + 2] << 8) | pg_[o_ + 3]")
-        g.w("    else:")
-        g.w("        v_ = mem.read_u32(a_, False)")
-    elif width == 2:
-        g.w("    o_ = a_ & 4095")
-        g.w("    pg_ = pages.get(a_ >> 12)")
-        g.w("    if pg_ is not None and o_ < 4095:")
-        g.w("        v_ = (pg_[o_] << 8) | pg_[o_ + 1]")
-        g.w("    else:")
-        g.w("        v_ = mem.read_u16(a_, False)")
-    else:
-        g.w("    pg_ = pages.get(a_ >> 12)")
-        g.w("    v_ = pg_[a_ & 4095] if pg_ is not None else 0")
-    g.w("else:")
-    g.w("    try:")
-    g.w(f"        aspace.check(a_, {width}, AKR)")
-    g.w("    except MF as mf:")
-    g.w("        cpu._memfault(mf)")
-    g.w(f"    v_ = {_READS[width]}")
-    g.w(f"    {cell}[0] = aspace._last; {cell}[1] = aspace; "
-        f"{cell}[2] = aspace._epoch")
-    g.w("cyc += 2")
-    _wp_sync(g, width, "AKR")
+    load(g, width, known_aligned)
 
 
 def _store(g: _Gen, width: int, value: str,
            known_aligned: bool = False) -> None:
-    """Mirror of :func:`_load` for writes; the fast path additionally
-    requires the page to be private (COW pages and misses go through
-    ``mem.write_*`` which privatizes)."""
+    """cpu.store(): the MSR[DR] trap, then ALIGNMENT for a misaligned
+    store before checking — so the access never crosses a page."""
     g.w("if hdf is not None and a_ >= 2147483648:")
     g.w("    cpu._high_data_trap(a_)")
     if width > 1 and not known_aligned:
         g.w(f"if a_ & {width - 1}:")
         g.w(f'    raise PF(ALV, a_, "unaligned {width}-byte store")')
-    cell = g.bind("s", [None, None, -1])
-    g.w(f"rg_ = {cell}[0]")
-    g.w(f"if {cell}[1] is aspace and {cell}[2] == aspace._epoch and "
-        f"rg_.start <= a_ and "
-        f"a_ + {width} <= rg_.start + rg_.size and \"w\" in rg_.perm:")
-    g.w("    pi_ = a_ >> 12")
-    g.w("    pg_ = pages.get(pi_)")
-    if width == 4:
-        g.w("    o_ = a_ & 4095")
-        g.w("    if pg_ is not None and o_ < 4093 and pi_ not in shared_:")
-        g.w(f"        pg_[o_:o_ + 4] = "
-            f"(({value}) & 4294967295).to_bytes(4, \"big\")")
-        g.w("    else:")
-        g.w(f"        mem.write_u32(a_, {value}, False)")
-    elif width == 2:
-        g.w("    o_ = a_ & 4095")
-        g.w("    if pg_ is not None and o_ < 4095 and pi_ not in shared_:")
-        g.w(f"        t_ = {value}")
-        g.w("        pg_[o_] = (t_ >> 8) & 255")
-        g.w("        pg_[o_ + 1] = t_ & 255")
-        g.w("    else:")
-        g.w(f"        mem.write_u16(a_, {value}, False)")
-    else:
-        g.w("    if pg_ is not None and pi_ not in shared_:")
-        g.w(f"        pg_[a_ & 4095] = ({value}) & 255")
-        g.w("    else:")
-        g.w(f"        mem.write_u8(a_, {value})")
-    g.w("else:")
-    g.w("    try:")
-    g.w(f"        aspace.check(a_, {width}, AKW)")
-    g.w("    except MF as mf:")
-    g.w("        cpu._memfault(mf)")
-    if width == 4:
-        g.w(f"    mem.write_u32(a_, {value}, False)")
-    elif width == 2:
-        g.w(f"    mem.write_u16(a_, {value}, False)")
-    else:
-        g.w(f"    mem.write_u8(a_, {value})")
-    g.w(f"    {cell}[0] = aspace._last; {cell}[1] = aspace; "
-        f"{cell}[2] = aspace._epoch")
-    g.w("cyc += 2")
-    _wp_sync(g, width, "AKW")
+    store(g, width, value, aligned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +450,8 @@ def generate(nodes: List[Tuple[int, object]], ends_hard: bool):
         "def _block(cpu):",
         "    gpr = cpu.gpr",
         "    mem = cpu.mem",
-        "    pages = mem._pages",
-        "    shared_ = mem._shared",
+        "    rtlb = mem.rtlb",
+        "    wtlb = mem.wtlb",
         "    aspace = cpu.aspace",
         "    debug = cpu.debug",
         "    cyc = cpu.cycles",

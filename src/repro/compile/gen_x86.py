@@ -21,11 +21,15 @@ callback, executor call, block exit):
   ``cyc`` is step-exact whenever it can be observed.  Dynamic costs
   (+2 per memory access, +2 per taken branch) are emitted at their
   exact step positions.
-* Memory accesses replicate ``cpu.load``/``cpu.store`` verbatim for
-  the safe segments (ES/CS/SS/DS, whose base is 0): permission check,
-  ``_memfault`` translation, access, ``cycles += 2``, watchpoint hook
-  with fully synced state.  FS/GS operands and sub-word ALU widths
-  fall back to the generic executor.
+* Memory accesses through the safe segments (ES/CS/SS/DS, whose base
+  is 0) are lowered by :mod:`repro.compile.access`: a soft-TLB page
+  hit touches the page buffer directly, a miss runs ``cpu.load``/
+  ``cpu.store``'s permission check, ``_memfault`` translation and
+  access verbatim; then ``cycles += 2`` and the watchpoint hook with
+  fully synced state.  No ``translation_on`` test is needed: blocks
+  are dispatched only with translation on, and it changes only inside
+  system instructions, which end their block.  FS/GS operands and
+  sub-word ALU widths fall back to the generic executor.
 
 Inlining is only attempted for instruction *instances* that qualify;
 any ineligible instance silently degrades to a generic step, never to
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
+from repro.compile.access import load, store
 from repro.isa.faults import AccessKind, MemoryFault
 from repro.x86 import decoder as xdec
 from repro.x86.registers import SEG_CS, SEG_DS, SEG_ES, SEG_SS
@@ -83,6 +88,11 @@ def fetch(cpu, addr: int):
 
 
 class _Gen:
+    #: byte order and watchpoint-hook state sync for repro.compile.access
+    little = True
+    sync = ("cpu.cycles = cyc; cpu.instret = ins + ri; cpu.eflags = ef; "
+            "cpu.current_eip = cur; cpu.eip = nxt")
+
     def __init__(self) -> None:
         self.lines: List[str] = []
         self.ns: Dict[str, object] = {
@@ -135,119 +145,11 @@ def _ea_expr(i) -> str:
     return "(" + " + ".join(parts) + ") & 4294967295"
 
 
-_READS = {4: "mem.read_u32(a_, True)", 2: "mem.read_u16(a_, True)",
-          1: "mem.read_u8(a_)"}
-
-
-def _wp_sync(g: _Gen, width: int, kind: str) -> None:
-    g.w("if debug._watchpoints:")
-    g.w("    cpu.cycles = cyc; cpu.instret = ins + ri; cpu.eflags = ef")
-    g.w("    cpu.current_eip = cur; cpu.eip = nxt")
-    g.w(f"    debug.check_access(a_, {width}, {kind}, cyc)")
-
-
-def _load(g: _Gen, width: int) -> None:
-    """cpu.load() for a safe segment; address in ``a_``, result in ``v_``.
-
-    The fast path inlines ``aspace.check``'s region hit (same
-    containment + permission test, no call) against a per-site region
-    cell that persists across executions — each access site has
-    near-perfect region locality even when a block interleaves stack
-    and data traffic.  The cell is keyed on the address-space identity
-    and its layout epoch, so unmapping (or running the shared block on
-    a forked machine) forces one slow-path refresh.
-    ``translation_on`` needs no test here: block dispatch requires it,
-    and mid-block it only changes inside system instructions, which
-    always end their block.  Any miss falls back to the real
-    ``check``/read calls, so faults are attributed identically."""
-    cell = g.bind("s", [None, None, -1])
-    g.w(f"rg_ = {cell}[0]")
-    g.w(f"if {cell}[1] is aspace and {cell}[2] == aspace._epoch and "
-        f"rg_.start <= a_ and "
-        f"a_ + {width} <= rg_.start + rg_.size and \"r\" in rg_.perm:")
-    if width == 4:
-        g.w("    o_ = a_ & 4095")
-        g.w("    pg_ = pages.get(a_ >> 12)")
-        g.w("    if pg_ is not None and o_ < 4093:")
-        g.w("        v_ = pg_[o_] | (pg_[o_ + 1] << 8) | "
-            "(pg_[o_ + 2] << 16) | (pg_[o_ + 3] << 24)")
-        g.w("    else:")
-        g.w("        v_ = mem.read_u32(a_, True)")
-    elif width == 2:
-        g.w("    o_ = a_ & 4095")
-        g.w("    pg_ = pages.get(a_ >> 12)")
-        g.w("    if pg_ is not None and o_ < 4095:")
-        g.w("        v_ = pg_[o_] | (pg_[o_ + 1] << 8)")
-        g.w("    else:")
-        g.w("        v_ = mem.read_u16(a_, True)")
-    else:
-        g.w("    pg_ = pages.get(a_ >> 12)")
-        g.w("    v_ = pg_[a_ & 4095] if pg_ is not None else 0")
-    g.w("else:")
-    g.w("    try:")
-    g.w(f"        aspace.check(a_, {width}, AKR)")
-    g.w("    except MF as mf:")
-    g.w("        cpu._memfault(mf)")
-    g.w(f"    v_ = {_READS[width]}")
-    g.w(f"    {cell}[0] = aspace._last; {cell}[1] = aspace; "
-        f"{cell}[2] = aspace._epoch")
-    g.w("cyc += 2")
-    _wp_sync(g, width, "AKR")
-
-
-def _store(g: _Gen, width: int, value: str) -> None:
-    """Mirror of :func:`_load` for writes; the fast path additionally
-    requires the page to be private (COW pages and misses go through
-    ``mem.write_*`` which privatizes)."""
-    cell = g.bind("s", [None, None, -1])
-    g.w(f"rg_ = {cell}[0]")
-    g.w(f"if {cell}[1] is aspace and {cell}[2] == aspace._epoch and "
-        f"rg_.start <= a_ and "
-        f"a_ + {width} <= rg_.start + rg_.size and \"w\" in rg_.perm:")
-    g.w("    pi_ = a_ >> 12")
-    g.w("    pg_ = pages.get(pi_)")
-    if width == 4:
-        g.w("    o_ = a_ & 4095")
-        g.w("    if pg_ is not None and o_ < 4093 and pi_ not in shared_:")
-        g.w(f"        pg_[o_:o_ + 4] = "
-            f"(({value}) & 4294967295).to_bytes(4, \"little\")")
-        g.w("    else:")
-        g.w(f"        mem.write_u32(a_, {value}, True)")
-    elif width == 2:
-        g.w("    o_ = a_ & 4095")
-        g.w("    if pg_ is not None and o_ < 4095 and pi_ not in shared_:")
-        g.w(f"        t_ = {value}")
-        g.w("        pg_[o_] = t_ & 255")
-        g.w("        pg_[o_ + 1] = (t_ >> 8) & 255")
-        g.w("    else:")
-        g.w(f"        mem.write_u16(a_, {value}, True)")
-    else:
-        g.w("    if pg_ is not None and pi_ not in shared_:")
-        g.w(f"        pg_[a_ & 4095] = ({value}) & 255")
-        g.w("    else:")
-        g.w(f"        mem.write_u8(a_, {value})")
-    g.w("else:")
-    g.w("    try:")
-    g.w(f"        aspace.check(a_, {width}, AKW)")
-    g.w("    except MF as mf:")
-    g.w("        cpu._memfault(mf)")
-    if width == 4:
-        g.w(f"    mem.write_u32(a_, {value}, True)")
-    elif width == 2:
-        g.w(f"    mem.write_u16(a_, {value}, True)")
-    else:
-        g.w(f"    mem.write_u8(a_, {value})")
-    g.w(f"    {cell}[0] = aspace._last; {cell}[1] = aspace; "
-        f"{cell}[2] = aspace._epoch")
-    g.w("cyc += 2")
-    _wp_sync(g, width, "AKW")
-
-
 def _push(g: _Gen, value: str) -> None:
     """push32 with the value expression pre-captured by the caller."""
     g.w("regs[4] = (regs[4] - 4) & 4294967295")
     g.w("a_ = regs[4]")
-    _store(g, 4, value)
+    store(g, 4, value)
 
 
 # -- EFLAGS algebra (width-4 only) ------------------------------------------
@@ -333,11 +235,11 @@ def _e_alu_rm_r(g, i, a, n, k) -> bool:
         return False
     g.entry(a, n, k)
     g.w(f"a_ = {_ea_expr(i)}")
-    _load(g, 4)
+    load(g, 4)
     g.w("va_ = v_")
     g.w(f"vb_ = regs[{i.reg}]")
     if _alu_body(g, i.op2):
-        _store(g, 4, "r_")
+        store(g, 4, "r_")
     return True
 
 
@@ -351,7 +253,7 @@ def _e_alu_r_rm(g, i, a, n, k) -> bool:
             return False
         g.entry(a, n, k)
         g.w(f"a_ = {_ea_expr(i)}")
-        _load(g, 4)
+        load(g, 4)
         g.w("vb_ = v_")
     g.w(f"va_ = regs[{i.reg}]")
     if _alu_body(g, i.op2):
@@ -382,11 +284,11 @@ def _e_grp1_rm_imm(g, i, a, n, k) -> bool:
         return False
     g.entry(a, n, k)
     g.w(f"a_ = {_ea_expr(i)}")
-    _load(g, 4)
+    load(g, 4)
     g.w("va_ = v_")
     g.w(f"vb_ = {i.imm & M}")
     if _alu_body(g, i.op2):
-        _store(g, 4, "r_")
+        store(g, 4, "r_")
     return True
 
 
@@ -400,7 +302,7 @@ def _e_test_rm_r(g, i, a, n, k) -> bool:
             return False
         g.entry(a, n, k)
         g.w(f"a_ = {_ea_expr(i)}")
-        _load(g, 4)
+        load(g, 4)
         g.w(f"r_ = v_ & regs[{i.reg}]")
     _flags_logic(g)
     return True
@@ -424,7 +326,7 @@ def _e_mov_rm_r(g, i, a, n, k) -> bool:
         return False
     g.entry(a, n, k)
     g.w(f"a_ = {_ea_expr(i)}")
-    _store(g, 4, f"regs[{i.reg}]")
+    store(g, 4, f"regs[{i.reg}]")
     return True
 
 
@@ -438,7 +340,7 @@ def _e_mov_r_rm(g, i, a, n, k) -> bool:
         return False
     g.entry(a, n, k)
     g.w(f"a_ = {_ea_expr(i)}")
-    _load(g, 4)
+    load(g, 4)
     g.w(f"regs[{i.reg}] = v_")
     return True
 
@@ -460,7 +362,7 @@ def _e_mov_rm_imm(g, i, a, n, k) -> bool:
         return False
     g.entry(a, n, k)
     g.w(f"a_ = {_ea_expr(i)}")
-    _store(g, 4, str(i.imm & M))
+    store(g, 4, str(i.imm & M))
     return True
 
 
@@ -483,7 +385,7 @@ def _e_movzx(g, i, a, n, k) -> bool:
         return False
     g.entry(a, n, k)
     g.w(f"a_ = {_ea_expr(i)}")
-    _load(g, sw)
+    load(g, sw)
     g.w(f"regs[{i.reg}] = v_")
     return True
 
@@ -499,7 +401,7 @@ def _e_movsx(g, i, a, n, k) -> bool:
             return False
         g.entry(a, n, k)
         g.w(f"a_ = {_ea_expr(i)}")
-        _load(g, sw)
+        load(g, sw)
     if sw == 1:
         g.w(f"regs[{i.reg}] = (v_ | 4294967040) if v_ & 128 else v_")
     else:
@@ -563,7 +465,7 @@ def _e_pushfd(g, i, a, n, k) -> bool:
 def _e_pop_r(g, i, a, n, k) -> bool:
     g.entry(a, n, k)
     g.w("a_ = regs[4]")
-    _load(g, 4)
+    load(g, 4)
     g.w("regs[4] = (regs[4] + 4) & 4294967295")
     g.w(f"regs[{i.reg}] = v_")
     return True
@@ -573,7 +475,7 @@ def _e_leave(g, i, a, n, k) -> bool:
     g.entry(a, n, k)
     g.w("regs[4] = regs[5]")
     g.w("a_ = regs[4]")
-    _load(g, 4)
+    load(g, 4)
     g.w("regs[4] = (regs[4] + 4) & 4294967295")
     g.w("regs[5] = v_")
     return True
@@ -649,7 +551,7 @@ def _e_call_rel(g, i, a, n, k) -> bool:
 def _e_ret(g, i, a, n, k) -> bool:
     g.entry(a, n, k)
     g.w("a_ = regs[4]")
-    _load(g, 4)
+    load(g, 4)
     g.w("regs[4] = (regs[4] + 4) & 4294967295")
     g.w("cpu.eip = v_")
     g.w("cyc += 2")
@@ -761,8 +663,8 @@ def generate(nodes: List[Tuple[int, object]], ends_hard: bool):
         "def _block(cpu):",
         "    regs = cpu.regs",
         "    mem = cpu.mem",
-        "    pages = mem._pages",
-        "    shared_ = mem._shared",
+        "    rtlb = mem.rtlb",
+        "    wtlb = mem.wtlb",
         "    aspace = cpu.aspace",
         "    debug = cpu.debug",
         "    cyc = cpu.cycles",

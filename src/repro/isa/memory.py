@@ -11,6 +11,26 @@ violating the rights — raises a neutral :class:`~repro.isa.faults.MemoryFault`
 that the CPU core translates into its architectural exception (page
 fault / #GP on the P4-like core; DSI / ISI / bus error on the G4-like
 core).
+
+Compiled blocks (:mod:`repro.compile`) skip the region lookup through a
+page-granular *soft TLB* kept on :class:`PhysicalMemory`: ``rtlb`` and
+``wtlb`` map a page index to that page's current buffer.  An entry is
+made only by :meth:`AddressSpace.tlb_fill`, after :meth:`AddressSpace.check`
+permitted an access and the access completed, and only for a resident
+page lying wholly inside one region with the right (``r`` or ``w``);
+a write entry also requires the page to be private (not copy-on-write
+shared).  So every hit is an access ``check`` would permit, on the
+buffer ``_pages`` holds.  The entries are dropped whenever that could
+stop being true:
+
+* ``map_region``, ``unmap_region`` and ``clone_layout`` clear both;
+* :meth:`PhysicalMemory.fork` clears the parent's write TLB (all its
+  pages just became shared; the child starts empty);
+* a copy-on-write copy in ``_page`` drops that page's read entry.
+
+Hits assume translation is on: blocks are dispatched only then, and it
+changes only inside system instructions, which end their block.  One
+address space per physical memory is assumed, as every CPU core has.
 """
 
 from __future__ import annotations
@@ -41,6 +61,11 @@ class PhysicalMemory:
     references to the same page buffers, and every write path copies a
     shared page lazily before mutating it, so forking is O(1) in pages
     and an injection run only pays for the pages it actually dirties.
+
+    ``rtlb``/``wtlb`` are the soft TLB of the module docstring: page
+    index to buffer for pages a compiled block may read/write without
+    a permission check.  They are cleared in place, never rebound, so a
+    running block's local references stay live.
     """
 
     def __init__(self) -> None:
@@ -50,6 +75,8 @@ class PhysicalMemory:
         self._shared: set = set()
         #: pages privatized by copy-on-write (benchmark diagnostics)
         self.cow_page_copies = 0
+        self.rtlb: Dict[int, bytearray] = {}
+        self.wtlb: Dict[int, bytearray] = {}
 
     # -- forking ---------------------------------------------------------
 
@@ -66,7 +93,13 @@ class PhysicalMemory:
         child._pages = dict(self._pages)
         self._shared.update(self._pages)
         child._shared = set(self._pages)
+        self.wtlb.clear()
         return child
+
+    def flush_tlb(self) -> None:
+        """Drop every soft-TLB entry (the region layout changed)."""
+        self.rtlb.clear()
+        self.wtlb.clear()
 
     def shared_pages(self) -> int:
         """Pages still marked shared (benchmark diagnostics)."""
@@ -84,6 +117,7 @@ class PhysicalMemory:
             page = bytearray(page)
             self._pages[page_index] = page
             self._shared.discard(page_index)
+            self.rtlb.pop(page_index, None)
             self.cow_page_copies += 1
         return page
 
@@ -233,9 +267,6 @@ class AddressSpace:
     _regions: List[Region] = field(default_factory=list)
     #: most-recently matched region (accesses are highly local)
     _last: Optional[Region] = field(default=None, repr=False)
-    #: bumped on every layout change; external caches of resolved
-    #: regions (repro.compile's per-site fast paths) key on it
-    _epoch: int = 0
 
     def map_region(self, region: Region) -> None:
         index = bisect.bisect_left(self._starts, region.start)
@@ -251,7 +282,7 @@ class AddressSpace:
         self._starts.insert(index, region.start)
         self._regions.insert(index, region)
         self._last = None
-        self._epoch += 1
+        self.memory.flush_tlb()
 
     def clone_layout(self, source: "AddressSpace") -> None:
         """Adopt *source*'s region table wholesale (fork fast path).
@@ -264,7 +295,7 @@ class AddressSpace:
         self._starts = list(source._starts)
         self._regions = list(source._regions)
         self._last = None
-        self._epoch += 1
+        self.memory.flush_tlb()
 
     def unmap_region(self, name: str) -> None:
         for index, region in enumerate(self._regions):
@@ -272,7 +303,7 @@ class AddressSpace:
                 del self._regions[index]
                 del self._starts[index]
                 self._last = None
-                self._epoch += 1
+                self.memory.flush_tlb()
                 return
         raise MemoryError_(f"no region named {name}")
 
@@ -315,3 +346,23 @@ class AddressSpace:
             raise MemoryFault(
                 MemoryFault.Reason.PROTECTION, addr, kind,
                 f"{kind.value} denied on {region.name} ({region.perm})")
+
+    def tlb_fill(self, addr: int, write: bool) -> None:
+        """Cache *addr*'s page in the memory's soft TLB, right after
+        :meth:`check` permitted an access at *addr* (so ``_last`` is its
+        region) and the access completed.  Only a resident page wholly
+        inside that region with the right is cached, and for a write
+        only a private one."""
+        base = addr & ~(PAGE_SIZE - 1)
+        region = self._last
+        if region.start <= base and base + PAGE_SIZE <= region.end \
+                and ("w" if write else "r") in region.perm:
+            mem = self.memory
+            index = base >> PAGE_SHIFT
+            page = mem._pages.get(index)
+            if page is None:
+                return
+            if not write:
+                mem.rtlb[index] = page
+            elif index not in mem._shared:
+                mem.wtlb[index] = page

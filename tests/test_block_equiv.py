@@ -113,7 +113,12 @@ def run_lockstep(arch: str, code: bytes, max_insns: int):
     block_cpu = _make_cpu(arch)
     for cpu in (step_cpu, block_cpu):
         cpu.mem.write(TEXT, code)
-    cache = BlockCache()
+    return _lockstep(arch, block_cpu, step_cpu, BlockCache(), max_insns)
+
+
+def _lockstep(arch: str, block_cpu, step_cpu, cache, max_insns: int):
+    """The lockstep loop of :func:`run_lockstep` over an existing CPU
+    pair, until the block CPU has retired *max_insns* in total."""
     block_cpu._block_cache = cache
     boundaries = 0
     compiled = 0
@@ -286,6 +291,124 @@ class TestDirectedPPC:
             "ppc", asm.finish(), 22)
         assert boundaries >= 6
         assert fault is None
+
+
+# ---------------------------------------------------------------------------
+# soft-TLB edges: a block's page-cached access must fault, COW and see
+# layout changes exactly where the step core does
+
+
+EDGE = 0xC0700000                  # region [EDGE, EDGE + 0x800): half a page
+
+
+def _x86_snippet(*ops) -> bytes:
+    """ops: ("ld"|"st", address) pairs; eax is stored, loads go to ebx."""
+    asm = X86Assembler()
+    asm.mov_r_imm(0, 0x5A5A0000)
+    for op, addr in ops:
+        asm.alu_r_rm("add", 0, 0)
+        if op == "st":
+            asm.mov_rm_r(Mem(disp=addr), 0)
+        else:
+            asm.mov_r_rm(3, Mem(disp=addr))
+    asm.hlt()
+    return asm.finish()
+
+
+def _ppc_snippet(*ops) -> bytes:
+    """The same over r3 (stored) and r4 (loaded), one base per access."""
+    asm = PPCAssembler()
+    asm.load_imm32(3, 0x5A5A0000)
+    for op, addr in ops:
+        asm.add(3, 3, 3)
+        asm.load_imm32(9, addr)
+        (asm.stw if op == "st" else asm.lwz)(3 if op == "st" else 4, 0, 9)
+    _ppc_halt(asm)
+    return asm.finish()
+
+
+def _pair(arch: str, *snippets):
+    """Block and step CPUs with snippet k at TEXT + 0x100 * k and a
+    region ending mid-page at EDGE + 0x800."""
+    snippet = _x86_snippet if arch == "x86" else _ppc_snippet
+    cpus = _make_cpu(arch), _make_cpu(arch)
+    for cpu in cpus:
+        cpu.aspace.map_region(Region(EDGE, 0x800, "rw", "edge"))
+        for k, ops in enumerate(snippets):
+            cpu.mem.write(TEXT + 0x100 * k, snippet(*ops))
+    return cpus
+
+
+def _run(arch: str, pair, cache, entry: int, insns: int = 40):
+    """Run the snippet at *entry* on both CPUs in lockstep."""
+    for cpu in pair:
+        if arch == "x86":
+            cpu.eip, cpu.halted = TEXT + 0x100 * entry, False
+        else:
+            cpu.pc = TEXT + 0x100 * entry
+    return _lockstep(arch, *pair, cache, pair[0].instret + insns)[2]
+
+
+def _fork(arch: str, cpu):
+    """A bare CPU over a copy-on-write fork of *cpu*'s memory."""
+    child = (X86CPU if arch == "x86" else PPCCPU)(memory=cpu.mem.fork())
+    child.aspace.clone_layout(cpu.aspace)
+    if arch == "x86":
+        child.regs[4] = cpu.regs[4]
+    else:
+        child.gpr[1] = cpu.gpr[1]
+    return child
+
+
+def _fault_addr(arch: str, cpu) -> int:
+    return cpu.cr2 if arch == "x86" else cpu.spr[19]       # DAR
+
+
+@pytest.mark.parametrize("arch", ["x86", "ppc"])
+class TestSoftTLBEdges:
+    @pytest.mark.parametrize("op", ["ld", "st"])
+    def test_region_ending_mid_page(self, arch, op):
+        """The last word of a half-page region works, twice; one word
+        past it faults even though the page was just accessed."""
+        last = EDGE + 0x7FC
+        pair = _pair(arch, [("st", last), ("ld", last), ("st", last),
+                            ("ld", last), (op, last + 4)])
+        fault = _run(arch, pair, BlockCache(), 0)
+        assert fault is not None and fault[2] == last + 4
+        assert _fault_addr(arch, pair[0]) == last + 4
+
+    def test_store_to_cow_shared_page_after_fork(self, arch):
+        """A store after a fork lands on a private copy: the parent's
+        store (its write entry predates the fork) leaves the child's
+        view alone, and the child's store the parent's."""
+        word = DATA + 0x40
+        pair = _pair(arch, [("st", word), ("ld", word)],
+                     [("ld", word)], [("ld", word), ("st", word)])
+        parent_cache = BlockCache()
+        assert _run(arch, pair, parent_cache, 0) is None
+        child = tuple(_fork(arch, cpu) for cpu in pair)
+        child_cache = BlockCache()
+        assert _run(arch, pair, parent_cache, 2) is None
+        assert _run(arch, child, child_cache, 1) is None
+        assert _run(arch, child, child_cache, 2) is None
+        loaded = child[0].regs[3] if arch == "x86" else child[0].gpr[4]
+        assert loaded == 0xB4B40000            # the pre-fork store
+        assert _run(arch, pair, parent_cache, 1) is None
+
+    def test_cached_stack_page_unmapped_between_runs(self, arch):
+        slot = STACK + 0x1F00
+        pair = _pair(arch, [("st", slot), ("ld", slot)])
+        cache = BlockCache()
+        assert _run(arch, pair, cache, 0) is None
+        for cpu in pair:
+            cpu.aspace.unmap_region("stack")
+        fault = _run(arch, pair, cache, 0)
+        assert fault is not None and _fault_addr(arch, pair[0]) == slot
+
+    def test_store_into_text_after_load(self, arch):
+        pair = _pair(arch, [("ld", TEXT), ("st", TEXT + 8)])
+        fault = _run(arch, pair, BlockCache(), 0)
+        assert fault is not None and fault[2] == TEXT + 8
 
 
 # ---------------------------------------------------------------------------

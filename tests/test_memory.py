@@ -144,3 +144,115 @@ class TestAddressSpace:
         assert aspace.find_region(0x4100).name == "data"
         assert aspace.find_region(0x9000) is None
         assert aspace.region_by_name("text").start == 0x1000
+
+
+def _load(aspace: AddressSpace, addr: int) -> int:
+    """A compiled block's word load: read-TLB hit, or check + read +
+    fill."""
+    mem = aspace.memory
+    page = mem.rtlb.get(addr >> 12)
+    if page is not None:
+        return int.from_bytes(page[addr & 4095:(addr & 4095) + 4], "big")
+    aspace.check(addr, 4, AccessKind.READ)
+    value = mem.read_u32(addr, False)
+    aspace.tlb_fill(addr, False)
+    return value
+
+
+def _store(aspace: AddressSpace, addr: int, value: int) -> None:
+    """A compiled block's word store: write-TLB hit, or check + write +
+    fill."""
+    mem = aspace.memory
+    page = mem.wtlb.get(addr >> 12)
+    if page is not None:
+        page[addr & 4095:(addr & 4095) + 4] = value.to_bytes(4, "big")
+        return
+    aspace.check(addr, 4, AccessKind.WRITE)
+    mem.write_u32(addr, value, False)
+    aspace.tlb_fill(addr, True)
+
+
+class TestSoftTLB:
+    """The page cache compiled blocks read and write through: an entry
+    only for an access ``check`` would permit on the buffer ``_pages``
+    holds, and dropped by every event that could change either."""
+
+    def _space(self) -> AddressSpace:
+        aspace = AddressSpace(PhysicalMemory())
+        aspace.map_region(Region(0x10000, 0x2000, "rw", "data"))
+        aspace.map_region(Region(0x20000, 0x1000, "rx", "text"))
+        aspace.memory.write(0x20000, b"\x01" * PAGE_SIZE)
+        return aspace
+
+    def test_hit_serves_the_page_buffer(self):
+        aspace = self._space()
+        _store(aspace, 0x10010, 0xCAFE)
+        assert _load(aspace, 0x10010) == 0xCAFE
+        mem = aspace.memory
+        assert mem.rtlb[0x10] is mem.wtlb[0x10] is mem._pages[0x10]
+
+    def test_page_partly_covered_never_cached(self):
+        aspace = AddressSpace(PhysicalMemory())
+        aspace.map_region(Region(0x30000, 0x800, "rw", "head"))
+        aspace.map_region(Region(0x40800, 0x1800, "rw", "tail"))
+        for addr in (0x307FC, 0x40800, 0x41000):
+            _store(aspace, addr, 7)
+            assert _load(aspace, addr) == 7
+        mem = aspace.memory
+        assert set(mem.rtlb) == set(mem.wtlb) == {0x41}
+        with pytest.raises(MemoryFault):
+            _load(aspace, 0x30800)              # one word past "head"
+
+    def test_read_only_region_never_write_cached(self):
+        aspace = self._space()
+        assert _load(aspace, 0x20000) == 0x01010101
+        aspace.tlb_fill(0x20000, True)
+        assert 0x20 in aspace.memory.rtlb
+        assert 0x20 not in aspace.memory.wtlb
+        with pytest.raises(MemoryFault):
+            _store(aspace, 0x20000, 0)
+
+    def test_shared_page_never_write_cached(self):
+        aspace = self._space()
+        aspace.memory.write(0x10000, b"x")
+        aspace.memory.fork()
+        aspace.check(0x10000, 4, AccessKind.WRITE)
+        aspace.tlb_fill(0x10000, True)
+        assert not aspace.memory.wtlb
+
+    @pytest.mark.parametrize("event", ["map", "unmap", "clone"])
+    def test_layout_change_empties_both(self, event):
+        aspace = self._space()
+        _store(aspace, 0x10000, 1)
+        _load(aspace, 0x10000)
+        mem = aspace.memory
+        assert mem.rtlb and mem.wtlb
+        if event == "map":
+            aspace.map_region(Region(0x50000, 0x1000, "r", "new"))
+        elif event == "unmap":
+            aspace.unmap_region("data")
+        else:
+            aspace.clone_layout(self._space())
+        assert not mem.rtlb and not mem.wtlb
+        if event == "unmap":
+            with pytest.raises(MemoryFault):
+                _store(aspace, 0x10000, 2)
+
+    def test_fork_empties_parent_write_tlb(self):
+        aspace = self._space()
+        _store(aspace, 0x10000, 1)
+        child = aspace.memory.fork()
+        assert not aspace.memory.wtlb and not child.wtlb
+        _store(aspace, 0x10000, 2)
+        assert child.read_u32(0x10000, False) == 1
+        assert aspace.memory.read_u32(0x10000, False) == 2
+
+    def test_cow_copy_replaces_stale_read_entry(self):
+        aspace = self._space()
+        _store(aspace, 0x10000, 1)
+        assert _load(aspace, 0x10000) == 1
+        child = aspace.memory.fork()
+        _store(aspace, 0x10000, 2)              # copies the page out
+        assert _load(aspace, 0x10000) == 2
+        assert aspace.memory.rtlb[0x10] is aspace.memory._pages[0x10]
+        assert child.read_u32(0x10000, False) == 1
