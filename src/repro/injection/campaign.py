@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.checkpoint.ladder import (
-    DEFAULT_CHECKPOINTS, CheckpointLadder, build_ladder,
+    DEFAULT_CHECKPOINTS, BoundarySnapshots, CheckpointLadder, build_ladder,
 )
 from repro.faults import (
     DEFAULT_MODEL, available_models, get_model, model_applies,
@@ -211,10 +211,12 @@ class CampaignResult:
 class CampaignContext:
     """Shared per-(arch, seed, ops) expensive state.
 
-    One observed clean pass (probe + profile), forked at the window's
-    start into the base machine; then one block-mode replay of the
-    window — the default ladder's capture run — whose compiled blocks
-    the base adopts.  Every injection forks from the base machine.
+    One observed clean pass (probe + profile) simulates the window
+    once: its start is forked into the base machine, its scheduling
+    boundaries into candidate rungs from which the default ladder is
+    picked, and the blocks it compiles are adopted by the base machine
+    and every rung.  Every injection forks from the base machine or a
+    rung.
     """
 
     _cache: Dict[tuple, "CampaignContext"] = {}
@@ -229,20 +231,27 @@ class CampaignContext:
         #: a cached context (e.g. consecutive ``Study.run`` campaigns)
         self.collector = CrashDataCollector()
         self.probe: CleanRunProbe = probe_clean_run(
-            arch, seed=seed, ops=ops, at_window=self._fork_base)
+            arch, seed=seed, ops=ops, at_window=self._open_window)
         self.profile: FunctionProfile = profile_kernel(self.probe)
-        #: checkpoint ladders by rung count, built on first use (the
-        #: default one right here) and shared by every campaign
+        self._default_ladder = self._boundaries.ladder(
+            self, DEFAULT_CHECKPOINTS)
+        del self._boundaries          # the unpicked snapshots go too
+        self.base_machine.cpu._block_cache.inherit(
+            self._default_ladder.blocks)
+        #: ladders of other rung counts, replayed on first use and
+        #: shared by every campaign
         self._ladders: Dict[int, CheckpointLadder] = {}
-        replay = self.ladder(DEFAULT_CHECKPOINTS)
-        self.base_machine.cpu._block_cache.inherit(replay.blocks)
 
-    def _fork_base(self, machine: Machine,
-                   driver: UnixBenchDriver) -> None:
-        """The probe's window start becomes the base machine."""
+    def _open_window(self, machine: Machine,
+                     driver: UnixBenchDriver) -> BoundarySnapshots:
+        """The probe's window start becomes the base machine; each
+        scheduling boundary after it, a candidate rung."""
         self.base_machine = machine.fork(
             config=MachineConfig(seed=self.seed))
         self.base_programs = clone_programs(driver.programs)
+        self._boundaries = BoundarySnapshots(
+            machine, driver, self.base_machine.config)
+        return self._boundaries
 
     @classmethod
     def get(cls, arch: str, seed: int = 0, ops: int = 48
@@ -264,14 +273,18 @@ class CampaignContext:
         cls._cache.clear()
 
     def ladder(self, count: int) -> Optional[CheckpointLadder]:
-        """The *count*-rung checkpoint ladder (built on first use).
+        """The *count*-rung checkpoint ladder.
 
-        The parallel engine calls this in the parent before spawning
-        workers, so the snapshots travel to every worker through the
-        same fork-inheritance path as the rest of the context.
+        The default count's comes from the clean pass; any other count
+        is replayed on first use and cached.  The parallel engine calls
+        this in the parent before spawning workers, so the snapshots
+        travel to every worker through the same fork-inheritance path
+        as the rest of the context.
         """
         if count <= 0:
             return None
+        if count == DEFAULT_CHECKPOINTS:
+            return self._default_ladder
         if count not in self._ladders:
             self._ladders[count] = build_ladder(self, count)
         return self._ladders[count]

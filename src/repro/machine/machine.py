@@ -28,6 +28,7 @@ paper's multi-million-cycle latencies.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -151,7 +152,7 @@ class Machine:
 
         self._map_memory()
         if arch == "ppc":
-            self.cpu.on_spr_write = self._on_spr_write
+            self.cpu.on_spr_write = self._spr_hook()
 
     @property
     def rng(self) -> random.Random:
@@ -296,7 +297,7 @@ class Machine:
                 src.lr, src.ctr, src.cr, src.xer
             dst.set_msr(src.msr)
             dst.spr = dict(src.spr)
-            dst.on_spr_write = clone._on_spr_write
+            dst.on_spr_write = clone._spr_hook()
         dst.cycles = src.cycles
         dst.instret = src.instret
         clone.watchdog.pet(dst.cycles)
@@ -419,17 +420,21 @@ class Machine:
         is_x86 = self.arch == "x86"
         # Compiled-block fast path.  Tracing observes every fetch and
         # memory access, so an armed recorder (or a CPU-level tracer)
-        # forces the step core; block boundaries are otherwise
-        # unobservable because dispatch only runs a block when the
-        # budget/pending-action/watchdog checks could not fire inside
-        # it (the guards below are sufficient, not just heuristics).
-        # A block compiles only on an address's second miss: the first
-        # is stepped and remembered in ``cache.missed``, so code that
-        # runs once (the approach to an injection instant, crash
-        # paths) is never compiled.
+        # forces the step core -- unless the tracer has ``on_block``,
+        # which is then told of every block run: the block, the instret
+        # it started at, and the instructions it fetched (a faulting
+        # instruction's fetch included, as in the step core).  Block
+        # boundaries are otherwise unobservable because dispatch only
+        # runs a block when the budget/pending-action/watchdog checks
+        # could not fire inside it (the guards below are sufficient,
+        # not just heuristics).  A block compiles only on an address's
+        # second miss: the first is stepped and remembered in
+        # ``cache.missed``, so code that runs once (the approach to an
+        # injection instant, crash paths) is never compiled.
         cache = cpu._block_cache
+        on_block = getattr(cpu.tracer, "on_block", None)
         use_blocks = (cache is not None and self.trace is None
-                      and cpu.tracer is None)
+                      and (cpu.tracer is None or on_block is not None))
         if use_blocks:
             hot = cache.hot
             missed = cache.missed
@@ -473,9 +478,14 @@ class Machine:
                             blk.fn(cpu)
                         except (X86Fault, PPCFault) as fault:
                             steps += cpu.instret - base
+                            if on_block is not None:
+                                on_block(cpu, blk, base,
+                                         cpu.instret - base + 1)
                             if self._fault_is_benign(fault):
                                 continue
                             self._crash(fault)
+                        if on_block is not None:
+                            on_block(cpu, blk, base, blk.n)
                         steps += blk.n
                         continue
             try:
@@ -641,6 +651,16 @@ class Machine:
     def _on_spr_write(self, spr: int, old: int, new: int) -> None:
         from repro.machine.register_semantics import apply_ppc_spr_effect
         apply_ppc_spr_effect(self, spr, old, new)
+
+    def _spr_hook(self) -> Callable[[int, int, int], None]:
+        """``cpu.on_spr_write`` for this machine, holding it weakly.
+
+        A bound method would make every PPC machine a reference cycle,
+        freed only by the cyclic collector instead of when its last
+        reference goes; checkpoint candidates and experiment forks
+        would then linger and raise peak memory."""
+        method = weakref.WeakMethod(self._on_spr_write)
+        return lambda spr, old, new: method()(spr, old, new)
 
     def _walk_frames(self) -> Tuple[int, ...]:
         """Crash handler frame-pointer walk (defensive)."""

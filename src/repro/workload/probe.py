@@ -1,7 +1,13 @@
 """Clean-run probe: one observed pass over boot, setup and the window.
 
-One step-mode run per (architecture, seed, ops), watched by a CPU
-tracer, yields every fact a campaign takes from the clean run:
+One run per (architecture, seed, ops) yields every fact a campaign
+takes from the clean run.  Boot and setup are stepped under a CPU
+tracer; the window runs in compiled blocks, whose runs the dispatch
+loop reports to the tracer's ``on_block``, and the pass machine's
+debug unit logs every data access of both phases.  The campaign
+context also forks its base machine and its checkpoint rungs off this
+pass (``at_window``), so nothing simulates the window twice.  The pass
+yields:
 
 * the **data access trace** — every load/store (instret, addr, width,
   kind) — used to decide *activation* of stack and data injections
@@ -33,6 +39,9 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.compile import BlockCache, CompiledBlock
+from repro.isa.debug import DebugUnit
+from repro.isa.faults import AccessKind
 from repro.machine.machine import Machine, MachineConfig
 from repro.workload.driver import UnixBenchDriver
 
@@ -135,10 +144,31 @@ class CleanRunProbe:
                 for pid in allocations}
 
 
+class _AccessLog(DebugUnit):
+    """The pass machine's debug unit: logs every data access.
+
+    Both the step core and compiled blocks call ``check_access`` after
+    each load and store whenever a watchpoint slot is occupied, with
+    ``instret`` already synced, so one placeholder slot makes this the
+    single access channel for the stepped boot and the block-mode
+    window alike.  Its ``check_access`` ignores the slots."""
+
+    def __init__(self, cpu, accesses: List[AccessRecord]) -> None:
+        super().__init__()
+        self._watchpoints = [None]
+        self._cpu = cpu
+        self._accesses = accesses
+
+    def check_access(self, addr: int, size: int, kind: AccessKind,
+                     cycles: int) -> None:
+        self._accesses.append((self._cpu.instret, addr, size,
+                               "r" if kind is AccessKind.READ else "w"))
+
+
 class _Observer:
-    """Collects the clean-run facts through the flight recorder's CPU
-    hooks; an armed ``cpu.tracer`` also keeps ``call_kernel`` on the
-    step core, so no instruction goes unseen."""
+    """Collects the clean-run fetch facts: a CPU tracer for stepped
+    instructions and, through ``on_block``, for compiled blocks (data
+    accesses arrive through :class:`_AccessLog`)."""
 
     __slots__ = ("accesses", "executed", "first_executed", "pc_samples",
                  "_countdown")
@@ -161,11 +191,33 @@ class _Observer:
             samples = self.pc_samples
             samples[pc] = samples.get(pc, 0) + 1
 
+    def on_block(self, cpu, block: CompiledBlock, base: int,
+                 fetched: int) -> None:
+        """*block* fetched its first *fetched* instructions, the first
+        at instret *base*: the same facts ``on_fetch`` would record."""
+        spans = block.spans
+        executed, first = self.executed, self.first_executed
+        for k in range(fetched):
+            pc = spans[k][0]
+            executed.add(pc)
+            if pc not in first:
+                first[pc] = base + k
+        countdown = self._countdown
+        if fetched < countdown:
+            self._countdown = countdown - fetched
+            return
+        samples = self.pc_samples
+        for k in range(countdown - 1, fetched, SAMPLE_EVERY):
+            pc = spans[k][0]
+            samples[pc] = samples.get(pc, 0) + 1
+        self._countdown = SAMPLE_EVERY - \
+            (fetched - countdown) % SAMPLE_EVERY
+
     def on_load(self, cpu, addr: int, width: int, value: int) -> None:
-        self.accesses.append((cpu.instret, addr, width, "r"))
+        pass                              # logged by _AccessLog
 
     def on_store(self, cpu, addr: int, width: int, value: int) -> None:
-        self.accesses.append((cpu.instret, addr, width, "w"))
+        pass                              # logged by _AccessLog
 
     def on_reg_write(self, cpu, reg: str, old: int, new: int) -> None:
         pass                              # register writes are not probed
@@ -175,24 +227,35 @@ def probe_clean_run(arch: str, seed: int = 0, ops: int = 60,
                     at_window=None) -> CleanRunProbe:
     """Boot, set up and run the workload once, observed.
 
+    Boot and setup are stepped; the window runs in compiled blocks from
+    an empty cache, so an address compiles on its second miss exactly
+    as on any block-mode machine forked at the window's start.
     *at_window*, when given, is called with the machine and its driver
     the moment the monitored window opens (``boot_instret``), before
-    any window instruction runs.
+    any window instruction runs; what it returns becomes the window
+    run's ``boundary`` hook.
     """
     observer = _Observer()
     machine = Machine(arch, config=MachineConfig(seed=seed,
                                                  exec_mode="step"))
-    machine.cpu.tracer = observer
+    cpu = machine.cpu
+    plain_debug = cpu.debug
+    cpu.debug = _AccessLog(cpu, observer.accesses)
+    cpu.tracer = observer
     machine.boot()
     driver = UnixBenchDriver(machine, seed=seed)
     driver.setup()
-    boot_instret = machine.cpu.instret
-    if at_window is not None:
-        at_window(machine, driver)
+    boot_instret = cpu.instret
+    boundary = at_window(machine, driver) if at_window is not None \
+        else None
     # window opens here: discard boot-time first-fetch records so
     # first_executed covers exactly what an injected run can reach
     observer.first_executed = {}
-    result = driver.run(ops)
+    cpu._block_cache = BlockCache()
+    result = driver.run(ops, boundary=boundary)
+    # the pass is over: disarm its observers (the access log refers
+    # back to the CPU, and at_window's hooks may keep the machine)
+    cpu.debug, cpu.tracer = plain_debug, None
     return CleanRunProbe(
         arch=arch, seed=seed, ops=ops,
         accesses=observer.accesses,
@@ -200,7 +263,7 @@ def probe_clean_run(arch: str, seed: int = 0, ops: int = 60,
         first_executed=observer.first_executed,
         pc_samples=observer.pc_samples,
         boot_instret=boot_instret,
-        total_instret=machine.cpu.instret,
-        total_cycles=machine.cpu.cycles,
+        total_instret=cpu.instret,
+        total_cycles=cpu.cycles,
         fsv_clean=result.fail_silence_violated,
     )

@@ -14,7 +14,7 @@ Three layers of proof, mirroring the block-vs-step harness
   serialized results;
 * **ladder unit behavior** — rung placement, nearest-rung selection
   strictness, per-context caching, config validation, and the
-  seed-invariance postconditions (a poisoned capture run must fail the
+  seed-invariance postconditions (a poisoned clean pass must fail the
   build loudly, not corrupt every dispatched experiment silently).
 
 ``test_campaign_digests`` complements this file at campaign scale: all
@@ -27,7 +27,6 @@ import hashlib
 import multiprocessing
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -36,7 +35,9 @@ from repro.checkpoint.ladder import (
     DEFAULT_CHECKPOINTS, Checkpoint, CheckpointLadder,
     LadderInvariantError, build_ladder,
 )
-from repro.injection.campaign import Campaign, CampaignConfig
+from repro.injection.campaign import (
+    Campaign, CampaignConfig, CampaignContext,
+)
 from repro.injection.injector import InjectionRun
 from repro.injection.outcomes import CampaignKind
 from repro.store.codec import result_to_dict
@@ -206,38 +207,38 @@ def test_best_for_selection_strictness():
     assert ladder.best_for(10 ** 9, inclusive=True).instret == 30
 
 
-def test_poisoned_capture_run_fails_loudly(x86_context):
-    """A capture run that materializes per-machine randomness violates
+def test_poisoned_capture_run_fails_loudly(x86_context, monkeypatch):
+    """A clean pass that materializes per-machine randomness violates
     the seed-invariance precondition, and one that writes kernel text
     would hand the base machine compiled blocks of other code: either
-    must abort the build."""
+    must abort the context's build."""
 
     def materialize_rng(machine):
         machine._rng = random.Random(0)
 
     def write_cold_text(machine):
         # the entry of a function the clean run never calls, so the
-        # capture still completes and only its postcondition sees this
+        # pass still completes and only its postcondition sees this
         addr = next(info.addr
                     for info in machine.image.functions.values()
                     if info.addr not in x86_context.probe.executed_pcs)
         machine.cpu.mem.write_u8(addr,
                                  machine.cpu.mem.read_u8(addr) ^ 0xFF)
 
+    real_open = CampaignContext._open_window
     for poison, message in ((materialize_rng, "Machine.rng"),
                             (write_cold_text, "kernel text")):
-        def poisoned_fork(poison=poison):
-            machine = x86_context.base_machine.fork()
+        # poisoned at window open, after the base machine is forked
+        def poisoned_open(self, machine, driver, poison=poison):
+            boundaries = real_open(self, machine, driver)
             poison(machine)
-            return machine
+            return boundaries
 
-        shim = SimpleNamespace(
-            arch=x86_context.arch, seed=x86_context.seed,
-            ops=x86_context.ops, probe=x86_context.probe,
-            base_machine=SimpleNamespace(fork=poisoned_fork),
-            base_programs=x86_context.base_programs)
+        monkeypatch.setattr(CampaignContext, "_open_window",
+                            poisoned_open)
         with pytest.raises(LadderInvariantError, match=message):
-            build_ladder(shim, 2)
+            CampaignContext(x86_context.arch, x86_context.seed,
+                            x86_context.ops)
 
 
 # ---------------------------------------------------------------------------

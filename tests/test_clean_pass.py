@@ -10,9 +10,10 @@ the run-length figures, the fail-silence flag, and the profile — so the
 one pass that replaced both runs must reproduce all of them exactly.
 
 The file also checks the structure of context construction: one boot,
-two window runs (the observed pass and the block-mode replay), and a
-base machine and ladder rungs whose block caches already hold the
-window's blocks, so a campaign's experiments compile almost nothing.
+one window run (the observed pass, which also yields the default
+ladder), and a base machine and ladder rungs whose block caches already
+hold the window's blocks, so a campaign's experiments compile almost
+nothing.
 """
 
 from __future__ import annotations
@@ -75,10 +76,11 @@ def test_observed_pass_matches_pinned_digest(key):
     assert observed == expected
 
 
-def test_context_boots_once_and_runs_the_window_twice(monkeypatch):
-    """One observed pass, one block-mode replay; the probe and the
-    profile go through the module globals the end-to-end benchmark
-    wraps to time set-up."""
+def test_context_boots_once_and_runs_the_window_once(monkeypatch):
+    """One observed pass and no replay for the default ladder; the
+    probe and the profile go through the module globals the end-to-end
+    benchmark wraps to time set-up.  Another rung count replays the
+    window once, with the window's blocks, so it compiles nothing."""
     calls = []
 
     def counting(owner, name):
@@ -94,14 +96,17 @@ def test_context_boots_once_and_runs_the_window_twice(monkeypatch):
     counting(campaign_mod, "probe_clean_run")
     counting(campaign_mod, "profile_kernel")
     context = CampaignContext("ppc", seed=0, ops=12)
-    assert calls == ["probe_clean_run", "boot", "run", "profile_kernel",
-                     "run"]
-    # the default ladder is the replay: asking for it reruns nothing
+    assert calls == ["probe_clean_run", "boot", "run", "profile_kernel"]
+    # the default ladder is the clean pass's: asking for it reruns
+    # nothing
     context.ladder(DEFAULT_CHECKPOINTS)
-    assert len(calls) == 5
+    assert len(calls) == 4
     assert context.base_machine.cpu.instret == context.probe.boot_instret
     cache = context.base_machine.cpu._block_cache
     assert cache.warm and not cache.hot
+    counting(blocks_mod, "compile_block")
+    context.ladder(DEFAULT_CHECKPOINTS - 3)
+    assert calls[4:] == ["run"]
 
 
 def test_checkpoints_off_experiments_start_warm(x86_context):
