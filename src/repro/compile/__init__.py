@@ -2,7 +2,9 @@
 
 ``blocks`` holds the per-machine compiled-block cache and the discovery
 pass; ``gen_x86``/``gen_ppc`` translate a run of decoded instructions
-into one specialized Python function with operands pre-bound.
+into one specialized Python function with operands pre-bound.  Both
+share ``emit`` (a unit's function: one superblock, or a region looping
+over a cycle of them) and ``access`` (loads and stores).
 """
 
 from repro.compile.blocks import (  # noqa: F401

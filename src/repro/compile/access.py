@@ -9,9 +9,12 @@ exact slow path — ``aspace.check`` (a fault translated by
 page to the TLB.  Either way the access then costs ``cyc += 2`` and
 calls the watchpoint hook with fully synced state.
 
-The generator supplies the byte order (``g.little``) and the line that
-syncs the CPU's state from the block's locals (``g.sync``).  Address in
-``a_``; a load leaves its value in ``v_``.
+The generator supplies the byte order (``g.little``), the line that
+syncs the CPU's state from the block's locals (``g.sync``), and, bound
+in its namespace as ``unpack_from``/``pack_into``, that byte order's
+32-bit word codec (:data:`repro.isa.memory.WORD`): a word moves through
+``struct`` in one call, while 1- and 2-byte accesses stay byte-wise.
+Address in ``a_``; a load leaves its value in ``v_``.
 """
 
 from __future__ import annotations
@@ -53,9 +56,12 @@ def load(g, width: int, aligned: bool = False) -> None:
     """``cpu.load()`` of *width* bytes; ``aligned`` when the emitter has
     proven the address cannot cross a page."""
     _probe(g, "rtlb", width, aligned)
-    g.w("    v_ = " + " | ".join(
-        f"(pg_[{o}] << {s})" if s else f"pg_[{o}]"
-        for o, s in _shifts(g, width)))
+    if width == 4:
+        g.w("    v_ = unpack_from(pg_, o_)[0]")
+    else:
+        g.w("    v_ = " + " | ".join(
+            f"(pg_[{o}] << {s})" if s else f"pg_[{o}]"
+            for o, s in _shifts(g, width)))
     read = "mem.read_u8(a_)" if width == 1 else \
         f"mem.read_u{8 * width}(a_, {g.little})"
     _slow(g, width, "AKR", f"v_ = {read}", False)
@@ -65,9 +71,7 @@ def store(g, width: int, value: str, aligned: bool = False) -> None:
     """``cpu.store()`` of *value*, an expression free of side effects."""
     _probe(g, "wtlb", width, aligned)
     if width == 4:
-        order = "little" if g.little else "big"
-        g.w(f"    pg_[o_:o_ + 4] = (({value}) & 4294967295)"
-            f".to_bytes(4, \"{order}\")")
+        g.w(f"    pack_into(pg_, o_, ({value}) & 4294967295)")
     else:
         g.w(f"    t_ = {value}")
         for o, s in _shifts(g, width):

@@ -8,6 +8,15 @@ which emits one Python function with operand fields, register indices
 and memory handlers bound at compile time, so per-instruction dispatch
 cost is paid once per block instead of once per instruction.
 
+A superblock on a static cycle of superblocks (a loop: every hot
+kernel loop is a cycle of two or more, since loop heads are leaders)
+compiles with the rest of the cycle into one *region* function that
+loops over its members itself, checking the dispatch loop's guards
+before each one (see :mod:`repro.compile.emit`).  Every member keeps
+its own :class:`CompiledBlock`; the members are inserted into the
+cache one by one, each at its own second miss, exactly when it would
+have compiled on its own.
+
 When a block compiles: only code that runs again.  ``lookup_block``
 compiles on every call, but the dispatch loop
 (``Machine.call_kernel``) calls it only for an address that is in the
@@ -39,18 +48,21 @@ The cache mirrors the two-tier warm icache: ``fork()`` snapshots the
 parent's blocks into the child's warm tier (shared dict, copy-on-write
 on first eviction), and the first execution re-validates via
 ``_prepare`` exactly like a warm icache hit does.  A campaign's
-machines start with the whole clean window's blocks: the checkpoint
-ladder's capture run compiles them once, and the context's base
-machine and every ladder rung ``inherit`` its final cache (see
-``repro.checkpoint.ladder``).
+machines start with the whole clean window's blocks: the observed
+clean pass (``repro.workload.probe``) compiles them once, and the
+context's base machine and every ladder rung ``inherit`` its final
+cache (see ``repro.checkpoint.ladder``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+import bisect
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa.faults import AccessKind, MemoryFault
-from repro.static.effects import UnknownInstructionError, insn_effects
+from repro.static.effects import (
+    KIND_BRANCH, KIND_JUMP, UnknownInstructionError, insn_effects,
+)
 
 MASK32 = 0xFFFFFFFF
 _FETCH = AccessKind.FETCH
@@ -61,29 +73,40 @@ _FETCH = AccessKind.FETCH
 #: fallback to single-stepping.
 MAX_BLOCK_INSNS = 32
 
+#: Cap on the superblocks searched for a region (a static cycle of
+#: superblocks compiled into one looping function).  Hot kernel loops
+#: are cycles of two to six blocks.
+MAX_REGION_BLOCKS = 8
+
 
 class CompiledBlock:
     """One compiled superblock (or a negative marker when ``fn`` is None).
 
-    ``end`` is the *unwrapped* exclusive byte bound (may be 2**32 for a
-    block touching the top of the address space) so interval overlap
-    tests against write ranges stay well-ordered.
+    ``start``/``end`` bound the bytes whose overwrite evicts the block:
+    its own extent, or for a region member the region's hull.  ``end``
+    is *unwrapped* (may be 2**32 for a block touching the top of the
+    address space) so interval overlap tests against write ranges stay
+    well-ordered.  ``spans`` are the block's own instructions; a region
+    member's ``region`` holds every member's, which is what its shared
+    function may fetch (None for a plain block).
     """
 
-    __slots__ = ("start", "end", "n", "spans", "fn", "max_cycles")
+    __slots__ = ("start", "end", "n", "spans", "fn", "max_cycles", "region")
 
     def __init__(self, start: int, end: int, n: int,
-                 spans: Tuple[Tuple[int, int], ...], fn, max_cycles: int):
+                 spans: Tuple[Tuple[int, int], ...], fn, max_cycles: int,
+                 region: Optional[Tuple[Tuple[int, int], ...]] = None):
         self.start = start
         self.end = end
         self.n = n
         self.spans = spans          # ((addr, length), ...) per instruction
-        self.fn = fn                # fn(cpu) -> None, or None (marker)
+        self.fn = fn                # fn(cpu, ilim=0, clim=0), or None (marker)
         self.max_cycles = max_cycles
+        self.region = region
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "marker" if self.fn is None else f"{self.n} insns"
-        return f"CompiledBlock({self.start:#x}..{self.end:#x}, {tag})"
+        return f"CompiledBlock({self.spans[0][0]:#x}, {tag})"
 
 
 class BlockCache:
@@ -94,16 +117,20 @@ class BlockCache:
     blocks that must pass ``_prepare`` before running.  The warm dict
     may be shared with forked machines and is copied before the first
     mutation.  ``missed`` holds the addresses the dispatch loop has
-    single-stepped on a first miss; it is never inherited.
+    single-stepped on a first miss.  ``waiting`` holds region members
+    compiled along with another member, until their own second miss
+    (so a tier gains a block exactly when it would without regions).
+    Neither is inherited.
     """
 
-    __slots__ = ("hot", "warm", "missed", "_warm_owned", "_version",
-                 "_snapshot", "_snapshot_version")
+    __slots__ = ("hot", "warm", "missed", "waiting", "_warm_owned",
+                 "_version", "_snapshot", "_snapshot_version")
 
     def __init__(self) -> None:
         self.hot: Dict[int, CompiledBlock] = {}
         self.warm: Dict[int, CompiledBlock] = {}
         self.missed: Set[int] = set()
+        self.waiting: Dict[int, CompiledBlock] = {}
         self._warm_owned = True
         self._version = 0
         self._snapshot: Optional[Dict[int, CompiledBlock]] = None
@@ -127,7 +154,8 @@ class BlockCache:
         """A write landed in ``[addr, addr+size)``: evict every block
         whose extent overlaps it, then demote the remaining hot blocks
         (their icache entries were just demoted too, so the hot-tier
-        invariant would no longer hold)."""
+        invariant would no longer hold).  Waiting members are dropped."""
+        self.waiting.clear()
         end = addr + max(size, 1)
         hot = self.hot
         stale_hot = [a for a, b in hot.items()
@@ -147,6 +175,7 @@ class BlockCache:
         self._version += 1
 
     def flush(self) -> None:
+        self.waiting.clear()
         self.hot.clear()
         self.warm = {}
         self._warm_owned = True
@@ -163,6 +192,7 @@ class BlockCache:
         return self._snapshot
 
     def inherit(self, src: "BlockCache") -> None:
+        self.waiting.clear()
         self.hot.clear()
         self.warm = src.snapshot()
         self._warm_owned = False
@@ -172,30 +202,69 @@ class BlockCache:
 # ---------------------------------------------------------------------------
 # block-leader discovery (static CFG, cached per kernel image)
 
-_LEADER_ATTR = "_compiled_block_leaders"
+_STATIC_ATTR = "_compiled_block_statics"
+
+#: the basic blocks on a static-CFG cycle: (sorted starts, their ends)
+Looping = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-def leaders_for(arch: str, image) -> frozenset:
-    """Basic-block leader addresses from the static CFG of *image*.
+def _statics(arch: str, image) -> Tuple[frozenset, Looping]:
+    """(leaders, looping) from the static CFG of *image*: the basic-block
+    leader addresses, and the extents of the basic blocks that lie on a
+    CFG cycle.  A region's cycle is a CFG cycle too (the CFG has every
+    jump, branch and fall-through edge), so only a superblock starting
+    inside a looping block can be a region member.
 
-    ``image`` None (raw-memory harnesses with no kernel) means no
-    leaders: blocks then end only at terminators and the size cap.  A
-    CFG that fails to build on a real image raises.
-
-    Cached on the image object itself — ``build_kernel`` is lru-cached,
-    so every machine for an arch shares one image and one leader set.
+    A CFG that fails to build raises.  Cached on the image object
+    itself — ``build_kernel`` is lru-cached, so every machine for an
+    arch shares one image and one analysis.
     """
-    if image is None:
-        return frozenset()
-    cached = getattr(image, _LEADER_ATTR, None)
+    cached = getattr(image, _STATIC_ATTR, None)
     if cached is not None:
         return cached
     from repro.static.cfg import build_cfg
     cfg = build_cfg(arch, image)
-    leaders = frozenset(address for function in cfg.functions.values()
-                        for address in function.blocks)
-    setattr(image, _LEADER_ATTR, leaders)
-    return leaders
+    leaders: Set[int] = set()
+    looping: List[Tuple[int, int]] = []
+    for function in cfg.functions.values():
+        blocks = function.blocks
+        leaders.update(blocks)
+        for start, block in blocks.items():
+            seen: Set[int] = set()
+            stack = list(block.succs)
+            while stack:
+                succ = stack.pop()
+                if succ == start:
+                    looping.append((start, block.end))
+                    break
+                if succ not in seen and succ in blocks:
+                    seen.add(succ)
+                    stack.extend(blocks[succ].succs)
+    looping.sort()
+    cached = (frozenset(leaders),
+              (tuple(a for a, _ in looping), tuple(b for _, b in looping)))
+    setattr(image, _STATIC_ATTR, cached)
+    return cached
+
+
+def _loops(looping: Optional[Looping], addr: int) -> bool:
+    """Whether ``addr`` may lie on a region: inside a looping block, or
+    anywhere without an image (``looping`` None)."""
+    if looping is None:
+        return True
+    starts, ends = looping
+    index = bisect.bisect_right(starts, addr) - 1
+    return index >= 0 and addr < ends[index]
+
+
+def leaders_for(arch: str, image) -> frozenset:
+    """Basic-block leader addresses from the static CFG of *image*
+    (see :func:`_statics`).  ``image`` None (raw-memory harnesses with
+    no kernel) means no leaders: blocks then end only at terminators
+    and the size cap."""
+    if image is None:
+        return frozenset()
+    return _statics(arch, image)[0]
 
 
 def _generator(arch: str):
@@ -210,15 +279,13 @@ def _generator(arch: str):
 # discovery + compilation
 
 
-def compile_block(cpu, addr: int, arch: str, image) -> Optional[CompiledBlock]:
-    """Discover and compile the superblock starting at ``addr``.
-
-    Returns ``None`` when even the first fetch fails its permission
-    check (the step core will raise the properly-attributed fault), or
-    a negative marker when the first instruction cannot be compiled.
-    """
-    gen = _generator(arch)
-    leaders = leaders_for(arch, image)
+def _discover(cpu, addr: int, gen, leaders):
+    """The superblock at ``addr``: (nodes, hard_end, successors), a
+    negative marker when its first instruction cannot be compiled, or
+    None when even the first fetch fails.  ``hard_end`` marks a last
+    instruction that is a terminator or system instruction;
+    ``successors`` are the static successor addresses, or None when
+    the superblock cannot be a region member."""
     nodes = []
     a = addr
     while True:
@@ -256,22 +323,112 @@ def compile_block(cpu, addr: int, arch: str, image) -> Optional[CompiledBlock]:
         a = next_a
     if not nodes:
         return None
-    fn, max_cycles = gen.generate(nodes, hard_end)
-    spans = tuple((na, gen.insn_length(ni)) for na, ni in nodes)
     last_a, last_i = nodes[-1]
-    return CompiledBlock(addr, last_a + gen.insn_length(last_i),
-                         len(nodes), spans, fn, max_cycles)
+    after = last_a + gen.insn_length(last_i)
+    if after > MASK32:
+        succs = None                    # falls off the address space
+    elif not hard_end:
+        succs = (after,)                # cut at a leader or the size cap
+    elif effects.system or effects.target is None:
+        succs = None
+    elif effects.kind == KIND_JUMP:
+        succs = (effects.target,)
+    elif effects.kind == KIND_BRANCH:
+        succs = (effects.target, after)
+    else:
+        succs = None                    # call, return, halt, illegal
+    return nodes, hard_end, succs
+
+
+def _region(cpu, addr: int, head, gen, leaders, looping) -> dict:
+    """The members of the region through ``addr`` (discovered as
+    *head*): address to (nodes, hard_end, successors that are members),
+    ``addr`` first.  The members are the superblocks on a static cycle
+    through ``addr``, among at most ``MAX_REGION_BLOCKS`` that could be
+    members, searched breadth-first along successors from it; one that
+    cannot (it ends in a call, return, indirect jump or system
+    instruction) ends the search on its path and is not counted, and
+    one off every static-CFG cycle (see :func:`_loops`) is not
+    searched.  Empty when ``addr`` lies on no cycle."""
+    found = {addr: head}
+    queue = [addr]
+    searched = 1
+    while queue:
+        for succ in found[queue.pop(0)][2]:
+            if succ in found or searched >= MAX_REGION_BLOCKS \
+                    or not _loops(looping, succ):
+                continue
+            block = _discover(cpu, succ, gen, leaders)
+            if isinstance(block, tuple):
+                found[succ] = block
+                if block[2] is not None:
+                    queue.append(succ)
+                    searched += 1
+    # keep the superblocks from which addr is reached again
+    back: Set[int] = set()
+    grew = True
+    while grew:
+        grew = False
+        for a, (_nodes, _hard, succs) in found.items():
+            if a not in back and succs is not None and (
+                    addr in succs or not back.isdisjoint(succs)):
+                back.add(a)
+                grew = True
+    if addr not in back:
+        return {}
+    return {a: (nodes, hard, tuple(s for s in succs if s in back))
+            for a, (nodes, hard, succs) in found.items() if a in back}
+
+
+def compile_block(cpu, addr: int, arch: str,
+                  image) -> List[CompiledBlock]:
+    """Discover and compile the superblock starting at ``addr``.
+
+    Returns the compiled unit's blocks, ``addr``'s first: that block
+    alone, or every member of the region ``addr``'s superblock lies on
+    (see :mod:`repro.compile.emit`; searched for only where the static
+    CFG has a cycle), each with its own ``n``, ``spans``
+    and ``max_cycles`` and all sharing one function.  Returns an empty
+    list when even the first fetch fails its permission check (the step
+    core will raise the properly-attributed fault), and a negative
+    marker alone when the first instruction cannot be compiled.
+    """
+    gen = _generator(arch)
+    leaders = leaders_for(arch, image)
+    head = _discover(cpu, addr, gen, leaders)
+    if not isinstance(head, tuple):
+        return [] if head is None else [head]
+    looping = None if image is None else _statics(arch, image)[1]
+    found = _region(cpu, addr, head, gen, leaders, looping) \
+        if head[2] is not None and _loops(looping, addr) else {}
+    members = list(found.values()) or [(head[0], head[1], ())]
+    fn, max_cycles = gen.generate(members)
+    spans = [tuple((a, gen.insn_length(i)) for a, i in nodes)
+             for nodes, _hard, _succs in members]
+    ends = [own[-1][0] + own[-1][1] for own in spans]
+    if not found:
+        return [CompiledBlock(addr, ends[0], len(members[0][0]), spans[0],
+                              fn, max_cycles[0])]
+    # every member's extent is the region's hull: a write into any
+    # member evicts them all, since they share the function
+    region = tuple(span for own in spans for span in own)
+    start = min(a for a, _length in region)
+    return [CompiledBlock(start, max(ends), len(own), own, fn, cycles,
+                          region)
+            for own, cycles in zip(spans, max_cycles)]
 
 
 def _prepare(cpu, block: CompiledBlock, gen) -> bool:
     """Re-validate a block before its first hot run: every instruction
-    address must be in the hot icache afterwards.  Mirrors the step
-    core's warm-hit path — permission check, then promotion of the
-    *same* decode object from the warm tier (fresh raw decode on a true
+    address its function may run (every member's, for a region member)
+    must be in the hot icache afterwards.  Mirrors the step core's
+    warm-hit path — permission check, then promotion of the *same*
+    decode object from the warm tier (fresh raw decode on a true
     miss).  Returns False when any fetch check fails; the caller then
     single-steps, which raises the fault with correct attribution."""
     icache = cpu._icache
-    need = [span for span in block.spans if span[0] not in icache]
+    need = [span for span in block.region or block.spans
+            if span[0] not in icache]
     if not need:
         return True
     aspace = cpu.aspace
@@ -292,10 +449,10 @@ def _prepare(cpu, block: CompiledBlock, gen) -> bool:
 
 def lookup_block(cpu, cache: BlockCache, addr: int, arch: str,
                  image) -> Optional[CompiledBlock]:
-    """Slow path behind a hot-tier miss: try the warm tier, else
-    compile (always; the dispatch loop's second-miss policy decides
-    when to call this).  Returns a hot-ready block, a negative marker,
-    or None (caller single-steps)."""
+    """Slow path behind a hot-tier miss: try the warm tier, then the
+    waiting region members, else compile (always; the dispatch loop's
+    second-miss policy decides when to call this).  Returns a hot-ready
+    block, a negative marker, or None (caller single-steps)."""
     gen = _generator(arch)
     block = cache.warm.get(addr)
     if block is not None:
@@ -303,9 +460,14 @@ def lookup_block(cpu, cache: BlockCache, addr: int, arch: str,
             cache.insert_hot(addr, block)
             return block
         return None
-    block = compile_block(cpu, addr, arch, image)
+    block = cache.waiting.pop(addr, None)
     if block is None:
-        return None
+        blocks = compile_block(cpu, addr, arch, image)
+        if not blocks:
+            return None
+        block = blocks[0]
+        cache.waiting.update((member.spans[0][0], member)
+                             for member in blocks[1:])
     if block.fn is None or _prepare(cpu, block, gen):
         cache.insert_hot(addr, block)
         return block

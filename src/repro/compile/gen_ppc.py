@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.compile.access import load, store
-from repro.isa.faults import AccessKind, MemoryFault
+from repro.compile.emit import Gen, Member, unit
+from repro.isa.faults import AccessKind
 from repro.ppc import decoder as pdec
 from repro.ppc import isa
 from repro.ppc.exceptions import PPCFault, PPCVector
@@ -71,49 +72,17 @@ def fetch(cpu, addr: int):
 # ---------------------------------------------------------------------------
 
 
-class _Gen:
-    #: byte order and watchpoint-hook state sync for repro.compile.access
+class _Gen(Gen):
     little = False
-    sync = ("cpu.cycles = cyc; cpu.instret = ins + ri; cpu.cr = cr; "
-            "cpu.current_pc = cur; cpu.pc = nxt")
+    regs = "gpr"
+    flags = ("cr", "cr")
+    pcs = ("current_pc", "pc")
+    entry_pc = "cpu.pc & 4294967292"
+    prologue = ("hdf = cpu._high_data_fault",)
 
     def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.ns: Dict[str, object] = {
-            "__builtins__": {},
-            # the skeleton's except clause must resolve this even
-            # though the namespace has no builtins
-            "BaseException": BaseException,
-            "MF": MemoryFault,
-            "AKR": AccessKind.READ,
-            "AKW": AccessKind.WRITE,
-            "PF": PPCFault,
-            "ALV": PPCVector.ALIGNMENT,
-            "int": int,
-        }
-        self.pend = 0
-        self.max_cycles = 0
-        self.pc_done = False
-        self.returned = False
-        self._n = 0
-
-    def w(self, line: str) -> None:
-        self.lines.append("        " + line)
-
-    def bind(self, prefix: str, obj) -> str:
-        name = f"{prefix}{self._n}"
-        self._n += 1
-        self.ns[name] = obj
-        return name
-
-    def flush(self) -> None:
-        if self.pend:
-            self.w(f"cyc += {self.pend}")
-            self.pend = 0
-
-    def entry(self, a: int, n: int, k: int) -> None:
-        self.flush()
-        self.w(f"cur = {a}; nxt = {n}; ri = {k}")
+        super().__init__()
+        self.ns.update(PF=PPCFault, ALV=PPCVector.ALIGNMENT, int=int)
 
 
 def _load(g: _Gen, width: int, known_aligned: bool = False) -> None:
@@ -309,7 +278,7 @@ def _taken_branch(g: _Gen, target: str) -> None:
     fault itself when poisoned), then the pc update + 2 cycles."""
     g.w("    if cpu.btic_poisoned:")
     g.w("        cpu.branch(0)")
-    g.w(f"    cpu.pc = {target}")
+    g.w(f"    pc = {target}")
     g.w("    cyc += 2")
 
 
@@ -320,7 +289,7 @@ def _e_b(g, i, a, n, k) -> bool:
     target = i.imm if i.op2 & 2 else (a + i.imm) & M
     g.w("if cpu.btic_poisoned:")
     g.w("    cpu.branch(0)")
-    g.w(f"cpu.pc = {target & 0xFFFFFFFC}")
+    g.w(f"pc = {target & 0xFFFFFFFC}")
     g.w("cyc += 2")
     g.pc_done = True
     return True
@@ -349,7 +318,7 @@ def _e_bc(g, i, a, n, k) -> bool:
     _taken_branch(g, str(target & 0xFFFFFFFC))
     if cond != "True":
         g.w("else:")
-        g.w(f"    cpu.pc = {n}")
+        g.w(f"    pc = {n}")
     g.pc_done = True
     return True
 
@@ -364,7 +333,7 @@ def _e_bclr(g, i, a, n, k) -> bool:
     g.w("if tk_:")
     _taken_branch(g, "t_")
     g.w("else:")
-    g.w(f"    cpu.pc = {n}")
+    g.w(f"    pc = {n}")
     g.pc_done = True
     return True
 
@@ -377,11 +346,11 @@ def _e_bcctr(g, i, a, n, k) -> bool:
         g.w(f"    cpu.lr = {n}")
     g.w("    if cpu.btic_poisoned:")
     g.w("        cpu.branch(0)")
-    g.w("    cpu.pc = cpu.ctr & 4294967292")
+    g.w("    pc = cpu.ctr & 4294967292")
     g.w("    cyc += 2")
     if cond != "True":
         g.w("else:")
-        g.w(f"    cpu.pc = {n}")
+        g.w(f"    pc = {n}")
     g.pc_done = True
     return True
 
@@ -419,10 +388,8 @@ def _emit_generic(g: _Gen, i, a: int, n: int, k: int, final: bool) -> None:
     g.max_cycles += i.cycles + GENERIC_SLACK
 
 
-def generate(nodes: List[Tuple[int, object]], ends_hard: bool):
-    g = _Gen()
-    start = nodes[0][0]
-    n0 = (start + 4) & M
+def _body(g: _Gen, nodes: list, ends_hard: bool) -> None:
+    """Emit one superblock's instructions (see gen_x86._body)."""
     total = len(nodes)
     for k, (a, instr) in enumerate(nodes):
         n = (a + 4) & M
@@ -437,43 +404,7 @@ def generate(nodes: List[Tuple[int, object]], ends_hard: bool):
             g.max_cycles += instr.cycles + INLINE_SLACK
         else:
             _emit_generic(g, instr, a, n, k, final=final)
-    last_a = nodes[-1][0]
-    if not g.returned:
-        g.flush()
-        g.w("cpu.cycles = cyc")
-        g.w(f"cpu.instret = ins + {total}")
-        g.w("cpu.cr = cr")
-        g.w(f"cpu.current_pc = {last_a}")
-        if not g.pc_done:
-            g.w(f"cpu.pc = {(last_a + 4) & M}")
-    src = "\n".join([
-        "def _block(cpu):",
-        "    gpr = cpu.gpr",
-        "    mem = cpu.mem",
-        "    rtlb = mem.rtlb",
-        "    wtlb = mem.wtlb",
-        "    aspace = cpu.aspace",
-        "    debug = cpu.debug",
-        "    cyc = cpu.cycles",
-        "    ins = cpu.instret",
-        "    cr = cpu.cr",
-        "    hdf = cpu._high_data_fault",
-        f"    cur = {start}",
-        f"    nxt = {n0}",
-        "    ri = 0",
-        "    synced = False",
-        "    try:",
-    ] + g.lines + [
-        "        pass",
-        "    except BaseException:",
-        "        if not synced:",
-        "            cpu.cycles = cyc",
-        "            cpu.instret = ins + ri",
-        "            cpu.cr = cr",
-        "            cpu.current_pc = cur",
-        "            cpu.pc = nxt",
-        "        raise",
-    ])
-    code = compile(src, f"<ppc-block@{start:#x}>", "exec")
-    exec(code, g.ns)
-    return g.ns["_block"], g.max_cycles
+
+
+def generate(members: Sequence[Member]):
+    return unit(_Gen(), members, _body, insn_length, "ppc-block")

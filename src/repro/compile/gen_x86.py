@@ -1,7 +1,8 @@
 """x86 superblock code generator.
 
-``generate`` turns a run of decoded :class:`Instr` objects into the
-source of one Python function ``_block(cpu)`` and compiles it.  Hot
+``generate`` turns a run of decoded :class:`Instr` objects (or a
+region of such runs, see :mod:`repro.compile.emit`) into the source of
+one Python function and compiles it.  Hot
 instructions (moves, ALU, stack ops, branches) are *inlined*: their
 semantics are re-emitted with operands folded to constants, registers
 addressed by literal index, and EFLAGS carried in a local.  Everything
@@ -15,7 +16,8 @@ callback, executor call, block exit):
 * ``cyc``/``ins``/``ef`` shadow ``cpu.cycles``/``instret``/``eflags``;
   ``cur``/``nxt``/``ri`` track what ``current_eip``/``eip``/retired
   count would be mid-step.  The ``except`` trailer writes them back on
-  any raise unless a generic call is in flight (``synced``).
+  any raise unless a generic call is in flight (``synced``).  A
+  block-final branch sets the ``pc`` local, written to ``eip`` on exit.
 * Static per-instruction cycle costs are batched in a compile-time
   accumulator and flushed before the next fault-capable body, so
   ``cyc`` is step-exact whenever it can be observed.  Dynamic costs
@@ -38,10 +40,11 @@ an error.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Sequence
 
 from repro.compile.access import load, store
-from repro.isa.faults import AccessKind, MemoryFault
+from repro.compile.emit import Gen, Member, unit
+from repro.isa.faults import AccessKind
 from repro.x86 import decoder as xdec
 from repro.x86.registers import SEG_CS, SEG_DS, SEG_ES, SEG_SS
 
@@ -84,50 +87,7 @@ def fetch(cpu, addr: int):
 
 
 # ---------------------------------------------------------------------------
-# emission machinery
-
-
-class _Gen:
-    #: byte order and watchpoint-hook state sync for repro.compile.access
-    little = True
-    sync = ("cpu.cycles = cyc; cpu.instret = ins + ri; cpu.eflags = ef; "
-            "cpu.current_eip = cur; cpu.eip = nxt")
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.ns: Dict[str, object] = {
-            "__builtins__": {},
-            # the skeleton's except clause must resolve this even
-            # though the namespace has no builtins
-            "BaseException": BaseException,
-            "MF": MemoryFault,
-            "AKR": AccessKind.READ,
-            "AKW": AccessKind.WRITE,
-        }
-        self.pend = 0               # batched static cycles
-        self.max_cycles = 0
-        self.eip_done = False       # a final branch already wrote eip
-        self.returned = False       # generic-final emitted a return
-        self._n = 0
-
-    def w(self, line: str) -> None:
-        self.lines.append("        " + line)
-
-    def bind(self, prefix: str, obj) -> str:
-        name = f"{prefix}{self._n}"
-        self._n += 1
-        self.ns[name] = obj
-        return name
-
-    def flush(self) -> None:
-        if self.pend:
-            self.w(f"cyc += {self.pend}")
-            self.pend = 0
-
-    def entry(self, a: int, n: int, k: int) -> None:
-        """Sync point opening a fault-capable instruction body."""
-        self.flush()
-        self.w(f"cur = {a}; nxt = {n}; ri = {k}")
+# emission helpers (the machinery is repro.compile.emit.Gen)
 
 
 def _ea_expr(i) -> str:
@@ -145,7 +105,7 @@ def _ea_expr(i) -> str:
     return "(" + " + ".join(parts) + ") & 4294967295"
 
 
-def _push(g: _Gen, value: str) -> None:
+def _push(g: Gen, value: str) -> None:
     """push32 with the value expression pre-captured by the caller."""
     g.w("regs[4] = (regs[4] - 4) & 4294967295")
     g.w("a_ = regs[4]")
@@ -156,7 +116,7 @@ def _push(g: _Gen, value: str) -> None:
 # _ARITH_FLAGS = CF|PF|AF|ZF|SF|OF = 2261; inc/dec clear ZF|SF|OF = 2240.
 
 
-def _flags_add(g: _Gen) -> None:
+def _flags_add(g: Gen) -> None:
     g.w("t_ = va_ + vb_")
     g.w("r_ = t_ & 4294967295")
     g.w("ef = (ef & -2262) | (64 if r_ == 0 else 0)"
@@ -167,7 +127,7 @@ def _flags_add(g: _Gen) -> None:
     g.w("    ef |= 2048")
 
 
-def _flags_sub(g: _Gen) -> None:
+def _flags_sub(g: Gen) -> None:
     g.w("r_ = (va_ - vb_) & 4294967295")
     g.w("ef = (ef & -2262) | (64 if r_ == 0 else 0)"
         " | (128 if r_ & 2147483648 else 0)")
@@ -177,12 +137,12 @@ def _flags_sub(g: _Gen) -> None:
     g.w("    ef |= 2048")
 
 
-def _flags_logic(g: _Gen) -> None:
+def _flags_logic(g: Gen) -> None:
     g.w("ef = (ef & -2262) | (64 if r_ == 0 else 0)"
         " | (128 if r_ & 2147483648 else 0)")
 
 
-def _alu_body(g: _Gen, op: int) -> bool:
+def _alu_body(g: Gen, op: int) -> bool:
     """Emit the op on locals va_/vb_ into r_; True if r_ writes back."""
     if op == 0:                                     # add
         _flags_add(g)
@@ -524,27 +484,27 @@ _COND_EXPRS = [
 def _e_jcc(g, i, a, n, k) -> bool:
     target = (n + i.imm) & M
     g.w(f"if {_COND_EXPRS[i.op2]}:")
-    g.w(f"    cpu.eip = {target}")
+    g.w(f"    pc = {target}")
     g.w("    cyc += 2")
     g.w("else:")
-    g.w(f"    cpu.eip = {n}")
-    g.eip_done = True
+    g.w(f"    pc = {n}")
+    g.pc_done = True
     return True
 
 
 def _e_jmp_rel(g, i, a, n, k) -> bool:
-    g.w(f"cpu.eip = {(n + i.imm) & M}")
+    g.w(f"pc = {(n + i.imm) & M}")
     g.w("cyc += 2")
-    g.eip_done = True
+    g.pc_done = True
     return True
 
 
 def _e_call_rel(g, i, a, n, k) -> bool:
     g.entry(a, n, k)
     _push(g, str(n))
-    g.w(f"cpu.eip = {(n + i.imm) & M}")
+    g.w(f"pc = {(n + i.imm) & M}")
     g.w("cyc += 2")
-    g.eip_done = True
+    g.pc_done = True
     return True
 
 
@@ -553,11 +513,11 @@ def _e_ret(g, i, a, n, k) -> bool:
     g.w("a_ = regs[4]")
     load(g, 4)
     g.w("regs[4] = (regs[4] + 4) & 4294967295")
-    g.w("cpu.eip = v_")
+    g.w("pc = v_")
     g.w("cyc += 2")
     if i.imm:
         g.w(f"regs[4] = (regs[4] + {i.imm & M}) & 4294967295")
-    g.eip_done = True
+    g.pc_done = True
     return True
 
 
@@ -597,7 +557,7 @@ _INLINE_FINAL: Dict[Callable, Callable] = {
 }
 
 
-def _emit_generic(g: _Gen, i, a: int, n: int, k: int, final: bool) -> None:
+def _emit_generic(g: Gen, i, a: int, n: int, k: int, final: bool) -> None:
     g.entry(a, n, k)
     fn = g.bind("f", i.execute)
     obj = g.bind("i", i)
@@ -623,69 +583,23 @@ def _emit_generic(g: _Gen, i, a: int, n: int, k: int, final: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def generate(nodes: List[Tuple[int, object]], ends_hard: bool):
-    """Compile ``nodes`` ([(addr, instr), ...]) into (fn, max_cycles).
-
-    ``ends_hard`` marks the last instruction as a terminator/system
-    instruction (it controls eip itself or must run generically as the
-    final step)."""
-    g = _Gen()
-    start = nodes[0][0]
-    n0 = (start + nodes[0][1].length) & M
+def _body(g: Gen, nodes: list, ends_hard: bool) -> None:
+    """Emit one superblock's instructions.  ``ends_hard`` marks the last
+    instruction as a terminator/system instruction (it controls eip
+    itself or must run generically as the final step)."""
     total = len(nodes)
     for k, (a, instr) in enumerate(nodes):
         n = (a + instr.length) & M
-        last = k == total - 1
-        if last and ends_hard:
-            emitter = _INLINE_FINAL.get(instr.execute)
-            if emitter is not None and emitter(g, instr, a, n, k):
-                g.pend += instr.cycles
-                g.max_cycles += instr.cycles + INLINE_SLACK
-            else:
-                _emit_generic(g, instr, a, n, k, final=True)
+        final = ends_hard and k == total - 1
+        emitter = (_INLINE_FINAL if final else _INLINE).get(instr.execute)
+        if emitter is not None and emitter(g, instr, a, n, k):
+            g.pend += instr.cycles
+            g.max_cycles += instr.cycles + INLINE_SLACK
         else:
-            emitter = _INLINE.get(instr.execute)
-            if emitter is not None and emitter(g, instr, a, n, k):
-                g.pend += instr.cycles
-                g.max_cycles += instr.cycles + INLINE_SLACK
-            else:
-                _emit_generic(g, instr, a, n, k, final=False)
-    last_a, last_i = nodes[-1]
-    if not g.returned:
-        g.flush()
-        g.w("cpu.cycles = cyc")
-        g.w(f"cpu.instret = ins + {total}")
-        g.w("cpu.eflags = ef")
-        g.w(f"cpu.current_eip = {last_a}")
-        if not g.eip_done:
-            g.w(f"cpu.eip = {(last_a + last_i.length) & M}")
-    src = "\n".join([
-        "def _block(cpu):",
-        "    regs = cpu.regs",
-        "    mem = cpu.mem",
-        "    rtlb = mem.rtlb",
-        "    wtlb = mem.wtlb",
-        "    aspace = cpu.aspace",
-        "    debug = cpu.debug",
-        "    cyc = cpu.cycles",
-        "    ins = cpu.instret",
-        "    ef = cpu.eflags",
-        f"    cur = {start}",
-        f"    nxt = {n0}",
-        "    ri = 0",
-        "    synced = False",
-        "    try:",
-    ] + g.lines + [
-        "        pass",
-        "    except BaseException:",
-        "        if not synced:",
-        "            cpu.cycles = cyc",
-        "            cpu.instret = ins + ri",
-        "            cpu.eflags = ef",
-        "            cpu.current_eip = cur",
-        "            cpu.eip = nxt",
-        "        raise",
-    ])
-    code = compile(src, f"<x86-block@{start:#x}>", "exec")
-    exec(code, g.ns)
-    return g.ns["_block"], g.max_cycles
+            _emit_generic(g, instr, a, n, k, final=final)
+
+
+def generate(members: Sequence[Member]):
+    """Compile one superblock, or a region of them, into (fn,
+    [max_cycles of each member]); see :func:`repro.compile.emit.unit`."""
+    return unit(Gen(), members, _body, insn_length, "x86-block")

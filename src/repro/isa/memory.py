@@ -36,6 +36,7 @@ address space per physical memory is assumed, as every CPU core has.
 from __future__ import annotations
 
 import bisect
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -44,6 +45,11 @@ from repro.isa.faults import AccessKind, MemoryFault
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+
+#: the 32-bit word codec of each byte order, indexed by ``little_endian``:
+#: ``unpack_from(buf, offset)[0]`` and ``pack_into(buf, offset, value)``
+#: move one word in or out of a page buffer without a temporary
+WORD = (struct.Struct(">I"), struct.Struct("<I"))
 
 
 class MemoryError_(Exception):
@@ -196,9 +202,7 @@ class PhysicalMemory:
             page = self._pages.get(addr >> PAGE_SHIFT)
             if page is None:
                 return 0
-            return int.from_bytes(
-                page[offset:offset + 4],
-                "little" if little_endian else "big")
+            return WORD[little_endian].unpack_from(page, offset)[0]
         raw = self.read(addr, 4)
         return int.from_bytes(raw, "little" if little_endian else "big")
 
@@ -206,9 +210,8 @@ class PhysicalMemory:
         addr &= MASK32
         offset = addr & (PAGE_SIZE - 1)
         if offset <= PAGE_SIZE - 4:
-            page = self._page(addr >> PAGE_SHIFT)
-            page[offset:offset + 4] = (value & MASK32).to_bytes(
-                4, "little" if little_endian else "big")
+            WORD[little_endian].pack_into(
+                self._page(addr >> PAGE_SHIFT), offset, value & MASK32)
             return
         self.write(addr, (value & MASK32).to_bytes(
             4, "little" if little_endian else "big"))

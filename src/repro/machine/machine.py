@@ -427,8 +427,13 @@ class Machine:
         # boundaries are otherwise unobservable because dispatch only
         # runs a block when the budget/pending-action/watchdog checks
         # could not fire inside it (the guards below are sufficient,
-        # not just heuristics).  A block compiles only on an address's
-        # second miss: the first is stepped and remembered in
+        # not just heuristics).  A region member (see
+        # ``repro.compile.emit``) is also given the limits those guards
+        # imply -- the instret of the budget's end or the next pending
+        # action, whichever is first, and the watchdog deadline -- and
+        # runs further members only while the same guards hold; with
+        # ``on_block`` it runs alone.  A block compiles only on an
+        # address's second miss: the first is stepped and remembered in
         # ``cache.missed``, so code that runs once (the approach to an
         # injection instant, crash paths) is never compiled.
         cache = cpu._block_cache
@@ -475,7 +480,15 @@ class Machine:
                                 - wd._last_pet <= wd.timeout_cycles):
                         base = cpu.instret
                         try:
-                            blk.fn(cpu)
+                            if blk.region is None or on_block is not None:
+                                blk.fn(cpu)
+                            else:
+                                limit = base + budget - steps
+                                if pending is not None \
+                                        and pending[0] < limit:
+                                    limit = pending[0]
+                                blk.fn(cpu, limit, wd._last_pet
+                                       + wd.timeout_cycles)
                         except (X86Fault, PPCFault) as fault:
                             steps += cpu.instret - base
                             if on_block is not None:
@@ -486,7 +499,7 @@ class Machine:
                             self._crash(fault)
                         if on_block is not None:
                             on_block(cpu, blk, base, blk.n)
-                        steps += blk.n
+                        steps += cpu.instret - base
                         continue
             try:
                 cpu.step()

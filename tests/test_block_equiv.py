@@ -15,6 +15,9 @@ promise two ways:
   driver for both architectures, so operand patterns nobody thought to
   hand-write (unaligned effective addresses, flag-chaining sequences,
   stack over/underflow, branches splitting blocks) get covered;
+* **counted loops compiled as regions**, driven one member per call
+  and with the limits the dispatch loop passes, stopped by each limit,
+  a fault and a watchpoint inside the loop;
 * **full kernel workloads** run to several checkpoints under both
   exec modes with all state compared at each checkpoint.
 """
@@ -29,6 +32,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro.static.cfg as cfg_mod
 from repro.compile import BlockCache, leaders_for, lookup_block
+from repro.injection.injector import InjectionRun, RunSpec
+from repro.injection.outcomes import CampaignKind, Outcome
+from repro.injection.targets import CodeTarget
 from repro.isa.memory import Region
 from repro.kernel.build import build_kernel
 from repro.machine.machine import Machine, MachineConfig
@@ -105,7 +111,8 @@ def _make_cpu(arch: str):
     return cpu
 
 
-def run_lockstep(arch: str, code: bytes, max_insns: int):
+def run_lockstep(arch: str, code: bytes, max_insns: int,
+                 deadline=None):
     """Execute *code* on a block-dispatching CPU and a single-stepping
     twin, asserting bit-identical state at every block boundary and at
     fault entry.  Returns (boundaries, compiled_blocks, fault_key)."""
@@ -113,12 +120,21 @@ def run_lockstep(arch: str, code: bytes, max_insns: int):
     block_cpu = _make_cpu(arch)
     for cpu in (step_cpu, block_cpu):
         cpu.mem.write(TEXT, code)
-    return _lockstep(arch, block_cpu, step_cpu, BlockCache(), max_insns)
+    return _lockstep(arch, block_cpu, step_cpu, BlockCache(), max_insns,
+                     deadline)
 
 
-def _lockstep(arch: str, block_cpu, step_cpu, cache, max_insns: int):
+def _lockstep(arch: str, block_cpu, step_cpu, cache, max_insns: int,
+              deadline=None):
     """The lockstep loop of :func:`run_lockstep` over an existing CPU
-    pair, until the block CPU has retired *max_insns* in total."""
+    pair, until the block CPU has retired *max_insns* in total.
+
+    Without a *deadline* every block runs alone (``blk.fn(cpu)``).
+    With one (a cycle count), blocks run as ``Machine.call_kernel``
+    runs them: only when the block fits in the instruction budget
+    (*max_insns*) and the deadline, else the CPU single-steps; and with
+    those as the limits, ``blk.fn(cpu, max_insns, deadline)``, so a
+    region runs on through its members while they fit too."""
     block_cpu._block_cache = cache
     boundaries = 0
     compiled = 0
@@ -130,15 +146,21 @@ def _lockstep(arch: str, block_cpu, step_cpu, cache, max_insns: int):
             blk = lookup_block(block_cpu, cache, addr, arch, None)
         base = block_cpu.instret
         blk_exc = None
-        if blk is not None and blk.fn is not None:
+        if blk is not None and blk.fn is not None and (
+                deadline is None or (
+                    base + blk.n <= max_insns
+                    and block_cpu.cycles + blk.max_cycles <= deadline)):
             compiled += 1
             try:
-                blk.fn(block_cpu)
+                if deadline is None:
+                    blk.fn(block_cpu)
+                else:
+                    blk.fn(block_cpu, max_insns, deadline)
             except _FAULTS as exc:
                 blk_exc = exc
         else:
-            # marker / uncompilable head: fall back to stepping, which
-            # is exactly what the machine dispatch loop does
+            # marker, uncompilable head, or a block the limits refuse:
+            # fall back to stepping, as the machine dispatch loop does
             try:
                 block_cpu.step()
             except _FAULTS as exc:
@@ -412,6 +434,183 @@ class TestSoftTLBEdges:
 
 
 # ---------------------------------------------------------------------------
+# regions: a cycle of superblocks compiled into one looping function
+
+
+def _counted_loop(arch: str, count: int, base: int):
+    """A loop of *count* iterations over consecutive words from *base*
+    (pointer in esi / r9): member A loads, bumps and stores the
+    word, advances the pointer and leaves on the last iteration;
+    member B counts down (ecx / ctr) and branches back.  Returns
+    (code, insns before A, A's offset, A's length, B's offset,
+    B's length)."""
+    if arch == "x86":
+        asm = X86Assembler()
+        asm.mov_r_imm(1, count)
+        asm.mov_r_imm(6, base)
+        asm.label("a")
+        asm.mov_r_rm(0, Mem(base=6))
+        asm.inc_r(0)
+        asm.mov_rm_r(Mem(base=6), 0)
+        asm.alu_rm_imm("add", 6, 4)
+        asm.alu_rm_imm("cmp", 1, 1)
+        asm.jcc_label("e", "done")
+        asm.label("b")
+        asm.dec_r(1)
+        asm.jmp_label("a")
+        asm.label("done")
+        asm.hlt()
+        index = asm.insn_offsets.index
+        a, b = index(asm.labels["a"]), index(asm.labels["b"])
+        return (asm.finish(), a, asm.labels["a"], b - a,
+                asm.labels["b"], 2)
+    asm = PPCAssembler()
+    asm.load_imm32(9, base)
+    asm.li(3, count)
+    asm.mtctr(3)
+    asm.label("a")
+    asm.lwz(4, 0, 9)
+    asm.addi(4, 4, 1)
+    asm.stw(4, 0, 9)
+    asm.addi(9, 9, 4)
+    asm.cmpwi(4, -1)                       # never equal
+    asm.beq("done")
+    asm.label("b")
+    asm.bc_label(16, 0, "a")               # bdnz
+    asm.label("done")
+    _ppc_halt(asm)
+    a, b = asm.labels["a"], asm.labels["b"]
+    return asm.finish(), a, 4 * a, b - a, 4 * b, 1
+
+
+class _Loop:
+    """Block and step CPUs loaded with :func:`_counted_loop`."""
+
+    def __init__(self, arch: str, base: int = DATA) -> None:
+        self.arch = arch
+        (self.code, self.pro, a, self.a_n, b,
+         self.b_n) = _counted_loop(arch, 12, base)
+        self.a, self.b = TEXT + a, TEXT + b
+        self.it = self.a_n + self.b_n          # insns per iteration
+        self.cpus = _make_cpu(arch), _make_cpu(arch)
+        for cpu in self.cpus:
+            cpu.mem.write(TEXT, self.code)
+        self.cache = BlockCache()
+
+    def run(self, max_insns: int, limited: bool, deadline: int = 10 ** 9):
+        """Lockstep to *max_insns*; with *limited*, dispatch-style."""
+        return _lockstep(self.arch, *self.cpus, self.cache, max_insns,
+                         deadline if limited else None)
+
+    def members(self):
+        """A's and B's compiled blocks, cached or waiting."""
+        blocks = {**self.cache.waiting, **self.cache.snapshot()}
+        return blocks[self.a], blocks[self.b]
+
+
+@pytest.mark.parametrize("limited", [False, True],
+                         ids=["one-member", "limits"])
+@pytest.mark.parametrize("arch", ["x86", "ppc"])
+class TestRegionLockstep:
+    """Counted loops whose two superblocks form a region, in lockstep
+    with the step core: one member per call, and with the limits the
+    dispatch loop passes, where one call runs many iterations and must
+    stop, fault and report exactly where stepping would."""
+
+    def test_loop_runs_as_one_region(self, arch, limited):
+        loop = _Loop(arch)
+        boundaries, compiled, fault = loop.run(loop.pro + 12 * loop.it,
+                                               limited)
+        assert fault is None
+        head, back = loop.members()
+        assert head.fn is back.fn
+        assert head.region == back.region
+        assert {a for a, _length in head.region} == \
+            {a for a, _length in head.spans + back.spans}
+        if limited:
+            assert compiled < 12                # iterations chained
+        else:
+            assert compiled >= 2 * 11           # one member per call
+
+    def test_limit_mid_iteration(self, arch, limited):
+        loop = _Loop(arch)
+        stop = loop.pro + 5 * loop.it + 3       # inside A
+        assert loop.run(stop, limited)[2] is None
+        if limited:                             # else blocks overshoot
+            assert loop.cpus[0].instret == stop
+
+    def test_limit_on_iteration_boundary(self, arch, limited):
+        loop = _Loop(arch)
+        stop = loop.pro + 7 * loop.it
+        _b, compiled, fault = loop.run(stop, limited)
+        assert fault is None
+        block_cpu = loop.cpus[0]
+        assert block_cpu.instret == stop
+        assert (block_cpu.eip if arch == "x86" else block_cpu.pc) == loop.a
+        if limited:
+            assert compiled <= 2
+
+    def test_watchdog_headroom_exhausted_mid_loop(self, arch, limited):
+        """A cycle deadline reached after a few iterations: the region
+        stops at the last member that fits it, and the rest steps."""
+        loop = _Loop(arch)
+        probe = _make_cpu(arch)
+        probe.mem.write(TEXT, loop.code)
+        while probe.instret < loop.pro + 3 * loop.it + 2:
+            probe.step()
+        stop = loop.pro + 10 * loop.it
+        boundaries, compiled, fault = loop.run(stop, limited,
+                                               deadline=probe.cycles)
+        assert fault is None
+        if limited:
+            assert loop.cpus[0].instret == stop
+            assert boundaries - compiled > loop.it     # stepped after
+
+    def test_fault_in_iteration_k(self, arch, limited):
+        """The pointer runs off the end of the data region in iteration
+        4: the load faults with the step core's partial retirement."""
+        loop = _Loop(arch, base=DATA + 0x1000 - 12)
+        _b, compiled, fault = loop.run(loop.pro + 12 * loop.it, limited)
+        assert fault is not None and fault[2] == DATA + 0x1000
+        assert loop.cpus[0].instret == loop.pro + 3 * loop.it
+        if limited:
+            assert compiled <= 2
+
+    def test_watchpoint_hit_in_loop_body(self, arch, limited):
+        """A watchpoint on the word iteration 6 bumps fires on its load
+        and its store, with the same observed state on both cores."""
+        loop = _Loop(arch)
+        logs = ([], [])
+        for cpu, log in zip(loop.cpus, logs):
+            cpu.debug.set_watchpoint(DATA + 4 * 6)
+
+            def hit(event, cpu=cpu, log=log):
+                log.append((event.kind, event.cycles, cpu.instret,
+                            cpu.cycles, _snapshot(arch, cpu)))
+            cpu.debug.on_watchpoint = hit
+        assert loop.run(loop.pro + 12 * loop.it, limited)[2] is None
+        assert len(logs[0]) == 2 and logs[0] == logs[1]
+
+    def test_entry_at_non_head_member(self, arch, limited):
+        """Entered at B (counter and pointer already set up), the
+        region's function starts at its second member."""
+        loop = _Loop(arch)
+        for cpu in loop.cpus:
+            if arch == "x86":
+                cpu.regs[1], cpu.regs[6], cpu.eip = 9, DATA, loop.b
+            else:
+                cpu.ctr, cpu.gpr[9], cpu.pc = 9, DATA, loop.b
+        _b, compiled, fault = loop.run(loop.cpus[0].instret
+                                       + 8 * loop.it, limited)
+        assert fault is None
+        head, back = loop.members()
+        assert back.fn is head.fn
+        assert loop.cache.snapshot()[loop.b] is back
+        if limited:
+            assert compiled < 8
+
+
+# ---------------------------------------------------------------------------
 # hypothesis-generated streams
 
 
@@ -523,19 +722,24 @@ def ppc_programs(draw):
 class TestHypothesisStreams:
     """Random instruction streams must retire identically on both
     cores — including any fault they happen to trip (stack underflow,
-    running off the end of the emitted code, ...)."""
+    running off the end of the emitted code, ...).  Each stream runs
+    once block by block and once with dispatch-style limits (the ppc
+    streams end in a one-block loop, which then runs as a region up to
+    the instruction limit)."""
 
     @settings(max_examples=40, deadline=None)
     @given(program=x86_programs())
     def test_x86_streams(self, program):
         code, insns = program
         run_lockstep("x86", code, insns + 8)
+        run_lockstep("x86", code, insns + 8, deadline=10 ** 6)
 
     @settings(max_examples=40, deadline=None)
-    @given(program=ppc_programs())
-    def test_ppc_streams(self, program):
+    @given(program=ppc_programs(), slack=st.integers(0, 40))
+    def test_ppc_streams(self, program, slack):
         code, insns = program
         run_lockstep("ppc", code, insns + 8)
+        run_lockstep("ppc", code, insns + 8 + slack, deadline=10 ** 6)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +786,62 @@ class TestKernelWorkload:
             driver.run(10)
             finals[mode] = _snapshot(arch, clone.cpu)
         assert finals["step"] == finals["block"]
+
+
+def _memcpy_word_loop(context):
+    """The region members of ``memcpy`` in the window's blocks that
+    share their function with another member: its word loop."""
+    info = context.base_machine.image.functions["memcpy"]
+    blocks = context.base_machine.cpu._block_cache.snapshot()
+    units: dict = {}
+    for addr in sorted(blocks):
+        block = blocks[addr]
+        if info.addr <= addr < info.addr + info.size \
+                and block.region is not None:
+            units.setdefault(block.fn, []).append(block)
+    loops = [members for members in units.values() if len(members) > 1]
+    assert len(loops) == 1
+    return loops[0]
+
+
+@pytest.mark.parametrize("arch", ["x86", "ppc"])
+class TestKernelRegions:
+    """``memcpy``'s word loop, the hottest cycle in the kernel, as a
+    region of the clean window's blocks."""
+
+    def test_memcpy_word_loop_shares_one_function(self, arch, request):
+        context = request.getfixturevalue(f"{arch}_context")
+        head, body = _memcpy_word_loop(context)
+        assert head.fn is body.fn and head.region == body.region
+        assert (head.start, head.end) == (body.start, body.end)
+        assert head.start <= head.spans[0][0] < body.spans[0][0] \
+            < body.end
+
+    def test_code_flip_into_loop_body_evicts_both_members(self, arch,
+                                                          request):
+        context = request.getfixturevalue(f"{arch}_context")
+        head, body = _memcpy_word_loop(context)
+        clone = context.base_machine.fork()
+        cache = clone.cpu._block_cache
+        assert cache.warm.get(head.spans[0][0]) is head
+        clone.flip_memory_bit(body.spans[body.n // 2][0], 0)
+        for member in (head, body):
+            assert member.spans[0][0] not in cache.hot
+            assert member.spans[0][0] not in cache.warm
+
+    def test_code_flip_into_loop_body_matches_step_mode(self, arch,
+                                                        request):
+        context = request.getfixturevalue(f"{arch}_context")
+        _head, body = _memcpy_word_loop(context)
+        addr, length = body.spans[body.n // 2]
+        target = CodeTarget("memcpy", addr, length, bit=3)
+        results = [InjectionRun(RunSpec(
+            base_machine=context.base_machine,
+            base_programs=context.base_programs, kind=CampaignKind.CODE,
+            target=target, ops=context.ops, seed=11,
+            exec_mode=mode)).execute() for mode in ("step", "block")]
+        assert results[0].outcome is not Outcome.NOT_ACTIVATED
+        assert results[0] == results[1]
 
 
 class TestLeaders:
