@@ -288,7 +288,7 @@ def _(i: Instr, addr: int) -> InsnEffects:
 
 @_x86(xdec.exec_moffs_load)
 def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(_EMPTY, frozenset({_xr(0, i.width)}),
+    return InsnEffects(_partial(0, i.width), frozenset({_xr(0, i.width)}),
                        reads_mem=True, may_fault=True)
 
 
@@ -619,6 +619,8 @@ def _(i: Instr, addr: int) -> InsnEffects:
 
 @_x86(xdec.exec_mov_sreg_rm)
 def _(i: Instr, addr: int) -> InsnEffects:
+    if i.reg > 5:
+        return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
     uses = _x_mem_uses(i)
     reads = i.rm_reg < 0
     if not reads:
@@ -629,6 +631,8 @@ def _(i: Instr, addr: int) -> InsnEffects:
 
 @_x86(xdec.exec_mov_rm_sreg)
 def _(i: Instr, addr: int) -> InsnEffects:
+    if i.reg > 5:
+        return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
     uses = _x_mem_uses(i)
     if i.rm_reg >= 0:
         return InsnEffects(frozenset(uses),

@@ -660,6 +660,8 @@ def exec_pop_sreg(cpu, i: Instr) -> None:
 
 
 def exec_mov_sreg_rm(cpu, i: Instr) -> None:
+    if i.reg > 5:
+        cpu.fault(X86Vector.INVALID_OPCODE, detail="mov to sreg 6/7")
     if i.rm_reg >= 0:
         selector = cpu.get_reg(i.rm_reg, 2)
     else:
@@ -668,6 +670,8 @@ def exec_mov_sreg_rm(cpu, i: Instr) -> None:
 
 
 def exec_mov_rm_sreg(cpu, i: Instr) -> None:
+    if i.reg > 5:
+        cpu.fault(X86Vector.INVALID_OPCODE, detail="mov from sreg 6/7")
     value = cpu.get_sreg(i.reg)
     if i.rm_reg >= 0:
         cpu.set_reg(i.rm_reg, 4, value)

@@ -169,6 +169,8 @@ def format_instr(i: Instr, addr: int = 0) -> str:
         return f"int ${_hex(i.imm)}"
     if fn is exec_bound:
         return f"bound {_mem_str(i)},{_reg_name(i.reg, 4)}"
+    if fn in (exec_mov_sreg_rm, exec_mov_rm_sreg) and i.reg > 5:
+        return "(bad)"
     if fn is exec_mov_sreg_rm:
         return f"mov {_rm_str(i)},%{SEGMENT_NAMES[i.reg]}"
     if fn is exec_mov_rm_sreg:

@@ -178,3 +178,32 @@ class TestMisc:
         cpu = run_bytes(code, 3)
         assert cpu.eflags & FLAG_ZF
         assert cpu.eip == TEXT + 7
+
+
+class TestUndefinedSegmentRegister:
+    """ModRM reg 6 and 7 name no segment register: ``8C``/``8E`` with
+    those digits raise #UD (they once indexed past ``cpu.sregs``)."""
+
+    CODES = [bytes([op, modrm]) for op in (0x8C, 0x8E)
+             for modrm in (0xF0, 0xF8, 0x30, 0x38)]
+
+    @pytest.mark.parametrize("code", CODES, ids=lambda c: c.hex())
+    def test_step_raises_invalid_opcode(self, code):
+        def setup(cpu):
+            cpu.regs[0] = DATA
+        with pytest.raises(X86Fault) as exc:
+            run_bytes(code + b"\x90" * 8, 1, setup)
+        assert exc.value.vector == X86Vector.INVALID_OPCODE
+
+    @pytest.mark.parametrize("code", CODES, ids=lambda c: c.hex())
+    def test_block_matches_step(self, code):
+        from tests.test_block_equiv import run_lockstep
+        # mov $DATA,%eax ; nop ; the segment move
+        prefix = b"\xb8" + DATA.to_bytes(4, "little") + b"\x90"
+        _, _, fault = run_lockstep("x86", prefix + code + b"\x90" * 8, 8)
+        assert fault is not None and fault[1] == X86Vector.INVALID_OPCODE
+
+    @pytest.mark.parametrize("code", CODES, ids=lambda c: c.hex())
+    def test_disassembles_as_bad(self, code):
+        from repro.x86.disasm import disassemble
+        assert disassemble(code)[1] == "(bad)"
