@@ -2,12 +2,18 @@
 
 ``generate`` turns a run of decoded :class:`Instr` objects (or a
 region of such runs, see :mod:`repro.compile.emit`) into the source of
-one Python function and compiles it.  Hot
-instructions (moves, ALU, stack ops, branches) are *inlined*: their
-semantics are re-emitted with operands folded to constants, registers
-addressed by literal index, and EFLAGS carried in a local.  Everything
-else calls the original executor through a pre-bound global (a
-*generic* step), bracketed by exact state synchronization.
+one Python function and compiles it.  Instruction bodies come from the
+:mod:`repro.x86.isa` table: for each decoded instruction the row's
+body, with its static ifs resolved, is lowered once per (row, r/m form,
+static outcome) into text templates whose holes the instruction fills
+with its folded operands (register numbers, immediates, the effective
+address).  Registers are addressed by literal index and EFLAGS is
+carried in a local.  A body that faults on its own or touches
+supervisor state, any operand narrower than 32 bits (except a
+``movzx``/``movsx`` source) and any FS/GS memory operand become a
+*generic* step instead: a call of the row's step executor through a
+pre-bound global, bracketed by exact state synchronization.  Only the
+block-final ``jcc``/``jmp``/``call``/``ret`` are written out here.
 
 Equivalence rules (the generated code must be bit-identical to the
 step core at every observation point — fault raise, watchpoint
@@ -30,27 +36,27 @@ callback, executor call, block exit):
   access verbatim; then ``cycles += 2`` and the watchpoint hook with
   fully synced state.  No ``translation_on`` test is needed: blocks
   are dispatched only with translation on, and it changes only inside
-  system instructions, which end their block.  FS/GS operands and
-  sub-word ALU widths fall back to the generic executor.
+  system instructions, which end their block.
 
-Inlining is only attempted for instruction *instances* that qualify;
-any ineligible instance silently degrades to a generic step, never to
-an error.
+Lowering is only attempted for instruction *instances*; any instance
+that does not qualify silently degrades to a generic step, never to an
+error.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+import ast
+import re
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compile.access import load, store
 from repro.compile.emit import Gen, Member, unit
 from repro.isa.faults import AccessKind
 from repro.x86 import decoder as xdec
-from repro.x86.registers import SEG_CS, SEG_DS, SEG_ES, SEG_SS
+from repro.x86 import isa
+from repro.x86.insn import Instr
 
 M = 0xFFFFFFFF
-MSB = 0x80000000
-_SAFE_SEGS = frozenset({SEG_ES, SEG_CS, SEG_SS, SEG_DS})
 
 #: cycle slack per instruction on top of the static cost, covering the
 #: dynamic ``cycles += 2`` bumps (memory access, taken branch)
@@ -61,7 +67,7 @@ GENERIC_SLACK = 150
 
 #: executors whose cycle cost is unbounded (ecx-driven string loops) —
 #: never included in a block
-UNBOUNDED = frozenset({xdec.exec_movs, xdec.exec_stos})
+UNBOUNDED = frozenset(op.execute for op in isa.TABLE if op.unbounded)
 
 
 def insn_length(instr) -> int:
@@ -86,8 +92,14 @@ def fetch(cpu, addr: int):
     return instr
 
 
+class _Gen(Gen):
+    def __init__(self) -> None:
+        super().__init__()
+        self.ns.update(isa.PASS)
+
+
 # ---------------------------------------------------------------------------
-# emission helpers (the machinery is repro.compile.emit.Gen)
+# emission helpers
 
 
 def _ea_expr(i) -> str:
@@ -106,7 +118,10 @@ def _ea_expr(i) -> str:
 
 
 def _push(g: Gen, value: str) -> None:
-    """push32 with the value expression pre-captured by the caller."""
+    """push32; a value that reads esp is captured before the decrement."""
+    if "regs[4]" in value:
+        g.w(f"v_ = {value}")
+        value = "v_"
     g.w("regs[4] = (regs[4] - 4) & 4294967295")
     g.w("a_ = regs[4]")
     store(g, 4, value)
@@ -115,376 +130,325 @@ def _push(g: Gen, value: str) -> None:
 # -- EFLAGS algebra (width-4 only) ------------------------------------------
 # _ARITH_FLAGS = CF|PF|AF|ZF|SF|OF = 2261; inc/dec clear ZF|SF|OF = 2240.
 
+_ZF_SF = "(64 if {r} == 0 else 0) | (128 if {r} & 2147483648 else 0)"
 
-def _flags_add(g: Gen) -> None:
-    g.w("t_ = va_ + vb_")
+
+def _local(g: Gen, name: str, value: str) -> str:
+    """*value* as a name that may be read several times."""
+    if re.fullmatch(r"\w+", value):
+        return value
+    g.w(f"{name} = {value}")
+    return name
+
+
+def _flags_add(g: Gen, a: str, b: str) -> None:
+    g.w(f"t_ = {a} + {b}")
     g.w("r_ = t_ & 4294967295")
-    g.w("ef = (ef & -2262) | (64 if r_ == 0 else 0)"
-        " | (128 if r_ & 2147483648 else 0)")
+    g.w("ef = (ef & -2262) | " + _ZF_SF.format(r="r_"))
     g.w("if t_ > 4294967295:")
     g.w("    ef |= 1")
-    g.w("if (va_ ^ vb_ ^ 4294967295) & (va_ ^ r_) & 2147483648:")
+    g.w(f"if ({a} ^ {b} ^ 4294967295) & ({a} ^ r_) & 2147483648:")
     g.w("    ef |= 2048")
 
 
-def _flags_sub(g: Gen) -> None:
-    g.w("r_ = (va_ - vb_) & 4294967295")
-    g.w("ef = (ef & -2262) | (64 if r_ == 0 else 0)"
-        " | (128 if r_ & 2147483648 else 0)")
-    g.w("if va_ < vb_:")
+def _flags_sub(g: Gen, a: str, b: str) -> None:
+    g.w(f"r_ = ({a} - {b}) & 4294967295")
+    g.w("ef = (ef & -2262) | " + _ZF_SF.format(r="r_"))
+    g.w(f"if {a} < {b}:")
     g.w("    ef |= 1")
-    g.w("if (va_ ^ vb_) & (va_ ^ r_) & 2147483648:")
+    g.w(f"if ({a} ^ {b}) & ({a} ^ r_) & 2147483648:")
     g.w("    ef |= 2048")
-
-
-def _flags_logic(g: Gen) -> None:
-    g.w("ef = (ef & -2262) | (64 if r_ == 0 else 0)"
-        " | (128 if r_ & 2147483648 else 0)")
-
-
-def _alu_body(g: Gen, op: int) -> bool:
-    """Emit the op on locals va_/vb_ into r_; True if r_ writes back."""
-    if op == 0:                                     # add
-        _flags_add(g)
-        return True
-    if op == 2:                                     # adc
-        g.w("vb_ = (vb_ + (ef & 1)) & 4294967295")
-        _flags_add(g)
-        return True
-    if op == 5:                                     # sub
-        _flags_sub(g)
-        return True
-    if op == 3:                                     # sbb
-        g.w("vb_ = (vb_ + (ef & 1)) & 4294967295")
-        _flags_sub(g)
-        return True
-    if op == 7:                                     # cmp
-        _flags_sub(g)
-        return False
-    if op == 4:
-        g.w("r_ = va_ & vb_")
-    elif op == 1:
-        g.w("r_ = va_ | vb_")
-    else:                                           # op == 6, xor
-        g.w("r_ = va_ ^ vb_")
-    _flags_logic(g)
-    return True
 
 
 # ---------------------------------------------------------------------------
-# per-executor emitters.  Signature: (g, i, A, N, K) -> bool; A is the
-# instruction address, N the fall-through address, K the count of
-# instructions retired before this one.  Returning False (before
-# emitting anything!) falls back to a generic step.
+# lowering from the instruction table
+
+Hole = Callable[[Instr, int, int], str]
+Template = Tuple[str, Tuple[Hole, ...]]
 
 
-def _mem_ok(i) -> bool:
-    return i.seg in _SAFE_SEGS
-
-
-def _e_alu_rm_r(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    if i.rm_reg >= 0:
-        g.w(f"va_ = regs[{i.rm_reg}]")
-        g.w(f"vb_ = regs[{i.reg}]")
-        if _alu_body(g, i.op2):
-            g.w(f"regs[{i.rm_reg}] = r_")
-        return True
-    if not _mem_ok(i):
-        return False
-    g.entry(a, n, k)
-    g.w(f"a_ = {_ea_expr(i)}")
-    load(g, 4)
-    g.w("va_ = v_")
-    g.w(f"vb_ = regs[{i.reg}]")
-    if _alu_body(g, i.op2):
-        store(g, 4, "r_")
-    return True
-
-
-def _e_alu_r_rm(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    if i.rm_reg >= 0:
-        g.w(f"vb_ = regs[{i.rm_reg}]")
-    else:
-        if not _mem_ok(i):
-            return False
-        g.entry(a, n, k)
-        g.w(f"a_ = {_ea_expr(i)}")
-        load(g, 4)
-        g.w("vb_ = v_")
-    g.w(f"va_ = regs[{i.reg}]")
-    if _alu_body(g, i.op2):
-        g.w(f"regs[{i.reg}] = r_")
-    return True
-
-
-def _e_alu_a_imm(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    g.w("va_ = regs[0]")
-    g.w(f"vb_ = {i.imm & M}")
-    if _alu_body(g, i.op2):
-        g.w("regs[0] = r_")
-    return True
-
-
-def _e_grp1_rm_imm(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    if i.rm_reg >= 0:
-        g.w(f"va_ = regs[{i.rm_reg}]")
-        g.w(f"vb_ = {i.imm & M}")
-        if _alu_body(g, i.op2):
-            g.w(f"regs[{i.rm_reg}] = r_")
-        return True
-    if not _mem_ok(i):
-        return False
-    g.entry(a, n, k)
-    g.w(f"a_ = {_ea_expr(i)}")
-    load(g, 4)
-    g.w("va_ = v_")
-    g.w(f"vb_ = {i.imm & M}")
-    if _alu_body(g, i.op2):
-        store(g, 4, "r_")
-    return True
-
-
-def _e_test_rm_r(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    if i.rm_reg >= 0:
-        g.w(f"r_ = regs[{i.rm_reg}] & regs[{i.reg}]")
-    else:
-        if not _mem_ok(i):
-            return False
-        g.entry(a, n, k)
-        g.w(f"a_ = {_ea_expr(i)}")
-        load(g, 4)
-        g.w(f"r_ = v_ & regs[{i.reg}]")
-    _flags_logic(g)
-    return True
-
-
-def _e_test_a_imm(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    g.w(f"r_ = regs[0] & {i.imm & M}")
-    _flags_logic(g)
-    return True
-
-
-def _e_mov_rm_r(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    if i.rm_reg >= 0:
-        g.w(f"regs[{i.rm_reg}] = regs[{i.reg}]")
-        return True
-    if not _mem_ok(i):
-        return False
-    g.entry(a, n, k)
-    g.w(f"a_ = {_ea_expr(i)}")
-    store(g, 4, f"regs[{i.reg}]")
-    return True
-
-
-def _e_mov_r_rm(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    if i.rm_reg >= 0:
-        g.w(f"regs[{i.reg}] = regs[{i.rm_reg}]")
-        return True
-    if not _mem_ok(i):
-        return False
-    g.entry(a, n, k)
-    g.w(f"a_ = {_ea_expr(i)}")
-    load(g, 4)
-    g.w(f"regs[{i.reg}] = v_")
-    return True
-
-
-def _e_mov_r_imm(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    g.w(f"regs[{i.reg}] = {i.imm & M}")
-    return True
-
-
-def _e_mov_rm_imm(g, i, a, n, k) -> bool:
-    if i.width != 4:
-        return False
-    if i.rm_reg >= 0:
-        g.w(f"regs[{i.rm_reg}] = {i.imm & M}")
-        return True
-    if not _mem_ok(i):
-        return False
-    g.entry(a, n, k)
-    g.w(f"a_ = {_ea_expr(i)}")
-    store(g, 4, str(i.imm & M))
-    return True
-
-
-def _partial_read(i, sw: int) -> str:
-    if sw == 2:
+def _partial_read(i, width: int) -> str:
+    """A register read narrower than 32 bits (ah..bh are regs 4-7)."""
+    if width == 2:
         return f"regs[{i.rm_reg}] & 65535"
     if i.rm_reg < 4:
         return f"regs[{i.rm_reg}] & 255"
     return f"(regs[{i.rm_reg - 4}] >> 8) & 255"
 
 
-def _e_movzx(g, i, a, n, k) -> bool:
-    sw = i.op2
-    if sw not in (1, 2):
-        return False
-    if i.rm_reg >= 0:
-        g.w(f"regs[{i.reg}] = {_partial_read(i, sw)}")
-        return True
-    if not _mem_ok(i):
-        return False
-    g.entry(a, n, k)
-    g.w(f"a_ = {_ea_expr(i)}")
-    load(g, sw)
-    g.w(f"regs[{i.reg}] = v_")
-    return True
+_COND_TEXT = tuple(re.sub(r"\bf\b", "ef", text) for text in isa.COND_EXPRS)
+
+#: block-mode text of each register operand of a 32-bit instruction
+_OPERAND_TEXT: Dict[str, Hole] = {
+    "rm": lambda i, a, n: f"regs[{i.rm_reg}]",
+    "rm32": lambda i, a, n: f"regs[{i.rm_reg}]",
+    "rms": lambda i, a, n: _partial_read(i, i.op2),
+    "reg": lambda i, a, n: f"regs[{i.reg}]",
+    "reg32": lambda i, a, n: f"regs[{i.reg}]",
+    "acc": lambda i, a, n: "regs[0]",
+    "cond": lambda i, a, n: f"({_COND_TEXT[i.op2]})",
+    "ea": lambda i, a, n: f"({_ea_expr(i)})",
+}
+_FIXED_TEXT = {"flags": "ef", "cf": "(ef & 1)",
+               **{name: f"regs[{k}]" for k, name in enumerate(isa.GPRS)}}
+_STATIC_VALUE = {name: isa.static_fn(ast.Name(name)) for name in isa.STATIC}
 
 
-def _e_movsx(g, i, a, n, k) -> bool:
-    sw = i.op2
-    if sw not in (1, 2):
+#: the target of a store to the memory operand (a 32-bit r/m operand)
+_RM_TARGET = ("rm",)
+
+
+class _Unlowerable(Exception):
+    """The body needs the step executor (a generic call)."""
+
+
+def _template(node: ast.AST, mem: bool) -> Template:
+    """An expression or statement as block-mode text with ``{n}``
+    holes, filled per decoded instruction (address ``a``, next address
+    ``n``).  In a memory form an r/m operand reads the ``v_`` a
+    preceding load left."""
+    holes: List[Hole] = []
+
+    def hole(fn: Hole) -> ast.expr:
+        holes.append(fn)
+        return isa.expr(f"__h{len(holes) - 1}__")
+
+    def name(node: ast.Name) -> Optional[ast.expr]:
+        if mem and node.id in isa.MEMORY:
+            return ast.Name("v_", node.ctx)
+        if node.id in _OPERAND_TEXT:
+            return hole(_OPERAND_TEXT[node.id])
+        if node.id in _FIXED_TEXT:
+            return isa.expr(_FIXED_TEXT[node.id])
+        if node.id in isa.OPERANDS:
+            raise _Unlowerable(node.id)            # supervisor state
+        if node.id in isa.STATIC:
+            value = _STATIC_VALUE[node.id]
+            return hole(lambda i, a, n: f"({value(i, n)!r})")
+        if node.id in isa.CONSTS:
+            return ast.Constant(isa.CONSTS[node.id])
+        if node.id in isa.PASS:
+            return None
+        return ast.Name(f"x_{node.id}", node.ctx)
+
+    src = isa.rename(node, name).replace("{", "{{").replace("}", "}}")
+    return re.sub(r"__h(\d+)__", r"{\1}", src), tuple(holes)
+
+
+def _fill(template: Template, i, a: int, n: int) -> str:
+    text, holes = template
+    return text.format(*[hole(i, a, n) for hole in holes])
+
+
+def _plan(stmts: List[ast.stmt], mem: bool) -> list:
+    """Lowering steps of a resolved body for one r/m form:
+    ("code", template), ("cycles", n), ("rmload", width) (the memory
+    operand into ``v_``), ("assign", target, value) where the target
+    is a template or ("rm", width) for a store to the memory operand,
+    ("add"/"sub", a, b, target), ("logic", value, target),
+    ("incdec", value, overflow), ("push", value), ("pop", target),
+    ("load", address, width, segment, target) and ("store", address,
+    value, width, segment).  Raises :class:`_Unlowerable`."""
+    steps: list = []
+
+    def reads(node: ast.AST) -> None:
+        found = [n for n in isa.names(node) if n in isa.MEMORY]
+        if mem and found:
+            if len(found) > 1:
+                raise _Unlowerable(found)
+            steps.append(("rmload", found[0]))
+
+    def target_of(node: ast.expr):
+        if not isinstance(node, ast.Name):
+            raise _Unlowerable(ast.unparse(node))
+        if mem and node.id in isa.MEMORY:
+            return _RM_TARGET
+        return _template(node, mem)
+
+    for s in stmts:
+        value = getattr(s, "value", None)
+        call = isa.helper(value) if value is not None else None
+        calls = {isa.helper(c) for c in ast.walk(s)} - {None}
+        if isinstance(s, ast.Pass):
+            continue
+        if isinstance(s, ast.AugAssign) and ast.unparse(s.target) == "cycles":
+            steps.append(("cycles", cast_int(s.value)))
+        elif calls and (call is None or len(calls) > 1):
+            raise _Unlowerable(calls)
+        elif call is not None:
+            args = cast_call(value).args
+            target = target_of(s.targets[0]) \
+                if isinstance(s, ast.Assign) else None
+            for arg in args:
+                reads(arg)
+            t = [_template(arg, mem) for arg in args]
+            if call in ("add", "sub"):
+                steps.append((call, t[0], t[1], target))
+            elif call == "logic":
+                steps.append(("logic", t[0], target))
+            elif call == "incdec":
+                steps.append(("incdec", t[0], t[1]))
+            elif call == "push":
+                steps.append(("push", t[0]))
+            elif call == "pop":
+                steps.append(("pop", target))
+            elif call == "load":
+                steps.append(("load", t[0], args[1], target, args[2:]))
+            elif call == "store":
+                steps.append(("store", t[0], t[1], args[2], args[3:]))
+            else:
+                raise _Unlowerable(call)
+        elif isinstance(s, (ast.If, ast.For)):
+            if mem and isa.mentions_memory(s):
+                raise _Unlowerable("memory operand under a runtime if")
+            steps.append(("code", _template(s, mem)))
+        elif isinstance(s, ast.Assign):
+            reads(s.value)
+            steps.append(("assign", target_of(s.targets[0]),
+                          _template(s.value, mem)))
+        else:
+            reads(s)
+            steps.append(("code", _template(s, mem)))
+    return steps
+
+
+def cast_int(node: ast.expr) -> int:
+    if not isinstance(node, ast.Constant) or not isinstance(node.value, int):
+        raise _Unlowerable(ast.unparse(node))
+    return node.value
+
+
+def cast_call(node) -> ast.Call:
+    assert isinstance(node, ast.Call)
+    return node
+
+
+#: lowering plan per (row, r/m form, static outcome); None: generic
+_PLANS: Dict[tuple, Optional[list]] = {}
+
+
+def _static_int(node: ast.expr, i, n: int) -> int:
+    return int(isa.static_fn(node)(i, n)) if not \
+        isinstance(node, ast.Constant) else node.value
+
+
+def _lower(g: Gen, i, a: int, n: int, k: int) -> bool:
+    if i.width != 4:
         return False
-    if i.rm_reg >= 0:
-        g.w(f"v_ = {_partial_read(i, sw)}")
-    else:
-        if not _mem_ok(i):
-            return False
+    op = isa.op_of(i)
+    mem = i.rm_reg < 0
+    key = op.outcome(i, n)
+    plan = _PLANS.get((op, mem, key), [])
+    if plan == []:
+        try:
+            plan = _plan(op.resolved(key), mem)
+        except _Unlowerable:
+            plan = None
+        _PLANS[op, mem, key] = plan
+    if plan is None:
+        return False
+    touches_rm = any(step[0] == "rmload" or _RM_TARGET in step
+                     for step in plan)
+    if touches_rm and i.seg not in isa.SAFE_SEGS:
+        return False
+    if any(step[0] in ("load", "store") and not _safe(step[-1], i, n)
+           for step in plan):
+        return False
+    if touches_rm or any(step[0] in _MEMORY_STEPS for step in plan):
         g.entry(a, n, k)
-        g.w(f"a_ = {_ea_expr(i)}")
-        load(g, sw)
-    if sw == 1:
-        g.w(f"regs[{i.reg}] = (v_ | 4294967040) if v_ & 128 else v_")
-    else:
-        g.w(f"regs[{i.reg}] = (v_ | 4294901760) if v_ & 32768 else v_")
+    _Emit(g, i, a, n).run(plan)
     return True
 
 
-def _e_lea(g, i, a, n, k) -> bool:
-    if i.rm_reg >= 0:
-        return False                    # faults #UD — keep generic
-    g.w(f"regs[{i.reg}] = {_ea_expr(i)}")
-    return True
+_MEMORY_STEPS = frozenset({"rmload", "push", "pop", "load", "store"})
 
 
-def _e_xchg_eax_r(g, i, a, n, k) -> bool:
-    g.w("v_ = regs[0]")
-    g.w(f"regs[0] = regs[{i.reg}]")
-    g.w(f"regs[{i.reg}] = v_")
-    return True
+def _safe(seg_args: list, i, n: int) -> bool:
+    seg = _static_int(seg_args[0], i, n) if seg_args else i.seg
+    return seg in isa.SAFE_SEGS
 
 
-def _e_cdq(g, i, a, n, k) -> bool:
-    g.w("regs[2] = 4294967295 if regs[0] & 2147483648 else 0")
-    return True
+class _Emit:
+    """Emits one decoded instruction's plan."""
 
+    def __init__(self, g: Gen, i, a: int, n: int) -> None:
+        self.g, self.i, self.a, self.n = g, i, a, n
+        self.ea_live = False            # a_ holds the operand's address
 
-def _e_cwde(g, i, a, n, k) -> bool:
-    g.w("v_ = regs[0] & 65535")
-    g.w("regs[0] = (v_ | 4294901760) if v_ & 32768 else v_")
-    return True
+    def fill(self, template: Template) -> str:
+        text = _fill(template, self.i, self.a, self.n)
+        return str(int(text[1:-1]) & M) \
+            if re.fullmatch(r"\(-?\d+\)", text) else text
 
+    def address(self) -> None:
+        if not self.ea_live:
+            self.g.w(f"a_ = {_ea_expr(self.i)}")
+            self.ea_live = True
 
-def _e_nop(g, i, a, n, k) -> bool:
-    return True
+    def assign(self, target, value: str) -> None:
+        if target is None:
+            return
+        if target is _RM_TARGET:
+            self.address()
+            store(self.g, 4, value)
+        else:
+            self.g.w(f"{self.fill(target)} = {value}")
 
-
-def _e_clc(g, i, a, n, k) -> bool:
-    g.w("ef &= -2")
-    return True
-
-
-def _e_push_r(g, i, a, n, k) -> bool:
-    g.entry(a, n, k)
-    g.w(f"v_ = regs[{i.reg}]")
-    _push(g, "v_")
-    return True
-
-
-def _e_push_imm(g, i, a, n, k) -> bool:
-    g.entry(a, n, k)
-    _push(g, str(i.imm & M))
-    return True
-
-
-def _e_pushfd(g, i, a, n, k) -> bool:
-    g.entry(a, n, k)
-    _push(g, "ef")
-    return True
-
-
-def _e_pop_r(g, i, a, n, k) -> bool:
-    g.entry(a, n, k)
-    g.w("a_ = regs[4]")
-    load(g, 4)
-    g.w("regs[4] = (regs[4] + 4) & 4294967295")
-    g.w(f"regs[{i.reg}] = v_")
-    return True
-
-
-def _e_leave(g, i, a, n, k) -> bool:
-    g.entry(a, n, k)
-    g.w("regs[4] = regs[5]")
-    g.w("a_ = regs[4]")
-    load(g, 4)
-    g.w("regs[4] = (regs[4] + 4) & 4294967295")
-    g.w("regs[5] = v_")
-    return True
-
-
-def _e_inc_r(g, i, a, n, k) -> bool:
-    g.w(f"r_ = (regs[{i.reg}] + 1) & 4294967295")
-    g.w(f"regs[{i.reg}] = r_")
-    g.w("ef = (ef & -2241) | (64 if r_ == 0 else 0)"
-        " | (128 if r_ & 2147483648 else 0)"
-        " | (2048 if r_ == 2147483648 else 0)")
-    return True
-
-
-def _e_dec_r(g, i, a, n, k) -> bool:
-    g.w(f"r_ = (regs[{i.reg}] - 1) & 4294967295")
-    g.w(f"regs[{i.reg}] = r_")
-    g.w("ef = (ef & -2241) | (64 if r_ == 0 else 0)"
-        " | (128 if r_ & 2147483648 else 0)"
-        " | (2048 if r_ == 2147483647 else 0)")
-    return True
+    def run(self, plan: list) -> None:
+        g = self.g
+        for step in plan:
+            kind = step[0]
+            if kind == "code":
+                for line in self.fill(step[1]).split("\n"):
+                    g.w(line)
+            elif kind == "cycles":
+                g.pend += step[1]
+                g.max_cycles += step[1]
+            elif kind == "rmload":
+                self.address()
+                load(g, self.i.op2 if step[1] == "rms" else 4)
+            elif kind == "assign":
+                self.assign(step[1], self.fill(step[2]))
+            elif kind in ("add", "sub"):
+                a = _local(g, "va_", self.fill(step[1]))
+                b = _local(g, "vb_", self.fill(step[2]))
+                (_flags_add if kind == "add" else _flags_sub)(g, a, b)
+                self.assign(step[3], "r_")
+            elif kind == "logic":
+                r = _local(g, "r_", self.fill(step[1]))
+                g.w("ef = (ef & -2262) | " + _ZF_SF.format(r=r))
+                self.assign(step[2], r)
+            elif kind == "incdec":
+                r = _local(g, "r_", self.fill(step[1]))
+                g.w("ef = (ef & -2241) | " + _ZF_SF.format(r=r)
+                    + f" | (2048 if {self.fill(step[2])} else 0)")
+            elif kind == "push":
+                self.ea_live = False
+                _push(g, self.fill(step[1]))
+            elif kind == "pop":
+                self.ea_live = False
+                g.w("a_ = regs[4]")
+                load(g, 4)
+                g.w("regs[4] = (regs[4] + 4) & 4294967295")
+                self.assign(step[1], "v_")
+            elif kind == "load":
+                self.ea_live = False
+                g.w(f"a_ = {self.fill(step[1])}")
+                load(g, _static_int(step[2], self.i, self.n))
+                self.assign(step[3], "v_")
+            else:                                       # store
+                self.ea_live = False
+                g.w(f"a_ = {self.fill(step[1])}")
+                store(g, _static_int(step[3], self.i, self.n),
+                      self.fill(step[2]))
 
 
 # -- block-final branches ----------------------------------------------------
 
-_COND_EXPRS = [
-    "ef & 2048",                                           # o
-    "not ef & 2048",                                       # no
-    "ef & 1",                                              # b
-    "not ef & 1",                                          # ae
-    "ef & 64",                                             # e
-    "not ef & 64",                                         # ne
-    "ef & 65",                                             # be
-    "not ef & 65",                                         # a
-    "ef & 128",                                            # s
-    "not ef & 128",                                        # ns
-    "ef & 4",                                              # p
-    "not ef & 4",                                          # np
-    "((ef >> 7) ^ (ef >> 11)) & 1",                        # l
-    "not ((ef >> 7) ^ (ef >> 11)) & 1",                    # ge
-    "ef & 64 or ((ef >> 7) ^ (ef >> 11)) & 1",             # le
-    "not (ef & 64 or ((ef >> 7) ^ (ef >> 11)) & 1)",       # g
-]
-
 
 def _e_jcc(g, i, a, n, k) -> bool:
-    target = (n + i.imm) & M
-    g.w(f"if {_COND_EXPRS[i.op2]}:")
-    g.w(f"    pc = {target}")
+    g.w(f"if {_COND_TEXT[i.op2]}:")
+    g.w(f"    pc = {(n + i.imm) & M}")
     g.w("    cyc += 2")
     g.w("else:")
     g.w(f"    pc = {n}")
@@ -521,40 +485,10 @@ def _e_ret(g, i, a, n, k) -> bool:
     return True
 
 
-_INLINE: Dict[Callable, Callable] = {
-    xdec.exec_alu_rm_r: _e_alu_rm_r,
-    xdec.exec_alu_r_rm: _e_alu_r_rm,
-    xdec.exec_alu_a_imm: _e_alu_a_imm,
-    xdec.exec_grp1_rm_imm: _e_grp1_rm_imm,
-    xdec.exec_test_rm_r: _e_test_rm_r,
-    xdec.exec_test_a_imm: _e_test_a_imm,
-    xdec.exec_mov_rm_r: _e_mov_rm_r,
-    xdec.exec_mov_r_rm: _e_mov_r_rm,
-    xdec.exec_mov_r_imm: _e_mov_r_imm,
-    xdec.exec_mov_rm_imm: _e_mov_rm_imm,
-    xdec.exec_movzx: _e_movzx,
-    xdec.exec_movsx: _e_movsx,
-    xdec.exec_lea: _e_lea,
-    xdec.exec_xchg_eax_r: _e_xchg_eax_r,
-    xdec.exec_cdq: _e_cdq,
-    xdec.exec_cwde: _e_cwde,
-    xdec.exec_nop: _e_nop,
-    xdec.exec_clc: _e_clc,
-    xdec.exec_push_r: _e_push_r,
-    xdec.exec_push_imm: _e_push_imm,
-    xdec.exec_pushfd: _e_pushfd,
-    xdec.exec_pop_r: _e_pop_r,
-    xdec.exec_leave: _e_leave,
-    xdec.exec_inc_r: _e_inc_r,
-    xdec.exec_dec_r: _e_dec_r,
-}
-
-_INLINE_FINAL: Dict[Callable, Callable] = {
-    xdec.exec_jcc: _e_jcc,
-    xdec.exec_jmp_rel: _e_jmp_rel,
-    xdec.exec_call_rel: _e_call_rel,
-    xdec.exec_ret: _e_ret,
-}
+#: rows whose block code is written out here rather than derived: the
+#: block-final branches, which set the ``pc`` local
+_FINAL = {"jcc": _e_jcc, "jmp_rel": _e_jmp_rel, "call_rel": _e_call_rel,
+          "ret": _e_ret}
 
 
 def _emit_generic(g: Gen, i, a: int, n: int, k: int, final: bool) -> None:
@@ -590,9 +524,14 @@ def _body(g: Gen, nodes: list, ends_hard: bool) -> None:
     total = len(nodes)
     for k, (a, instr) in enumerate(nodes):
         n = (a + instr.length) & M
-        final = ends_hard and k == total - 1
-        emitter = (_INLINE_FINAL if final else _INLINE).get(instr.execute)
-        if emitter is not None and emitter(g, instr, a, n, k):
+        if ends_hard and k == total - 1:
+            emitter = _FINAL.get(isa.op_of(instr).name)
+            inline = emitter is not None and emitter(g, instr, a, n, k)
+            final = True
+        else:
+            inline = _lower(g, instr, a, n, k)
+            final = False
+        if inline:
             g.pend += instr.cycles
             g.max_cycles += instr.cycles + INLINE_SLACK
         else:
@@ -602,4 +541,4 @@ def _body(g: Gen, nodes: list, ends_hard: bool) -> None:
 def generate(members: Sequence[Member]):
     """Compile one superblock, or a region of them, into (fn,
     [max_cycles of each member]); see :func:`repro.compile.emit.unit`."""
-    return unit(Gen(), members, _body, insn_length, "x86-block")
+    return unit(_Gen(), members, _body, insn_length, "x86-block")

@@ -39,7 +39,7 @@ from typing import (
     Callable, Dict, FrozenSet, List, Optional, Tuple, Union, cast,
 )
 
-from repro.x86 import decoder as xdec
+from repro.x86 import isa as xisa
 from repro.x86.insn import Instr
 from repro.x86.registers import GPR_NAMES
 from repro.ppc import isa
@@ -123,11 +123,6 @@ def _xr(reg: int, width: int) -> str:
     return GPR_NAMES[reg]
 
 
-def _partial(reg: int, width: int) -> FrozenSet[str]:
-    """A sub-word register write merges into its parent register."""
-    return frozenset({_xr(reg, width)}) if width < 4 else _EMPTY
-
-
 def _x_mem_uses(i: Instr) -> set:
     uses = set()
     if i.base >= 0:
@@ -142,644 +137,172 @@ def _x_rel_target(i: Instr, addr: int) -> int:
     return (addr + i.length + i.imm) & MASK32
 
 
-_XFX = Dict[Callable, Callable[[Instr, int], InsnEffects]]
-_X86_EFFECTS: _XFX = {}
-
-
-def _x86(fn: Callable) -> Callable:
-    def register(handler: Callable[[Instr, int], InsnEffects]) -> Callable:
-        _X86_EFFECTS[fn] = handler
-        return handler
-    return register
-
-
-def _alu_family(i: Instr, dest_rm: bool, has_reg_operand: bool) -> InsnEffects:
-    """Shared shape of alu_rm_r / alu_r_rm / grp1_rm_imm.
-
-    ``i.reg`` is a register operand only for the two-register forms;
-    for grp1 it carries the modrm /op digit and must be ignored.
-    """
-    uses = _x_mem_uses(i)
-    defs = {EFLAGS}
-    reads = writes = False
-    if i.op2 in (xdec.ALU_ADC, xdec.ALU_SBB):
-        uses.add(EFLAGS)
-    writeback = i.op2 != xdec.ALU_CMP
-    if i.rm_reg >= 0:
-        uses.add(_xr(i.rm_reg, i.width))
-        if dest_rm and writeback:
-            defs.add(_xr(i.rm_reg, i.width))
-    else:
-        reads = True
-        if dest_rm and writeback:
-            writes = True
-    if has_reg_operand:
-        uses.add(_xr(i.reg, i.width))
-        if not dest_rm and writeback:
-            defs.add(_xr(i.reg, i.width))
-    return InsnEffects(frozenset(uses), frozenset(defs), reads, writes,
-                       may_fault=reads or writes)
-
-
-@_x86(xdec.exec_alu_rm_r)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return _alu_family(i, dest_rm=True, has_reg_operand=True)
-
-
-@_x86(xdec.exec_alu_r_rm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return _alu_family(i, dest_rm=False, has_reg_operand=True)
-
-
-@_x86(xdec.exec_alu_a_imm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    acc = _xr(0, i.width)
-    uses = {acc}
-    if i.op2 in (xdec.ALU_ADC, xdec.ALU_SBB):
-        uses.add(EFLAGS)
-    defs = {EFLAGS}
-    if i.op2 != xdec.ALU_CMP:
-        defs.add(acc)
-    return InsnEffects(frozenset(uses), frozenset(defs))
-
-
-@_x86(xdec.exec_grp1_rm_imm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return _alu_family(i, dest_rm=True, has_reg_operand=False)
-
-
-@_x86(xdec.exec_test_rm_r)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {_xr(i.reg, i.width)}
-    reads = i.rm_reg < 0
-    if not reads:
-        uses.add(_xr(i.rm_reg, i.width))
-    return InsnEffects(frozenset(uses), frozenset({EFLAGS}), reads,
-                       may_fault=reads)
-
-
-@_x86(xdec.exec_test_a_imm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_xr(0, i.width)}), frozenset({EFLAGS}))
-
-
-@_x86(xdec.exec_mov_rm_r)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {_xr(i.reg, i.width)}
-    if i.rm_reg >= 0:
-        return InsnEffects(frozenset(uses | _partial(i.rm_reg, i.width)),
-                           frozenset({_xr(i.rm_reg, i.width)}))
-    return InsnEffects(frozenset(uses), _EMPTY, writes_mem=True,
-                       may_fault=True)
-
-
-@_x86(xdec.exec_mov_r_rm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i)
-    reads = i.rm_reg < 0
-    if not reads:
-        uses.add(_xr(i.rm_reg, i.width))
-    uses |= _partial(i.reg, i.width)
-    return InsnEffects(frozenset(uses), frozenset({_xr(i.reg, i.width)}),
-                       reads, may_fault=reads)
-
-
-@_x86(xdec.exec_mov_r_imm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(_partial(i.reg, i.width),
-                       frozenset({_xr(i.reg, i.width)}))
-
-
-@_x86(xdec.exec_mov_rm_imm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    if i.rm_reg >= 0:
-        return InsnEffects(_partial(i.rm_reg, i.width),
-                           frozenset({_xr(i.rm_reg, i.width)}))
-    return InsnEffects(frozenset(_x_mem_uses(i)), _EMPTY, writes_mem=True,
-                       may_fault=True)
-
-
-def _x_load_to_reg(i: Instr, src_width: int) -> InsnEffects:
-    uses = _x_mem_uses(i)
-    reads = i.rm_reg < 0
-    if not reads:
-        uses.add(_xr(i.rm_reg, src_width))
-    return InsnEffects(frozenset(uses), frozenset({_xr(i.reg, 4)}),
-                       reads, may_fault=reads)
-
-
-@_x86(xdec.exec_movzx)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return _x_load_to_reg(i, i.op2)
-
-
-@_x86(xdec.exec_movsx)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return _x_load_to_reg(i, i.op2)
-
-
-@_x86(xdec.exec_lea)
-def _(i: Instr, addr: int) -> InsnEffects:
-    if i.rm_reg >= 0:      # undefined: lea with register rm faults
-        return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
-    return InsnEffects(frozenset(_x_mem_uses(i)),
-                       frozenset({_xr(i.reg, 4)}))
-
-
-@_x86(xdec.exec_moffs_load)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(_partial(0, i.width), frozenset({_xr(0, i.width)}),
-                       reads_mem=True, may_fault=True)
-
-
-@_x86(xdec.exec_moffs_store)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({_xr(0, i.width)}), _EMPTY,
-                       writes_mem=True, may_fault=True)
-
-
-@_x86(xdec.exec_xchg_r_rm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {_xr(i.reg, i.width)}
-    defs = {_xr(i.reg, i.width)}
-    if i.rm_reg >= 0:
-        uses.add(_xr(i.rm_reg, i.width))
-        defs.add(_xr(i.rm_reg, i.width))
-        return InsnEffects(frozenset(uses), frozenset(defs))
-    return InsnEffects(frozenset(uses), frozenset(defs), True, True,
-                       may_fault=True)
-
-
-@_x86(xdec.exec_xchg_eax_r)
-def _(i: Instr, addr: int) -> InsnEffects:
-    pair = frozenset({"eax", GPR_NAMES[i.reg]})
-    return InsnEffects(pair, pair)
-
-
-@_x86(xdec.exec_cdq)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"eax"}), frozenset({"edx"}))
-
-
-@_x86(xdec.exec_cwde)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"eax"}), frozenset({"eax"}))
-
-
-@_x86(xdec.exec_push_r)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({GPR_NAMES[i.reg], "esp"}),
-                       frozenset({"esp"}), writes_mem=True, may_fault=True)
-
-
-@_x86(xdec.exec_pop_r)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"esp"}),
-                       frozenset({GPR_NAMES[i.reg], "esp"}),
-                       reads_mem=True, may_fault=True)
-
-
-@_x86(xdec.exec_push_imm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"esp"}), frozenset({"esp"}),
-                       writes_mem=True, may_fault=True)
-
-
-@_x86(xdec.exec_pop_rm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {"esp"}
-    defs = {"esp"}
-    writes = False
-    if i.rm_reg >= 0:
-        defs.add(GPR_NAMES[i.rm_reg])
-    else:
-        writes = True
-    return InsnEffects(frozenset(uses), frozenset(defs), True, writes,
-                       may_fault=True)
-
-
-@_x86(xdec.exec_pushfd)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({EFLAGS, "esp"}), frozenset({"esp"}),
-                       writes_mem=True, may_fault=True)
-
-
-@_x86(xdec.exec_popfd)
-def _(i: Instr, addr: int) -> InsnEffects:
-    # restores system bits (IF, NT) too: mark as system state
-    return InsnEffects(frozenset({"esp"}), frozenset({EFLAGS, "esp"}),
-                       reads_mem=True, may_fault=True, system=True)
-
-
-@_x86(xdec.exec_leave)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"ebp"}), frozenset({"esp", "ebp"}),
-                       reads_mem=True, may_fault=True)
-
-
-@_x86(xdec.exec_inc_r)
-def _(i: Instr, addr: int) -> InsnEffects:
-    # inc/dec preserve CF: read-modify-write of the flag resource
-    return InsnEffects(frozenset({GPR_NAMES[i.reg], EFLAGS}),
-                       frozenset({GPR_NAMES[i.reg], EFLAGS}))
-
-
-@_x86(xdec.exec_dec_r)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({GPR_NAMES[i.reg], EFLAGS}),
-                       frozenset({GPR_NAMES[i.reg], EFLAGS}))
-
-
-@_x86(xdec.exec_grp5)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i)
-    rm_is_reg = i.rm_reg >= 0
-    if i.op2 in (0, 1):            # inc/dec r/m (CF preserved)
-        uses.add(EFLAGS)
-        defs = {EFLAGS}
-        if rm_is_reg:
-            uses.add(_xr(i.rm_reg, i.width))
-            defs.add(_xr(i.rm_reg, i.width))
-            return InsnEffects(frozenset(uses), frozenset(defs))
-        return InsnEffects(frozenset(uses), frozenset(defs), True, True,
-                           may_fault=True)
-    if i.op2 == 2:                 # call r/m
-        if rm_is_reg:
-            uses.add(GPR_NAMES[i.rm_reg])
-        uses.add("esp")
-        return InsnEffects(frozenset(uses), frozenset({"esp"}),
-                           reads_mem=not rm_is_reg, writes_mem=True,
-                           kind=KIND_CALL_INDIRECT, may_fault=True)
-    if i.op2 == 4:                 # jmp r/m
-        if rm_is_reg:
-            uses.add(GPR_NAMES[i.rm_reg])
-        return InsnEffects(frozenset(uses), _EMPTY,
-                           reads_mem=not rm_is_reg,
-                           kind=KIND_JUMP_INDIRECT, may_fault=True)
-    if i.op2 == 6:                 # push r/m
-        if rm_is_reg:
-            uses.add(GPR_NAMES[i.rm_reg])
-        uses.add("esp")
-        return InsnEffects(frozenset(uses), frozenset({"esp"}),
-                           reads_mem=not rm_is_reg, writes_mem=True,
-                           may_fault=True)
-    return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
-
-
-@_x86(xdec.exec_ret)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"esp"}), frozenset({"esp"}),
-                       reads_mem=True, kind=KIND_RET, may_fault=True)
-
-
-@_x86(xdec.exec_call_rel)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"esp"}), frozenset({"esp"}),
-                       writes_mem=True, kind=KIND_CALL,
-                       target=_x_rel_target(i, addr), may_fault=True)
-
-
-@_x86(xdec.exec_jmp_rel)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(kind=KIND_JUMP, target=_x_rel_target(i, addr))
-
-
-@_x86(xdec.exec_jcc)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({EFLAGS}), _EMPTY, kind=KIND_BRANCH,
-                       target=_x_rel_target(i, addr))
-
-
-@_x86(xdec.exec_grp2)
-def _(i: Instr, addr: int) -> InsnEffects:
-    op = i.op2 & 7
-    uses = _x_mem_uses(i)
-    if (i.op2 >> 3) == 2:          # count in CL
-        uses.add("ecx")
-    if op in (2, 3, 6):            # rcl/rcr/undefined shift: faults
-        # after reading its count and operand
-        return InsnEffects(frozenset(uses), reads_mem=i.rm_reg < 0,
-                           kind=KIND_ILLEGAL, may_fault=True)
-    defs = {EFLAGS}
-    reads = writes = False
-    if i.rm_reg >= 0:
-        uses.add(_xr(i.rm_reg, i.width))
-        defs.add(_xr(i.rm_reg, i.width))
-    else:
-        reads = writes = True
-    # count may be zero (flags untouched): model flags as RMW
-    uses.add(EFLAGS)
-    return InsnEffects(frozenset(uses), frozenset(defs), reads, writes,
-                       may_fault=reads)
-
-
-@_x86(xdec.exec_grp3)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i)
-    reads = i.rm_reg < 0
-    if not reads:
-        uses.add(_xr(i.rm_reg, i.width))
-    defs = set()
-    writes = False
-    fault = reads
-    if i.op2 in (0, 1):            # test r/m, imm
-        defs.add(EFLAGS)
-    elif i.op2 == 2:               # not (no flags)
-        if i.rm_reg >= 0:
-            defs.add(_xr(i.rm_reg, i.width))
-        else:
-            writes = True
-    elif i.op2 == 3:               # neg
-        defs.add(EFLAGS)
-        if i.rm_reg >= 0:
-            defs.add(_xr(i.rm_reg, i.width))
-        else:
-            writes = True
-    elif i.op2 in (4, 5):          # mul/imul: eax (and edx when 32-bit)
-        uses.add(_xr(0, i.width))
-        defs.add(_xr(0, i.width))
-        if i.width == 4:
-            defs.add("edx")
-    else:                          # div/idiv: can raise divide error
-        uses.add(_xr(0, i.width))
-        defs.add(_xr(0, i.width))
-        if i.width == 4:
-            uses.add("edx")
-            defs.add("edx")
-        fault = True
-    return InsnEffects(frozenset(uses), frozenset(defs), reads, writes,
-                       may_fault=fault)
-
-
-@_x86(xdec.exec_imul_r_rm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {_xr(i.reg, i.width)}
-    reads = i.rm_reg < 0
-    if not reads:
-        uses.add(_xr(i.rm_reg, i.width))
-    return InsnEffects(frozenset(uses), frozenset({_xr(i.reg, i.width)}),
-                       reads, may_fault=reads)
-
-
-@_x86(xdec.exec_imul_rmi)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i)
-    reads = i.rm_reg < 0
-    if not reads:
-        uses.add(_xr(i.rm_reg, i.width))
-    uses |= _partial(i.reg, i.width)
-    return InsnEffects(frozenset(uses), frozenset({_xr(i.reg, i.width)}),
-                       reads, may_fault=reads)
-
-
-@_x86(xdec.exec_nop)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects()
-
-
-def _flag_rmw(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({EFLAGS}), frozenset({EFLAGS}))
-
-
-_X86_EFFECTS[xdec.exec_clc] = _flag_rmw
-_X86_EFFECTS[xdec.exec_stc] = _flag_rmw
-_X86_EFFECTS[xdec.exec_cmc] = _flag_rmw
-
-
-@_x86(xdec.exec_ud2)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
-
-
-@_x86(xdec.exec_invalid)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
-
-
-@_x86(xdec.exec_int)
-def _(i: Instr, addr: int) -> InsnEffects:
-    # int 0x80 raises SYSCALL; anything else may GP-fault or invoke a
-    # real handler.  Either way it leaves straight-line flow.
-    return InsnEffects(may_fault=True, system=True)
-
-
-@_x86(xdec.exec_int3)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(system=True)
-
-
-@_x86(xdec.exec_into)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({EFLAGS}), _EMPTY, may_fault=True)
-
-
-@_x86(xdec.exec_iret)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"esp", EFLAGS}),
-                       frozenset({"esp", EFLAGS}), reads_mem=True,
-                       kind=KIND_RET, may_fault=True, system=True)
-
-
-@_x86(xdec.exec_hlt)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(kind=KIND_HALT, system=True)
-
-
-@_x86(xdec.exec_cli)
-def _(i: Instr, addr: int) -> InsnEffects:
-    # IF is not part of the eflags liveness resource
-    return InsnEffects(system=True)
-
-
-@_x86(xdec.exec_sti)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(system=True)
-
-
-@_x86(xdec.exec_bound)
-def _(i: Instr, addr: int) -> InsnEffects:
-    if i.rm_reg >= 0:
-        return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
-    uses = _x_mem_uses(i) | {GPR_NAMES[i.reg]}
-    return InsnEffects(frozenset(uses), _EMPTY, reads_mem=True,
-                       may_fault=True)
-
-
-@_x86(xdec.exec_push_sreg)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"esp"}), frozenset({"esp"}),
-                       writes_mem=True, may_fault=True, system=True)
-
-
-@_x86(xdec.exec_pop_sreg)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return InsnEffects(frozenset({"esp"}), frozenset({"esp"}),
-                       reads_mem=True, may_fault=True, system=True)
-
-
-@_x86(xdec.exec_mov_sreg_rm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    if i.reg > 5:
-        return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
-    uses = _x_mem_uses(i)
-    reads = i.rm_reg < 0
-    if not reads:
-        uses.add(_xr(i.rm_reg, 2))
-    return InsnEffects(frozenset(uses), _EMPTY, reads,
-                       may_fault=True, system=True)
-
-
-@_x86(xdec.exec_mov_rm_sreg)
-def _(i: Instr, addr: int) -> InsnEffects:
-    if i.reg > 5:
-        return InsnEffects(kind=KIND_ILLEGAL, may_fault=True)
-    uses = _x_mem_uses(i)
-    if i.rm_reg >= 0:
-        return InsnEffects(frozenset(uses),
-                           frozenset({GPR_NAMES[i.rm_reg]}), system=True)
-    return InsnEffects(frozenset(uses), _EMPTY, writes_mem=True,
-                       may_fault=True, system=True)
-
-
-@_x86(xdec.exec_mov_cr)
-def _(i: Instr, addr: int) -> InsnEffects:
-    gpr = GPR_NAMES[i.rm_reg if i.rm_reg >= 0 else 0]
-    if i.op2 == 0:                 # mov r32, crN
-        return InsnEffects(_EMPTY, frozenset({gpr}), system=True)
-    # mov crN, r32: can flip paging/PE — full system write
-    return InsnEffects(frozenset({gpr}), _EMPTY, may_fault=True,
-                       system=True)
-
-
-@_x86(xdec.exec_movs)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = {"esi", "edi"}
-    defs = {"esi", "edi"}
-    if i.op2:                      # rep
-        uses.add("ecx")
-        defs.add("ecx")
-    return InsnEffects(frozenset(uses), frozenset(defs), True, True,
-                       may_fault=True)
-
-
-@_x86(xdec.exec_stos)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = {"edi", "eax"}
-    defs = {"edi"}
-    if i.op2:
-        uses.add("ecx")
-        defs.add("ecx")
-    return InsnEffects(frozenset(uses), frozenset(defs), False, True,
-                       may_fault=True)
-
-
-@_x86(xdec.exec_setcc)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {EFLAGS}
-    if i.rm_reg >= 0:
-        return InsnEffects(frozenset(uses | _partial(i.rm_reg, 1)),
-                           frozenset({_xr(i.rm_reg, 1)}))
-    return InsnEffects(frozenset(uses), _EMPTY, writes_mem=True,
-                       may_fault=True)
-
-
-@_x86(xdec.exec_cmovcc)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {EFLAGS}
-    reads = i.rm_reg < 0
-    if not reads:
-        uses.add(_xr(i.rm_reg, i.width))
-    # conditional write: destination keeps its old value when the
-    # condition fails, so the def is also a use
-    dest = _xr(i.reg, i.width)
-    uses.add(dest)
-    return InsnEffects(frozenset(uses), frozenset({dest}), reads,
-                       may_fault=reads)
-
-
-def _bt_family(i: Instr, bit_from_reg: bool) -> InsnEffects:
-    uses = _x_mem_uses(i) | {EFLAGS}
-    if bit_from_reg:
-        uses.add(_xr(i.reg, 4))
-    defs = {EFLAGS}                # CF only: modelled RMW via uses
-    reads = writes = False
-    if i.rm_reg >= 0:
-        uses.add(_xr(i.rm_reg, 4))
-        if i.op2:
-            defs.add(_xr(i.rm_reg, 4))
-    else:
-        reads = True
-        writes = bool(i.op2)
-    return InsnEffects(frozenset(uses), frozenset(defs), reads, writes,
-                       may_fault=reads)
-
-
-@_x86(xdec.exec_bt)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return _bt_family(i, bit_from_reg=True)
-
-
-@_x86(xdec.exec_bt_imm)
-def _(i: Instr, addr: int) -> InsnEffects:
-    return _bt_family(i, bit_from_reg=False)
-
-
-def _bscan(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {EFLAGS}
-    reads = i.rm_reg < 0
-    if not reads:
-        uses.add(_xr(i.rm_reg, 4))
-    dest = _xr(i.reg, 4)
-    uses.add(dest)                 # unwritten when the source is zero
-    return InsnEffects(frozenset(uses), frozenset({dest, EFLAGS}), reads,
-                       may_fault=reads)
-
-
-_X86_EFFECTS[xdec.exec_bsf] = _bscan
-_X86_EFFECTS[xdec.exec_bsr] = _bscan
-
-
-@_x86(xdec.exec_shld)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {_xr(i.reg, 4), EFLAGS}
-    defs = {EFLAGS}
-    reads = writes = False
-    if i.rm_reg >= 0:
-        uses.add(_xr(i.rm_reg, 4))
-        defs.add(_xr(i.rm_reg, 4))
-    else:
-        reads = writes = True
-    return InsnEffects(frozenset(uses), frozenset(defs), reads, writes,
-                       may_fault=reads)
-
-
-@_x86(xdec.exec_xadd)
-def _(i: Instr, addr: int) -> InsnEffects:
-    uses = _x_mem_uses(i) | {_xr(i.reg, i.width)}
-    defs = {_xr(i.reg, i.width), EFLAGS}
-    reads = writes = False
-    if i.rm_reg >= 0:
-        uses.add(_xr(i.rm_reg, i.width))
-        defs.add(_xr(i.rm_reg, i.width))
-    else:
-        reads = writes = True
-    return InsnEffects(frozenset(uses), frozenset(defs), reads, writes,
-                       may_fault=reads)
-
-
-@_x86(xdec.exec_cmpxchg)
-def _(i: Instr, addr: int) -> InsnEffects:
-    acc = _xr(0, i.width)
-    uses = _x_mem_uses(i) | {acc, _xr(i.reg, i.width)}
-    defs = {acc, EFLAGS}
-    reads = writes = False
-    if i.rm_reg >= 0:
-        uses.add(_xr(i.rm_reg, i.width))
-        defs.add(_xr(i.rm_reg, i.width))
-    else:
-        reads = writes = True
-    return InsnEffects(frozenset(uses), frozenset(defs), reads, writes,
-                       may_fault=reads)
+#: an operand's width and resource, by its name in the body vocabulary
+_WIDTH: Dict[str, Callable[[Instr], int]] = {
+    name: eval(f"lambda i: {width}")
+    for name, (_r, _w, width, _role) in xisa.OPERANDS.items()}
+_RESOURCE: Dict[str, Callable[[Instr], str]] = {
+    "rm": lambda i: _xr(i.rm_reg, i.width),
+    "rm32": lambda i: GPR_NAMES[i.rm_reg],
+    "rms": lambda i: _xr(i.rm_reg, i.op2),
+    "rm8": lambda i: _xr(i.rm_reg, 1),
+    "rm16": lambda i: _xr(i.rm_reg, 2),
+    "reg": lambda i: _xr(i.reg, i.width),
+    "reg32": lambda i: GPR_NAMES[i.reg],
+    "acc": lambda i: _xr(0, i.width),
+    "gpr_rm": lambda i: GPR_NAMES[i.rm_reg if i.rm_reg >= 0 else 0],
+    **{name: (lambda i, name=name: name) for name in GPR_NAMES},
+    **{name: (lambda i: EFLAGS) for name in ("flags", "cf", "cond")},
+}
+#: operands a sub-word write merges into (the write is also a use)
+_MERGING = frozenset({"rm", "rm8", "rm16", "reg", "acc"})
+
+
+class _X86Effects:
+    """One row's effects for one kind of decoded instruction (its r/m
+    form and the outcome of its static ifs), read off the resolved
+    body: operands read are uses, operands written are defs, helper
+    calls carry their roles.  An operand read after the body wrote it
+    is not a use; a def on only one side of a runtime if (or in a loop
+    body) may leave the old value in place, so it is also a use.  The
+    operands stay symbolic until :meth:`resolve` names the registers
+    of one instruction."""
+
+    def __init__(self, op: xisa.Op, stmts: List[ast.stmt],
+                 mem: bool) -> None:
+        self.mem = mem
+        self.uses: List[str] = []
+        self.defs: List[str] = []
+        self.roles: set = set()
+        self.target = False
+        self.kind = op.kind
+        self.block(stmts, self.defs)
+
+    def use(self, name: str) -> None:
+        name = "flags" if name in ("cf", "cond") else name
+        if name not in self.defs and name not in self.uses:
+            self.uses.append(name)
+
+    def block(self, stmts: List[ast.stmt], defs: List[str]) -> None:
+        for s in stmts:
+            if isinstance(s, (ast.If, ast.For)):
+                self.reads(s.test if isinstance(s, ast.If) else s.iter,
+                           defs)
+                sides: List[List[str]] = [[], []]
+                self.block(s.body, sides[0])
+                self.block(s.orelse, sides[1])
+                for name in sides[0] + sides[1]:
+                    if (name in sides[0]) != (name in sides[1]):
+                        self.use(name)
+                for name in sides[0] + sides[1]:
+                    if name not in defs:
+                        defs.append(name)
+            elif isinstance(s, ast.Assign):
+                self.reads(s.value, defs)
+                self.write(s.targets[0], defs)
+            elif isinstance(s, ast.AugAssign):
+                if ast.unparse(s.target) != "cycles":
+                    self.reads(s.value, defs)
+                    self.write(s.target, defs, merge=True)
+            elif isinstance(s, ast.Expr):
+                self.reads(s.value, defs)
+            elif not isinstance(s, ast.Pass):
+                raise ValueError(f"no effect rule for {ast.unparse(s)!r}")
+
+    def operand(self, name: str, access: str) -> bool:
+        """Note a memory or supervisor access; True when *name* is a
+        register operand (a liveness resource)."""
+        if name == "ea" or (self.mem and name in xisa.MEMORY):
+            self.use("ea")
+            if name != "ea":
+                self.roles.update((access, "may_fault"))
+            return False
+        role = xisa.OPERANDS[name][3] if name in xisa.OPERANDS else None
+        if role == "system":
+            self.roles.add("system")
+            if access == "writes_mem" and name in ("sreg", "cr"):
+                self.roles.add("may_fault")     # a checked load
+            return False
+        return role is not None
+
+    def reads(self, node: ast.AST, defs: List[str]) -> None:
+        """Operands an expression reads, then its helpers' roles."""
+        calls = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and \
+                    self.operand(sub.id, "reads_mem"):
+                self.use(sub.id)
+            name = xisa.helper(sub)
+            if name is not None:
+                calls.append((name, cast(ast.Call, sub)))
+        for name, call in calls:
+            roles = xisa.HELPERS[name][1].split()
+            if "stack" in roles:
+                self.use("esp")
+                defs.append("esp")
+            if "merges_flags" in roles:
+                self.use("flags")
+            if "sets_flags" in roles or "merges_flags" in roles:
+                defs.append("flags")
+            self.roles.update(r for r in roles if "flags" not in r
+                              and r != "stack")
+            if name == "branch":
+                # a computed target may fault on its fetch
+                if ast.unparse(call.args[0]) == "target":
+                    self.target = True
+                else:
+                    self.roles.add("may_fault")
+
+    def write(self, target: ast.expr, defs: List[str],
+              merge: bool = False) -> None:
+        """An assignment to *target*; *merge* for ``op=``, which reads
+        it too."""
+        if not isinstance(target, ast.Name) or \
+                not self.operand(target.id, "writes_mem"):
+            return
+        name = target.id
+        if merge:
+            self.use(name)
+        elif name == "flags":
+            self.roles.add("system")        # restores IF, NT, ... too
+        if name not in defs:
+            defs.append(name)
+
+    def resolve(self, i: Instr, addr: int) -> InsnEffects:
+        uses = set()
+        for name in self.uses:
+            if name == "ea":
+                uses.update(_x_mem_uses(i))
+            else:
+                uses.add(_RESOURCE[name](i))
+        defs = set()
+        for name in self.defs:
+            resource = _RESOURCE[name](i)
+            defs.add(resource)
+            if name in _MERGING and _WIDTH[name](i) < 4:
+                uses.add(resource)
+        kind = self.kind(i) if self.kind is not None else None
+        if kind is None:
+            kind = KIND_ILLEGAL if "illegal" in self.roles else KIND_FALL
+        target = _x_rel_target(i, addr) if self.target else None
+        return InsnEffects(frozenset(uses), frozenset(defs),
+                           "reads_mem" in self.roles,
+                           "writes_mem" in self.roles, kind, target,
+                           "may_fault" in self.roles, "system" in self.roles)
+
+
+#: effects per (row, r/m form, static-if outcome), built on first use
+_X86_EFFECTS: Dict[tuple, _X86Effects] = {}
+
+
+def _x86_effects(op: xisa.Op, i: Instr, addr: int) -> InsnEffects:
+    mem = i.rm_reg < 0
+    key = op.outcome(i, (addr + i.length) & MASK32)
+    effects = _X86_EFFECTS.get((op, mem, key))
+    if effects is None:
+        effects = _X86_EFFECTS[op, mem, key] = _X86Effects(
+            op, op.resolved(key), mem)
+    return effects.resolve(i, addr)
 
 
 # ---------------------------------------------------------------------------
@@ -899,9 +422,9 @@ def insn_effects(insn: Union[Instr, PPCInstr], addr: int) -> InsnEffects:
     learned a new instruction and this model must be extended.
     """
     if isinstance(insn, Instr):
-        handler = _X86_EFFECTS.get(insn.execute)
-        if handler is not None:
-            return handler(insn, addr)
+        x86 = xisa.BY_EXECUTE.get(insn.execute)
+        if x86 is not None:
+            return _x86_effects(x86, insn, addr)
     else:
         op = isa.BY_EXECUTE.get(insn.execute)
         if op is not None:

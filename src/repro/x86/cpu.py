@@ -315,7 +315,7 @@ class X86CPU:
         self.eflags = flags
         return result
 
-    def set_flags_logic(self, result: int, width: int) -> None:
+    def set_flags_logic(self, result: int, width: int) -> int:
         mask = mask_for_width(width)
         result &= mask
         flags = self.eflags & ~_ARITH_FLAGS
@@ -324,6 +324,7 @@ class X86CPU:
         if result & (1 << (width * 8 - 1)):
             flags |= FLAG_SF
         self.eflags = flags
+        return result
 
     def set_flags_incdec(self, result: int, overflow: bool) -> None:
         flags = self.eflags & ~(FLAG_ZF | FLAG_SF | FLAG_OF)

@@ -1,12 +1,13 @@
-"""IA-32 subset decoder and instruction semantics for the P4-like core.
+"""IA-32 subset decoder for the P4-like core, derived from
+:mod:`repro.x86.isa`.
 
-Decoding is deliberately table-driven over the *first byte* exactly as
-real hardware is: when a bit flip lands in an instruction, the bytes
-that follow are re-interpreted from scratch, instruction lengths change,
-and the stream re-synchronizes into a different sequence of mostly
-valid instructions (the paper's Figure 14 mechanism).  Undefined
-encodings decode to an instruction whose execution raises #UD, so the
-disassembler can still render them as ``(bad)``.
+Decoding is table-driven over the *first byte* exactly as real hardware
+is: when a bit flip lands in an instruction, the bytes that follow are
+re-interpreted from scratch, instruction lengths change, and the stream
+re-synchronizes into a different sequence of mostly valid instructions
+(the paper's Figure 14 mechanism).  Undefined encodings decode to an
+instruction whose execution raises #UD, so the disassembler can still
+render them as ``(bad)``.
 
 The subset covers what the ``kcc`` x86 backend emits plus the
 instructions that matter when corrupted code is executed (``bound``,
@@ -15,19 +16,26 @@ instructions that matter when corrupted code is executed (``bound``,
 real IA-32 density, which is what gives the P4 its low
 Invalid-Instruction crash share in code campaigns (24% in the paper
 versus 41% on the G4).
+
+The opcode maps (one-byte, ``0x0F`` and ``rep``) are built from the
+table rows' encodings; the step executor of each row is re-exported
+here as ``exec_<op>``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.isa.bits import MASK32, mask_for_width, sign_extend, to_signed
-from repro.x86.exceptions import X86Vector
+from repro.isa.bits import sign_extend
 from repro.x86.insn import Instr
+from repro.x86.isa import (
+    ALU_NAMES, COND_NAMES, FORMS, MAX_INSN_LEN, OPS, TABLE, Op,
+)
 from repro.x86.registers import (
-    FLAG_CF, FLAG_NT, FLAG_OF, FLAG_SF, FLAG_ZF,
     SEG_CS, SEG_DS, SEG_ES, SEG_FS, SEG_GS, SEG_SS,
 )
+
+__all__ = ["ALU_NAMES", "COND_NAMES", "MAX_INSN_LEN", "decode"]
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -94,779 +102,113 @@ def _parse_modrm(buf: bytes, pos: int) -> _ModRM:
     return out
 
 
-# ---------------------------------------------------------------------------
-# semantics: ALU ops
-
-ALU_ADD, ALU_OR, ALU_ADC, ALU_SBB, ALU_AND, ALU_SUB, ALU_XOR, ALU_CMP = \
-    range(8)
-ALU_NAMES = ("add", "or", "adc", "sbb", "and", "sub", "xor", "cmp")
-
-
-def _alu_compute(cpu, op: int, a: int, b: int, width: int) -> Tuple[int, bool]:
-    """Return (result, writeback?) and set flags."""
-    if op == ALU_ADD:
-        return cpu.set_flags_add(a, b, width), True
-    if op == ALU_ADC:
-        carry = 1 if cpu.eflags & FLAG_CF else 0
-        return cpu.set_flags_add(a, (b + carry) & mask_for_width(width),
-                                 width), True
-    if op == ALU_SUB:
-        return cpu.set_flags_sub(a, b, width), True
-    if op == ALU_SBB:
-        borrow = 1 if cpu.eflags & FLAG_CF else 0
-        return cpu.set_flags_sub(a, (b + borrow) & mask_for_width(width),
-                                 width), True
-    if op == ALU_CMP:
-        cpu.set_flags_sub(a, b, width)
-        return 0, False
-    if op == ALU_AND:
-        result = a & b
-    elif op == ALU_OR:
-        result = a | b
-    else:  # ALU_XOR
-        result = a ^ b
-    cpu.set_flags_logic(result, width)
-    return result, True
-
-
-def exec_alu_rm_r(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        a = cpu.get_reg(i.rm_reg, i.width)
-        result, writeback = _alu_compute(
-            cpu, i.op2, a, cpu.get_reg(i.reg, i.width), i.width)
-        if writeback:
-            cpu.set_reg(i.rm_reg, i.width, result)
-    else:
-        addr = cpu.ea(i)
-        a = cpu.load(addr, i.width, i.seg)
-        result, writeback = _alu_compute(
-            cpu, i.op2, a, cpu.get_reg(i.reg, i.width), i.width)
-        if writeback:
-            cpu.store(addr, result, i.width, i.seg)
-
-
-def exec_alu_r_rm(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        b = cpu.get_reg(i.rm_reg, i.width)
-    else:
-        b = cpu.load(cpu.ea(i), i.width, i.seg)
-    a = cpu.get_reg(i.reg, i.width)
-    result, writeback = _alu_compute(cpu, i.op2, a, b, i.width)
-    if writeback:
-        cpu.set_reg(i.reg, i.width, result)
-
-
-def exec_alu_a_imm(cpu, i: Instr) -> None:
-    a = cpu.get_reg(0, i.width)
-    result, writeback = _alu_compute(cpu, i.op2, a, i.imm, i.width)
-    if writeback:
-        cpu.set_reg(0, i.width, result)
-
-
-def exec_grp1_rm_imm(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        a = cpu.get_reg(i.rm_reg, i.width)
-        result, writeback = _alu_compute(cpu, i.op2, a, i.imm, i.width)
-        if writeback:
-            cpu.set_reg(i.rm_reg, i.width, result)
-    else:
-        addr = cpu.ea(i)
-        a = cpu.load(addr, i.width, i.seg)
-        result, writeback = _alu_compute(cpu, i.op2, a, i.imm, i.width)
-        if writeback:
-            cpu.store(addr, result, i.width, i.seg)
-
-
-def exec_test_rm_r(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        a = cpu.get_reg(i.rm_reg, i.width)
-    else:
-        a = cpu.load(cpu.ea(i), i.width, i.seg)
-    cpu.set_flags_logic(a & cpu.get_reg(i.reg, i.width), i.width)
-
-
-def exec_test_a_imm(cpu, i: Instr) -> None:
-    cpu.set_flags_logic(cpu.get_reg(0, i.width) & i.imm, i.width)
+def _immediate(buf: bytes, pos: int, kind: Optional[str], width: int,
+               digit: int):
+    """(value, size) of an immediate of *kind* at *pos*."""
+    if kind == "grp3":
+        kind = "z" if digit < 2 else None
+    if kind == "z":
+        kind = {1: "b", 2: "w"}.get(width, "d")
+    if kind is None:
+        return 0, 0
+    if kind == "b":
+        return buf[pos], 1
+    if kind == "bs":
+        return sign_extend(buf[pos], 8), 1
+    if kind == "w":
+        return _le16(buf, pos), 2
+    return _le32(buf, pos), 4
 
 
 # ---------------------------------------------------------------------------
-# semantics: data movement
-
-
-def exec_mov_rm_r(cpu, i: Instr) -> None:
-    value = cpu.get_reg(i.reg, i.width)
-    if i.rm_reg >= 0:
-        cpu.set_reg(i.rm_reg, i.width, value)
-    else:
-        cpu.store(cpu.ea(i), value, i.width, i.seg)
-
-
-def exec_mov_r_rm(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, i.width)
-    else:
-        value = cpu.load(cpu.ea(i), i.width, i.seg)
-    cpu.set_reg(i.reg, i.width, value)
-
-
-def exec_mov_r_imm(cpu, i: Instr) -> None:
-    cpu.set_reg(i.reg, i.width, i.imm)
-
-
-def exec_mov_rm_imm(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        cpu.set_reg(i.rm_reg, i.width, i.imm)
-    else:
-        cpu.store(cpu.ea(i), i.imm, i.width, i.seg)
-
-
-def exec_movzx(cpu, i: Instr) -> None:
-    src_width = i.op2
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, src_width)
-    else:
-        value = cpu.load(cpu.ea(i), src_width, i.seg)
-    cpu.set_reg(i.reg, 4, value)
-
-
-def exec_movsx(cpu, i: Instr) -> None:
-    src_width = i.op2
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, src_width)
-    else:
-        value = cpu.load(cpu.ea(i), src_width, i.seg)
-    cpu.set_reg(i.reg, 4, sign_extend(value, src_width * 8))
-
-
-def exec_lea(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        # lea with a register rm is undefined on real hardware
-        cpu.fault(X86Vector.INVALID_OPCODE, detail="lea with register rm")
-    cpu.set_reg(i.reg, 4, cpu.ea(i))
-
-
-def exec_moffs_load(cpu, i: Instr) -> None:
-    cpu.set_reg(0, i.width, cpu.load(i.disp, i.width, i.seg))
-
-
-def exec_moffs_store(cpu, i: Instr) -> None:
-    cpu.store(i.disp, cpu.get_reg(0, i.width), i.width, i.seg)
-
-
-def exec_xchg_r_rm(cpu, i: Instr) -> None:
-    a = cpu.get_reg(i.reg, i.width)
-    if i.rm_reg >= 0:
-        b = cpu.get_reg(i.rm_reg, i.width)
-        cpu.set_reg(i.rm_reg, i.width, a)
-    else:
-        addr = cpu.ea(i)
-        b = cpu.load(addr, i.width, i.seg)
-        cpu.store(addr, a, i.width, i.seg)
-    cpu.set_reg(i.reg, i.width, b)
-
-
-def exec_xchg_eax_r(cpu, i: Instr) -> None:
-    a = cpu.regs[0]
-    cpu.regs[0] = cpu.regs[i.reg]
-    cpu.regs[i.reg] = a
-
-
-def exec_cdq(cpu, i: Instr) -> None:
-    cpu.regs[2] = MASK32 if cpu.regs[0] & 0x80000000 else 0
-
-
-def exec_cwde(cpu, i: Instr) -> None:
-    cpu.regs[0] = sign_extend(cpu.regs[0] & 0xFFFF, 16)
-
-
-# ---------------------------------------------------------------------------
-# semantics: stack
-
-
-def exec_push_r(cpu, i: Instr) -> None:
-    cpu.push32(cpu.regs[i.reg])
-
-
-def exec_pop_r(cpu, i: Instr) -> None:
-    cpu.regs[i.reg] = cpu.pop32()
-
-
-def exec_push_imm(cpu, i: Instr) -> None:
-    cpu.push32(i.imm)
-
-
-def exec_pop_rm(cpu, i: Instr) -> None:
-    value = cpu.pop32()
-    if i.rm_reg >= 0:
-        cpu.regs[i.rm_reg] = value
-    else:
-        cpu.store(cpu.ea(i), value, 4, i.seg)
-
-
-def exec_pushfd(cpu, i: Instr) -> None:
-    cpu.push32(cpu.eflags)
-
-
-def exec_popfd(cpu, i: Instr) -> None:
-    cpu.eflags = cpu.pop32()
-
-
-def exec_leave(cpu, i: Instr) -> None:
-    cpu.regs[4] = cpu.regs[5]
-    cpu.regs[5] = cpu.pop32()
-
-
-# ---------------------------------------------------------------------------
-# semantics: inc/dec and group 5
-
-
-def exec_inc_r(cpu, i: Instr) -> None:
-    value = (cpu.regs[i.reg] + 1) & MASK32
-    cpu.regs[i.reg] = value
-    cpu.set_flags_incdec(value, overflow=value == 0x80000000)
-
-
-def exec_dec_r(cpu, i: Instr) -> None:
-    value = (cpu.regs[i.reg] - 1) & MASK32
-    cpu.regs[i.reg] = value
-    cpu.set_flags_incdec(value, overflow=value == 0x7FFFFFFF)
-
-
-def exec_grp5(cpu, i: Instr) -> None:
-    op = i.op2
-    if op in (0, 1):  # inc/dec r/m
-        if i.rm_reg >= 0:
-            value = cpu.get_reg(i.rm_reg, i.width)
-        else:
-            addr = cpu.ea(i)
-            value = cpu.load(addr, i.width, i.seg)
-        delta = 1 if op == 0 else -1
-        value = (value + delta) & mask_for_width(i.width)
-        cpu.set_flags_incdec(value, overflow=False)
-        if i.rm_reg >= 0:
-            cpu.set_reg(i.rm_reg, i.width, value)
-        else:
-            cpu.store(addr, value, i.width, i.seg)
-    elif op == 2:  # call r/m
-        if i.rm_reg >= 0:
-            target = cpu.regs[i.rm_reg]
-        else:
-            target = cpu.load(cpu.ea(i), 4, i.seg)
-        cpu.push32(cpu.eip)
-        cpu.branch(target)
-    elif op == 4:  # jmp r/m
-        if i.rm_reg >= 0:
-            target = cpu.regs[i.rm_reg]
-        else:
-            target = cpu.load(cpu.ea(i), 4, i.seg)
-        cpu.branch(target)
-    elif op == 6:  # push r/m
-        if i.rm_reg >= 0:
-            cpu.push32(cpu.regs[i.rm_reg])
-        else:
-            cpu.push32(cpu.load(cpu.ea(i), 4, i.seg))
-    else:
-        cpu.fault(X86Vector.INVALID_OPCODE, detail=f"grp5 /{op}")
-
-
-# ---------------------------------------------------------------------------
-# semantics: control flow
-
-
-def exec_ret(cpu, i: Instr) -> None:
-    cpu.branch(cpu.pop32())
-    cpu.regs[4] = (cpu.regs[4] + i.imm) & MASK32
-
-
-def exec_call_rel(cpu, i: Instr) -> None:
-    cpu.push32(cpu.eip)
-    cpu.branch((cpu.eip + i.imm) & MASK32)
-
-
-def exec_jmp_rel(cpu, i: Instr) -> None:
-    cpu.branch((cpu.eip + i.imm) & MASK32)
-
-
-_COND_CHECKS: List[Callable[[int], bool]] = [
-    lambda f: bool(f & FLAG_OF),                               # o
-    lambda f: not f & FLAG_OF,                                 # no
-    lambda f: bool(f & FLAG_CF),                               # b
-    lambda f: not f & FLAG_CF,                                 # ae
-    lambda f: bool(f & FLAG_ZF),                               # e
-    lambda f: not f & FLAG_ZF,                                 # ne
-    lambda f: bool(f & (FLAG_CF | FLAG_ZF)),                   # be
-    lambda f: not f & (FLAG_CF | FLAG_ZF),                     # a
-    lambda f: bool(f & FLAG_SF),                               # s
-    lambda f: not f & FLAG_SF,                                 # ns
-    lambda f: bool(f & 0x4),                                   # p
-    lambda f: not f & 0x4,                                     # np
-    lambda f: bool(f & FLAG_SF) != bool(f & FLAG_OF),          # l
-    lambda f: bool(f & FLAG_SF) == bool(f & FLAG_OF),          # ge
-    lambda f: bool(f & FLAG_ZF)
-    or (bool(f & FLAG_SF) != bool(f & FLAG_OF)),               # le
-    lambda f: not f & FLAG_ZF
-    and (bool(f & FLAG_SF) == bool(f & FLAG_OF)),              # g
-]
-
-COND_NAMES = ("o", "no", "b", "ae", "e", "ne", "be", "a",
-              "s", "ns", "p", "np", "l", "ge", "le", "g")
-
-
-def exec_jcc(cpu, i: Instr) -> None:
-    if _COND_CHECKS[i.op2](cpu.eflags):
-        cpu.branch((cpu.eip + i.imm) & MASK32)
-
-
-# ---------------------------------------------------------------------------
-# semantics: group 2 (shifts) and group 3 (mul/div/...)
-
-
-def exec_grp2(cpu, i: Instr) -> None:
-    op = i.op2 & 7
-    count_kind = i.op2 >> 3        # 0: imm, 1: one, 2: CL
-    if count_kind == 0:
-        count = i.imm & 31
-    elif count_kind == 1:
-        count = 1
-    else:
-        count = cpu.regs[1] & 31
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, i.width)
-    else:
-        addr = cpu.ea(i)
-        value = cpu.load(addr, i.width, i.seg)
-    bits = i.width * 8
-    mask = mask_for_width(i.width)
-    if count:
-        if op == 4:      # shl
-            result = (value << count) & mask
-            carry = (value >> (bits - count)) & 1 if count <= bits else 0
-        elif op == 5:    # shr
-            result = (value & mask) >> count
-            carry = (value >> (count - 1)) & 1
-        elif op == 7:    # sar
-            signed = to_signed(value, bits)
-            result = (signed >> count) & mask
-            carry = (signed >> (count - 1)) & 1
-        elif op == 0:    # rol
-            count %= bits
-            result = ((value << count) | (value >> (bits - count))) & mask \
-                if count else value & mask
-            carry = result & 1
-        elif op == 1:    # ror
-            count %= bits
-            result = ((value >> count) | (value << (bits - count))) & mask \
-                if count else value & mask
-            carry = (result >> (bits - 1)) & 1
-        else:
-            cpu.fault(X86Vector.INVALID_OPCODE, detail=f"grp2 /{op}")
-            return
-        cpu.set_flags_logic(result, i.width)
-        if carry:
-            cpu.eflags |= FLAG_CF
-        if i.rm_reg >= 0:
-            cpu.set_reg(i.rm_reg, i.width, result)
-        else:
-            cpu.store(addr, result, i.width, i.seg)
-
-
-def exec_grp3(cpu, i: Instr) -> None:
-    op = i.op2
-    mask = mask_for_width(i.width)
-    bits = i.width * 8
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, i.width)
-    else:
-        addr = cpu.ea(i)
-        value = cpu.load(addr, i.width, i.seg)
-    if op == 0 or op == 1:       # test r/m, imm
-        cpu.set_flags_logic(value & i.imm, i.width)
-    elif op == 2:                # not
-        result = (~value) & mask
-        if i.rm_reg >= 0:
-            cpu.set_reg(i.rm_reg, i.width, result)
-        else:
-            cpu.store(addr, result, i.width, i.seg)
-    elif op == 3:                # neg
-        result = (-value) & mask
-        cpu.set_flags_sub(0, value, i.width)
-        if i.rm_reg >= 0:
-            cpu.set_reg(i.rm_reg, i.width, result)
-        else:
-            cpu.store(addr, result, i.width, i.seg)
-    elif op == 4:                # mul
-        product = (cpu.get_reg(0, i.width) * value)
-        cpu.set_reg(0, i.width, product & mask)
-        if i.width == 4:
-            cpu.regs[2] = (product >> 32) & MASK32
-        cpu.cycles += 4
-    elif op == 5:                # imul
-        product = to_signed(cpu.get_reg(0, i.width), bits) * \
-            to_signed(value, bits)
-        cpu.set_reg(0, i.width, product & mask)
-        if i.width == 4:
-            cpu.regs[2] = (product >> 32) & MASK32
-        cpu.cycles += 4
-    elif op == 6:                # div
-        if value == 0:
-            cpu.fault(X86Vector.DIVIDE_ERROR, detail="divide by zero")
-        if i.width == 4:
-            dividend = (cpu.regs[2] << 32) | cpu.regs[0]
-        else:
-            dividend = cpu.get_reg(0, i.width)
-        quotient = dividend // value
-        if quotient > mask:
-            cpu.fault(X86Vector.DIVIDE_ERROR, detail="quotient overflow")
-        cpu.set_reg(0, i.width, quotient)
-        if i.width == 4:
-            cpu.regs[2] = dividend % value
-        cpu.cycles += 20
-    elif op == 7:                # idiv
-        signed_value = to_signed(value, bits)
-        if signed_value == 0:
-            cpu.fault(X86Vector.DIVIDE_ERROR, detail="divide by zero")
-        if i.width == 4:
-            dividend = to_signed((cpu.regs[2] << 32) | cpu.regs[0], 64)
-        else:
-            dividend = to_signed(cpu.get_reg(0, i.width), bits)
-        quotient = int(dividend / signed_value)
-        if not -(1 << (bits - 1)) <= quotient < (1 << (bits - 1)):
-            cpu.fault(X86Vector.DIVIDE_ERROR, detail="quotient overflow")
-        cpu.set_reg(0, i.width, quotient & mask)
-        if i.width == 4:
-            cpu.regs[2] = (dividend - quotient * signed_value) & MASK32
-        cpu.cycles += 20
-
-
-def exec_imul_r_rm(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        b = cpu.get_reg(i.rm_reg, i.width)
-    else:
-        b = cpu.load(cpu.ea(i), i.width, i.seg)
-    product = to_signed(cpu.get_reg(i.reg, i.width), 32) * to_signed(b, 32)
-    cpu.set_reg(i.reg, i.width, product & MASK32)
-    cpu.cycles += 4
-
-
-def exec_imul_rmi(cpu, i: Instr) -> None:
-    """imul reg, r/m, imm (opcode 0x69 / 0x6B)."""
-    if i.rm_reg >= 0:
-        b = cpu.get_reg(i.rm_reg, i.width)
-    else:
-        b = cpu.load(cpu.ea(i), i.width, i.seg)
-    product = to_signed(b, 32) * to_signed(i.imm, 32)
-    cpu.set_reg(i.reg, i.width, product & MASK32)
-    cpu.cycles += 4
-
-
-# ---------------------------------------------------------------------------
-# semantics: traps, system instructions, misc
-
-
-def exec_nop(cpu, i: Instr) -> None:
-    pass
-
-
-def exec_clc(cpu, i: Instr) -> None:
-    cpu.eflags &= ~FLAG_CF
-
-
-def exec_stc(cpu, i: Instr) -> None:
-    cpu.eflags |= FLAG_CF
-
-
-def exec_cmc(cpu, i: Instr) -> None:
-    cpu.eflags ^= FLAG_CF
-
-
-def exec_ud2(cpu, i: Instr) -> None:
-    cpu.fault(X86Vector.INVALID_OPCODE, detail="ud2a")
-
-
-def exec_invalid(cpu, i: Instr) -> None:
-    cpu.fault(X86Vector.INVALID_OPCODE,
-              detail=f"undefined opcode {i.mnemonic}")
-
-
-def exec_int(cpu, i: Instr) -> None:
-    vector = i.imm & 0xFF
-    if vector == X86Vector.SYSCALL:
-        cpu.fault(X86Vector.SYSCALL, detail="int 0x80")
-    if vector * 8 + 7 > cpu.idtr_limit:
-        cpu.fault(X86Vector.GENERAL_PROTECTION,
-                  detail=f"int {vector:#x} beyond IDT limit",
-                  error_code=vector * 8 + 2)
-    if vector == X86Vector.BREAKPOINT or vector == X86Vector.DEBUG:
-        return
-    # A stray software interrupt in kernel mode invokes a real handler
-    # which normally returns; charge the round-trip cost.
-    cpu.cycles += 120
-
-
-def exec_int3(cpu, i: Instr) -> None:
-    cpu.cycles += 60
-
-
-def exec_into(cpu, i: Instr) -> None:
-    if cpu.eflags & FLAG_OF:
-        cpu.fault(X86Vector.OVERFLOW, detail="into with OF set")
-
-
-def exec_iret(cpu, i: Instr) -> None:
-    if cpu.eflags & FLAG_NT:
-        # Nested-task return: the paper traces every Invalid TSS crash
-        # to a corrupted NT bit in EFLAGS (Section 5.2).
-        cpu.fault(X86Vector.INVALID_TSS,
-                  detail="iret with NT set: back-link TSS invalid")
-    new_eip = cpu.pop32()
-    cpu.pop32()                      # cs (flat model: ignored)
-    cpu.eflags = cpu.pop32()
-    cpu.branch(new_eip)
-
-
-def exec_hlt(cpu, i: Instr) -> None:
-    cpu.check_privilege("hlt")
-    cpu.halted = True
-
-
-def exec_cli(cpu, i: Instr) -> None:
-    cpu.check_privilege("cli")
-    cpu.eflags &= ~0x200
-
-
-def exec_sti(cpu, i: Instr) -> None:
-    cpu.check_privilege("sti")
-    cpu.eflags |= 0x200
-
-
-def exec_bound(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        cpu.fault(X86Vector.INVALID_OPCODE, detail="bound with register rm")
-    addr = cpu.ea(i)
-    lower = cpu.load(addr, 4, i.seg)
-    upper = cpu.load((addr + 4) & MASK32, 4, i.seg)
-    value = to_signed(cpu.regs[i.reg], 32)
-    if value < to_signed(lower, 32) or value > to_signed(upper, 32):
-        cpu.fault(X86Vector.BOUNDS, address=addr,
-                  detail="bound range exceeded")
-
-
-def exec_push_sreg(cpu, i: Instr) -> None:
-    cpu.push32(cpu.get_sreg(i.reg))
-
-
-def exec_pop_sreg(cpu, i: Instr) -> None:
-    cpu.load_sreg(i.reg, cpu.pop32())
-
-
-def exec_mov_sreg_rm(cpu, i: Instr) -> None:
-    if i.reg > 5:
-        cpu.fault(X86Vector.INVALID_OPCODE, detail="mov to sreg 6/7")
-    if i.rm_reg >= 0:
-        selector = cpu.get_reg(i.rm_reg, 2)
-    else:
-        selector = cpu.load(cpu.ea(i), 2, i.seg)
-    cpu.load_sreg(i.reg, selector)
-
-
-def exec_mov_rm_sreg(cpu, i: Instr) -> None:
-    if i.reg > 5:
-        cpu.fault(X86Vector.INVALID_OPCODE, detail="mov from sreg 6/7")
-    value = cpu.get_sreg(i.reg)
-    if i.rm_reg >= 0:
-        cpu.set_reg(i.rm_reg, 4, value)
-    else:
-        cpu.store(cpu.ea(i), value, 2, i.seg)
-
-
-def exec_mov_cr(cpu, i: Instr) -> None:
-    cpu.check_privilege("mov cr")
-    if i.op2 == 0:   # mov r32, crN
-        cpu.regs[i.rm_reg if i.rm_reg >= 0 else 0] = cpu.get_cr(i.reg)
-    else:            # mov crN, r32
-        cpu.set_cr(i.reg, cpu.regs[i.rm_reg if i.rm_reg >= 0 else 0])
-
-
-def exec_movs(cpu, i: Instr) -> None:
-    """movsb/movsd, optionally rep-prefixed (op2=1)."""
-    step = i.width
-    count = 1
-    if i.op2:
-        count = cpu.regs[1]        # ecx
-        cpu.regs[1] = 0
-    for _ in range(count):
-        value = cpu.load(cpu.regs[6], i.width, i.seg)
-        cpu.store(cpu.regs[7], value, i.width, SEG_ES)
-        cpu.regs[6] = (cpu.regs[6] + step) & MASK32
-        cpu.regs[7] = (cpu.regs[7] + step) & MASK32
-        cpu.cycles += 1
-
-
-def exec_stos(cpu, i: Instr) -> None:
-    step = i.width
-    count = 1
-    if i.op2:
-        count = cpu.regs[1]
-        cpu.regs[1] = 0
-    value = cpu.get_reg(0, i.width)
-    for _ in range(count):
-        cpu.store(cpu.regs[7], value, i.width, SEG_ES)
-        cpu.regs[7] = (cpu.regs[7] + step) & MASK32
-        cpu.cycles += 1
-
-
-def exec_setcc(cpu, i: Instr) -> None:
-    value = 1 if _COND_CHECKS[i.op2](cpu.eflags) else 0
-    if i.rm_reg >= 0:
-        cpu.set_reg(i.rm_reg, 1, value)
-    else:
-        cpu.store(cpu.ea(i), value, 1, i.seg)
-
-
-def exec_cmovcc(cpu, i: Instr) -> None:
-    if not _COND_CHECKS[i.op2](cpu.eflags):
-        return
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, i.width)
-    else:
-        value = cpu.load(cpu.ea(i), i.width, i.seg)
-    cpu.set_reg(i.reg, i.width, value)
-
-
-def exec_bt(cpu, i: Instr) -> None:
-    """bt/bts/btr/btc r/m32, r32 (op2: 0=bt 1=bts 2=btr 3=btc)."""
-    bit = cpu.get_reg(i.reg, 4) & 31
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, 4)
-    else:
-        addr = cpu.ea(i)
-        value = cpu.load(addr, 4, i.seg)
-    if value & (1 << bit):
-        cpu.eflags |= FLAG_CF
-    else:
-        cpu.eflags &= ~FLAG_CF
-    if i.op2 == 1:
-        value |= 1 << bit
-    elif i.op2 == 2:
-        value &= ~(1 << bit)
-    elif i.op2 == 3:
-        value ^= 1 << bit
-    if i.op2:
-        if i.rm_reg >= 0:
-            cpu.set_reg(i.rm_reg, 4, value)
-        else:
-            cpu.store(addr, value, 4, i.seg)
-
-
-def exec_bsf(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, 4)
-    else:
-        value = cpu.load(cpu.ea(i), 4, i.seg)
-    if value == 0:
-        cpu.eflags |= FLAG_ZF
-        return
-    cpu.eflags &= ~FLAG_ZF
-    index = (value & -value).bit_length() - 1
-    cpu.set_reg(i.reg, 4, index)
-
-
-def exec_bsr(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, 4)
-    else:
-        value = cpu.load(cpu.ea(i), 4, i.seg)
-    if value == 0:
-        cpu.eflags |= FLAG_ZF
-        return
-    cpu.eflags &= ~FLAG_ZF
-    cpu.set_reg(i.reg, 4, value.bit_length() - 1)
-
-
-def exec_shld(cpu, i: Instr) -> None:
-    """shld/shrd r/m32, r32, imm8 (op2: 0=shld, 1=shrd)."""
-    count = i.imm & 31
-    if count == 0:
-        return
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, 4)
-    else:
-        addr = cpu.ea(i)
-        value = cpu.load(addr, 4, i.seg)
-    filler = cpu.get_reg(i.reg, 4)
-    if i.op2 == 0:
-        result = ((value << count) | (filler >> (32 - count))) & MASK32
-    else:
-        result = ((value >> count) | (filler << (32 - count))) & MASK32
-    cpu.set_flags_logic(result, 4)
-    if i.rm_reg >= 0:
-        cpu.set_reg(i.rm_reg, 4, result)
-    else:
-        cpu.store(addr, result, 4, i.seg)
-
-
-def exec_xadd(cpu, i: Instr) -> None:
-    if i.rm_reg >= 0:
-        old = cpu.get_reg(i.rm_reg, i.width)
-        total = cpu.set_flags_add(old, cpu.get_reg(i.reg, i.width),
-                                  i.width)
-        cpu.set_reg(i.rm_reg, i.width, total)
-    else:
-        addr = cpu.ea(i)
-        old = cpu.load(addr, i.width, i.seg)
-        total = cpu.set_flags_add(old, cpu.get_reg(i.reg, i.width),
-                                  i.width)
-        cpu.store(addr, total, i.width, i.seg)
-    cpu.set_reg(i.reg, i.width, old)
-
-
-def exec_bt_imm(cpu, i: Instr) -> None:
-    """grp8: bt/bts/btr/btc r/m32, imm8 (op2 selects the operation)."""
-    bit = i.imm & 31
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, 4)
-    else:
-        addr = cpu.ea(i)
-        value = cpu.load(addr, 4, i.seg)
-    if value & (1 << bit):
-        cpu.eflags |= FLAG_CF
-    else:
-        cpu.eflags &= ~FLAG_CF
-    if i.op2 == 1:
-        value |= 1 << bit
-    elif i.op2 == 2:
-        value &= ~(1 << bit)
-    elif i.op2 == 3:
-        value ^= 1 << bit
-    if i.op2:
-        if i.rm_reg >= 0:
-            cpu.set_reg(i.rm_reg, 4, value)
-        else:
-            cpu.store(addr, value, 4, i.seg)
-
-
-def exec_cmpxchg(cpu, i: Instr) -> None:
-    accumulator = cpu.get_reg(0, i.width)
-    if i.rm_reg >= 0:
-        value = cpu.get_reg(i.rm_reg, i.width)
-    else:
-        addr = cpu.ea(i)
-        value = cpu.load(addr, i.width, i.seg)
-    cpu.set_flags_sub(accumulator, value, i.width)
-    if accumulator == value:
-        replacement = cpu.get_reg(i.reg, i.width)
-        if i.rm_reg >= 0:
-            cpu.set_reg(i.rm_reg, i.width, replacement)
-        else:
-            cpu.store(addr, replacement, i.width, i.seg)
-    else:
-        cpu.set_reg(0, i.width, value)
+# the opcode maps
+
+Build = Callable[[bytes, int, int, int], Instr]
+
+exec_invalid = OPS["invalid"].execute
+
+
+def _bad(pos_end: int, mnemonic: str = "(bad)") -> Instr:
+    return Instr(mnemonic, max(pos_end, 1), 1, exec_invalid)
+
+
+def _builder(op: Op, code: int, form: str) -> Build:
+    """Decode of one opcode of a row; ``pos`` is just past the opcode."""
+    modrm, imm_kind, reg_from, keep_seg = FORMS[form]
+    execute = op.execute
+    rule = op.width
+    cycles = op.cycles if isinstance(op.cycles, int) \
+        else op.cycles.get(code, 1)
+    digits = op.digits.get(code)
+    reg = code & 7 if reg_from == "low3" else \
+        (code >> 3) & 7 if reg_from == "sreg" else 0
+
+    def width_of(width: int) -> int:
+        if isinstance(rule, int):
+            return rule
+        if rule == "w" or code & (8 if rule == "bw3" else 1):
+            return width
+        return 1
+
+    def op2_of(digit: int) -> int:
+        return op.op2(code, digit) if callable(op.op2) else op.op2
+
+    def name(op2: int) -> str:
+        return op.mnemonic(code, op2) if callable(op.mnemonic) \
+            else str(op.mnemonic)
+
+    if modrm:
+        def build(buf: bytes, pos: int, width: int, seg: int) -> Instr:
+            digit = (buf[pos] >> 3) & 7
+            if digits is not None and digit not in digits:
+                return _bad(pos + 1)
+            m = _parse_modrm(buf, pos)
+            w = width_of(width)
+            imm, size = _immediate(buf, pos + m.length, imm_kind, w, digit)
+            op2 = op2_of(digit)
+            return Instr(name(op2), pos + m.length + size,
+                         cycles + (2 if m.rm_reg < 0 else 0), execute,
+                         reg=m.reg, rm_reg=m.rm_reg, base=m.base,
+                         index=m.index, scale=m.scale, disp=m.disp,
+                         imm=imm, width=w, seg=seg, op2=op2)
+        return build
+
+    op2 = op2_of(0)
+    mnemonic = name(op2)
+
+    def build_plain(buf: bytes, pos: int, width: int, seg: int) -> Instr:
+        w = width_of(width)
+        disp = 0
+        if form == "moffs":
+            disp = _le32(buf, pos)
+            pos += 4
+        imm, size = _immediate(buf, pos, imm_kind, w, 0)
+        return Instr(mnemonic, pos + size, cycles, execute, reg=reg,
+                     disp=disp, imm=imm, width=w,
+                     seg=seg if keep_seg else SEG_DS, op2=op2)
+    return build_plain
+
+
+def _maps() -> List[Dict[int, Build]]:
+    """The one-byte, ``0x0F`` and ``rep`` maps, by the byte that
+    selects the entry."""
+    maps: List[Dict[int, Build]] = [{}, {}, {}]
+    for op in TABLE:
+        for code, form in op.enc.items():
+            table = maps[{0: 0, 0x0F: 1, 0xF3: 2}[code >> 8]]
+            assert code & 0xFF not in table, f"{code:#x} decoded twice"
+            table[code & 0xFF] = _builder(op, code, form)
+    return maps
+
+
+_ONE_BYTE, _TWO_BYTE, _REP = _maps()
+
+for _op in TABLE:
+    globals()[f"exec_{_op.name}"] = _op.execute
 
 
 # ---------------------------------------------------------------------------
 # the decoder
-
-MAX_INSN_LEN = 12
 
 
 def decode(buf: bytes, addr: int = 0) -> Instr:
@@ -905,369 +247,20 @@ def decode(buf: bytes, addr: int = 0) -> Instr:
         elif byte == 0xF0:          # lock: accepted and ignored
             pos += 1
         elif byte == 0xF2 or byte == 0xF3:
-            return _decode_rep(buf, pos, width, seg)
+            build = _REP.get(buf[pos + 1])
+            if build is None:
+                return _bad(pos + 2)
+            return build(buf, pos + 2, width, seg)
         else:
             break
-    return _decode_opcode(buf, pos, width, seg)
-
-
-def _bad(pos_end: int, mnemonic: str = "(bad)") -> Instr:
-    return Instr(mnemonic, max(pos_end, 1), 1, exec_invalid)
-
-
-def _decode_rep(buf: bytes, pos: int, width: int, seg: int) -> Instr:
-    pos += 1
-    byte = buf[pos]
-    if byte == 0xA4:
-        return Instr("rep movsb", pos + 1, 2, exec_movs, width=1, seg=seg,
-                     op2=1)
-    if byte == 0xA5:
-        return Instr("rep movsd", pos + 1, 2, exec_movs,
-                     width=2 if width == 2 else 4, seg=seg, op2=1)
-    if byte == 0xAA:
-        return Instr("rep stosb", pos + 1, 2, exec_stos, width=1, seg=seg,
-                     op2=1)
-    if byte == 0xAB:
-        return Instr("rep stosd", pos + 1, 2, exec_stos,
-                     width=2 if width == 2 else 4, seg=seg, op2=1)
-    if byte == 0x90:
-        return Instr("pause", pos + 1, 1, exec_nop)
-    return _bad(pos + 1)
-
-
-def _with_modrm(buf: bytes, pos: int, mnemonic: str, execute, width: int,
-                seg: int, op2: int = 0, imm_size: int = 0,
-                imm_signed: bool = False, cycles: int = 1) -> Instr:
-    modrm = _parse_modrm(buf, pos)
-    end = pos + modrm.length
-    imm = 0
-    if imm_size:
-        if imm_size == 1:
-            imm = sign_extend(buf[end], 8) if imm_signed else buf[end]
-        elif imm_size == 2:
-            imm = _le16(buf, end)
-        else:
-            imm = _le32(buf, end)
-        end += imm_size
-    memory = modrm.rm_reg < 0
-    return Instr(mnemonic, end, cycles + (2 if memory else 0), execute,
-                 reg=modrm.reg, rm_reg=modrm.rm_reg, base=modrm.base,
-                 index=modrm.index, scale=modrm.scale, disp=modrm.disp,
-                 imm=imm, width=width, seg=seg, op2=op2)
-
-
-def _decode_opcode(buf: bytes, pos: int, width: int, seg: int) -> Instr:
     opcode = buf[pos]
-    pos += 1
-
     if opcode == 0x0F:
-        return _decode_0f(buf, pos, width, seg)
-
-    # -- the classic ALU block 0x00-0x3F --
-    if opcode < 0x40:
-        alu_op = opcode >> 3
-        form = opcode & 7
-        name = ALU_NAMES[alu_op]
-        if form == 0:
-            return _with_modrm(buf, pos, name, exec_alu_rm_r, 1, seg, alu_op)
-        if form == 1:
-            return _with_modrm(buf, pos, name, exec_alu_rm_r, width, seg,
-                               alu_op)
-        if form == 2:
-            return _with_modrm(buf, pos, name, exec_alu_r_rm, 1, seg, alu_op)
-        if form == 3:
-            return _with_modrm(buf, pos, name, exec_alu_r_rm, width, seg,
-                               alu_op)
-        if form == 4:
-            return Instr(name, pos + 1, 1, exec_alu_a_imm, imm=buf[pos],
-                         width=1, op2=alu_op)
-        if form == 5:
-            if width == 2:
-                return Instr(name, pos + 2, 1, exec_alu_a_imm,
-                             imm=_le16(buf, pos), width=2, op2=alu_op)
-            return Instr(name, pos + 4, 1, exec_alu_a_imm,
-                         imm=_le32(buf, pos), width=4, op2=alu_op)
-        # forms 6/7: legacy segment push/pop (0x06 push es, 0x07 pop es,
-        # 0x0E push cs, 0x16/0x17, 0x1E/0x1F) and the BCD adjusters
-        # (0x27 daa, 0x2F das, 0x37 aaa, 0x3F aas).  All valid on real
-        # hardware, which matters for decode density under bit flips.
-        if opcode in (0x06, 0x0E, 0x16, 0x1E):
-            return Instr("push-sreg", pos, 2, exec_push_sreg,
-                         reg=(0x00, 0x01, 0x02, 0x03)[opcode >> 3])
-        if opcode in (0x07, 0x17, 0x1F):
-            return Instr("pop-sreg", pos, 2, exec_pop_sreg,
-                         reg=(0x00, None, 0x02, 0x03)[opcode >> 3])
-        if opcode in (0x27, 0x2F, 0x37, 0x3F):
-            return Instr(("daa", "das", "aaa", "aas")[(opcode >> 3) - 4],
-                         pos, 1, exec_nop)
-        return _bad(pos, f"(bad {opcode:#04x})")
-
-    if opcode < 0x48:                                   # inc r32
-        return Instr("inc", pos, 1, exec_inc_r, reg=opcode - 0x40)
-    if opcode < 0x50:                                   # dec r32
-        return Instr("dec", pos, 1, exec_dec_r, reg=opcode - 0x48)
-    if opcode < 0x58:                                   # push r32
-        return Instr("push", pos, 2, exec_push_r, reg=opcode - 0x50)
-    if opcode < 0x60:                                   # pop r32
-        return Instr("pop", pos, 2, exec_pop_r, reg=opcode - 0x58)
-
-    if opcode == 0x62:
-        return _with_modrm(buf, pos, "bound", exec_bound, 4, seg, cycles=3)
-    if opcode == 0x68:
-        return Instr("push", pos + 4, 2, exec_push_imm, imm=_le32(buf, pos))
-    if opcode == 0x6A:
-        return Instr("push", pos + 1, 2, exec_push_imm,
-                     imm=sign_extend(buf[pos], 8))
-    if opcode == 0x69:
-        return _with_modrm(buf, pos, "imul", exec_imul_rmi, width, seg,
-                           imm_size=4, cycles=4)
-    if opcode == 0x6B:
-        return _with_modrm(buf, pos, "imul", exec_imul_rmi, width, seg,
-                           imm_size=1, imm_signed=True, cycles=4)
-
-    if 0x70 <= opcode <= 0x7F:                          # jcc rel8
-        return Instr("j" + COND_NAMES[opcode & 0xF], pos + 1, 1, exec_jcc,
-                     imm=sign_extend(buf[pos], 8), op2=opcode & 0xF)
-
-    if opcode == 0x80:
-        return _with_modrm(buf, pos, "grp1b", exec_grp1_rm_imm, 1, seg,
-                           op2=(buf[pos] >> 3) & 7, imm_size=1)
-    if opcode == 0x81:
-        return _with_modrm(buf, pos, "grp1", exec_grp1_rm_imm, width, seg,
-                           op2=(buf[pos] >> 3) & 7,
-                           imm_size=2 if width == 2 else 4)
-    if opcode == 0x83:
-        return _with_modrm(buf, pos, "grp1s", exec_grp1_rm_imm, width, seg,
-                           op2=(buf[pos] >> 3) & 7, imm_size=1,
-                           imm_signed=True)
-    if opcode == 0x84:
-        return _with_modrm(buf, pos, "test", exec_test_rm_r, 1, seg)
-    if opcode == 0x85:
-        return _with_modrm(buf, pos, "test", exec_test_rm_r, width, seg)
-    if opcode == 0x86:
-        return _with_modrm(buf, pos, "xchg", exec_xchg_r_rm, 1, seg)
-    if opcode == 0x87:
-        return _with_modrm(buf, pos, "xchg", exec_xchg_r_rm, width, seg)
-    if opcode == 0x88:
-        return _with_modrm(buf, pos, "mov", exec_mov_rm_r, 1, seg)
-    if opcode == 0x89:
-        return _with_modrm(buf, pos, "mov", exec_mov_rm_r, width, seg)
-    if opcode == 0x8A:
-        return _with_modrm(buf, pos, "mov", exec_mov_r_rm, 1, seg)
-    if opcode == 0x8B:
-        return _with_modrm(buf, pos, "mov", exec_mov_r_rm, width, seg)
-    if opcode == 0x8C:
-        return _with_modrm(buf, pos, "mov", exec_mov_rm_sreg, 2, seg)
-    if opcode == 0x8D:
-        return _with_modrm(buf, pos, "lea", exec_lea, 4, seg, cycles=1)
-    if opcode == 0x8E:
-        return _with_modrm(buf, pos, "mov", exec_mov_sreg_rm, 2, seg,
-                           cycles=6)
-    if opcode == 0x8F:
-        return _with_modrm(buf, pos, "pop", exec_pop_rm, 4, seg, cycles=2)
-
-    if opcode == 0x90:
-        return Instr("nop", pos, 1, exec_nop)
-    if 0x91 <= opcode <= 0x97:
-        return Instr("xchg", pos, 2, exec_xchg_eax_r, reg=opcode - 0x90)
-    if opcode == 0x98:
-        return Instr("cwde", pos, 1, exec_cwde)
-    if opcode == 0x99:
-        return Instr("cdq", pos, 1, exec_cdq)
-    if opcode == 0x9C:
-        return Instr("pushfd", pos, 2, exec_pushfd)
-    if opcode == 0x9D:
-        return Instr("popfd", pos, 2, exec_popfd)
-
-    if opcode == 0xA0:
-        return Instr("mov", pos + 4, 3, exec_moffs_load,
-                     disp=_le32(buf, pos), width=1, seg=seg)
-    if opcode == 0xA1:
-        return Instr("mov", pos + 4, 3, exec_moffs_load,
-                     disp=_le32(buf, pos), width=width, seg=seg)
-    if opcode == 0xA2:
-        return Instr("mov", pos + 4, 2, exec_moffs_store,
-                     disp=_le32(buf, pos), width=1, seg=seg)
-    if opcode == 0xA3:
-        return Instr("mov", pos + 4, 2, exec_moffs_store,
-                     disp=_le32(buf, pos), width=width, seg=seg)
-    if opcode == 0xA4:
-        return Instr("movsb", pos, 2, exec_movs, width=1, seg=seg)
-    if opcode == 0xA5:
-        return Instr("movsd", pos, 2, exec_movs,
-                     width=2 if width == 2 else 4, seg=seg)
-    if opcode == 0xA8:
-        return Instr("test", pos + 1, 1, exec_test_a_imm, imm=buf[pos],
-                     width=1)
-    if opcode == 0xA9:
-        if width == 2:
-            return Instr("test", pos + 2, 1, exec_test_a_imm,
-                         imm=_le16(buf, pos), width=2)
-        return Instr("test", pos + 4, 1, exec_test_a_imm,
-                     imm=_le32(buf, pos), width=4)
-    if opcode == 0xAA:
-        return Instr("stosb", pos, 2, exec_stos, width=1, seg=seg)
-    if opcode == 0xAB:
-        return Instr("stosd", pos, 2, exec_stos,
-                     width=2 if width == 2 else 4, seg=seg)
-
-    if 0xB0 <= opcode <= 0xB7:                          # mov r8, imm8
-        return Instr("mov", pos + 1, 1, exec_mov_r_imm, reg=opcode - 0xB0,
-                     imm=buf[pos], width=1)
-    if 0xB8 <= opcode <= 0xBF:                          # mov r32, imm32
-        if width == 2:
-            return Instr("mov", pos + 2, 1, exec_mov_r_imm,
-                         reg=opcode - 0xB8, imm=_le16(buf, pos), width=2)
-        return Instr("mov", pos + 4, 1, exec_mov_r_imm, reg=opcode - 0xB8,
-                     imm=_le32(buf, pos), width=4)
-
-    if opcode == 0xC0:
-        return _with_modrm(buf, pos, "grp2b", exec_grp2, 1, seg,
-                           op2=(buf[pos] >> 3) & 7, imm_size=1)
-    if opcode == 0xC1:
-        return _with_modrm(buf, pos, "grp2", exec_grp2, width, seg,
-                           op2=(buf[pos] >> 3) & 7, imm_size=1)
-    if opcode == 0xC2:
-        return Instr("ret", pos + 2, 4, exec_ret, imm=_le16(buf, pos))
-    if opcode == 0xC3:
-        return Instr("ret", pos, 4, exec_ret)
-    if opcode == 0xC6:
-        return _with_modrm(buf, pos, "mov", exec_mov_rm_imm, 1, seg,
-                           imm_size=1)
-    if opcode == 0xC7:
-        return _with_modrm(buf, pos, "mov", exec_mov_rm_imm, width, seg,
-                           imm_size=2 if width == 2 else 4)
-    if opcode == 0xC9:
-        return Instr("leave", pos, 3, exec_leave)
-    if opcode == 0xCC:
-        return Instr("int3", pos, 2, exec_int3)
-    if opcode == 0xCD:
-        return Instr("int", pos + 1, 2, exec_int, imm=buf[pos])
-    if opcode == 0xCE:
-        return Instr("into", pos, 2, exec_into)
-    if opcode == 0xCF:
-        return Instr("iret", pos, 10, exec_iret)
-
-    if opcode == 0xD1:
-        return _with_modrm(buf, pos, "grp2", exec_grp2, width, seg,
-                           op2=((buf[pos] >> 3) & 7) | (1 << 3))
-    if opcode == 0xD3:
-        return _with_modrm(buf, pos, "grp2", exec_grp2, width, seg,
-                           op2=((buf[pos] >> 3) & 7) | (2 << 3))
-
-    if opcode == 0xE8:
-        return Instr("call", pos + 4, 4, exec_call_rel,
-                     imm=_le32(buf, pos))
-    if opcode == 0xE9:
-        return Instr("jmp", pos + 4, 2, exec_jmp_rel, imm=_le32(buf, pos))
-    if opcode == 0xEB:
-        return Instr("jmp", pos + 1, 2, exec_jmp_rel,
-                     imm=sign_extend(buf[pos], 8))
-
-    if opcode == 0xF4:
-        return Instr("hlt", pos, 1, exec_hlt)
-    if opcode == 0xF5:
-        return Instr("cmc", pos, 1, exec_cmc)
-    if opcode == 0xF6:
-        op2 = (buf[pos] >> 3) & 7
-        return _with_modrm(buf, pos, "grp3b", exec_grp3, 1, seg, op2=op2,
-                           imm_size=1 if op2 in (0, 1) else 0)
-    if opcode == 0xF7:
-        op2 = (buf[pos] >> 3) & 7
-        return _with_modrm(buf, pos, "grp3", exec_grp3, width, seg, op2=op2,
-                           imm_size=(2 if width == 2 else 4)
-                           if op2 in (0, 1) else 0)
-    if opcode == 0xF8:
-        return Instr("clc", pos, 1, exec_clc)
-    if opcode == 0xF9:
-        return Instr("stc", pos, 1, exec_stc)
-    if opcode == 0xFA:
-        return Instr("cli", pos, 2, exec_cli)
-    if opcode == 0xFB:
-        return Instr("sti", pos, 2, exec_sti)
-    if opcode == 0xFE:
-        op2 = (buf[pos] >> 3) & 7
-        if op2 in (0, 1):
-            return _with_modrm(buf, pos, "grp5b", exec_grp5, 1, seg, op2=op2)
-        return _bad(pos + 1)
-    if opcode == 0xFF:
-        return _with_modrm(buf, pos, "grp5", exec_grp5, width, seg,
-                           op2=(buf[pos] >> 3) & 7, cycles=2)
-
-    if opcode == 0x0F:
-        return _decode_0f(buf, pos, width, seg)
-
-    return _bad(pos, f"(bad {opcode:#04x})")
-
-
-def _decode_0f(buf: bytes, pos: int, width: int, seg: int) -> Instr:
-    opcode = buf[pos]
-    pos += 1
-    if opcode == 0x0B:
-        return Instr("ud2a", pos, 1, exec_ud2)
-    if 0x80 <= opcode <= 0x8F:
-        return Instr("j" + COND_NAMES[opcode & 0xF], pos + 4, 1, exec_jcc,
-                     imm=_le32(buf, pos), op2=opcode & 0xF)
-    if 0x90 <= opcode <= 0x9F:
-        return _with_modrm(buf, pos, "set" + COND_NAMES[opcode & 0xF],
-                           exec_setcc, 1, seg, op2=opcode & 0xF)
-    if 0x40 <= opcode <= 0x4F:
-        return _with_modrm(buf, pos, "cmov" + COND_NAMES[opcode & 0xF],
-                           exec_cmovcc, width, seg, op2=opcode & 0xF)
-    if opcode == 0xA3:
-        return _with_modrm(buf, pos, "bt", exec_bt, 4, seg, op2=0)
-    if opcode == 0xAB:
-        return _with_modrm(buf, pos, "bts", exec_bt, 4, seg, op2=1)
-    if opcode == 0xB3:
-        return _with_modrm(buf, pos, "btr", exec_bt, 4, seg, op2=2)
-    if opcode == 0xBB:
-        return _with_modrm(buf, pos, "btc", exec_bt, 4, seg, op2=3)
-    if opcode == 0xBA:
-        # grp8: bt/bts/btr/btc r/m32, imm8 — model as bt-with-reg by
-        # loading the immediate into the reg slot via op2 encoding
-        modrm_op = (buf[pos] >> 3) & 7
-        if modrm_op < 4:
-            return _bad(pos + 1)
-        return _with_modrm(buf, pos, ("bt", "bts", "btr", "btc")
-                           [modrm_op - 4], exec_bt_imm, 4, seg,
-                           op2=modrm_op - 4, imm_size=1)
-    if opcode == 0xBC:
-        return _with_modrm(buf, pos, "bsf", exec_bsf, 4, seg)
-    if opcode == 0xBD:
-        return _with_modrm(buf, pos, "bsr", exec_bsr, 4, seg)
-    if opcode == 0xA4:
-        return _with_modrm(buf, pos, "shld", exec_shld, 4, seg, op2=0,
-                           imm_size=1)
-    if opcode == 0xAC:
-        return _with_modrm(buf, pos, "shrd", exec_shld, 4, seg, op2=1,
-                           imm_size=1)
-    if opcode == 0xC0:
-        return _with_modrm(buf, pos, "xadd", exec_xadd, 1, seg)
-    if opcode == 0xC1:
-        return _with_modrm(buf, pos, "xadd", exec_xadd, width, seg)
-    if opcode == 0xB0:
-        return _with_modrm(buf, pos, "cmpxchg", exec_cmpxchg, 1, seg)
-    if opcode == 0xB1:
-        return _with_modrm(buf, pos, "cmpxchg", exec_cmpxchg, width, seg)
-    if opcode == 0xAF:
-        return _with_modrm(buf, pos, "imul", exec_imul_r_rm, width, seg,
-                           cycles=4)
-    if opcode == 0xB6:
-        return _with_modrm(buf, pos, "movzx", exec_movzx, 4, seg, op2=1)
-    if opcode == 0xB7:
-        return _with_modrm(buf, pos, "movzx", exec_movzx, 4, seg, op2=2)
-    if opcode == 0xBE:
-        return _with_modrm(buf, pos, "movsx", exec_movsx, 4, seg, op2=1)
-    if opcode == 0xBF:
-        return _with_modrm(buf, pos, "movsx", exec_movsx, 4, seg, op2=2)
-    if opcode == 0x20:
-        return _with_modrm(buf, pos, "mov", exec_mov_cr, 4, seg, op2=0,
-                           cycles=10)
-    if opcode == 0x22:
-        return _with_modrm(buf, pos, "mov", exec_mov_cr, 4, seg, op2=1,
-                           cycles=10)
-    if opcode == 0x09:
-        return Instr("wbinvd", pos, 50, exec_nop)
-    if opcode == 0x31:
-        return Instr("rdtsc", pos, 10, exec_nop)
-    return _bad(pos, f"(bad 0f {opcode:#04x})")
+        opcode = buf[pos + 1]
+        build = _TWO_BYTE.get(opcode)
+        if build is None:
+            return _bad(pos + 2, f"(bad 0f {opcode:#04x})")
+        return build(buf, pos + 2, width, seg)
+    build = _ONE_BYTE.get(opcode)
+    if build is None:
+        return _bad(pos + 1, f"(bad {opcode:#04x})")
+    return build(buf, pos + 1, width, seg)

@@ -16,27 +16,10 @@ from typing import List, Tuple
 from repro.isa.bits import to_signed
 from repro.x86 import decoder
 from repro.x86.insn import Instr
+from repro.x86.isa import op_of
 from repro.x86.registers import (
     GPR8_NAMES, GPR16_NAMES, GPR_NAMES, SEGMENT_NAMES, SEG_DS,
 )
-from repro.x86.decoder import (
-    ALU_NAMES,
-    exec_alu_a_imm, exec_alu_r_rm, exec_alu_rm_r, exec_bound,
-    exec_call_rel, exec_dec_r, exec_grp1_rm_imm, exec_grp2, exec_grp3,
-    exec_grp5, exec_imul_r_rm, exec_imul_rmi, exec_inc_r, exec_int,
-    exec_jcc,
-    exec_jmp_rel, exec_lea, exec_moffs_load, exec_moffs_store,
-    exec_mov_cr, exec_mov_r_imm, exec_mov_r_rm, exec_mov_rm_imm,
-    exec_mov_rm_r, exec_mov_rm_sreg, exec_mov_sreg_rm, exec_movs,
-    exec_movsx, exec_movzx, exec_pop_r, exec_pop_rm, exec_push_imm,
-    exec_push_r, exec_ret, exec_stos, exec_test_a_imm, exec_test_rm_r,
-    exec_xchg_eax_r, exec_xchg_r_rm,
-)
-
-_GRP2_NAMES = ("rol", "ror", "rcl", "rcr", "shl", "shr", "sal", "sar")
-_GRP3_NAMES = ("test", "test", "not", "neg", "mul", "imul", "div", "idiv")
-_GRP5_NAMES = ("inc", "dec", "call", "callf", "jmp", "jmpf", "push", "(bad)")
-
 
 def _reg_name(reg: int, width: int) -> str:
     if width == 1:
@@ -84,110 +67,51 @@ def _rm_str(i: Instr) -> str:
     return _mem_str(i)
 
 
+class _Fields(dict):
+    """The operand texts of one instruction, formatted on demand."""
+
+    def __init__(self, i: Instr, addr: int) -> None:
+        super().__init__()
+        self.i = i
+        self.addr = addr
+
+    def __missing__(self, key: str) -> str:
+        i = self.i
+        if key in _RM_WIDTHS:
+            width = _RM_WIDTHS[key](i)
+            return _reg_name(i.rm_reg, width) if i.rm_reg >= 0 \
+                else _mem_str(i)
+        if key in _REG_WIDTHS:
+            return _reg_name(*_REG_WIDTHS[key](i))
+        return str(_FIELDS[key](i, self.addr))
+
+
+_RM_WIDTHS = {
+    "rm": lambda i: i.width, "rm32": lambda i: 4, "rm8": lambda i: 1,
+    "rms": lambda i: i.op2,
+}
+_REG_WIDTHS = {
+    "reg": lambda i: (i.reg, i.width), "reg32": lambda i: (i.reg, 4),
+    "acc": lambda i: (0, i.width),
+}
+_FIELDS = {
+    "name": lambda i, a: i.mnemonic,
+    "op": lambda i, a: op_of(i).names[i.op2],
+    "suffix": lambda i, a: {4: "l", 2: "w"}.get(i.width, "b"),
+    "imm": lambda i, a: f"${_hex(i.imm)}",
+    "target": lambda i, a: _hex(a + i.length + i.imm),
+    "mem": lambda i, a: _mem_str(i),
+    "moffs": lambda i, a: _hex(i.disp),
+    "sreg": lambda i, a: SEGMENT_NAMES[i.reg],
+    "regno": lambda i, a: i.reg,
+    "gprm": lambda i, a: "%" + GPR_NAMES[i.rm_reg],
+}
+
+
 def format_instr(i: Instr, addr: int = 0) -> str:
-    """Render a decoded instruction in AT&T syntax."""
-    fn = i.execute
-    if fn is exec_alu_rm_r:
-        return f"{ALU_NAMES[i.op2]} {_reg_name(i.reg, i.width)},{_rm_str(i)}"
-    if fn is exec_alu_r_rm:
-        return f"{ALU_NAMES[i.op2]} {_rm_str(i)},{_reg_name(i.reg, i.width)}"
-    if fn is exec_alu_a_imm:
-        return f"{ALU_NAMES[i.op2]} ${_hex(i.imm)},{_reg_name(0, i.width)}"
-    if fn is exec_grp1_rm_imm:
-        suffix = "l" if i.width == 4 else ("w" if i.width == 2 else "b")
-        return f"{ALU_NAMES[i.op2]}{suffix} ${_hex(i.imm)},{_rm_str(i)}"
-    if fn is exec_test_rm_r:
-        return f"test {_reg_name(i.reg, i.width)},{_rm_str(i)}"
-    if fn is exec_test_a_imm:
-        return f"test ${_hex(i.imm)},{_reg_name(0, i.width)}"
-    if fn is exec_mov_rm_r:
-        return f"mov {_reg_name(i.reg, i.width)},{_rm_str(i)}"
-    if fn is exec_mov_r_rm:
-        return f"mov {_rm_str(i)},{_reg_name(i.reg, i.width)}"
-    if fn is exec_mov_r_imm:
-        return f"mov ${_hex(i.imm)},{_reg_name(i.reg, i.width)}"
-    if fn is exec_mov_rm_imm:
-        suffix = "l" if i.width == 4 else ("w" if i.width == 2 else "b")
-        return f"mov{suffix} ${_hex(i.imm)},{_rm_str(i)}"
-    if fn is exec_movzx:
-        return f"movzx {_mem_or_reg(i, i.op2)},{_reg_name(i.reg, 4)}"
-    if fn is exec_movsx:
-        return f"movsx {_mem_or_reg(i, i.op2)},{_reg_name(i.reg, 4)}"
-    if fn is exec_lea:
-        return f"lea {_mem_str(i)},{_reg_name(i.reg, 4)}"
-    if fn is exec_moffs_load:
-        return f"mov {_hex(i.disp)},{_reg_name(0, i.width)}"
-    if fn is exec_moffs_store:
-        return f"mov {_reg_name(0, i.width)},{_hex(i.disp)}"
-    if fn is exec_xchg_r_rm:
-        return f"xchg {_reg_name(i.reg, i.width)},{_rm_str(i)}"
-    if fn is exec_xchg_eax_r:
-        return f"xchg %eax,{_reg_name(i.reg, 4)}"
-    if fn is exec_push_r:
-        return f"push {_reg_name(i.reg, 4)}"
-    if fn is exec_pop_r:
-        return f"pop {_reg_name(i.reg, 4)}"
-    if fn is exec_push_imm:
-        return f"push ${_hex(i.imm)}"
-    if fn is exec_pop_rm:
-        return f"pop {_rm_str(i)}"
-    if fn is exec_inc_r:
-        return f"inc {_reg_name(i.reg, 4)}"
-    if fn is exec_dec_r:
-        return f"dec {_reg_name(i.reg, 4)}"
-    if fn is exec_grp5:
-        name = _GRP5_NAMES[i.op2]
-        star = "*" if i.op2 in (2, 4) else ""
-        return f"{name} {star}{_rm_str(i)}"
-    if fn is exec_grp2:
-        name = _GRP2_NAMES[i.op2 & 7]
-        kind = i.op2 >> 3
-        if kind == 1:
-            return f"{name} {_rm_str(i)}"
-        if kind == 2:
-            return f"{name} %cl,{_rm_str(i)}"
-        return f"{name} ${_hex(i.imm)},{_rm_str(i)}"
-    if fn is exec_grp3:
-        name = _GRP3_NAMES[i.op2]
-        if i.op2 in (0, 1):
-            return f"test ${_hex(i.imm)},{_rm_str(i)}"
-        return f"{name} {_rm_str(i)}"
-    if fn is exec_imul_r_rm:
-        return f"imul {_rm_str(i)},{_reg_name(i.reg, i.width)}"
-    if fn is exec_imul_rmi:
-        return (f"imul ${_hex(i.imm)},{_rm_str(i)},"
-                f"{_reg_name(i.reg, i.width)}")
-    if fn is exec_ret:
-        return f"ret ${_hex(i.imm)}" if i.imm else "ret"
-    if fn is exec_call_rel:
-        return f"call {_hex(addr + i.length + i.imm)}"
-    if fn is exec_jmp_rel:
-        return f"jmp {_hex(addr + i.length + i.imm)}"
-    if fn is exec_jcc:
-        return f"{i.mnemonic} {_hex(addr + i.length + i.imm)}"
-    if fn is exec_int:
-        return f"int ${_hex(i.imm)}"
-    if fn is exec_bound:
-        return f"bound {_mem_str(i)},{_reg_name(i.reg, 4)}"
-    if fn in (exec_mov_sreg_rm, exec_mov_rm_sreg) and i.reg > 5:
-        return "(bad)"
-    if fn is exec_mov_sreg_rm:
-        return f"mov {_rm_str(i)},%{SEGMENT_NAMES[i.reg]}"
-    if fn is exec_mov_rm_sreg:
-        return f"mov %{SEGMENT_NAMES[i.reg]},{_rm_str(i)}"
-    if fn is exec_mov_cr:
-        if i.op2 == 0:
-            return f"mov %cr{i.reg},{_reg_name(i.rm_reg, 4)}"
-        return f"mov {_reg_name(i.rm_reg, 4)},%cr{i.reg}"
-    if fn is exec_movs or fn is exec_stos:
-        return i.mnemonic
-    return i.mnemonic
-
-
-def _mem_or_reg(i: Instr, width: int) -> str:
-    if i.rm_reg >= 0:
-        return _reg_name(i.rm_reg, width)
-    return _mem_str(i)
+    """Render a decoded instruction in AT&T syntax, from its table
+    row's syntax column."""
+    return op_of(i).syntax(i).format_map(_Fields(i, addr))
 
 
 def disassemble(raw: bytes, addr: int = 0) -> Tuple[Instr, str]:

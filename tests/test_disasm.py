@@ -46,6 +46,40 @@ class TestX86Format:
         _, text = disassemble(b"\xd8\x00")
         assert "bad" in text
 
+    @pytest.mark.parametrize("raw,expected", [
+        (b"\x0f\x94\xc0", "sete %al"),
+        (b"\x0f\x9f\x45\xfc", "setg -0x4(%ebp)"),
+        (b"\x0f\x44\xc1", "cmove %ecx,%eax"),
+        (b"\x0f\x4c\x43\x08", "cmovl 0x8(%ebx),%eax"),
+        (b"\x0f\xa3\xc8", "bt %ecx,%eax"),
+        (b"\x0f\xab\x0b", "bts %ecx,(%ebx)"),
+        (b"\x0f\xb3\xd0", "btr %edx,%eax"),
+        (b"\x0f\xbb\xd0", "btc %edx,%eax"),
+        (b"\x0f\xba\xe0\x05", "bt $0x5,%eax"),
+        (b"\x0f\xba\x6b\x04\x1f", "bts $0x1f,0x4(%ebx)"),
+        (b"\x0f\xba\xf1\x03", "btr $0x3,%ecx"),
+        (b"\x0f\xba\xfa\x07", "btc $0x7,%edx"),
+        (b"\x0f\xbc\xc1", "bsf %ecx,%eax"),
+        (b"\x0f\xbd\x03", "bsr (%ebx),%eax"),
+        (b"\x0f\xa4\xc8\x05", "shld $0x5,%ecx,%eax"),
+        (b"\x0f\xac\xd0\x03", "shrd $0x3,%edx,%eax"),
+        (b"\x0f\xc1\xc8", "xadd %ecx,%eax"),
+        (b"\x0f\xc0\x0b", "xadd %cl,(%ebx)"),
+        (b"\x0f\xb1\x0b", "cmpxchg %ecx,(%ebx)"),
+        (b"\x06", "push %es"),
+        (b"\x0e", "push %cs"),
+        (b"\x16", "push %ss"),
+        (b"\x1e", "push %ds"),
+        (b"\x07", "pop %es"),
+        (b"\x17", "pop %ss"),
+        (b"\x1f", "pop %ds"),
+    ])
+    def test_disassembly_operands(self, raw, expected):
+        """Every row formats its operands (the table's syntax column),
+        including the ones the disassembler once printed bare."""
+        _, text = disassemble(raw)
+        assert text == expected
+
 
 class TestPPCFormat:
     @pytest.mark.parametrize("word,expected", [
