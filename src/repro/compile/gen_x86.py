@@ -252,7 +252,7 @@ def _plan(stmts: List[ast.stmt], mem: bool) -> list:
     steps: list = []
 
     def reads(node: ast.AST) -> None:
-        found = [n for n in isa.names(node) if n in isa.MEMORY]
+        found = [n for n in isa.names_in(node) if n in isa.MEMORY]
         if mem and found:
             if len(found) > 1:
                 raise _Unlowerable(found)
@@ -323,7 +323,7 @@ def cast_call(node) -> ast.Call:
     return node
 
 
-#: lowering plan per (row, r/m form, static outcome); None: generic
+#: lowering plan per (row, key); None: generic
 _PLANS: Dict[tuple, Optional[list]] = {}
 
 
@@ -336,15 +336,14 @@ def _lower(g: Gen, i, a: int, n: int, k: int) -> bool:
     if i.width != 4:
         return False
     op = isa.op_of(i)
-    mem = i.rm_reg < 0
-    key = op.outcome(i, n)
-    plan = _PLANS.get((op, mem, key), [])
+    key = (op, op.key(i))
+    plan = _PLANS.get(key, [])
     if plan == []:
         try:
-            plan = _plan(op.resolved(key), mem)
+            plan = _plan(op.resolved(i), i.rm_reg < 0)
         except _Unlowerable:
             plan = None
-        _PLANS[op, mem, key] = plan
+        _PLANS[key] = plan
     if plan is None:
         return False
     touches_rm = any(step[0] == "rmload" or _RM_TARGET in step

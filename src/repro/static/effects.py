@@ -291,17 +291,16 @@ class _X86Effects:
                            "may_fault" in self.roles, "system" in self.roles)
 
 
-#: effects per (row, r/m form, static-if outcome), built on first use
+#: effects per (row, key), built on first use
 _X86_EFFECTS: Dict[tuple, _X86Effects] = {}
 
 
 def _x86_effects(op: xisa.Op, i: Instr, addr: int) -> InsnEffects:
-    mem = i.rm_reg < 0
-    key = op.outcome(i, (addr + i.length) & MASK32)
-    effects = _X86_EFFECTS.get((op, mem, key))
+    key = (op, op.key(i))
+    effects = _X86_EFFECTS.get(key)
     if effects is None:
-        effects = _X86_EFFECTS[op, mem, key] = _X86Effects(
-            op, op.resolved(key), mem)
+        effects = _X86_EFFECTS[key] = _X86Effects(
+            op, op.resolved(i), i.rm_reg < 0)
     return effects.resolve(i, addr)
 
 

@@ -141,6 +141,13 @@ STATIC: Dict[str, str] = {
     "target": "(nia + i.imm) & 4294967295",
 }
 
+#: the decoded field behind each static operand a static test may read
+KEY_FIELDS: Dict[str, str] = {
+    "imm": "i.imm", "op2": "i.op2", "sbits": "i.op2", "width": "i.width",
+    "mask": "i.width", "bits": "i.width", "mem": "i.rm_reg < 0",
+    "regno": "i.reg", "disp": "i.disp", "mnemonic": "i.mnemonic",
+}
+
 #: helpers: name -> (step-mode code, ``_0``.. standing for the
 #: arguments, ``S`` for the instruction's segment; effect roles)
 HELPERS: Dict[str, Tuple[str, str]] = {
@@ -235,13 +242,13 @@ def helper(node: ast.AST) -> Optional[str]:
     return None
 
 
-def names(node: ast.AST) -> set:
+def names_in(node: ast.AST) -> set:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
 def mentions_memory(node: ast.AST) -> bool:
     """True when *node* reads or writes an r/m operand or ``ea``."""
-    found = names(node)
+    found = names_in(node)
     return bool(found & MEMORY) or "ea" in found
 
 
@@ -277,9 +284,15 @@ def resolve(stmts: Sequence[ast.stmt], outcome: Dict[int, bool]
 # -- the step view -----------------------------------------------------------
 
 
+def _raw(text: str) -> ast.Name:
+    """A node that unparses as *text* verbatim (parenthesized)."""
+    return ast.Name(f"({text})", ast.Load())
+
+
 class _Step(ast.NodeTransformer):
     """Body -> step-executor code over ``cpu`` and the decoded ``i``;
-    *mem* says whether the r/m operand is memory (None: no r/m)."""
+    *mem* says whether the r/m operand is memory (None: no r/m).  The
+    rewritten tree only ever goes back to text."""
 
     def __init__(self, mem: Optional[bool]) -> None:
         self.mem = mem
@@ -289,11 +302,11 @@ class _Step(ast.NodeTransformer):
         if self.mem and (name in MEMORY or name == "ea"):
             if name == "ea":
                 return ast.Name("a_", ast.Load())
-            return expr(f"cpu.load(a_, {OPERANDS[name][2]}, i.seg)")
+            return _raw(f"cpu.load(a_, {OPERANDS[name][2]}, i.seg)")
         if name in OPERANDS:
-            return expr(OPERANDS[name][0])
+            return _raw(OPERANDS[name][0])
         if name in STATIC:
-            return expr(STATIC[name].replace("nia", "cpu.eip"))
+            return _raw(STATIC[name].replace("nia", "cpu.eip"))
         if name in CONSTS:
             return ast.Constant(CONSTS[name])
         if name in PASS:
@@ -309,14 +322,13 @@ class _Step(ast.NodeTransformer):
         if name == "fault":
             kws = [f"{k.arg}={ast.unparse(self.visit(k.value))}"
                    for k in node.keywords]
-            return expr(f"cpu.fault({', '.join(args + kws)})")
+            return _raw(f"cpu.fault({', '.join(args + kws)})")
         code = HELPERS[name][0]
         if name in ("load", "store"):          # an optional segment
             seg = args.pop() if len(args) > (2 if name == "load" else 3) \
                 else "i.seg"
             code = code.replace("S)", f"{seg})")
-        return expr(re.sub(r"\b_(\d)\b", lambda m: f"({args[int(m[1])]})",
-                           code))
+        return _raw(re.sub(r"\b_(\d)\b", lambda m: args[int(m[1])], code))
 
     def visit_Assign(self, node: ast.Assign) -> ast.stmt:
         target = node.targets[0]
@@ -324,26 +336,28 @@ class _Step(ast.NodeTransformer):
         if isinstance(target, ast.Name) and target.id in OPERANDS:
             name = target.id
             if self.mem and name in MEMORY:
-                return stmt(f"cpu.store(a_, {value}, {OPERANDS[name][2]}, "
-                            "i.seg)")
-            return stmt(OPERANDS[name][1].replace("V", value))
+                text = f"cpu.store(a_, {value}, {OPERANDS[name][2]}, i.seg)"
+            else:
+                text = OPERANDS[name][1].replace("V", value)
+            return ast.Expr(ast.Name(text, ast.Load()))
         node.targets = [self.visit(target)]
-        node.value = expr(value)
+        node.value = _raw(value)
         return node
 
     def visit_AugAssign(self, node: ast.AugAssign) -> ast.stmt:
         if isinstance(node.target, ast.Name) and node.target.id == "cycles":
-            return stmt(f"cpu.cycles += {ast.unparse(self.visit(node.value))}")
+            return ast.Expr(ast.Name(
+                f"cpu.cycles += {ast.unparse(self.visit(node.value))}",
+                ast.Load()))
         self.generic_visit(node)
-        if isinstance(node.target, ast.Call):      # an operand's read code
-            raise ValueError(f"no read-modify-write of {ast.unparse(node)}")
         return node
 
     def visit_Expr(self, node: ast.Expr) -> ast.stmt:
         if helper(node.value) == "handler":
             call = cast(ast.Call, node.value)
-            return stmt("cpu.cycles += "
-                        f"{ast.unparse(self.visit(call.args[0]))}")
+            return ast.Expr(ast.Name(
+                f"cpu.cycles += {ast.unparse(self.visit(call.args[0]))}",
+                ast.Load()))
         self.generic_visit(node)
         return node
 
@@ -356,7 +370,7 @@ def _step_code(source: str, mem: Optional[bool]) -> str:
     if mem is not None:
         outcome = {id(s): eval(rename(s.test, static_names),
                                {"i": _MemOnly(mem)})
-                   for s in static_ifs(stmts) if names(s.test) <= {"mem"}}
+                   for s in static_ifs(stmts) if names_in(s.test) <= {"mem"}}
         stmts = resolve(stmts, outcome)
     lines: List[str] = []
     pending = bool(mem)
@@ -469,15 +483,18 @@ class Op:
         #: the static ifs of the body, and their tests as ``fn(i, nia)``
         self.ifs = static_ifs(self.tree)
         self.tests = [static_fn(s.test) for s in self.ifs]
+        #: the decoded fields the static tests read, plus the r/m form:
+        #: instructions with equal keys run the same resolved body
+        fields = sorted({KEY_FIELDS[n] for s in self.ifs
+                         for n in names_in(s.test) if n in STATIC})
+        self.key: Callable[[Instr], tuple] = eval(
+            f"lambda i: (i.rm_reg < 0, {', '.join(fields)})")
         self.execute = _step_function(self)
 
-    def outcome(self, i: Instr, nia: int) -> Tuple[bool, ...]:
-        """Which way each static if goes for one decoded instruction."""
-        return tuple(bool(test(i, nia)) for test in self.tests)
-
-    def resolved(self, key: Tuple[bool, ...]) -> List[ast.stmt]:
-        """The body with its static ifs resolved as *key* says."""
-        return resolve(self.tree, {id(s): k for s, k in zip(self.ifs, key)})
+    def resolved(self, i: Instr) -> List[ast.stmt]:
+        """The body with its static ifs resolved for *i*."""
+        return resolve(self.tree, {id(s): bool(test(i, 0))
+                                   for s, test in zip(self.ifs, self.tests)})
 
     def syntax(self, i: Instr) -> str:
         for applies, text in self.aliases:
