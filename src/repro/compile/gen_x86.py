@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.compile.access import load, store
 from repro.compile.emit import Gen, Member, unit
@@ -167,34 +167,37 @@ Hole = Callable[[Instr, int, int], str]
 Template = Tuple[str, Tuple[Hole, ...]]
 
 
-def _partial_read(i, width: int) -> str:
-    """A register read narrower than 32 bits (ah..bh are regs 4-7)."""
-    if width == 2:
-        return f"regs[{i.rm_reg}] & 65535"
-    if i.rm_reg < 4:
-        return f"regs[{i.rm_reg}] & 255"
-    return f"(regs[{i.rm_reg - 4}] >> 8) & 255"
-
-
 _COND_TEXT = tuple(re.sub(r"\bf\b", "ef", text) for text in isa.COND_EXPRS)
+
+
+def _gpr_text(name: str) -> Hole:
+    """Block-mode text of a GPR operand read (narrower than 32 bits
+    only as a ``movzx``/``movsx`` source)."""
+    number, width = isa.NUMBER[name], isa.WIDTH[name]
+
+    def text(i, a, n) -> str:
+        reg, w = number(i), width(i)
+        if w == 4:
+            return f"regs[{reg}]"
+        if w == 2:
+            return f"(regs[{reg}] & 65535)"
+        if reg < 4:
+            return f"(regs[{reg}] & 255)"
+        return f"((regs[{reg - 4}] >> 8) & 255)"
+    return text
+
 
 #: block-mode text of each register operand of a 32-bit instruction
 _OPERAND_TEXT: Dict[str, Hole] = {
-    "rm": lambda i, a, n: f"regs[{i.rm_reg}]",
-    "rm32": lambda i, a, n: f"regs[{i.rm_reg}]",
-    "rms": lambda i, a, n: _partial_read(i, i.op2),
-    "reg": lambda i, a, n: f"regs[{i.reg}]",
-    "reg32": lambda i, a, n: f"regs[{i.reg}]",
-    "acc": lambda i, a, n: "regs[0]",
+    **{name: _gpr_text(name) for name in isa.GPR_OPERANDS},
     "cond": lambda i, a, n: f"({_COND_TEXT[i.op2]})",
     "ea": lambda i, a, n: f"({_ea_expr(i)})",
 }
-_FIXED_TEXT = {"flags": "ef", "cf": "(ef & 1)",
-               **{name: f"regs[{k}]" for k, name in enumerate(isa.GPRS)}}
+_FIXED_TEXT = {"flags": "ef", "cf": "(ef & 1)"}
 _STATIC_VALUE = {name: isa.static_fn(ast.Name(name)) for name in isa.STATIC}
 
 
-#: the target of a store to the memory operand (a 32-bit r/m operand)
+#: the target of a store to the memory operand
 _RM_TARGET = ("rm",)
 
 
@@ -214,13 +217,19 @@ def _template(node: ast.AST, mem: bool) -> Template:
         return isa.expr(f"__h{len(holes) - 1}__")
 
     def name(node: ast.Name) -> Optional[ast.expr]:
+        if isinstance(node.ctx, ast.Store) and \
+                isa.GPR_OPERANDS.get(node.id, ("", "4"))[1] not in \
+                ("4", "i.width"):
+            raise _Unlowerable(node.id)            # a sub-word write
         if mem and node.id in isa.MEMORY:
+            if isinstance(node.ctx, ast.Store):
+                raise _Unlowerable(node.id)        # a store in place
             return ast.Name("v_", node.ctx)
         if node.id in _OPERAND_TEXT:
             return hole(_OPERAND_TEXT[node.id])
         if node.id in _FIXED_TEXT:
             return isa.expr(_FIXED_TEXT[node.id])
-        if node.id in isa.OPERANDS:
+        if node.id in isa.STATE:
             raise _Unlowerable(node.id)            # supervisor state
         if node.id in isa.STATIC:
             value = _STATIC_VALUE[node.id]
@@ -242,13 +251,14 @@ def _fill(template: Template, i, a: int, n: int) -> str:
 
 def _plan(stmts: List[ast.stmt], mem: bool) -> list:
     """Lowering steps of a resolved body for one r/m form:
-    ("code", template), ("cycles", n), ("rmload", width) (the memory
+    ("code", template), ("cycles", n), ("rmload", operand) (the memory
     operand into ``v_``), ("assign", target, value) where the target
-    is a template or ("rm", width) for a store to the memory operand,
-    ("add"/"sub", a, b, target), ("logic", value, target),
+    is a template or :data:`_RM_TARGET` (a store to the memory
+    operand), ("add"/"sub", a, b, target), ("logic", value, target),
     ("incdec", value, overflow), ("push", value), ("pop", target),
-    ("load", address, width, segment, target) and ("store", address,
-    value, width, segment).  Raises :class:`_Unlowerable`."""
+    ("load", address, width, target, segment) and ("store", address,
+    value, width, segment), the segment an empty tuple when the
+    instruction's own.  Raises :class:`_Unlowerable`."""
     steps: list = []
 
     def reads(node: ast.AST) -> None:
@@ -272,11 +282,13 @@ def _plan(stmts: List[ast.stmt], mem: bool) -> list:
         if isinstance(s, ast.Pass):
             continue
         if isinstance(s, ast.AugAssign) and ast.unparse(s.target) == "cycles":
-            steps.append(("cycles", cast_int(s.value)))
+            if not isinstance(s.value, ast.Constant):
+                raise _Unlowerable(ast.unparse(s))
+            steps.append(("cycles", s.value.value))
         elif calls and (call is None or len(calls) > 1):
             raise _Unlowerable(calls)
         elif call is not None:
-            args = cast_call(value).args
+            args = cast(ast.Call, value).args
             target = target_of(s.targets[0]) \
                 if isinstance(s, ast.Assign) else None
             for arg in args:
@@ -292,10 +304,10 @@ def _plan(stmts: List[ast.stmt], mem: bool) -> list:
                 steps.append(("push", t[0]))
             elif call == "pop":
                 steps.append(("pop", target))
-            elif call == "load":
-                steps.append(("load", t[0], args[1], target, args[2:]))
-            elif call == "store":
-                steps.append(("store", t[0], t[1], args[2], args[3:]))
+            elif call == "load":                # address, width[, seg]
+                steps.append(("load", t[0], t[1], target, t[2:]))
+            elif call == "store":             # address, value, width[, seg]
+                steps.append(("store", t[0], t[1], t[2], t[3:]))
             else:
                 raise _Unlowerable(call)
         elif isinstance(s, (ast.If, ast.For)):
@@ -312,24 +324,8 @@ def _plan(stmts: List[ast.stmt], mem: bool) -> list:
     return steps
 
 
-def cast_int(node: ast.expr) -> int:
-    if not isinstance(node, ast.Constant) or not isinstance(node.value, int):
-        raise _Unlowerable(ast.unparse(node))
-    return node.value
-
-
-def cast_call(node) -> ast.Call:
-    assert isinstance(node, ast.Call)
-    return node
-
-
 #: lowering plan per (row, key); None: generic
 _PLANS: Dict[tuple, Optional[list]] = {}
-
-
-def _static_int(node: ast.expr, i, n: int) -> int:
-    return int(isa.static_fn(node)(i, n)) if not \
-        isinstance(node, ast.Constant) else node.value
 
 
 def _lower(g: Gen, i, a: int, n: int, k: int) -> bool:
@@ -350,7 +346,7 @@ def _lower(g: Gen, i, a: int, n: int, k: int) -> bool:
                      for step in plan)
     if touches_rm and i.seg not in isa.SAFE_SEGS:
         return False
-    if any(step[0] in ("load", "store") and not _safe(step[-1], i, n)
+    if any(step[0] in ("load", "store") and not _safe(step[-1], i, a, n)
            for step in plan):
         return False
     if touches_rm or any(step[0] in _MEMORY_STEPS for step in plan):
@@ -362,9 +358,9 @@ def _lower(g: Gen, i, a: int, n: int, k: int) -> bool:
 _MEMORY_STEPS = frozenset({"rmload", "push", "pop", "load", "store"})
 
 
-def _safe(seg_args: list, i, n: int) -> bool:
-    seg = _static_int(seg_args[0], i, n) if seg_args else i.seg
-    return seg in isa.SAFE_SEGS
+def _safe(seg: Tuple[Template, ...], i, a: int, n: int) -> bool:
+    """Whether an explicit load or store uses a zero-based segment."""
+    return (int(_fill(seg[0], i, a, n)) if seg else i.seg) in isa.SAFE_SEGS
 
 
 class _Emit:
@@ -433,13 +429,12 @@ class _Emit:
             elif kind == "load":
                 self.ea_live = False
                 g.w(f"a_ = {self.fill(step[1])}")
-                load(g, _static_int(step[2], self.i, self.n))
+                load(g, int(self.fill(step[2])))
                 self.assign(step[3], "v_")
             else:                                       # store
                 self.ea_live = False
                 g.w(f"a_ = {self.fill(step[1])}")
-                store(g, _static_int(step[3], self.i, self.n),
-                      self.fill(step[2]))
+                store(g, int(self.fill(step[3])), self.fill(step[2]))
 
 
 # -- block-final branches ----------------------------------------------------

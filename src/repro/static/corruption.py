@@ -38,6 +38,7 @@ from repro.ppc.insn import PPCInstr
 from repro.static.cfg import decode_at
 from repro.x86 import decoder as xdec
 from repro.x86.insn import Instr
+from repro.x86.isa import OPS, op_of
 
 AnyInstr = Union[Instr, PPCInstr]
 
@@ -55,7 +56,7 @@ class CorruptionClass(enum.Enum):
 
 
 #: x86 execute functions that fault unconditionally when reached
-_X86_ALWAYS_ILLEGAL = (xdec.exec_invalid, xdec.exec_ud2)
+_X86_ALWAYS_ILLEGAL = (OPS["invalid"].execute, OPS["ud2"].execute)
 
 _X86_SEMANTIC_SLOTS = tuple(s for s in Instr.__slots__ if s != "raw")
 _PPC_SEMANTIC_SLOTS = tuple(s for s in PPCInstr.__slots__
@@ -73,16 +74,12 @@ def _is_illegal(insn: AnyInstr) -> bool:
         if insn.execute in _X86_ALWAYS_ILLEGAL:
             return True
         # undefined sub-encodings that fault when executed
-        if insn.execute is xdec.exec_grp5 and \
-                insn.op2 not in (0, 1, 2, 4, 6):
+        name = op_of(insn).name
+        if name == "grp5" and insn.op2 not in (0, 1, 2, 4, 6):
             return True
-        if insn.execute is xdec.exec_grp2 and \
-                (insn.op2 & 7) in (2, 3, 6):
+        if name == "grp2" and (insn.op2 & 7) in (2, 3, 6):
             return True
-        if insn.execute in (xdec.exec_lea, xdec.exec_bound) and \
-                insn.rm_reg >= 0:
-            return True
-        return False
+        return name in ("lea", "bound") and insn.rm_reg >= 0
     return insn.execute is pdec.exec_illegal
 
 

@@ -4,12 +4,11 @@ Every decoded instruction (``x86.insn.Instr`` / ``ppc.insn.PPCInstr``)
 is mapped to an :class:`InsnEffects` record: the architectural
 *resources* it reads and writes, whether it touches memory, how it
 terminates (or does not terminate) a basic block, and whether it can
-fault on its own.  The x86 table below is keyed by the decoder's
-``execute`` function object, so it stays mechanically in sync with
-the decode tables — an instruction the decoder can produce but the
-table does not know is a hard error, not a silent default.  The ppc
-effects are derived from the bodies of :mod:`repro.ppc.isa`, the same
-source the step and block cores execute.
+fault on its own.  Both architectures derive it from the bodies of
+their instruction tables (:mod:`repro.x86.isa`, :mod:`repro.ppc.isa`),
+the same source the decoder, the step core and the block core use: a
+decoded instruction's ``execute`` function names its row, and an
+instruction with no row is a hard error, not a silent default.
 
 Resource vocabulary (the liveness domain):
 
@@ -137,25 +136,11 @@ def _x_rel_target(i: Instr, addr: int) -> int:
     return (addr + i.length + i.imm) & MASK32
 
 
-#: an operand's width and resource, by its name in the body vocabulary
-_WIDTH: Dict[str, Callable[[Instr], int]] = {
-    name: eval(f"lambda i: {width}")
-    for name, (_r, _w, width, _role) in xisa.OPERANDS.items()}
-_RESOURCE: Dict[str, Callable[[Instr], str]] = {
-    "rm": lambda i: _xr(i.rm_reg, i.width),
-    "rm32": lambda i: GPR_NAMES[i.rm_reg],
-    "rms": lambda i: _xr(i.rm_reg, i.op2),
-    "rm8": lambda i: _xr(i.rm_reg, 1),
-    "rm16": lambda i: _xr(i.rm_reg, 2),
-    "reg": lambda i: _xr(i.reg, i.width),
-    "reg32": lambda i: GPR_NAMES[i.reg],
-    "acc": lambda i: _xr(0, i.width),
-    "gpr_rm": lambda i: GPR_NAMES[i.rm_reg if i.rm_reg >= 0 else 0],
-    **{name: (lambda i, name=name: name) for name in GPR_NAMES},
-    **{name: (lambda i: EFLAGS) for name in ("flags", "cf", "cond")},
-}
-#: operands a sub-word write merges into (the write is also a use)
-_MERGING = frozenset({"rm", "rm8", "rm16", "reg", "acc"})
+def _resource(name: str, i: Instr) -> str:
+    """The liveness resource an operand of the body vocabulary names."""
+    if name in xisa.STATE:
+        return EFLAGS
+    return _xr(xisa.NUMBER[name](i), xisa.WIDTH[name](i))
 
 
 class _X86Effects:
@@ -217,13 +202,12 @@ class _X86Effects:
             if name != "ea":
                 self.roles.update((access, "may_fault"))
             return False
-        role = xisa.OPERANDS[name][3] if name in xisa.OPERANDS else None
-        if role == "system":
+        if name in xisa.STATE and xisa.STATE[name][2]:
             self.roles.add("system")
             if access == "writes_mem" and name in ("sreg", "cr"):
                 self.roles.add("may_fault")     # a checked load
             return False
-        return role is not None
+        return name in xisa.STATE or name in xisa.GPR_OPERANDS
 
     def reads(self, node: ast.AST, defs: List[str]) -> None:
         """Operands an expression reads, then its helpers' roles."""
@@ -274,13 +258,13 @@ class _X86Effects:
             if name == "ea":
                 uses.update(_x_mem_uses(i))
             else:
-                uses.add(_RESOURCE[name](i))
+                uses.add(_resource(name, i))
         defs = set()
         for name in self.defs:
-            resource = _RESOURCE[name](i)
+            resource = _resource(name, i)
             defs.add(resource)
-            if name in _MERGING and _WIDTH[name](i) < 4:
-                uses.add(resource)
+            if name in xisa.WIDTH and xisa.WIDTH[name](i) < 4:
+                uses.add(resource)      # a sub-word write merges
         kind = self.kind(i) if self.kind is not None else None
         if kind is None:
             kind = KIND_ILLEGAL if "illegal" in self.roles else KIND_FALL

@@ -24,18 +24,16 @@ here as ``exec_<op>``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.isa.bits import sign_extend
 from repro.x86.insn import Instr
-from repro.x86.isa import (
-    ALU_NAMES, COND_NAMES, FORMS, MAX_INSN_LEN, OPS, TABLE, Op,
-)
+from repro.x86.isa import FORMS, OPS, TABLE, Op
 from repro.x86.registers import (
     SEG_CS, SEG_DS, SEG_ES, SEG_FS, SEG_GS, SEG_SS,
 )
 
-__all__ = ["ALU_NAMES", "COND_NAMES", "MAX_INSN_LEN", "decode"]
+MAX_INSN_LEN = 12
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -123,8 +121,6 @@ def _immediate(buf: bytes, pos: int, kind: Optional[str], width: int,
 # ---------------------------------------------------------------------------
 # the opcode maps
 
-Build = Callable[[bytes, int, int, int], Instr]
-
 exec_invalid = OPS["invalid"].execute
 
 
@@ -132,72 +128,69 @@ def _bad(pos_end: int, mnemonic: str = "(bad)") -> Instr:
     return Instr(mnemonic, max(pos_end, 1), 1, exec_invalid)
 
 
-def _builder(op: Op, code: int, form: str) -> Build:
-    """Decode of one opcode of a row; ``pos`` is just past the opcode."""
-    modrm, imm_kind, reg_from, keep_seg = FORMS[form]
-    execute = op.execute
-    rule = op.width
-    cycles = op.cycles if isinstance(op.cycles, int) \
-        else op.cycles.get(code, 1)
-    digits = op.digits.get(code)
-    reg = code & 7 if reg_from == "low3" else \
-        (code >> 3) & 7 if reg_from == "sreg" else 0
+class _Entry:
+    """The decode of one opcode of a row; ``pos`` is just past the
+    opcode byte(s)."""
 
-    def width_of(width: int) -> int:
-        if isinstance(rule, int):
-            return rule
-        if rule == "w" or code & (8 if rule == "bw3" else 1):
-            return width
-        return 1
+    __slots__ = ("op", "code", "modrm", "imm", "reg", "keep_seg",
+                 "moffs", "cycles", "digits")
 
-    def op2_of(digit: int) -> int:
-        return op.op2(code, digit) if callable(op.op2) else op.op2
+    def __init__(self, op: Op, code: int, form: str) -> None:
+        self.op = op
+        self.code = code
+        self.modrm, self.imm, reg_from, self.keep_seg = FORMS[form]
+        self.moffs = form == "moffs"           # a 32-bit address
+        self.reg = code & 7 if reg_from == "low3" else \
+            (code >> 3) & 7 if reg_from == "sreg" else 0
+        self.cycles = op.cycles if isinstance(op.cycles, int) \
+            else op.cycles.get(code, 1)
+        self.digits = op.digits.get(code)
 
-    def name(op2: int) -> str:
-        return op.mnemonic(code, op2) if callable(op.mnemonic) \
+    def fields(self, width: int, digit: int):
+        """(width, op2, mnemonic) under the decoded operand size."""
+        op, code = self.op, self.code
+        rule = op.width
+        if not isinstance(rule, int):
+            rule = width if rule == "w" or \
+                code & (8 if rule == "bw3" else 1) else 1
+        op2 = op.op2(code, digit) if callable(op.op2) else op.op2
+        name = op.mnemonic(code, op2) if callable(op.mnemonic) \
             else str(op.mnemonic)
+        return rule, op2, name
 
-    if modrm:
-        def build(buf: bytes, pos: int, width: int, seg: int) -> Instr:
-            digit = (buf[pos] >> 3) & 7
-            if digits is not None and digit not in digits:
-                return _bad(pos + 1)
-            m = _parse_modrm(buf, pos)
-            w = width_of(width)
-            imm, size = _immediate(buf, pos + m.length, imm_kind, w, digit)
-            op2 = op2_of(digit)
-            return Instr(name(op2), pos + m.length + size,
-                         cycles + (2 if m.rm_reg < 0 else 0), execute,
-                         reg=m.reg, rm_reg=m.rm_reg, base=m.base,
-                         index=m.index, scale=m.scale, disp=m.disp,
-                         imm=imm, width=w, seg=seg, op2=op2)
-        return build
-
-    op2 = op2_of(0)
-    mnemonic = name(op2)
-
-    def build_plain(buf: bytes, pos: int, width: int, seg: int) -> Instr:
-        w = width_of(width)
-        disp = 0
-        if form == "moffs":
-            disp = _le32(buf, pos)
-            pos += 4
-        imm, size = _immediate(buf, pos, imm_kind, w, 0)
-        return Instr(mnemonic, pos + size, cycles, execute, reg=reg,
-                     disp=disp, imm=imm, width=w,
-                     seg=seg if keep_seg else SEG_DS, op2=op2)
-    return build_plain
+    def build(self, buf: bytes, pos: int, width: int, seg: int) -> Instr:
+        if not self.modrm:
+            w, op2, name = self.fields(width, 0)
+            disp = 0
+            if self.moffs:
+                disp = _le32(buf, pos)
+                pos += 4
+            imm, size = _immediate(buf, pos, self.imm, w, 0)
+            return Instr(name, pos + size, self.cycles, self.op.execute,
+                         reg=self.reg, disp=disp, imm=imm, width=w,
+                         seg=seg if self.keep_seg else SEG_DS, op2=op2)
+        digit = (buf[pos] >> 3) & 7
+        if self.digits is not None and digit not in self.digits:
+            return _bad(pos + 1)
+        m = _parse_modrm(buf, pos)
+        w, op2, name = self.fields(width, digit)
+        imm, size = _immediate(buf, pos + m.length, self.imm, w, digit)
+        return Instr(name, pos + m.length + size,
+                     self.cycles + (2 if m.rm_reg < 0 else 0),
+                     self.op.execute, reg=m.reg, rm_reg=m.rm_reg,
+                     base=m.base, index=m.index, scale=m.scale, disp=m.disp,
+                     imm=imm, width=w, seg=seg, op2=op2)
 
 
-def _maps() -> List[Dict[int, Build]]:
+def _maps() -> List[Dict[int, _Entry]]:
     """The one-byte, ``0x0F`` and ``rep`` maps, by the byte that
     selects the entry."""
-    maps: List[Dict[int, Build]] = [{}, {}, {}]
+    maps: List[Dict[int, _Entry]] = [{}, {}, {}]
     for op in TABLE:
         for code, form in op.enc.items():
             table = maps[{0: 0, 0x0F: 1, 0xF3: 2}[code >> 8]]
             assert code & 0xFF not in table, f"{code:#x} decoded twice"
-            table[code & 0xFF] = _builder(op, code, form)
+            table[code & 0xFF] = _Entry(op, code, form)
     return maps
 
 
@@ -247,20 +240,20 @@ def decode(buf: bytes, addr: int = 0) -> Instr:
         elif byte == 0xF0:          # lock: accepted and ignored
             pos += 1
         elif byte == 0xF2 or byte == 0xF3:
-            build = _REP.get(buf[pos + 1])
-            if build is None:
+            entry = _REP.get(buf[pos + 1])
+            if entry is None:
                 return _bad(pos + 2)
-            return build(buf, pos + 2, width, seg)
+            return entry.build(buf, pos + 2, width, seg)
         else:
             break
     opcode = buf[pos]
     if opcode == 0x0F:
         opcode = buf[pos + 1]
-        build = _TWO_BYTE.get(opcode)
-        if build is None:
+        entry = _TWO_BYTE.get(opcode)
+        if entry is None:
             return _bad(pos + 2, f"(bad 0f {opcode:#04x})")
-        return build(buf, pos + 2, width, seg)
-    build = _ONE_BYTE.get(opcode)
-    if build is None:
+        return entry.build(buf, pos + 2, width, seg)
+    entry = _ONE_BYTE.get(opcode)
+    if entry is None:
         return _bad(pos + 1, f"(bad {opcode:#04x})")
-    return build(buf, pos + 1, width, seg)
+    return entry.build(buf, pos + 1, width, seg)

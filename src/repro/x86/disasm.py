@@ -5,8 +5,9 @@ Produces output shaped like the paper's figures::
     c013ec65: 8d 65 f4    lea  -0xc(%ebp),%esp
     c013ec68: 5b          pop  %ebx
 
-Used by crash dumps, the case-study examples, and round-trip tests
-against the assembler.
+Each row of :mod:`repro.x86.isa` carries its syntax; this module only
+fills in the operands.  Used by crash dumps, the case-study examples,
+and round-trip tests against the assembler.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import List, Tuple
 from repro.isa.bits import to_signed
 from repro.x86 import decoder
 from repro.x86.insn import Instr
-from repro.x86.isa import op_of
+from repro.x86.isa import GPR_OPERANDS, MEMORY, NUMBER, WIDTH, op_of
 from repro.x86.registers import (
     GPR8_NAMES, GPR16_NAMES, GPR_NAMES, SEGMENT_NAMES, SEG_DS,
 )
@@ -61,12 +62,6 @@ def _mem_str(i: Instr) -> str:
     return f"{prefix}{_hex(i.disp)}"
 
 
-def _rm_str(i: Instr) -> str:
-    if i.rm_reg >= 0:
-        return _reg_name(i.rm_reg, i.width)
-    return _mem_str(i)
-
-
 class _Fields(dict):
     """The operand texts of one instruction, formatted on demand."""
 
@@ -77,23 +72,13 @@ class _Fields(dict):
 
     def __missing__(self, key: str) -> str:
         i = self.i
-        if key in _RM_WIDTHS:
-            width = _RM_WIDTHS[key](i)
-            return _reg_name(i.rm_reg, width) if i.rm_reg >= 0 \
-                else _mem_str(i)
-        if key in _REG_WIDTHS:
-            return _reg_name(*_REG_WIDTHS[key](i))
+        if key in GPR_OPERANDS:
+            if key in MEMORY and i.rm_reg < 0:
+                return _mem_str(i)
+            return _reg_name(NUMBER[key](i), WIDTH[key](i))
         return str(_FIELDS[key](i, self.addr))
 
 
-_RM_WIDTHS = {
-    "rm": lambda i: i.width, "rm32": lambda i: 4, "rm8": lambda i: 1,
-    "rms": lambda i: i.op2,
-}
-_REG_WIDTHS = {
-    "reg": lambda i: (i.reg, i.width), "reg32": lambda i: (i.reg, 4),
-    "acc": lambda i: (0, i.width),
-}
 _FIELDS = {
     "name": lambda i, a: i.mnemonic,
     "op": lambda i, a: op_of(i).names[i.op2],

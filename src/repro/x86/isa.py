@@ -20,8 +20,8 @@ from the rows:
 * the disassembly text (:mod:`repro.x86.disasm`), from the syntax
   column.
 
-Body vocabulary (:data:`OPERANDS`, :data:`STATIC`, :data:`HELPERS`,
-:data:`CONSTS`, :data:`PASS`):
+Body vocabulary (:data:`GPR_OPERANDS`, :data:`STATE`, :data:`STATIC`,
+:data:`HELPERS`, :data:`CONSTS`, :data:`PASS`):
 
 * ``rm``/``reg``/``acc`` are the ModRM r/m operand, the ModRM reg
   operand and the accumulator at the decoded width; ``rm32``/``reg32``
@@ -66,8 +66,6 @@ from repro.x86.registers import (
     SEG_SS,
 )
 
-MAX_INSN_LEN = 12
-
 ALU_NAMES = ("add", "or", "adc", "sbb", "and", "sub", "xor", "cmp")
 COND_NAMES = ("o", "no", "b", "ae", "e", "ne", "be", "a",
               "s", "ns", "p", "np", "l", "ge", "le", "g")
@@ -88,41 +86,58 @@ SAFE_SEGS = frozenset({SEG_ES, SEG_CS, SEG_SS, SEG_DS})
 
 # -- body vocabulary ---------------------------------------------------------
 
-#: register-like operands: name -> (step-mode read code, step-mode write
-#: code with ``V`` for the value, width as an expression over ``i``, the
-#: operand's effect role).  Roles: ``gpr`` a GPR (liveness resource),
-#: ``rm`` the r/m operand (a GPR or memory), ``flags``, ``system``.
-Operand = Tuple[str, str, str, str]
-OPERANDS: Dict[str, Operand] = {
-    "rm": ("cpu.get_reg(i.rm_reg, i.width)", "cpu.set_reg(i.rm_reg, i.width, V)",
-           "i.width", "rm"),
-    "rm32": ("regs[i.rm_reg]", "regs[i.rm_reg] = V", "4", "rm"),
-    "rms": ("cpu.get_reg(i.rm_reg, i.op2)", "", "i.op2", "rm"),
-    "rm8": ("cpu.get_reg(i.rm_reg, 1)", "cpu.set_reg(i.rm_reg, 1, V)", "1",
-            "rm"),
-    "rm16": ("cpu.get_reg(i.rm_reg, 2)", "", "2", "rm"),
-    "reg": ("cpu.get_reg(i.reg, i.width)", "cpu.set_reg(i.reg, i.width, V)",
-            "i.width", "gpr"),
-    "reg32": ("regs[i.reg]", "regs[i.reg] = V", "4", "gpr"),
-    "acc": ("cpu.get_reg(0, i.width)", "cpu.set_reg(0, i.width, V)",
-            "i.width", "gpr"),
-    "gpr_rm": ("regs[i.rm_reg if i.rm_reg >= 0 else 0]",
-               "regs[i.rm_reg if i.rm_reg >= 0 else 0] = V", "4", "gpr"),
-    "flags": ("cpu.eflags", "cpu.eflags = V", "4", "flags"),
-    "cf": ("(cpu.eflags & 1)", "", "4", "flags"),
-    "cond": ("COND[i.op2](cpu.eflags)", "", "4", "flags"),
-    "sysflags": ("cpu.eflags", "cpu.eflags = V", "4", "system"),
-    "sreg": ("cpu.get_sreg(i.reg)", "cpu.load_sreg(i.reg, V)", "2", "system"),
-    "cr": ("cpu.get_cr(i.reg)", "cpu.set_cr(i.reg, V)", "4", "system"),
-    "halted": ("cpu.halted", "cpu.halted = V", "4", "system"),
-    "idt_limit": ("cpu.idtr_limit", "", "4", "system"),
-}
 GPRS = ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi")
-for _n, _name in enumerate(GPRS):
-    OPERANDS[_name] = (f"regs[{_n}]", f"regs[{_n}] = V", "4", "gpr")
 
-#: operands that are memory accesses in a memory form (``ea`` too)
-MEMORY = frozenset(name for name, o in OPERANDS.items() if o[3] == "rm")
+#: GPR operands: name -> (register number, width in bytes), each an
+#: expression over the decoded ``i``.  8-bit registers 4-7 are ah..bh.
+GPR_OPERANDS: Dict[str, Tuple[str, str]] = {
+    "rm": ("i.rm_reg", "i.width"),
+    "rm32": ("i.rm_reg", "4"),
+    "rms": ("i.rm_reg", "i.op2"),
+    "rm8": ("i.rm_reg", "1"),
+    "rm16": ("i.rm_reg", "2"),
+    "reg": ("i.reg", "i.width"),
+    "reg32": ("i.reg", "4"),
+    "acc": ("0", "i.width"),
+    "gpr_rm": ("(i.rm_reg if i.rm_reg >= 0 else 0)", "4"),
+    **{name: (str(n), "4") for n, name in enumerate(GPRS)},
+}
+#: the r/m operands: a load or store in a memory form (``ea`` too)
+MEMORY = frozenset({"rm", "rm32", "rms", "rm8", "rm16"})
+#: the register number and width of each GPR operand, as ``fn(i)``
+NUMBER: Dict[str, Callable[[Instr], int]] = {
+    name: eval(f"lambda i: {number}")
+    for name, (number, _) in GPR_OPERANDS.items()}
+WIDTH: Dict[str, Callable[[Instr], int]] = {
+    name: eval(f"lambda i: {width}")
+    for name, (_, width) in GPR_OPERANDS.items()}
+
+#: other register-like operands: name -> (step-mode read code, write
+#: code with ``V`` for the value; "" when read-only), and whether they
+#: are supervisor state (outside the liveness domain) or EFLAGS
+STATE: Dict[str, Tuple[str, str, bool]] = {
+    "flags": ("cpu.eflags", "cpu.eflags = V", False),
+    "cf": ("(cpu.eflags & 1)", "", False),
+    "cond": ("COND[i.op2](cpu.eflags)", "", False),
+    "sysflags": ("cpu.eflags", "cpu.eflags = V", True),
+    "sreg": ("cpu.get_sreg(i.reg)", "cpu.load_sreg(i.reg, V)", True),
+    "cr": ("cpu.get_cr(i.reg)", "cpu.set_cr(i.reg, V)", True),
+    "halted": ("cpu.halted", "cpu.halted = V", True),
+    "idt_limit": ("cpu.idtr_limit", "", True),
+}
+
+
+def step_access(name: str) -> Tuple[str, str]:
+    """Step-mode (read code, write code with ``V``) of a register-like
+    operand."""
+    if name in STATE:
+        return STATE[name][:2]
+    number, width = GPR_OPERANDS[name]
+    if width == "4":
+        return f"regs[{number}]", f"regs[{number}] = V"
+    return (f"cpu.get_reg({number}, {width})",
+            f"cpu.set_reg({number}, {width}, V)")
+
 
 #: static operands: name -> value as an expression over the decoded
 #: ``i`` and the next instruction's address ``nia``
@@ -189,10 +204,6 @@ NS: Dict[str, object] = {
 def expr(text: str) -> ast.expr:
     """The parse of *text*, shared: callers never mutate it."""
     return ast.parse(text, mode="eval").body
-
-
-def stmt(text: str) -> ast.stmt:
-    return ast.parse(text).body[0]
 
 
 class Rename(ast.NodeTransformer):
@@ -302,9 +313,9 @@ class _Step(ast.NodeTransformer):
         if self.mem and (name in MEMORY or name == "ea"):
             if name == "ea":
                 return ast.Name("a_", ast.Load())
-            return _raw(f"cpu.load(a_, {OPERANDS[name][2]}, i.seg)")
-        if name in OPERANDS:
-            return _raw(OPERANDS[name][0])
+            return _raw(f"cpu.load(a_, {GPR_OPERANDS[name][1]}, i.seg)")
+        if name in GPR_OPERANDS or name in STATE:
+            return _raw(step_access(name)[0])
         if name in STATIC:
             return _raw(STATIC[name].replace("nia", "cpu.eip"))
         if name in CONSTS:
@@ -333,12 +344,14 @@ class _Step(ast.NodeTransformer):
     def visit_Assign(self, node: ast.Assign) -> ast.stmt:
         target = node.targets[0]
         value = ast.unparse(self.visit(node.value))
-        if isinstance(target, ast.Name) and target.id in OPERANDS:
+        if isinstance(target, ast.Name) and (target.id in GPR_OPERANDS
+                                             or target.id in STATE):
             name = target.id
             if self.mem and name in MEMORY:
-                text = f"cpu.store(a_, {value}, {OPERANDS[name][2]}, i.seg)"
+                text = (f"cpu.store(a_, {value}, {GPR_OPERANDS[name][1]}, "
+                        "i.seg)")
             else:
-                text = OPERANDS[name][1].replace("V", value)
+                text = step_access(name)[1].replace("V", value)
             return ast.Expr(ast.Name(text, ast.Load()))
         node.targets = [self.visit(target)]
         node.value = _raw(value)
@@ -366,11 +379,10 @@ def _step_code(source: str, mem: Optional[bool]) -> str:
     """Step code of a body for one r/m kind: tests of ``mem`` resolved,
     and in a memory form the effective address taken just before the
     first statement that touches the operand."""
-    stmts = ast.parse(source).body          # a fresh tree to rewrite
+    stmts = ast.parse(source).body
     if mem is not None:
-        outcome = {id(s): eval(rename(s.test, static_names),
-                               {"i": _MemOnly(mem)})
-                   for s in static_ifs(stmts) if names_in(s.test) <= {"mem"}}
+        outcome = {id(s): eval(ast.unparse(s.test), {"mem": mem})
+                   for s in static_ifs(stmts) if names_in(s.test) == {"mem"}}
         stmts = resolve(stmts, outcome)
     lines: List[str] = []
     pending = bool(mem)
@@ -383,15 +395,10 @@ def _step_code(source: str, mem: Optional[bool]) -> str:
     return "\n".join(lines) or "pass"
 
 
-class _MemOnly:
-    """Stands in for a decoded instruction in a test of ``mem`` only."""
-
-    def __init__(self, mem: bool) -> None:
-        self.rm_reg = -1 if mem else 0
-
-
 def _step_function(op: "Op") -> Callable[..., None]:
-    if any(mentions_memory(s) for s in op.tree):
+    """``exec_<op>(cpu, i)``: a register and a memory variant when the
+    body has an r/m operand."""
+    if any(mentions_memory(s) for s in op.body):
         code = ("if i.rm_reg >= 0:\n"
                 + textwrap.indent(_step_code(op.source, False), "    ")
                 + "\nelse:\n"
@@ -467,7 +474,6 @@ class Op:
         self.name = name
         self.enc = enc
         self.source = textwrap.dedent(body).strip()
-        self.tree: List[ast.stmt] = ast.parse(self.source).body
         self.asm = asm
         self.mnemonic = mnemonic
         self.width = width
@@ -480,21 +486,27 @@ class Op:
         self.names = tuple(names)
         #: cycle cost unbounded (ecx-driven string loops): never compiled
         self.unbounded = unbounded
-        #: the static ifs of the body, and their tests as ``fn(i, nia)``
-        self.ifs = static_ifs(self.tree)
-        self.tests = [static_fn(s.test) for s in self.ifs]
+        #: the tests of the body's static ifs, as ``fn(i, nia)``
+        ifs = static_ifs(self.body)
+        self.tests = [static_fn(s.test) for s in ifs]
         #: the decoded fields the static tests read, plus the r/m form:
         #: instructions with equal keys run the same resolved body
-        fields = sorted({KEY_FIELDS[n] for s in self.ifs
+        fields = sorted({KEY_FIELDS[n] for s in ifs
                          for n in names_in(s.test) if n in STATIC})
         self.key: Callable[[Instr], tuple] = eval(
             f"lambda i: (i.rm_reg < 0, {', '.join(fields)})")
         self.execute = _step_function(self)
 
+    @property
+    def body(self) -> List[ast.stmt]:
+        """A fresh parse of the body (views may rewrite it in place)."""
+        return ast.parse(self.source).body
+
     def resolved(self, i: Instr) -> List[ast.stmt]:
         """The body with its static ifs resolved for *i*."""
-        return resolve(self.tree, {id(s): bool(test(i, 0))
-                                   for s, test in zip(self.ifs, self.tests)})
+        body = self.body
+        return resolve(body, {id(s): bool(test(i, 0)) for s, test
+                              in zip(static_ifs(body), self.tests)})
 
     def syntax(self, i: Instr) -> str:
         for applies, text in self.aliases:
