@@ -324,8 +324,28 @@ def _plan(stmts: List[ast.stmt], mem: bool) -> list:
     return steps
 
 
-#: lowering plan per (row, key); None: generic
-_PLANS: Dict[tuple, Optional[list]] = {}
+class _Lowering:
+    """A plan and what it needs of an instruction: a zero-based segment
+    of its own (its memory operand, or a load/store that names none),
+    the segments its loads/stores name, and a sync point (any memory
+    access)."""
+
+    __slots__ = ("steps", "own_seg", "segs", "memory")
+
+    def __init__(self, steps: list) -> None:
+        self.steps = steps
+        accesses = [step for step in steps if step[0] in ("load", "store")]
+        self.own_seg = any(step[0] == "rmload" or _RM_TARGET in step
+                           for step in steps) \
+            or any(not step[-1] for step in accesses)
+        self.segs = [step[-1][0] for step in accesses if step[-1]]
+        self.memory = any(step[0] in ("rmload", "push", "pop")
+                          for step in steps) or bool(accesses) \
+            or self.own_seg
+
+
+#: lowering per (row, key); None: generic
+_PLANS: Dict[tuple, Optional[_Lowering]] = {}
 
 
 def _lower(g: Gen, i, a: int, n: int, k: int) -> bool:
@@ -333,34 +353,20 @@ def _lower(g: Gen, i, a: int, n: int, k: int) -> bool:
         return False
     op = isa.op_of(i)
     key = (op, op.key(i))
-    plan = _PLANS.get(key, [])
-    if plan == []:
+    if key not in _PLANS:
         try:
-            plan = _plan(op.resolved(i), i.rm_reg < 0)
+            _PLANS[key] = _Lowering(_plan(op.resolved(i), i.rm_reg < 0))
         except _Unlowerable:
-            plan = None
-        _PLANS[key] = plan
-    if plan is None:
+            _PLANS[key] = None
+    plan = _PLANS[key]
+    if plan is None or (plan.own_seg and i.seg not in isa.SAFE_SEGS) \
+            or any(int(_fill(seg, i, a, n)) not in isa.SAFE_SEGS
+                   for seg in plan.segs):
         return False
-    touches_rm = any(step[0] == "rmload" or _RM_TARGET in step
-                     for step in plan)
-    if touches_rm and i.seg not in isa.SAFE_SEGS:
-        return False
-    if any(step[0] in ("load", "store") and not _safe(step[-1], i, a, n)
-           for step in plan):
-        return False
-    if touches_rm or any(step[0] in _MEMORY_STEPS for step in plan):
+    if plan.memory:
         g.entry(a, n, k)
-    _Emit(g, i, a, n).run(plan)
+    _Emit(g, i, a, n).run(plan.steps)
     return True
-
-
-_MEMORY_STEPS = frozenset({"rmload", "push", "pop", "load", "store"})
-
-
-def _safe(seg: Tuple[Template, ...], i, a: int, n: int) -> bool:
-    """Whether an explicit load or store uses a zero-based segment."""
-    return (int(_fill(seg[0], i, a, n)) if seg else i.seg) in isa.SAFE_SEGS
 
 
 class _Emit:

@@ -136,13 +136,6 @@ def _x_rel_target(i: Instr, addr: int) -> int:
     return (addr + i.length + i.imm) & MASK32
 
 
-def _resource(name: str, i: Instr) -> str:
-    """The liveness resource an operand of the body vocabulary names."""
-    if name in xisa.STATE:
-        return EFLAGS
-    return _xr(xisa.NUMBER[name](i), xisa.WIDTH[name](i))
-
-
 class _X86Effects:
     """One row's effects for one kind of decoded instruction (its r/m
     form and the outcome of its static ifs), read off the resolved
@@ -150,8 +143,8 @@ class _X86Effects:
     calls carry their roles.  An operand read after the body wrote it
     is not a use; a def on only one side of a runtime if (or in a loop
     body) may leave the old value in place, so it is also a use.  The
-    operands stay symbolic until :meth:`resolve` names the registers
-    of one instruction."""
+    operands stay symbolic until :meth:`function` compiles the code
+    that names the registers of one instruction."""
 
     def __init__(self, op: xisa.Op, stmts: List[ast.stmt],
                  mem: bool) -> None:
@@ -252,31 +245,45 @@ class _X86Effects:
         if name not in defs:
             defs.append(name)
 
-    def resolve(self, i: Instr, addr: int) -> InsnEffects:
-        uses = set()
-        for name in self.uses:
-            if name == "ea":
-                uses.update(_x_mem_uses(i))
-            else:
-                uses.add(_resource(name, i))
-        defs = set()
-        for name in self.defs:
-            resource = _resource(name, i)
-            defs.add(resource)
-            if name in xisa.WIDTH and xisa.WIDTH[name](i) < 4:
-                uses.add(resource)      # a sub-word write merges
-        kind = self.kind(i) if self.kind is not None else None
-        if kind is None:
-            kind = KIND_ILLEGAL if "illegal" in self.roles else KIND_FALL
-        target = _x_rel_target(i, addr) if self.target else None
-        return InsnEffects(frozenset(uses), frozenset(defs),
-                           "reads_mem" in self.roles,
-                           "writes_mem" in self.roles, kind, target,
-                           "may_fault" in self.roles, "system" in self.roles)
+    def function(self) -> Callable[[Instr, int], InsnEffects]:
+        """``effects(i, addr)``, naming the registers of one
+        instruction."""
+        def resource(name: str) -> str:
+            if name in xisa.STATE:
+                return repr(EFLAGS)
+            number, width = xisa.GPR_OPERANDS[name]
+            return f"GPR_NAMES[{number}]" if width == "4" \
+                else f"_xr({number}, {width})"
+
+        uses = [resource(name) for name in self.uses if name != "ea"]
+        lines = ["def effects(i, addr):",
+                 f"    u = {{{', '.join(uses)}}}" if uses else "    u = set()"]
+        if "ea" in self.uses:
+            lines.append("    u |= _x_mem_uses(i)")
+        for name in self.defs:                  # a sub-word write merges
+            width = xisa.GPR_OPERANDS.get(name, ("", "4"))[1]
+            if width != "4":
+                lines.append(f"    if {width} < 4: u.add({resource(name)})")
+        defs = ", ".join(resource(name) for name in self.defs)
+        default = KIND_ILLEGAL if "illegal" in self.roles else KIND_FALL
+        kind = f"kind(i) or {default!r}" if self.kind else repr(default)
+        target = "_x_rel_target(i, addr)" if self.target else "None"
+        flags = ", ".join(str(role in self.roles) for role in (
+            "reads_mem", "writes_mem"))
+        faults = ", ".join(str(role in self.roles) for role in (
+            "may_fault", "system"))
+        lines.append(f"    return InsnEffects(frozenset(u), "
+                     f"frozenset(({defs}{',' if defs else ''})), {flags}, "
+                     f"{kind}, {target}, {faults})")
+        ns = {"GPR_NAMES": GPR_NAMES, "_xr": _xr, "_x_mem_uses": _x_mem_uses,
+              "_x_rel_target": _x_rel_target, "InsnEffects": InsnEffects,
+              "kind": self.kind}
+        exec(compile("\n".join(lines), "<x86 effects>", "exec"), ns)
+        return cast(Callable[[Instr, int], InsnEffects], ns["effects"])
 
 
-#: effects per (row, key), built on first use
-_X86_EFFECTS: Dict[tuple, _X86Effects] = {}
+#: effect function per (row, key), built on first use
+_X86_EFFECTS: Dict[tuple, Callable[[Instr, int], InsnEffects]] = {}
 
 
 def _x86_effects(op: xisa.Op, i: Instr, addr: int) -> InsnEffects:
@@ -284,8 +291,8 @@ def _x86_effects(op: xisa.Op, i: Instr, addr: int) -> InsnEffects:
     effects = _X86_EFFECTS.get(key)
     if effects is None:
         effects = _X86_EFFECTS[key] = _X86Effects(
-            op, op.resolved(i), i.rm_reg < 0)
-    return effects.resolve(i, addr)
+            op, op.resolved(i), i.rm_reg < 0).function()
+    return effects(i, addr)
 
 
 # ---------------------------------------------------------------------------

@@ -132,12 +132,11 @@ class _Entry:
     """The decode of one opcode of a row; ``pos`` is just past the
     opcode byte(s)."""
 
-    __slots__ = ("op", "code", "modrm", "imm", "reg", "keep_seg",
-                 "moffs", "cycles", "digits")
+    __slots__ = ("execute", "modrm", "imm", "reg", "keep_seg", "moffs",
+                 "cycles", "digits", "sized", "width", "op2s", "names")
 
     def __init__(self, op: Op, code: int, form: str) -> None:
-        self.op = op
-        self.code = code
+        self.execute = op.execute
         self.modrm, self.imm, reg_from, self.keep_seg = FORMS[form]
         self.moffs = form == "moffs"           # a 32-bit address
         self.reg = code & 7 if reg_from == "low3" else \
@@ -145,41 +144,39 @@ class _Entry:
         self.cycles = op.cycles if isinstance(op.cycles, int) \
             else op.cycles.get(code, 1)
         self.digits = op.digits.get(code)
-
-    def fields(self, width: int, digit: int):
-        """(width, op2, mnemonic) under the decoded operand size."""
-        op, code = self.op, self.code
         rule = op.width
-        if not isinstance(rule, int):
-            rule = width if rule == "w" or \
-                code & (8 if rule == "bw3" else 1) else 1
-        op2 = op.op2(code, digit) if callable(op.op2) else op.op2
-        name = op.mnemonic(code, op2) if callable(op.mnemonic) \
-            else str(op.mnemonic)
-        return rule, op2, name
+        #: the operand size decides the width, else it is ``width``
+        self.sized = rule == "w" or (
+            isinstance(rule, str) and bool(code & (8 if rule == "bw3" else 1)))
+        self.width = rule if isinstance(rule, int) else 1
+        #: op2 and mnemonic by ModRM digit
+        self.op2s = tuple(op.op2(code, d) if callable(op.op2) else op.op2
+                          for d in range(8))
+        self.names = tuple(op.mnemonic(code, op2) if callable(op.mnemonic)
+                           else str(op.mnemonic) for op2 in self.op2s)
 
     def build(self, buf: bytes, pos: int, width: int, seg: int) -> Instr:
+        w = width if self.sized else self.width
         if not self.modrm:
-            w, op2, name = self.fields(width, 0)
             disp = 0
             if self.moffs:
                 disp = _le32(buf, pos)
                 pos += 4
             imm, size = _immediate(buf, pos, self.imm, w, 0)
-            return Instr(name, pos + size, self.cycles, self.op.execute,
+            return Instr(self.names[0], pos + size, self.cycles, self.execute,
                          reg=self.reg, disp=disp, imm=imm, width=w,
-                         seg=seg if self.keep_seg else SEG_DS, op2=op2)
+                         seg=seg if self.keep_seg else SEG_DS,
+                         op2=self.op2s[0])
         digit = (buf[pos] >> 3) & 7
         if self.digits is not None and digit not in self.digits:
             return _bad(pos + 1)
         m = _parse_modrm(buf, pos)
-        w, op2, name = self.fields(width, digit)
         imm, size = _immediate(buf, pos + m.length, self.imm, w, digit)
-        return Instr(name, pos + m.length + size,
-                     self.cycles + (2 if m.rm_reg < 0 else 0),
-                     self.op.execute, reg=m.reg, rm_reg=m.rm_reg,
-                     base=m.base, index=m.index, scale=m.scale, disp=m.disp,
-                     imm=imm, width=w, seg=seg, op2=op2)
+        return Instr(self.names[digit], pos + m.length + size,
+                     self.cycles + (2 if m.rm_reg < 0 else 0), self.execute,
+                     reg=m.reg, rm_reg=m.rm_reg, base=m.base, index=m.index,
+                     scale=m.scale, disp=m.disp, imm=imm, width=w, seg=seg,
+                     op2=self.op2s[digit])
 
 
 def _maps() -> List[Dict[int, _Entry]]:
