@@ -283,14 +283,14 @@ class _X86Effects:
 
 
 #: effect function per (row, key), built on first use
-_X86_EFFECTS: Dict[tuple, Callable[[Instr, int], InsnEffects]] = {}
+_X86_EFFECT_FNS: Dict[tuple, Callable[[Instr, int], InsnEffects]] = {}
 
 
 def _x86_effects(op: xisa.Op, i: Instr, addr: int) -> InsnEffects:
     key = (op, op.key(i))
-    effects = _X86_EFFECTS.get(key)
+    effects = _X86_EFFECT_FNS.get(key)
     if effects is None:
-        effects = _X86_EFFECTS[key] = _X86Effects(
+        effects = _X86_EFFECT_FNS[key] = _X86Effects(
             op, op.resolved(i), i.rm_reg < 0).function()
     return effects(i, addr)
 
