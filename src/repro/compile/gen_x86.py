@@ -55,8 +55,11 @@ from repro.isa.faults import AccessKind
 from repro.x86 import decoder as xdec
 from repro.x86 import isa
 from repro.x86.insn import Instr
+from repro.x86.registers import SEG_CS, SEG_DS, SEG_ES, SEG_SS
 
 M = 0xFFFFFFFF
+#: segments whose base is 0 in the flat model (FS/GS check a selector)
+_SAFE_SEGS = frozenset({SEG_ES, SEG_CS, SEG_SS, SEG_DS})
 
 #: cycle slack per instruction on top of the static cost, covering the
 #: dynamic ``cycles += 2`` bumps (memory access, taken branch)
@@ -359,8 +362,8 @@ def _lower(g: Gen, i, a: int, n: int, k: int) -> bool:
         except _Unlowerable:
             _PLANS[key] = None
     plan = _PLANS[key]
-    if plan is None or (plan.own_seg and i.seg not in isa.SAFE_SEGS) \
-            or any(int(_fill(seg, i, a, n)) not in isa.SAFE_SEGS
+    if plan is None or (plan.own_seg and i.seg not in _SAFE_SEGS) \
+            or any(int(_fill(seg, i, a, n)) not in _SAFE_SEGS
                    for seg in plan.segs):
         return False
     if plan.memory:

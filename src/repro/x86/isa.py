@@ -62,8 +62,7 @@ from repro.isa.bits import MASK32, sign_extend, to_signed
 from repro.x86.exceptions import X86Vector
 from repro.x86.insn import Instr
 from repro.x86.registers import (
-    FLAG_CF, FLAG_IF, FLAG_NT, FLAG_OF, FLAG_ZF, SEG_CS, SEG_DS, SEG_ES,
-    SEG_SS,
+    FLAG_CF, FLAG_IF, FLAG_NT, FLAG_OF, FLAG_ZF, SEG_ES, SEG_SS,
 )
 
 ALU_NAMES = ("add", "or", "adc", "sbb", "and", "sub", "xor", "cmp")
@@ -80,9 +79,6 @@ COND_EXPRS = (
 )
 COND: Tuple[Callable[[int], object], ...] = tuple(
     eval(f"lambda f: {text}") for text in COND_EXPRS)
-
-#: segments whose base is 0 in the flat model (FS/GS check a selector)
-SAFE_SEGS = frozenset({SEG_ES, SEG_CS, SEG_SS, SEG_DS})
 
 # -- body vocabulary ---------------------------------------------------------
 
@@ -154,13 +150,6 @@ STATIC: Dict[str, str] = {
     "mnemonic": "i.mnemonic",
     "nia": "nia",
     "target": "(nia + i.imm) & 4294967295",
-}
-
-#: the decoded field behind each static operand a static test may read
-KEY_FIELDS: Dict[str, str] = {
-    "imm": "i.imm", "op2": "i.op2", "sbits": "i.op2", "width": "i.width",
-    "mask": "i.width", "bits": "i.width", "mem": "i.rm_reg < 0",
-    "regno": "i.reg", "disp": "i.disp", "mnemonic": "i.mnemonic",
 }
 
 #: helpers: name -> (step-mode code, ``_0``.. standing for the
@@ -489,12 +478,13 @@ class Op:
         #: the tests of the body's static ifs, as ``fn(i, nia)``
         ifs = static_ifs(self.body)
         self.tests = [static_fn(s.test) for s in ifs]
-        #: the decoded fields the static tests read, plus the r/m form:
+        #: the static operands the tests read, plus the r/m form:
         #: instructions with equal keys run the same resolved body
-        fields = sorted({KEY_FIELDS[n] for s in ifs
+        fields = sorted({STATIC[n] for s in ifs
                          for n in names_in(s.test) if n in STATIC})
+        assert not any("nia" in field for field in fields), name
         self.key: Callable[[Instr], tuple] = eval(
-            f"lambda i: (i.rm_reg < 0, {', '.join(fields)})")
+            f"lambda i: (i.rm_reg < 0, {', '.join(fields)})", dict(NS))
         self.execute = _step_function(self)
 
     @property
