@@ -3,13 +3,14 @@
 Three numbers the propagation analysis has to justify:
 
 * **Wall time** — the interprocedural fixpoint sweep is the most
-  expensive static pass; it runs once per image (memoized by
-  ``taint_masked_bits``), so it has to be small next to a campaign,
-  not free.  Measured as the delta over the classification-only
+  expensive static pass; it runs once per image, so it has to be
+  small next to a campaign, not free.  Measured as the delta over the classification-only
   analysis on a shared CFG + liveness.
-* **Prune rate** — the fraction of analyzed bits the engine proves
-  masked (``prune="taint"``'s bit set) beyond the decode-identical /
-  unreachable set ``prune="dead"`` already covers.
+* **Inert rate** — the fraction of analyzed bits the report proves
+  inert: the decode-identical / unreachable ``dead_bits`` plus the
+  taint-proven ``taint_masked_bits``, and the share beyond
+  ``dead_bits``.  The row keeps its ``prune_rate`` key so the
+  trajectory stays comparable.
 * **Verdict histogram** — how the pure-dataflow residue splits into
   sink / dead / escape, the precision headline (escape is where the
   engine falls back to the calibrated rule).
@@ -57,11 +58,11 @@ def test_bench_taint_analysis(benchmark, arch):
     benchmark.pedantic(run_once, rounds=1, iterations=1)
     report = state["report"]
     verdicts = report.verdict_counts
-    # the prune="taint" bit set is the union: provably-dead flips plus
-    # the (disjoint) taint-proven-masked substitutions
+    # the inert set is the union: provably-dead flips plus the
+    # (disjoint) taint-proven-masked substitutions
     dead = len(report.dead_bits)
     taint_masked = len(report.dead_bits | report.taint_masked_bits)
-    prune_rate = taint_masked / report.bit_count
+    inert_rate = taint_masked / report.bit_count
     extra_rate = (taint_masked - dead) / report.bit_count
     row = common.emit(
         common.env_json_path(), f"static_taint_{arch}",
@@ -71,17 +72,17 @@ def test_bench_taint_analysis(benchmark, arch):
         bit_count=report.bit_count,
         taint_masked=taint_masked,
         dead_bits=dead,
-        prune_rate=round(prune_rate, 6),
+        prune_rate=round(inert_rate, 6),
         **{f"verdict_{name}": count
            for name, count in sorted(verdicts.items())})
     print(f"\n[{arch}] taint sweep {row['taint_seconds']:.2f}s "
           f"(+{row['taint_seconds'] - row['base_seconds']:.2f}s over "
-          f"classification-only), prune set "
+          f"classification-only), inert set "
           f"{taint_masked}/{report.bit_count} bits "
-          f"({100 * prune_rate:.2f}%; {100 * extra_rate:.2f}% beyond "
-          f"prune=dead)")
+          f"({100 * inert_rate:.2f}%; {100 * extra_rate:.2f}% beyond "
+          f"the dead set)")
     print(f"[{arch}] verdicts: " + ", ".join(
         f"{name}={count}" for name, count in sorted(
             verdicts.items(), key=lambda kv: -kv[1])))
-    # the engine must never *lose* proofs the dead policy already had
+    # the engine must never *lose* proofs the dead set already had
     assert taint_masked >= dead

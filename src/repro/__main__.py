@@ -62,8 +62,7 @@ from repro.injection.outcomes import CampaignKind
 
 #: the campaign knobs the campaign-running commands expose as flags
 #: (dump_loss_probability stays a library and service field)
-CLI_KNOBS = ("seed", "ops", "prune", "exec_mode", "checkpoints",
-             "fault_model")
+CLI_KNOBS = ("seed", "ops", "exec_mode", "checkpoints", "fault_model")
 
 
 def _add_knobs(parser: argparse.ArgumentParser,
@@ -180,14 +179,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     outcome = Campaign(config).run(
         workers=args.workers, store=args.store, resume=args.resume,
         progress_callback=_progress_printer() if args.progress else None)
-    if outcome.prune_escaped:
-        print(f"prune={config.prune} conservatively escaped: fault "
-              f"model {config.fault_model!r} flips multiple bits and "
-              f"single-bit inertness proofs do not compose",
-              file=sys.stderr)
-    elif config.prune != "none":
-        print(f"prune={config.prune}: {outcome.pruned_draws} draw(s) "
-              f"rejected and redrawn", file=sys.stderr)
     row = build_row(kind, outcome.results)
     print(render_table([row],
                        "Pentium 4" if args.arch == "x86" else "PPC G4"))
@@ -655,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--taint", action="store_true",
         help="run the interprocedural taint engine: per-bit "
         "propagation verdicts (sink/dead/escape), distance-to-sink "
-        "bounds, and taint-proven-masked bits (--prune=taint)")
+        "bounds, and taint-proven-masked bits")
     static.add_argument(
         "--validate", type=_positive_int, metavar="N",
         help="also run an N-injection dynamic code campaign per arch "

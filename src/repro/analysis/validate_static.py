@@ -13,11 +13,11 @@ Validation modes:
   between the static distance-to-sink bound and the measured
   instructions-to-crash latency (concordant-pair fraction, see
   :func:`distance_latency_agreement`).
-* :func:`validate_prune` is the safety check for ``--prune``: it
-  *injects* every statically-prunable bit under the chosen policy
-  ("dead": decode-identical flips and unreachable code; "taint":
-  additionally every taint-proven-masked bit) and verifies none of
-  them manifests.  Any disagreement here is a soundness bug, not a
+* :func:`validate_prune` is the soundness check of the report's
+  inert-bit sets: it *injects* every bit of the chosen set ("dead":
+  decode-identical flips and unreachable code; "taint": additionally
+  every taint-proven-masked bit) and verifies none of them
+  manifests.  Any disagreement here is a soundness bug, not a
   calibration miss.
 * :func:`validate_propagation` joins static evidence chains against
   the PR 5 trace dissector: it re-runs sampled sink-verdict
@@ -359,7 +359,7 @@ class PruneValidation:
     injected: int
     #: injections on prunable bits that manifested — must be empty
     disagreements: List[InjectionResult] = field(default_factory=list)
-    #: the prune policy whose bit set was injected
+    #: which inert-bit set was injected ("dead" or "taint")
     policy: str = "dead"
 
     @property

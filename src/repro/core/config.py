@@ -85,10 +85,9 @@ class StudyConfig(CampaignKnobs):
         """The study's (arch, kind) campaign.
 
         A knob whose value does not apply to *kind* falls back to its
-        default: pruning stays on the code campaigns, and a fault model
-        scoped to some kinds (e.g. "targeted", data only) leaves the
-        rest of the matrix on the single-bit default, so the study
-        always completes.
+        default: a fault model scoped to some kinds (e.g. "targeted",
+        data only) leaves the rest of the matrix on the single-bit
+        default, so the study always completes.
         """
         knobs = self.knob_values()
         for spec_field in KNOBS:

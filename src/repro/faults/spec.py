@@ -8,7 +8,7 @@ which named kernel structures the fault lands in.  The spec is pure
 data: it serializes to canonical JSON (the codec every boundary —
 store manifest, service payload, CLI — shares), round-trips losslessly,
 and hashes to a stable digest, so a fault model can join campaign
-identity the same way the prune policy does.
+identity the same way the other identity knobs do.
 
 The *mechanics* of a spec (deriving the concrete flip set for one
 target, arming retriggers) live in :mod:`repro.faults.model`; the

@@ -14,7 +14,6 @@ serial one: per-target seeds derive from the *global* target index.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -36,12 +35,7 @@ from repro.workload.probe import CleanRunProbe, probe_clean_run
 from repro.workload.profiler import FunctionProfile, profile_kernel
 from repro.workload.programs import clone_programs
 
-logger = logging.getLogger(__name__)
-
 ARCHES = ("x86", "ppc")
-
-#: valid ``CampaignConfig.prune`` policies
-PRUNE_POLICIES = ("none", "dead", "taint")
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
@@ -120,13 +114,6 @@ class CampaignKnobs:
     dump_loss_probability: float = knob(
         "probability the crash dump is lost on the network", 0.08,
         type=float, low=0.0, high=1.0, identity=True)
-    prune: str = knob(
-        "redraw code targets the static analyzer proves inert: 'dead' "
-        "skips decode-identical flips and unreachable code, 'taint' "
-        "additionally skips corruptions the taint engine proves die "
-        "before reaching any sink; code campaigns only", "none",
-        type=str, choices=PRUNE_POLICIES, identity=True,
-        applies=lambda value, kind: value == "none" or kind == "code")
     exec_mode: str = knob(
         "execution core: 'block' runs compiled superblocks, 'step' is "
         "the plain interpreter; bit-identical results either way",
@@ -187,12 +174,6 @@ class CampaignResult:
     #: serial path; a recovered failure means its shard was retried
     #: serially and its results are present in ``results`` as usual)
     failures: list = field(default_factory=list)
-    #: draws rejected during target generation by the prune policy
-    pruned_draws: int = 0
-    #: True when a requested prune policy was conservatively escaped
-    #: because the fault model's multiplicity makes its single-bit
-    #: inertness proofs unsound (the campaign ran unpruned)
-    prune_escaped: bool = False
 
     @property
     def injected(self) -> int:
@@ -302,12 +283,6 @@ class Campaign:
         self.config = config
         self.context = context if context is not None else \
             CampaignContext.get(config.arch, config.seed, config.ops)
-        #: draws the prune policy rejected in the last
-        #: ``generate_targets`` call (0 when prune is "none")
-        self.pruned_draws = 0
-        #: True when the last ``generate_targets`` call conservatively
-        #: escaped the prune policy (multiplicity > 1 fault model)
-        self.prune_escaped = False
 
     # -- target generation -----------------------------------------------------
 
@@ -320,39 +295,7 @@ class Campaign:
         kind = self.config.kind
         model = get_model(self.config.fault_model)
         if kind is CampaignKind.CODE:
-            prune_bits = None
-            self.prune_escaped = False
-            if self.config.prune != "none" and \
-                    model.spec.multiplicity > 1:
-                # soundness gate: the static analyzer's inertness
-                # proofs are per-bit (decode-identical / masked-flow
-                # for ONE flipped bit) and do not compose — a pair of
-                # individually-inert flips can decode to a different
-                # instruction.  Escape loudly rather than prune
-                # unsoundly.
-                self.prune_escaped = True
-                logger.warning(
-                    "prune=%s escaped: fault model %r flips up to %d "
-                    "bits per experiment and single-bit inertness "
-                    "proofs do not compose; campaign runs unpruned",
-                    self.config.prune, self.config.fault_model,
-                    model.spec.multiplicity)
-            elif self.config.prune == "dead":
-                from repro.static.predictor import dead_code_bits
-                prune_bits = dead_code_bits(self.config.arch)
-            elif self.config.prune == "taint":
-                from repro.static.predictor import taint_masked_bits
-                prune_bits = taint_masked_bits(self.config.arch)
-            targets = generator.code_targets(self.config.count,
-                                             prune_bits=prune_bits)
-            self.pruned_draws = generator.pruned_draws
-            if prune_bits is not None:
-                logger.info(
-                    "prune=%s (%s): %d prunable bits; %d draw(s) "
-                    "rejected and redrawn", self.config.prune,
-                    self.config.arch, len(prune_bits),
-                    self.pruned_draws)
-            return targets
+            return generator.code_targets(self.config.count)
         if kind is CampaignKind.STACK:
             machine = context.base_machine
             allocations = {pid: (task.stack_base,
@@ -509,9 +452,6 @@ class Campaign:
                 if progress_callback is not None:
                     progress_callback(index + 1, len(targets),
                                       [(index, result)])
-        # every path above calls generate_targets on this instance
-        out.pruned_draws = self.pruned_draws
-        out.prune_escaped = self.prune_escaped
         return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.kcc.linker import KernelImage
 from repro.ppc.registers import G4_SUPERVISOR_REGISTERS
@@ -72,8 +72,6 @@ class TargetGenerator:
         self.image = image
         self.profile = profile
         self.rng = random.Random(seed)
-        #: draws rejected by the last ``code_targets`` prune predicate
-        self.pruned_draws = 0
 
     # -- code -------------------------------------------------------------
 
@@ -93,29 +91,11 @@ class TargetGenerator:
                if name in self.image.functions]
         return hot or list(self.image.functions)
 
-    def code_targets(self, count: int,
-                     prune_bits: Optional[AbstractSet[Tuple[int, int]]]
-                     = None) -> List[CodeTarget]:
-        """Pre-generate *count* code targets.
-
-        With *prune_bits* (a set of provably-inert ``(addr, bit)``
-        pairs from the static analyzer) pruned draws are rejected and
-        redrawn from the same RNG stream, so a pruned campaign spends
-        all of its budget on bits that can matter.  The number of
-        rejected draws is recorded in ``self.pruned_draws``; the
-        target list stays a pure function of ``(image, profile, seed,
-        prune_bits)``, so resumes remain bit-identical.
-        """
+    def code_targets(self, count: int) -> List[CodeTarget]:
+        """Pre-generate *count* code targets."""
         names = self._hot_functions()
         out: List[CodeTarget] = []
-        self.pruned_draws = 0
-        attempts_left = count * 1000 + 1000
-        while len(out) < count:
-            if attempts_left <= 0:
-                raise RuntimeError(
-                    "code target generation stalled: prune predicate "
-                    "rejects (nearly) every draw")
-            attempts_left -= 1
+        for _ in range(count):
             name = self.rng.choice(names)
             info = self.image.functions[name]
             index = self.rng.randrange(len(info.insn_addrs))
@@ -126,9 +106,6 @@ class TargetGenerator:
                 length = info.addr + info.size - addr
             length = max(1, length)
             bit = self.rng.randrange(length * 8)
-            if prune_bits is not None and (addr, bit) in prune_bits:
-                self.pruned_draws += 1
-                continue
             out.append(CodeTarget(name, addr, length, bit))
         return out
 

@@ -17,6 +17,7 @@ from typing import Dict, List
 from repro.core.config import StudyConfig
 from repro.injection.campaign import ARCHES, KNOBS, CampaignConfig
 from repro.injection.outcomes import CampaignKind
+from repro.store.manifest import PRUNE
 
 KINDS = tuple(kind.value for kind in CampaignKind)
 
@@ -45,8 +46,26 @@ def _check_object(payload, allowed, what: str) -> None:
                               f"{', '.join(unknown)}")
 
 
+def _drop_retired_prune(payload):
+    """*payload* without the retired ``prune`` knob.
+
+    ``prune: "none"`` (which job-index lines written while it was a
+    knob carry) is dropped; any other value names a retired policy and
+    is refused.
+    """
+    if not isinstance(payload, dict) or "prune" not in payload:
+        return payload
+    if payload["prune"] != PRUNE:
+        raise ValidationError(
+            f"prune: the target prune policy was retired; got "
+            f"{payload['prune']!r}, only {PRUNE!r} is accepted")
+    return {name: value for name, value in payload.items()
+            if name != "prune"}
+
+
 def campaign_config_from_payload(payload) -> CampaignConfig:
     """Validate one campaign submission into a ``CampaignConfig``."""
+    payload = _drop_retired_prune(payload)
     _check_object(payload, CAMPAIGN_FIELDS, "campaign config")
     for name in REQUIRED_FIELDS:
         if name not in payload:
@@ -63,6 +82,7 @@ def campaign_config_from_payload(payload) -> CampaignConfig:
 
 def study_configs_from_payload(payload) -> List[CampaignConfig]:
     """Expand a study submission into its eight campaign configs."""
+    payload = _drop_retired_prune(payload)
     _check_object(payload, STUDY_FIELDS, "study config")
     try:
         study = StudyConfig(**payload)

@@ -41,7 +41,7 @@ from repro.injection.campaign import (
 )
 from repro.service.jobs import FairQueue, Job, JobState, campaign_identity
 from repro.service.protocol import (
-    campaign_config_from_payload, config_to_payload,
+    ValidationError, campaign_config_from_payload, config_to_payload,
 )
 from repro.store.codec import results_digest
 from repro.store.store import CampaignStore
@@ -162,10 +162,13 @@ class CampaignScheduler:
             except (ValueError, KeyError):
                 continue               # torn tail of a killed daemon
         max_seq = -1
-        for record in latest.values():
+        for job_id, record in latest.items():
             try:
                 job = _job_from_record(record)
-            except Exception:          # noqa: BLE001 — skip bad record
+            except (ValidationError, KeyError, ValueError) as exc:
+                logger.warning("job %s not recovered from %s: %s: %s",
+                               job_id, self._index_path,
+                               type(exc).__name__, exc)
                 continue
             max_seq = max(max_seq, job.seq)
             self.jobs[job.id] = job

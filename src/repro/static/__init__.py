@@ -27,10 +27,8 @@ anything, from the compiled images alone:
   emitted as a :class:`repro.static.report.StaticSensitivityReport`.
 
 ``analysis.validate_static`` compares a report against a dynamic
-``CampaignResult``; ``TargetGenerator.code_targets(prune=...)`` uses
-the report's provably-dead bit set (``--prune=dead``) or its
-taint-proven-masked superset (``--prune=taint``) to skip injections
-that cannot manifest.
+``CampaignResult``, and checks that the report's provably-dead bits
+and its taint-proven-masked superset never manifest when injected.
 """
 
 from repro.static.cfg import BasicBlock, FunctionCFG, KernelCFG, build_cfg
@@ -38,8 +36,7 @@ from repro.static.corruption import CorruptionClass, classify_flip
 from repro.static.effects import InsnEffects, insn_effects
 from repro.static.liveness import LivenessResult, compute_liveness
 from repro.static.predictor import (
-    PredictedOutcome, analyze_image, analyze_kernel, clear_caches,
-    dead_code_bits, taint_masked_bits,
+    PredictedOutcome, analyze_image, analyze_kernel,
 )
 from repro.static.report import BitPrediction, StaticSensitivityReport
 from repro.static.sinks import SINK_KINDS, sink_triggers
@@ -65,11 +62,8 @@ __all__ = [
     "analyze_kernel",
     "build_cfg",
     "classify_flip",
-    "clear_caches",
     "compute_liveness",
-    "dead_code_bits",
     "insn_effects",
     "sink_triggers",
-    "taint_masked_bits",
     "transfer",
 ]

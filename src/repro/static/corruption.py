@@ -6,8 +6,7 @@ and compares against the clean decode:
 
 * ``NO_CHANGE`` — the flipped encoding decodes to the same
   instruction (don't-care bits: x86 modrm corners, ppc reserved
-  fields).  Provably cannot manifest; the prune policy's bread and
-  butter.
+  fields).  Provably cannot manifest.
 * ``ILLEGAL`` — the flipped encoding decodes to a guaranteed
   invalid-opcode fault (``ud2``-like, undefined encodings, ppc's
   sparse opcode space).

@@ -42,18 +42,17 @@ Decision procedure for one (instruction, bit), in order:
        part of the workload's result), the paper's own explanation
        for its large non-manifestation counts.
 
-Pruning soundness: a bit is *taint-prunable* (safe to skip under
-``--prune=taint``) only when its death proof holds under the dynamic
-fault model too — the substituted instruction must not be a block
-terminator and must keep an identical fault surface (same operation
-and memory access, destination-register change only) so the corrupted
-run cannot fault where the clean run does not.  ``dead_bits`` keeps
+Inertness soundness: a bit is *taint-prunable* (injecting it can never
+manifest) only when its death proof holds under the dynamic fault model
+too — the substituted instruction must not be a block terminator and
+must keep an identical fault surface (same operation and memory
+access, destination-register change only) so the corrupted run cannot
+fault where the clean run does not.  ``dead_bits`` keeps
 PR 4's stricter decode-identical/unreachable-only meaning.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.kcc.linker import KernelImage
@@ -168,8 +167,8 @@ def analyze_image(arch: str, image: KernelImage,
 
     ``taint=False`` skips the propagation engine (every pure-dataflow
     substitution takes the calibrated fallback, as in PR 4); the
-    pinned digests and the ``--prune=taint`` bit set require the
-    default ``taint=True``.
+    pinned digests and the taint-masked bit set require the default
+    ``taint=True``.
     """
     if cfg is None:
         cfg = build_cfg(arch, image)
@@ -275,33 +274,3 @@ def analyze_kernel(arch: str,
     """Build (or fetch the cached) kernel image and analyze it."""
     image = build_kernel(arch)
     return analyze_image(arch, image, taint=taint)
-
-
-@lru_cache(maxsize=None)
-def dead_code_bits(arch: str) -> FrozenSet[Tuple[int, int]]:
-    """The provably-prunable (addr, bit) pairs of an arch's kernel
-    under the strict PR 4 rule: decode-identical flips and
-    statically-unreachable code only.
-
-    Cached per process: the campaign engine calls this once per
-    ``--prune=dead`` campaign (including once per worker process),
-    and the set is a pure function of the deterministic kernel build.
-    """
-    return analyze_kernel(arch, taint=False).dead_bits
-
-
-@lru_cache(maxsize=None)
-def taint_masked_bits(arch: str) -> FrozenSet[Tuple[int, int]]:
-    """The (addr, bit) pairs prunable under ``--prune=taint``: the
-    strict dead set plus every bit whose corruption the taint engine
-    proves masked (``taint_prunable`` predictions).  Cached like
-    :func:`dead_code_bits`."""
-    report = analyze_kernel(arch)
-    return report.dead_bits | report.taint_masked_bits
-
-
-def clear_caches() -> None:
-    """Drop the module-level per-arch analysis caches (test isolation
-    hook, mirroring ``CampaignContext.clear_cache``)."""
-    dead_code_bits.cache_clear()
-    taint_masked_bits.cache_clear()

@@ -57,7 +57,7 @@ class BitPrediction:
     #: shortest discovered route, sink address
     evidence: Tuple[int, ...] = ()
     #: the taint death proof also holds under the dynamic fault
-    #: model: safe to skip under ``--prune=taint``
+    #: model: injecting this bit can never manifest
     taint_prunable: bool = False
 
     @property

@@ -3,9 +3,9 @@
 A store holds many campaigns side by side; each is identified by a
 hash of everything that determines its result stream — ``arch``,
 ``kind``, the identity-flagged campaign knobs (``IDENTITY_KNOBS``:
-seed, ops, dump-loss probability, prune policy, fault model) and the
-code version, plus the fixed ``profile_coverage`` constant that early
-store formats recorded.
+seed, ops, dump-loss probability, fault model) and the code version,
+plus the fixed ``profile_coverage`` and ``prune`` constants that
+earlier store formats recorded.
 Two configs with the same identity produce bit-identical results, so
 their journals are interchangeable; any drift in those fields changes
 the identity and lands in a different campaign directory instead of
@@ -40,6 +40,11 @@ STORE_FORMAT = 4
 #: identity constant from when it was a (never read) config field
 PROFILE_COVERAGE = 0.95
 
+#: written into every manifest so stored campaign ids stay stable; the
+#: target prune policy was a campaign knob (store formats 2-4) until it
+#: was retired, and "none" is the only value a store may still hold
+PRUNE = "none"
+
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
 
@@ -66,7 +71,7 @@ class CampaignManifest:
     dump_loss_probability: float
     profile_coverage: float
     code_version: str
-    #: target prune policy (recorded since store format 2)
+    #: always :data:`PRUNE` (recorded since store format 2)
     prune: str
     #: fault-model name; format-3 manifests predate it and ran the
     #: default model
@@ -80,7 +85,7 @@ class CampaignManifest:
         return cls(
             arch=config.arch, kind=config.kind.value,
             count=config.count, profile_coverage=PROFILE_COVERAGE,
-            code_version=code_version(),
+            code_version=code_version(), prune=PRUNE,
             **{name: getattr(config, name) for name in IDENTITY_KNOBS})
 
     # -- identity ----------------------------------------------------------
@@ -150,6 +155,11 @@ class CampaignManifest:
                 f"legacy manifest at {path}: written before store "
                 f"format 2 (no prune policy recorded); re-run the "
                 f"campaign into a fresh store")
+        if payload["prune"] != PRUNE:
+            raise ManifestError(
+                f"manifest at {path} names prune policy "
+                f"{payload['prune']!r}, which was retired; only "
+                f"prune={PRUNE!r} campaigns can be reopened")
         try:
             manifest = cls(**payload)
         except TypeError as exc:

@@ -16,21 +16,15 @@ from repro.machine.machine import Machine
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_campaign_context_cache():
-    """Start and end the session with empty process-global caches.
+    """Start and end the session with an empty context cache.
 
     ``CampaignContext._cache`` is process-global and never invalidated
     on its own, so contexts built by an earlier in-process run (or left
     behind for a later one) could leak between parametrized arches.
-    The ``repro.static`` predictor keeps module-level ``lru_cache``s
-    keyed on kernel images (dead-bit and taint-masked-bit sets) with
-    the same lifetime hazard — clear them on the same schedule.
     """
-    from repro.static.predictor import clear_caches
     CampaignContext.clear_cache()
-    clear_caches()
     yield
     CampaignContext.clear_cache()
-    clear_caches()
 
 
 @pytest.fixture(scope="session")

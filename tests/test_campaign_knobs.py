@@ -6,11 +6,12 @@ tests hold that design to its contract:
 
 * **Identity is pinned.** ``tests/data/campaign_ids.json`` was recorded
   from ``CampaignManifest.from_config`` before the knob table existed:
-  both arches x four kinds at defaults, code x each prune policy, each
-  fault model on every kind it applies to, and one non-default seed,
-  ops and dump-loss probability.  Each entry also carries that code's
-  wire payload, so a service job index written then still reloads
-  onto the same campaign.
+  both arches x four kinds at defaults, each fault model on every kind
+  it applies to, and one non-default seed, ops and dump-loss
+  probability.  Each entry also carries that code's wire payload,
+  which still names the retired ``prune`` knob as ``"none"``, so a
+  service job index written then still reloads onto the same
+  campaign.
 * **One default per knob.** The CLI, ``CampaignConfig``,
   ``StudyConfig`` and the service agree on every default, so the same
   request through any of them names the same stored campaign.
@@ -64,9 +65,12 @@ class TestPinnedIdentity:
     @pytest.mark.parametrize("entry", PINNED, ids=_entry_id)
     def test_wire_payload_unchanged(self, entry):
         config = _config(entry["config"])
-        # byte-identical, key order included: job indexes store it
+        # byte-identical, key order included, less the retired knob
+        recorded = {name: value for name, value in entry["payload"].items()
+                    if name != "prune"}
         assert json.dumps(config_to_payload(config)) == \
-            json.dumps(entry["payload"])
+            json.dumps(recorded)
+        # the recorded payload, "prune": "none" included, still reloads
         reloaded = campaign_config_from_payload(entry["payload"])
         assert reloaded == config
         assert campaign_identity(reloaded) == entry["campaign_id"]
@@ -77,7 +81,7 @@ class TestPinnedIdentity:
 
     def test_identity_column(self):
         assert IDENTITY_KNOBS == ("seed", "ops", "dump_loss_probability",
-                                  "prune", "fault_model")
+                                  "fault_model")
 
 
 class TestOneDefault:
@@ -145,7 +149,7 @@ class TestBounds:
         ({"checkpoints": -1}, "checkpoints"),
         ({"exec_mode": "jit"}, "exec_mode"),
         ({"fault_model": "rowhammer"}, "fault_model"),
-        ({"prune": "dead"}, "prune"),
+        ({"fault_model": "targeted"}, "fault_model"),
         ({"arch": "arm"}, "arch"),
     ])
     def test_campaign_config_rejects(self, override, name):
@@ -165,7 +169,6 @@ class TestBounds:
         ({"min_campaign": 0}, "min_campaign"),
         ({"workers": 0}, "workers"),
         ({"ops": 0}, "ops"),
-        ({"prune": "everything"}, "prune"),
     ])
     def test_study_config_rejects(self, override, name):
         with pytest.raises(ValueError, match=name):
@@ -181,15 +184,8 @@ class TestBounds:
 
 
 class TestStudyFanOut:
-    def test_prune_stays_on_code(self):
-        study = StudyConfig(prune="taint")
-        for kind in CampaignKind:
-            config = study.campaign_config("x86", kind, 3)
-            assert config.prune == ("taint" if kind is CampaignKind.CODE
-                                    else "none")
-
     def test_study_and_service_expand_alike(self):
-        payload = {"seed": 4, "ops": 36, "prune": "dead",
+        payload = {"seed": 4, "ops": 36,
                    "fault_model": "targeted", "scale": 0.001}
         study = StudyConfig(**payload)
         expected = [study.campaign_config(arch, kind)

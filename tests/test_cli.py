@@ -58,19 +58,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["campaign", "--kind", "data", "--resume"])
 
-    def test_prune_dead_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["campaign", "--kind", "code", "--prune", "dead"])
-        assert args.prune == "dead"
-        assert build_parser().parse_args(
-            ["campaign", "--kind", "code"]).prune == "none"
-        assert build_parser().parse_args(
-            ["study", "--prune", "dead"]).prune == "dead"
-
-    def test_prune_dead_requires_code_kind(self):
-        with pytest.raises(SystemExit, match="does not apply"):
-            main(["campaign", "--kind", "stack", "--prune", "dead"])
-
     @pytest.mark.parametrize("argv,fragment", [
         (["-n", "0"], "count"),
         (["-n", "-3"], "count"),
@@ -225,10 +212,6 @@ class TestServiceParser:
         assert args.job == "job-000001"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cancel"])
-
-    def test_submit_prune_dead_requires_code(self):
-        with pytest.raises(SystemExit, match="does not apply"):
-            main(["submit", "--kind", "stack", "--prune", "dead"])
 
 
 class TestStoreErrorPaths:

@@ -2,7 +2,7 @@
 
 ``repro.static.effects.insn_effects`` summarises what an instruction
 reads and writes; the liveness analysis, the taint engine and the
-``--prune=taint`` screen trust that summary.  This module checks it
+taint-masked bit set trust that summary.  This module checks it
 against the step core by running each instruction on a shadow CPU
 (private register file, copy-on-write memory overlay) and asserting,
 for every instruction:

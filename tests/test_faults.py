@@ -3,8 +3,7 @@
 Covers the declarative spec codec (hypothesis round-trips through the
 canonical-JSON boundary every layer shares), the registry, plan
 derivation purity and shape per target kind, the targeted structure
-pool, the prune soundness gate (multi-bit campaigns must *never*
-prune), MBU-vs-SBU manifestation ordering on both architectures,
+pool, MBU-vs-SBU manifestation ordering on both architectures,
 legacy manifest mapping, the service protocol fields, and the CLI
 surface.  The per-model digest gate lives in
 ``tests/test_fault_digests.py``.
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,71 +268,6 @@ class TestTargetedPool:
         with pytest.raises(ValueError, match="unknown fault model"):
             CampaignConfig(arch="x86", kind=CampaignKind.DATA,
                            count=4, fault_model="rowhammer")
-
-
-# ---------------------------------------------------------------------------
-# prune soundness: multi-bit campaigns must never prune
-
-
-class TestPruneSoundness:
-    @pytest.mark.parametrize("prune", ["dead", "taint"])
-    def test_multibit_escapes_prune(self, prune, ppc_context, caplog):
-        """The battery: under every multi-bit model, both prune
-        policies conservatively escape — same targets as unpruned,
-        zero rejected draws, loud flag — because single-bit inertness
-        proofs do not compose across simultaneous flips."""
-        base = CampaignConfig(arch="ppc", kind=CampaignKind.CODE,
-                              count=24, seed=0, ops=36,
-                              fault_model="burst")
-        unpruned = Campaign(base, ppc_context)
-        expected = unpruned.generate_targets()
-        pruned_config = dataclasses.replace(base, prune=prune)
-        campaign = Campaign(pruned_config, ppc_context)
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.injection.campaign"):
-            targets = campaign.generate_targets()
-        assert campaign.prune_escaped
-        assert campaign.pruned_draws == 0
-        assert targets == expected
-        assert any("do not compose" in record.getMessage()
-                   for record in caplog.records)
-
-    def test_multibit_run_never_prunes(self, ppc_context):
-        """End-to-end: a taint-pruned burst campaign reports the
-        escape on its result and spent no draws on pruning."""
-        config = CampaignConfig(arch="ppc", kind=CampaignKind.CODE,
-                                count=8, seed=0, ops=36,
-                                fault_model="burst", prune="taint")
-        result = Campaign(config, ppc_context).run()
-        assert result.prune_escaped
-        assert result.pruned_draws == 0
-        assert result.injected == 8
-
-    def test_single_bit_still_prunes(self, ppc_context):
-        """Control: the soundness gate keys on multiplicity, not on
-        the prune flag — the single-bit model still prunes."""
-        from repro.static.predictor import dead_code_bits
-        assert len(dead_code_bits("ppc")) > 0
-        config = CampaignConfig(arch="ppc", kind=CampaignKind.CODE,
-                                count=24, seed=0, ops=36,
-                                prune="dead")
-        campaign = Campaign(config, ppc_context)
-        targets = campaign.generate_targets()
-        assert not campaign.prune_escaped
-        dead = dead_code_bits("ppc")
-        assert all((t.addr, t.bit) not in dead for t in targets)
-
-    def test_intermittent_single_bit_may_prune(self, ppc_context):
-        """Intermittent is multiplicity 1: the inertness proof holds
-        for every re-application of the same flip, so pruning stays
-        sound and enabled."""
-        config = CampaignConfig(arch="ppc", kind=CampaignKind.CODE,
-                                count=12, seed=0, ops=36,
-                                fault_model="intermittent",
-                                prune="dead")
-        campaign = Campaign(config, ppc_context)
-        campaign.generate_targets()
-        assert not campaign.prune_escaped
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,79 @@ class TestProtocol:
         assert len(configs) == 8
         assert {config.arch for config in configs} == {"x86", "ppc"}
         assert all(config.count == 1 for config in configs)
-        # pruning stays off everywhere unless asked; exec defaults
-        assert all(config.prune == "none" for config in configs)
+
+    @pytest.mark.parametrize("prune", ["dead", "taint"])
+    def test_retired_prune_policy_rejected(self, prune):
+        """The prune knob is retired: a campaign or study payload naming
+        a policy other than "none" is refused, naming the field."""
+        with pytest.raises(ValidationError, match="prune"):
+            campaign_config_from_payload(
+                {"arch": "x86", "kind": "code", "count": 5,
+                 "prune": prune})
+        with pytest.raises(ValidationError, match="prune"):
+            study_configs_from_payload({"prune": prune})
+
+    def test_study_drops_prune_none(self):
+        """A study payload naming the retired knob's only value expands
+        as if it were absent (campaign payloads: test_campaign_knobs)."""
+        assert study_configs_from_payload({"prune": "none"}) == \
+            study_configs_from_payload({})
 
     def test_study_rejects_unknown(self):
         with pytest.raises(ValidationError):
             study_configs_from_payload({"scales": 0.5})
+
+
+# -- job-index recovery -----------------------------------------------------
+
+#: a job-index line as written before the prune knob was retired
+_LEGACY_RECORD = {
+    "id": "job-000000", "tenant": "t", "priority": 0, "workers": 1,
+    "seq": 0, "state": "queued", "done": 0, "total": 0, "counts": {},
+    "digest": None, "error": None, "submitted_at": 0.0,
+    "started_at": None, "finished_at": None,
+    "config": {"arch": "x86", "kind": "code", "count": 100, "seed": 0,
+               "ops": 48, "dump_loss_probability": 0.08,
+               "prune": "none", "exec_mode": "block", "checkpoints": 8,
+               "fault_model": "single-bit"},
+    "campaign_id": "code-x86-3d4afdd2d330",
+}
+
+
+class TestRecovery:
+    def test_legacy_prune_records(self, tmp_path, caplog):
+        """A ``prune: "none"`` record reloads onto its campaign; a
+        record naming a retired policy is logged by job id and skipped
+        while the other records still recover."""
+        from repro.service.scheduler import (
+            JOB_INDEX_DIR, JOB_INDEX_NAME, CampaignScheduler,
+        )
+        from repro.store.store import CampaignStore
+        retired = dict(
+            _LEGACY_RECORD, id="job-000001", seq=1,
+            config=dict(_LEGACY_RECORD["config"], prune="dead"),
+            campaign_id="code-x86-3c87672ea671")
+        index = tmp_path / JOB_INDEX_DIR / JOB_INDEX_NAME
+        index.parent.mkdir(parents=True)
+        index.write_text("".join(json.dumps(record) + "\n"
+                                 for record in (_LEGACY_RECORD, retired)))
+        scheduler = CampaignScheduler(CampaignStore(tmp_path), workers=1)
+        try:
+            with caplog.at_level("WARNING",
+                                 logger="repro.service.scheduler"):
+                scheduler._recover()
+        finally:
+            scheduler._executor.shutdown(wait=True)
+        assert list(scheduler.jobs) == ["job-000000"]
+        job = scheduler.jobs["job-000000"]
+        assert job.campaign_id == _LEGACY_RECORD["campaign_id"]
+        assert CampaignManifest.from_config(job.config).campaign_id == \
+            _LEGACY_RECORD["campaign_id"]
+        assert len(scheduler.queue) == 1
+        warnings = [record.getMessage() for record in caplog.records
+                    if record.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "job-000001" in warnings[0] and "prune" in warnings[0]
 
 
 # -- a real daemon on a background thread -----------------------------------

@@ -7,6 +7,7 @@ kill/resume equivalence matrix lives in ``tests/test_resume.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -56,6 +57,18 @@ def _result(index: int = 0) -> InjectionResult:
         crash_cycles=500 + index if pick < 2 else None,
         detail=f"detail {index}", function="getblk", subsystem="fs",
         screened=(pick == 2))
+
+
+#: ``_config()``'s manifest as written while ``prune`` was a knob
+_PRUNE_NONE_MANIFEST = {
+    "arch": "x86", "campaign_id": "data-x86-336c26138d89",
+    "code_version": "1.0.0+fmt4", "count": 6,
+    "dump_loss_probability": 0.08, "fault_model": "single-bit",
+    "kind": "data",
+    "manifest_hash": "7db9fcbdad124a8c0151ea2fcce73627980a4236"
+                     "1b292d194545019392636f71",
+    "ops": 36, "profile_coverage": 0.95, "prune": "none", "seed": 0,
+}
 
 
 def _config(count: int = 6, arch: str = "x86",
@@ -143,14 +156,6 @@ class TestManifest:
         with pytest.raises(ManifestError, match="hash mismatch"):
             CampaignManifest.load(tmp_path)
 
-    def test_prune_changes_identity(self):
-        base = CampaignConfig(arch="ppc", kind=CampaignKind.CODE,
-                              count=6, seed=0, ops=36)
-        pruned = CampaignConfig(arch="ppc", kind=CampaignKind.CODE,
-                                count=6, seed=0, ops=36, prune="dead")
-        assert CampaignManifest.from_config(base).campaign_id != \
-            CampaignManifest.from_config(pruned).campaign_id
-
     def test_legacy_manifest_without_prune_rejected(self, tmp_path):
         """Pre-format-2 manifests never recorded a prune policy;
         loading one must fail loudly, not guess."""
@@ -162,6 +167,36 @@ class TestManifest:
         path.write_text(json.dumps(payload))
         with pytest.raises(ManifestError, match="legacy manifest"):
             CampaignManifest.load(tmp_path)
+
+    def test_retired_prune_policy_rejected(self, tmp_path):
+        """A store written while ``prune`` was a knob may hold a
+        ``dead``/``taint`` campaign; reopening it fails loudly."""
+        manifest = dataclasses.replace(
+            CampaignManifest.from_config(_config(kind=CampaignKind.CODE)),
+            prune="dead")
+        manifest.save(tmp_path)
+        with pytest.raises(ManifestError, match="retired"):
+            CampaignManifest.load(tmp_path)
+
+    def test_prune_none_manifest_resumes(self, tmp_path):
+        """A ``prune: "none"`` manifest written before the knob was
+        retired reopens as the same campaign, journal included."""
+        store = CampaignStore(tmp_path)
+        directory = store.campaign_dir(_PRUNE_NONE_MANIFEST["campaign_id"])
+        directory.mkdir()
+        (directory / "manifest.json").write_text(
+            json.dumps(_PRUNE_NONE_MANIFEST, indent=2, sort_keys=True))
+        with Journal(directory / "journal.jsonl") as journal:
+            journal.append(0, _result(0))
+        assert CampaignManifest.load(directory) == \
+            CampaignManifest.from_config(_config())
+        opened = store.open(_config(), resume=True)
+        assert opened.manifest.campaign_id == \
+            _PRUNE_NONE_MANIFEST["campaign_id"]
+        assert opened.manifest.manifest_hash == \
+            _PRUNE_NONE_MANIFEST["manifest_hash"]
+        assert list(opened.done) == [0]
+        opened.close()
 
 
 class TestJournal:

@@ -336,10 +336,3 @@ class TestEngineCaches:
         engine.clear_cache()
         assert not engine._verdicts
         assert engine.propagate(BASE, frozenset({"eax"})) == v1
-
-    def test_predictor_caches_clear(self):
-        from repro.static.predictor import clear_caches, dead_code_bits
-        dead_code_bits("ppc")
-        assert dead_code_bits.cache_info().currsize > 0
-        clear_caches()
-        assert dead_code_bits.cache_info().currsize == 0

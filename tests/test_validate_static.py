@@ -1,4 +1,4 @@
-"""Static-vs-dynamic validation: matrix math, end-to-end, pruning."""
+"""Static-vs-dynamic validation: matrix math, end-to-end, inert bits."""
 
 from __future__ import annotations
 
@@ -83,10 +83,9 @@ class TestEndToEnd:
 
     COUNT = 60
 
-    def _campaign(self, arch, context, workers=1, prune="none"):
+    def _campaign(self, arch, context, workers=1):
         config = CampaignConfig(arch=arch, kind=CampaignKind.CODE,
-                                count=self.COUNT, seed=0, ops=36,
-                                prune=prune)
+                                count=self.COUNT, seed=0, ops=36)
         return Campaign(config, context).run(workers=workers)
 
     @pytest.mark.parametrize("fixture,ctx", [
@@ -123,34 +122,6 @@ class TestEndToEnd:
 
 
 class TestPrune:
-    def test_pruned_campaign_avoids_dead_bits(self, ppc_static,
-                                              ppc_context):
-        _cfg, _live, report = ppc_static
-        config = CampaignConfig(arch="ppc", kind=CampaignKind.CODE,
-                                count=120, seed=0, ops=36,
-                                prune="dead")
-        campaign = Campaign(config, ppc_context)
-        targets = campaign.generate_targets()
-        dead = report.dead_bits
-        assert not any((t.addr, t.bit) in dead for t in targets)
-        # deterministic: regenerating reproduces targets and counter
-        again = Campaign(config, ppc_context)
-        assert again.generate_targets() == targets
-        assert again.pruned_draws == campaign.pruned_draws
-
-    def test_x86_prune_is_noop(self, x86_static, x86_context):
-        """x86 has no prunable bits (dense encoding: every flip
-        decodes differently), so pruning must not disturb the
-        stream."""
-        _cfg, _live, report = x86_static
-        assert not report.dead_bits
-        base = CampaignConfig(arch="x86", kind=CampaignKind.CODE,
-                              count=50, seed=0, ops=36)
-        pruned = CampaignConfig(arch="x86", kind=CampaignKind.CODE,
-                                count=50, seed=0, ops=36, prune="dead")
-        assert Campaign(pruned, x86_context).generate_targets() == \
-            Campaign(base, x86_context).generate_targets()
-
     def test_pruned_bits_never_manifest(self, ppc_context):
         """The soundness check: injecting a sample of prunable bits
         classifies zero disagreements."""
@@ -159,13 +130,3 @@ class TestPrune:
         assert validation.prunable_bits > 0
         assert validation.ok, [r.target for r in
                                validation.disagreements]
-
-    def test_prune_rejected_for_non_code(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(arch="x86", kind=CampaignKind.STACK,
-                           count=5, prune="dead")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(arch="x86", kind=CampaignKind.CODE,
-                           count=5, prune="live")
