@@ -62,7 +62,6 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.compile import BlockCache
 from repro.machine.machine import Machine, MachineConfig
 from repro.workload.driver import UnixBenchDriver
 from repro.workload.programs import BenchProgram, clone_programs
@@ -108,11 +107,6 @@ class CheckpointLadder:
     boot_instret: int
     total_instret: int
     checkpoints: List[Checkpoint]
-    #: the capture run's compiled blocks; every rung (and, for the
-    #: default ladder, the context's base machine) adopts them, sound
-    #: because the capture never changes kernel text (asserted) and
-    #: adopted blocks re-validate on first use
-    blocks: Optional[BlockCache] = None
 
     def best_for(self, trigger_instret: int,
                  inclusive: bool = False) -> Optional[Checkpoint]:
@@ -188,8 +182,8 @@ class BoundarySnapshots:
 
         Raises :class:`LadderInvariantError` if the run consumed any
         per-machine RNG or transmitted a packet — the preconditions for
-        dispatch being bit-identical — or if it changed kernel text
-        (see ``CheckpointLadder.blocks``).
+        dispatch being bit-identical — or if it changed kernel text,
+        which the blocks the rungs adopt depend on.
         """
         probe = context.probe
         checkpoints = self.pick(probe.boot_instret, probe.total_instret,
@@ -218,9 +212,9 @@ class BoundarySnapshots:
                     "captured machine carries a materialized RNG")
 
         # each rung was forked partway through the window; give it the
-        # blocks the rest of the window compiled too (sound for the
-        # same reason the base machine's adoption is: no kernel-text
-        # write)
+        # blocks the whole window compiled, sound because the capture
+        # never changed kernel text (asserted above) and adopted blocks
+        # re-validate on first use
         blocks = machine.cpu._block_cache
         for checkpoint in checkpoints:
             checkpoint.machine.cpu._block_cache.inherit(blocks)
@@ -229,7 +223,7 @@ class BoundarySnapshots:
             arch=context.arch, seed=context.seed, ops=context.ops,
             boot_instret=probe.boot_instret,
             total_instret=probe.total_instret,
-            checkpoints=checkpoints, blocks=blocks)
+            checkpoints=checkpoints)
 
 
 def build_ladder(context, count: int) -> CheckpointLadder:

@@ -196,8 +196,8 @@ class CampaignContext:
     once: its start is forked into the base machine, its scheduling
     boundaries into candidate rungs from which the default ladder is
     picked, and the blocks it compiles are adopted by the base machine
-    and every rung.  Every injection forks from the base machine or a
-    rung.
+    and every rung, as are its decodes by the base machine.  Every
+    injection forks from the base machine or a rung.
     """
 
     _cache: Dict[tuple, "CampaignContext"] = {}
@@ -214,11 +214,16 @@ class CampaignContext:
         self.probe: CleanRunProbe = probe_clean_run(
             arch, seed=seed, ops=ops, at_window=self._open_window)
         self.profile: FunctionProfile = profile_kernel(self.probe)
+        clean_pass = self._boundaries.machine.cpu
         self._default_ladder = self._boundaries.ladder(
             self, DEFAULT_CHECKPOINTS)
         del self._boundaries          # the unpicked snapshots go too
-        self.base_machine.cpu._block_cache.inherit(
-            self._default_ladder.blocks)
+        # sound for the reason the rungs' adoption of the blocks is
+        # (see ``BoundarySnapshots.ladder``): the window wrote no kernel
+        # text.  Without the decodes, an experiment forked here would
+        # decode afresh every window instruction its blocks promote.
+        self.base_machine.cpu._block_cache.inherit(clean_pass._block_cache)
+        self.base_machine.cpu.inherit_icache(clean_pass)
         #: ladders of other rung counts, replayed on first use and
         #: shared by every campaign
         self._ladders: Dict[int, CheckpointLadder] = {}

@@ -107,6 +107,19 @@ _DEFAULT_TASKS = (
 )
 
 
+def _fetches_breakpoint(blk, breakpoints) -> bool:
+    """Whether *blk*'s function can fetch an address that has an armed
+    instruction breakpoint: one of the region's instructions for a
+    region member, else one of the block's own.  The extent test first
+    keeps the common case (the breakpoint lies elsewhere) to one
+    comparison per breakpoint."""
+    for addr in breakpoints:
+        if blk.start <= addr < blk.end and any(
+                span[0] == addr for span in blk.region or blk.spans):
+            return True
+    return False
+
+
 class Machine:
     """One target system (paper Figure 1, right-hand box)."""
 
@@ -427,15 +440,20 @@ class Machine:
         # boundaries are otherwise unobservable because dispatch only
         # runs a block when the budget/pending-action/watchdog checks
         # could not fire inside it (the guards below are sufficient,
-        # not just heuristics).  A region member (see
-        # ``repro.compile.emit``) is also given the limits those guards
-        # imply -- the instret of the budget's end or the next pending
-        # action, whichever is first, and the watchdog deadline -- and
-        # runs further members only while the same guards hold; with
-        # ``on_block`` it runs alone.  A block compiles only on an
-        # address's second miss: the first is stepped and remembered in
-        # ``cache.missed``, so code that runs once (the approach to an
-        # injection instant, crash paths) is never compiled.
+        # not just heuristics).  An armed instruction breakpoint (the
+        # code-injection trigger) refuses only the blocks whose function
+        # can fetch its address, so the step core still takes the hit
+        # and runs what it schedules; elsewhere ``check_fetch`` is a
+        # dict miss, and nothing a block runs can arm a breakpoint.  A
+        # region member (see ``repro.compile.emit``) is also given the
+        # limits those guards imply -- the instret of the budget's end
+        # or the next pending action, whichever is first, and the
+        # watchdog deadline -- and runs further members only while the
+        # same guards hold; with ``on_block`` it runs alone.  A block
+        # compiles only on an address's second miss: the first is
+        # stepped and remembered in ``cache.missed``, so code that runs
+        # once (the approach to an injection instant, crash paths) is
+        # never compiled.
         cache = cpu._block_cache
         on_block = getattr(cpu.tracer, "on_block", None)
         use_blocks = (cache is not None and self.trace is None
@@ -443,7 +461,7 @@ class Machine:
         if use_blocks:
             hot = cache.hot
             missed = cache.missed
-            debug = cpu.debug
+            breakpoints = cpu.debug._insn_bps
             wd = self.watchdog
             arch, image = self.arch, self.image
         while True:
@@ -457,7 +475,7 @@ class Machine:
                 self._pending_action = None
                 pending[1]()
                 pending = self._pending_action   # may have rescheduled
-            if use_blocks and not cpu.halted and not debug._insn_bps:
+            if use_blocks and not cpu.halted:
                 if is_x86:
                     addr = cpu.eip
                     fetch_ok = cpu.aspace.translation_on
@@ -477,7 +495,9 @@ class Machine:
                             and (pending is None
                                  or pending[0] - cpu.instret >= blk.n)
                             and cpu.cycles + blk.max_cycles
-                                - wd._last_pet <= wd.timeout_cycles):
+                                - wd._last_pet <= wd.timeout_cycles
+                            and not (breakpoints and _fetches_breakpoint(
+                                blk, breakpoints))):
                         base = cpu.instret
                         try:
                             if blk.region is None or on_block is not None:

@@ -18,6 +18,7 @@ nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -135,7 +136,10 @@ def _same_blocks(cache, window_blocks) -> bool:
 def test_rung_dispatched_experiments_start_warm(arch, request):
     """Every rung, and an experiment forked from one, holds the whole
     window's blocks — not just those compiled before the rung's
-    capture instant."""
+    capture instant.  An experiment forked from the base machine (its
+    trigger precedes the first rung) holds them too, and the decode of
+    every instruction they can run, so promoting them decodes
+    nothing."""
     context = request.getfixturevalue(f"{arch}_context")
     window_blocks = context.base_machine.cpu._block_cache.snapshot()
     assert window_blocks
@@ -152,6 +156,11 @@ def test_rung_dispatched_experiments_start_warm(arch, request):
     spec = next(spec for spec in specs if spec.checkpoint is not None)
     run = InjectionRun(spec)
     assert _same_blocks(run.machine.cpu._block_cache, window_blocks)
+    run = InjectionRun(dataclasses.replace(spec, checkpoint=None))
+    assert _same_blocks(run.machine.cpu._block_cache, window_blocks)
+    warm = run.machine.cpu._icache_warm
+    assert all(addr in warm for block in window_blocks.values()
+               for addr, _length in block.region or block.spans)
 
 
 @pytest.mark.parametrize("arch", ["x86", "ppc"])
