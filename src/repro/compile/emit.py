@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from repro.isa.codecache import compile_cached
 from repro.isa.faults import AccessKind, MemoryFault
 from repro.isa.memory import WORD
 
@@ -173,7 +174,6 @@ def unit(g: Gen, members: Sequence[Member],
             "        if not synced:",
             f"            {g.sync}",
             "        raise"]
-    code = compile("\n".join(src), f"<{tag}@{members[0][0][0][0]:#x}>",
-                   "exec")
-    exec(code, g.ns)
+    exec(compile_cached("\n".join(src),
+                        f"<{tag}@{members[0][0][0][0]:#x}>"), g.ns)
     return g.ns["_unit"], [out[1] for out in emitted]

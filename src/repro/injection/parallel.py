@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.injection.campaign import Campaign, CampaignContext, CampaignResult
-from repro.injection.outcomes import InjectionResult
+from repro.injection.outcomes import CampaignKind, InjectionResult
 
 #: shards per worker — finer than 1:1 so a fast worker steals work from
 #: a slow one and the progress callback ticks at sub-worker granularity
@@ -172,6 +172,10 @@ def run_items(campaign: Campaign, items: Sequence[Tuple[int, object]],
         # OS-fork inheritance as the rest of the context, so no worker
         # repays the capture run (see test_checkpoint's regression)
         campaign.context.ladder(config.checkpoints)
+    if config.kind in (CampaignKind.STACK, CampaignKind.DATA):
+        # the screen's access index, likewise: built here, not once
+        # per worker
+        campaign.context.probe.build_index()
     fail_set = set(fail_shards or ())
     payloads = []
     for shard_index, (start, stop) in enumerate(

@@ -72,34 +72,49 @@ class CleanRunProbe:
     total_cycles: int
     fsv_clean: bool
 
-    _index: dict = field(default_factory=dict, repr=False)
+    #: word (addr >> 2) -> instret-ordered records touching it; built
+    #: by :meth:`build_index`
+    _index: Optional[Dict[int, List[AccessRecord]]] = field(
+        default=None, repr=False)
 
-    def _build_index(self) -> None:
-        """Per-byte index: addr -> instret-sorted list of records."""
-        index: dict = {}
-        for record in self.accesses:
+    def build_index(self) -> Dict[int, List[AccessRecord]]:
+        """Index the access trace by 4-byte word, once.
+
+        A record goes under every word it touches.  The parallel engine
+        calls this in the parent before its pool forks, so workers
+        inherit the index."""
+        if self._index is not None:
+            return self._index
+        index: Dict[int, List[AccessRecord]] = {}
+        for record in self.accesses:    # already in instret order
             _, addr, width, _ = record
-            for byte in range(addr, addr + width):
-                index.setdefault(byte, []).append(record)
-        # records were appended in instret order already
+            for word in range(addr >> 2, ((addr + width - 1) >> 2) + 1):
+                index.setdefault(word, []).append(record)
         self._index = index
+        return index
 
     def first_access_after(self, instret: int, addr: int,
                            length: int = 1
                            ) -> Optional[AccessRecord]:
-        """First access overlapping [addr, addr+length) after instret."""
-        if not self._index and self.accesses:
-            self._build_index()
+        """First access overlapping [addr, addr+length) at or after
+        *instret*; among accesses at the same instret, the one reaching
+        the lowest byte of the range, then the earliest logged."""
+        index = self.build_index()
+        end = addr + length
         best: Optional[AccessRecord] = None
-        for byte in range(addr, addr + length):
-            records = self._index.get(byte)
-            if not records:
-                continue
-            position = bisect.bisect_left(records, (instret,))
-            if position < len(records):
-                candidate = records[position]
-                if best is None or candidate[0] < best[0]:
-                    best = candidate
+        best_key = (0, 0)
+        for word in range(addr >> 2, ((end - 1) >> 2) + 1):
+            records = index.get(word, ())
+            for position in range(bisect.bisect_left(records, (instret,)),
+                                  len(records)):
+                record = records[position]
+                at, start, width, _ = record
+                if best is not None and at > best_key[0]:
+                    break
+                if start < end and start + width > addr:
+                    key = (at, max(start, addr))
+                    if best is None or key < best_key:
+                        best, best_key = record, key
         return best
 
     def pc_executed(self, addr: int) -> bool:

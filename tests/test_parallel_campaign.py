@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.injection.campaign import Campaign, CampaignConfig
+from repro.injection.campaign import (
+    Campaign, CampaignConfig, CampaignContext,
+)
 from repro.injection.outcomes import CampaignKind
 from repro.injection.parallel import (
     SHARDS_PER_WORKER, run_parallel, shard_targets,
@@ -96,6 +98,16 @@ class TestSerialParallelEquivalence:
         assert [done for done, _ in ticks] == \
             sorted(done for done, _ in ticks)
         assert len(ticks) > 1             # finer than one tick per run
+
+
+def test_parent_builds_screen_index_before_forking(monkeypatch):
+    """A sharded data campaign indexes the access trace in the parent,
+    so the workers inherit the index instead of each building it."""
+    fresh = CampaignContext("ppc", 0, 36)
+    monkeypatch.setitem(CampaignContext._cache, ("ppc", 0, 36), fresh)
+    Campaign(CampaignConfig(arch="ppc", kind=CampaignKind.DATA, count=4,
+                            seed=0, ops=36)).run(workers=2)
+    assert fresh.probe._index
 
 
 class TestWorkerFailure:

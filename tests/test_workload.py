@@ -1,12 +1,50 @@
 """Workload, probe, and profiler tests."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.machine.machine import KSTACK_SIZE
 from repro.workload.driver import UnixBenchDriver, run_clean_workload
-from repro.workload.probe import probe_clean_run
+from repro.workload.probe import CleanRunProbe, probe_clean_run
 from repro.workload.profiler import profile_kernel
 from repro.workload.programs import collect_fsv, default_mix
+
+
+def _matches_per_byte_index(probe, extremes) -> int:
+    """Compare ``first_access_after`` with a per-byte index of
+    *probe*'s trace on random queries near its records, at lengths 1,
+    2, 4 and 8 and at the *extremes* instrets; returns how many queries
+    found a record."""
+    per_byte: dict = {}
+    for record in probe.accesses:
+        for byte in range(record[1], record[1] + record[2]):
+            per_byte.setdefault(byte, []).append(record)
+
+    def reference(instret, addr, length):
+        best = None
+        for byte in range(addr, addr + length):
+            records = per_byte.get(byte, [])
+            position = bisect.bisect_left(records, (instret,))
+            if position < len(records) and (
+                    best is None or records[position][0] < best[0]):
+                best = records[position]
+        return best
+
+    rng = random.Random(2004)
+    found = 0
+    for _ in range(500):
+        at, addr, _width, _kind = rng.choice(probe.accesses)
+        addr += rng.randrange(-9, 9)
+        instret = rng.choice(extremes + [at, at + 1] * 3
+                             + [at + rng.randrange(-200, 200)])
+        for length in (1, 2, 4, 8):
+            expected = reference(instret, addr, length)
+            assert probe.first_access_after(instret, addr,
+                                            length) == expected
+            found += expected is not None
+    return found
 
 
 class TestCleanRuns:
@@ -67,6 +105,35 @@ class TestProbe:
         # beyond the end of the run: nothing
         assert probe.first_access_after(probe.total_instret + 1,
                                         jiffies, 4) is None
+
+    @pytest.mark.parametrize("context_name",
+                             ["x86_context", "ppc_context"])
+    def test_word_index_matches_per_byte_reference(self, context_name,
+                                                   request):
+        """The word-keyed screen index answers exactly what a per-byte
+        index of the same trace answers."""
+        probe = request.getfixturevalue(context_name).probe
+        extremes = [0, probe.boot_instret - 1, probe.total_instret,
+                    probe.total_instret + 1]
+        assert _matches_per_byte_index(probe, extremes) > 1000
+
+    def test_word_index_spanning_and_tied_records(self):
+        """Records that span words, and several records at one instret
+        logged in descending address order (neither occurs in the clean
+        traces), still answer as the per-byte index does."""
+        rng = random.Random(4)
+        accesses = []
+        for instret in range(0, 3000, 3):
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                accesses.append((instret, 0x1000 + rng.randrange(64),
+                                 rng.choice((1, 2, 4, 8)),
+                                 rng.choice("rw")))
+        probe = CleanRunProbe(
+            arch="x86", seed=0, ops=0, accesses=accesses,
+            executed_pcs=set(), first_executed={}, pc_samples={},
+            boot_instret=0, total_instret=3000, total_cycles=0,
+            fsv_clean=False)
+        assert _matches_per_byte_index(probe, [0, 2999, 3001]) > 1000
 
     def test_cold_table_never_accessed(self, x86_context):
         probe = x86_context.probe
