@@ -240,8 +240,8 @@ class CampaignContext:
         return self._boundaries
 
     @classmethod
-    def get(cls, arch: str, seed: int = 0, ops: int = 48
-            ) -> "CampaignContext":
+    def get(cls, arch: str, seed: int = CampaignKnobs.seed,
+            ops: int = CampaignKnobs.ops) -> "CampaignContext":
         key = (arch, seed, ops)
         if key not in cls._cache:
             cls._cache[key] = cls(arch, seed, ops)

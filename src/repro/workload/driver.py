@@ -71,7 +71,7 @@ class UnixBenchDriver:
             program.setup(machine, machine.tasks[pid])
         machine._switch_to(0)
 
-    def run(self, ops: int = 60, boundary=None) -> WorkloadResult:
+    def run(self, ops: int, boundary=None) -> WorkloadResult:
         """Run *ops* user operations under scheduler control.
 
         Crashes and hangs propagate as exceptions; a normal return
@@ -123,7 +123,7 @@ class UnixBenchDriver:
         )
 
 
-def run_clean_workload(arch: str, seed: int = 0, ops: int = 60
+def run_clean_workload(arch: str, seed: int = 0, *, ops: int
                        ) -> WorkloadResult:
     """Convenience: boot a machine and run the workload unperturbed."""
     machine = Machine(arch)

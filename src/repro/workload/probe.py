@@ -1,13 +1,17 @@
 """Clean-run probe: one observed pass over boot, setup and the window.
 
 One run per (architecture, seed, ops) yields every fact a campaign
-takes from the clean run.  Boot and setup are stepped under a CPU
-tracer; the window runs in compiled blocks, whose runs the dispatch
-loop reports to the tracer's ``on_block``, and the pass machine's
-debug unit logs every data access of both phases.  The campaign
-context also forks its base machine and its checkpoint rungs off this
-pass (``at_window``), so nothing simulates the window twice.  The pass
-yields:
+takes from the clean run.  The whole pass (boot, setup and the window)
+runs in compiled blocks under one CPU tracer: the dispatch loop reports
+each block run to the tracer's ``on_block`` and each stepped
+instruction to its ``on_fetch``, and the pass machine's debug unit logs
+every data access.  Boot and setup keep a block cache of their own, so
+the window compiles exactly the blocks a machine forked at its start
+would.  Of the 101,859 x86 and 60,123 ppc instructions boot and setup
+retire at seed 11, only 1,609 and 1,245 are stepped; the rest run in
+compiled blocks.  The campaign context also forks its base machine and
+its checkpoint rungs off this pass (``at_window``), so nothing
+simulates the window twice.  The pass yields:
 
 * the **data access trace** — every load/store (instret, addr, width,
   kind) — used to decide *activation* of stack and data injections
@@ -165,8 +169,8 @@ class _AccessLog(DebugUnit):
     Both the step core and compiled blocks call ``check_access`` after
     each load and store whenever a watchpoint slot is occupied, with
     ``instret`` already synced, so one placeholder slot makes this the
-    single access channel for the stepped boot and the block-mode
-    window alike.  Its ``check_access`` ignores the slots."""
+    single access channel for stepped instructions and compiled blocks
+    alike.  Its ``check_access`` ignores the slots."""
 
     def __init__(self, cpu, accesses: List[AccessRecord]) -> None:
         super().__init__()
@@ -186,7 +190,7 @@ class _Observer:
     accesses arrive through :class:`_AccessLog`)."""
 
     __slots__ = ("accesses", "executed", "first_executed", "pc_samples",
-                 "_countdown")
+                 "_countdown", "_recorded")
 
     def __init__(self) -> None:
         self.accesses: List[AccessRecord] = []
@@ -194,6 +198,14 @@ class _Observer:
         self.first_executed: Dict[int, int] = {}
         self.pc_samples: Dict[int, int] = {}
         self._countdown = SAMPLE_EVERY
+        #: blocks whose every instruction is in ``executed`` and
+        #: ``first_executed`` (held, so no other block takes their id)
+        self._recorded: Set[CompiledBlock] = set()
+
+    def open_window(self) -> None:
+        """Start ``first_executed`` afresh: the monitored window opens."""
+        self.first_executed = {}
+        self._recorded = set()
 
     def on_fetch(self, cpu, pc: int) -> None:
         self.executed.add(pc)
@@ -209,14 +221,19 @@ class _Observer:
     def on_block(self, cpu, block: CompiledBlock, base: int,
                  fetched: int) -> None:
         """*block* fetched its first *fetched* instructions, the first
-        at instret *base*: the same facts ``on_fetch`` would record."""
+        at instret *base*: the same facts ``on_fetch`` would record.
+        A block fetched in full is recorded once; after that, only its
+        PC samples are new."""
         spans = block.spans
-        executed, first = self.executed, self.first_executed
-        for k in range(fetched):
-            pc = spans[k][0]
-            executed.add(pc)
-            if pc not in first:
-                first[pc] = base + k
+        if block not in self._recorded:
+            executed, first = self.executed, self.first_executed
+            for k in range(fetched):
+                pc = spans[k][0]
+                executed.add(pc)
+                if pc not in first:
+                    first[pc] = base + k
+            if fetched == block.n:
+                self._recorded.add(block)
         countdown = self._countdown
         if fetched < countdown:
             self._countdown = countdown - fetched
@@ -238,21 +255,21 @@ class _Observer:
         pass                              # register writes are not probed
 
 
-def probe_clean_run(arch: str, seed: int = 0, ops: int = 60,
+def probe_clean_run(arch: str, seed: int = 0, *, ops: int,
                     at_window=None) -> CleanRunProbe:
     """Boot, set up and run the workload once, observed.
 
-    Boot and setup are stepped; the window runs in compiled blocks from
-    an empty cache, so an address compiles on its second miss exactly
-    as on any block-mode machine forked at the window's start.
-    *at_window*, when given, is called with the machine and its driver
-    the moment the monitored window opens (``boot_instret``), before
-    any window instruction runs; what it returns becomes the window
-    run's ``boundary`` hook.
+    The whole pass runs in compiled blocks.  Boot and setup compile
+    into a cache of their own, which is dropped when the monitored
+    window opens; the window starts from an empty cache, so an address
+    compiles on its second miss exactly as on any block-mode machine
+    forked at the window's start.  *at_window*, when given, is called
+    with the machine and its driver the moment the monitored window
+    opens (``boot_instret``), before any window instruction runs; what
+    it returns becomes the window run's ``boundary`` hook.
     """
     observer = _Observer()
-    machine = Machine(arch, config=MachineConfig(seed=seed,
-                                                 exec_mode="step"))
+    machine = Machine(arch, config=MachineConfig(seed=seed))
     cpu = machine.cpu
     plain_debug = cpu.debug
     cpu.debug = _AccessLog(cpu, observer.accesses)
@@ -261,12 +278,14 @@ def probe_clean_run(arch: str, seed: int = 0, ops: int = 60,
     driver = UnixBenchDriver(machine, seed=seed)
     driver.setup()
     boot_instret = cpu.instret
+    # window opens here: drop boot's blocks, so the window and every
+    # machine forked from it compile their own, and discard boot-time
+    # first-fetch records so first_executed covers exactly what an
+    # injected run can reach
+    cpu._block_cache = BlockCache()
+    observer.open_window()
     boundary = at_window(machine, driver) if at_window is not None \
         else None
-    # window opens here: discard boot-time first-fetch records so
-    # first_executed covers exactly what an injected run can reach
-    observer.first_executed = {}
-    cpu._block_cache = BlockCache()
     result = driver.run(ops, boundary=boundary)
     # the pass is over: disarm its observers (the access log refers
     # back to the CPU, and at_window's hooks may keep the machine)

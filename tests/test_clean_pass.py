@@ -27,6 +27,7 @@ import pytest
 
 import repro.compile.blocks as blocks_mod
 import repro.injection.campaign as campaign_mod
+import repro.workload.probe as probe_mod
 from repro.checkpoint.ladder import DEFAULT_CHECKPOINTS
 from repro.injection.campaign import (
     Campaign, CampaignConfig, CampaignContext,
@@ -75,6 +76,26 @@ def test_observed_pass_matches_pinned_digest(key):
     expected = {name: value for name, value in recorded.items()
                 if name not in ("arch", "seed", "ops")}
     assert observed == expected
+
+
+@pytest.mark.parametrize("arch", ["x86", "ppc"])
+def test_pass_boots_compiled(arch, monkeypatch):
+    """Boot and driver set-up run in compiled blocks: of the ~100,000
+    (x86) and ~60,000 (ppc) instructions before the window opens, the
+    pass steps only ~1,600 and ~1,250."""
+    fetches = []
+    real = probe_mod._Observer.on_fetch
+
+    def counting(self, cpu, pc):
+        fetches.append(pc)
+        real(self, cpu, pc)
+    monkeypatch.setattr(probe_mod._Observer, "on_fetch", counting)
+    stepped = []
+    probe = probe_clean_run(
+        arch, seed=11, ops=12,
+        at_window=lambda machine, driver: stepped.append(len(fetches)))
+    assert probe.boot_instret > 50_000
+    assert stepped[0] < 5_000
 
 
 def test_context_boots_once_and_runs_the_window_once(monkeypatch):

@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+from repro.compile import CompiledBlock
 from repro.machine.machine import KSTACK_SIZE
 from repro.workload.driver import UnixBenchDriver, run_clean_workload
-from repro.workload.probe import CleanRunProbe, probe_clean_run
+from repro.workload.probe import (
+    SAMPLE_EVERY, CleanRunProbe, _Observer, probe_clean_run,
+)
 from repro.workload.profiler import profile_kernel
 from repro.workload.programs import collect_fsv, default_mix
 
@@ -134,6 +137,45 @@ class TestProbe:
             boot_instret=0, total_instret=3000, total_cycles=0,
             fsv_clean=False)
         assert _matches_per_byte_index(probe, [0, 2999, 3001]) > 1000
+
+    def test_observer_records_a_block_once(self):
+        """``on_block`` records a block's fetch facts once, yet leaves
+        exactly what an ``on_fetch`` per fetched instruction leaves:
+        full fetches repeated, a partial fetch (a fault) after a full
+        one, and a block recorded before the window opens that must
+        land in the window's first-fetch map when fetched again."""
+        def block(start, n):
+            spans = tuple((start + 4 * k, 4) for k in range(n))
+            return CompiledBlock(start, start + 4 * n, n, spans,
+                                 lambda cpu: None, n)
+
+        a, b, c = block(0x1000, 10), block(0x2000, 17), block(0x3000, 5)
+        # (block, instructions fetched); None opens the window
+        events = [(a, 10), (a, 10), (b, 17), (b, 9), (c, 5), None,
+                  (a, 10), (b, 4), (b, 17), (b, 17), (c, 3), (c, 5)]
+        events += [(a, 10), (b, 17), (c, 5)] * 7 + [(b, 1), (a, 10)]
+
+        class FakeCPU:
+            instret = 0
+
+        by_block, by_fetch, cpu = _Observer(), _Observer(), FakeCPU()
+        for event in events:
+            if event is None:
+                by_block.open_window()
+                by_fetch.open_window()
+                continue
+            blk, fetched = event
+            by_block.on_block(cpu, blk, cpu.instret, fetched)
+            for addr, _length in blk.spans[:fetched]:
+                by_fetch.on_fetch(cpu, addr)
+                cpu.instret += 1
+        assert by_block.executed == by_fetch.executed
+        for name in ("first_executed", "pc_samples"):
+            # insertion order too: hot-function ties break on it
+            assert list(getattr(by_block, name).items()) == \
+                list(getattr(by_fetch, name).items()), name
+        assert by_block.first_executed[0x1000] == 51
+        assert sum(by_block.pc_samples.values()) == cpu.instret // SAMPLE_EVERY
 
     def test_cold_table_never_accessed(self, x86_context):
         probe = x86_context.probe
