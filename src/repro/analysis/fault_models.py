@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
+from repro.injection.campaign import CampaignKnobs, run_campaign
 from repro.injection.outcomes import (
     CampaignKind, InjectionResult, Outcome,
 )
@@ -81,14 +82,14 @@ def sensitivity_for(model: str, arch: str, kind: CampaignKind,
 
 def compare_models(arch: str, kind: CampaignKind, count: int,
                    models: Iterable[str] = ("single-bit", "burst"),
-                   seed: int = 0, ops: int = 48, workers: int = 1,
+                   seed: int = CampaignKnobs.seed,
+                   ops: int = CampaignKnobs.ops, workers: int = 1,
                    ) -> List[ModelSensitivity]:
     """Run one campaign per fault model, identical otherwise.
 
     Same arch, kind, count, seed, and ops — the only degree of freedom
     is the model, so differences in the rows are the model's doing.
     """
-    from repro.injection.campaign import run_campaign
     rows = []
     for model in models:
         outcome = run_campaign(arch, kind, count, seed=seed, ops=ops,

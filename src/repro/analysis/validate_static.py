@@ -37,7 +37,10 @@ from typing import (
     Dict, FrozenSet, List, Optional, Sequence, Tuple,
 )
 
-from repro.injection.outcomes import InjectionResult
+from repro.injection.campaign import (
+    Campaign, CampaignConfig, CampaignContext, CampaignKnobs,
+)
+from repro.injection.outcomes import CampaignKind, InjectionResult
 from repro.static.report import StaticSensitivityReport
 
 #: row/column labels, static prediction x dynamic measurement
@@ -211,7 +214,8 @@ def distance_latency_agreement(
     return _agreement_from_rows(rows)
 
 
-def distance_latency_probe(arch: str, seed: int = 0, ops: int = 48,
+def distance_latency_probe(arch: str, seed: int = CampaignKnobs.seed,
+                           ops: int = CampaignKnobs.ops,
                            per_distance: int = 4,
                            max_distance: Optional[int] = None
                            ) -> LatencyAgreement:
@@ -235,10 +239,6 @@ def distance_latency_probe(arch: str, seed: int = 0, ops: int = 48,
     each against its clean twin."""
     import collections
 
-    from repro.injection.campaign import (
-        Campaign, CampaignConfig, CampaignContext,
-    )
-    from repro.injection.outcomes import CampaignKind
     from repro.injection.targets import CodeTarget
     from repro.kernel.build import build_kernel
     from repro.static.cfg import build_cfg
@@ -374,7 +374,8 @@ class PruneValidation:
                 f"injected, {status}")
 
 
-def validate_prune(arch: str, seed: int = 0, ops: int = 48,
+def validate_prune(arch: str, seed: int = CampaignKnobs.seed,
+                   ops: int = CampaignKnobs.ops,
                    limit: Optional[int] = None,
                    policy: str = "dead") -> PruneValidation:
     """Inject every statically-prunable bit and check none manifests.
@@ -386,10 +387,6 @@ def validate_prune(arch: str, seed: int = 0, ops: int = 48,
     set) so tests can sample; the full sweep is the CI-gate /
     release check.
     """
-    from repro.injection.campaign import (
-        Campaign, CampaignConfig, CampaignContext,
-    )
-    from repro.injection.outcomes import CampaignKind
     from repro.injection.targets import CodeTarget
     from repro.kernel.build import build_kernel
     from repro.static.cfg import build_cfg
@@ -554,7 +551,8 @@ class PropagationValidation:
         return "\n".join(lines)
 
 
-def validate_propagation(arch: str, seed: int = 0, ops: int = 48,
+def validate_propagation(arch: str, seed: int = CampaignKnobs.seed,
+                         ops: int = CampaignKnobs.ops,
                          count: int = 60,
                          sample: int = 4) -> PropagationValidation:
     """Join static evidence chains against trace dissections.
@@ -565,8 +563,6 @@ def validate_propagation(arch: str, seed: int = 0, ops: int = 48,
     (:func:`repro.trace.dissect.dissect_traces`), and reports how
     much of each static evidence chain the faulty run actually
     executed plus the observed infection and stage latency."""
-    from repro.injection.campaign import Campaign, CampaignConfig
-    from repro.injection.outcomes import CampaignKind
     from repro.static.predictor import analyze_kernel
     from repro.static.taint import VERDICT_SINK
 

@@ -5,14 +5,25 @@ methods like :meth:`X86Assembler.mov_r_rm` and the encoder produces the
 same byte sequences GCC 3.2 emits for the paper's examples (``8d 65 f4
 lea -0xc(%ebp),%esp``; ``5b pop %ebx``; ...).  Labels are local;
 cross-function calls become relocations resolved by the linker.
+
+Every byte comes from the instruction table (:mod:`repro.x86.isa`):
+each builder names a row, its op2 (ALU, condition and group numbers
+are positions in the table's name tuples) and a width, and
+:func:`repro.x86.decoder.encode` supplies the opcode, the ModRM digit
+and the immediate size.  This module adds only the prefixes, ModRM/SIB
+addressing, labels and relocations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.bits import to_unsigned
+from repro.x86.decoder import encode
+from repro.x86.isa import (
+    ALU_NAMES, COND_NAMES, GRP2, GRP2_CL, GRP2_ONE, GRP3, GRP5,
+)
 from repro.x86.registers import SEG_DS, SEG_FS, SEG_GS
 
 _SEG_PREFIX = {SEG_FS: 0x64, SEG_GS: 0x65}
@@ -42,12 +53,10 @@ class AssemblerError(Exception):
     pass
 
 
-ALU_CODES = {"add": 0, "or": 1, "adc": 2, "sbb": 3,
-             "and": 4, "sub": 5, "xor": 6, "cmp": 7}
-
-COND_CODES = {"o": 0, "no": 1, "b": 2, "ae": 3, "e": 4, "ne": 5,
-              "be": 6, "a": 7, "s": 8, "ns": 9, "p": 10, "np": 11,
-              "l": 12, "ge": 13, "le": 14, "g": 15}
+def _fits8(imm: int) -> bool:
+    """True when *imm* (taken as 32 bits) fits a sign-extended byte."""
+    signed = imm - (1 << 32) if imm & 0x80000000 else imm
+    return -128 <= signed <= 127
 
 
 class X86Assembler:
@@ -63,17 +72,11 @@ class X86Assembler:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _start(self) -> None:
-        self.insn_offsets.append(len(self.code))
-
     def emit(self, *values: int) -> None:
         self.code.extend(values)
 
     def emit32(self, value: int) -> None:
         self.code.extend(to_unsigned(value).to_bytes(4, "little"))
-
-    def emit16(self, value: int) -> None:
-        self.code.extend((value & 0xFFFF).to_bytes(2, "little"))
 
     def label(self, name: str) -> None:
         if name in self.labels:
@@ -89,10 +92,6 @@ class X86Assembler:
             self.emit(0xC0 | (reg << 3) | rm)
             return
         mem = rm
-        if mem.seg in _SEG_PREFIX:
-            # segment prefixes must precede the opcode; callers that use
-            # FS/GS go through _seg() before encoding the opcode.
-            raise AssemblerError("segment prefix must be emitted first")
         if mem.base < 0 and mem.index < 0:
             # absolute: mod=00 rm=101 disp32
             self.emit((reg << 3) | 5)
@@ -125,261 +124,163 @@ class X86Assembler:
         elif mod == 2:
             self.emit32(disp)
 
-    def _seg(self, mem: "int | Mem") -> "int | Mem":
-        """Emit a segment prefix if the operand needs one."""
-        if isinstance(mem, Mem) and mem.seg in _SEG_PREFIX:
-            self.emit(_SEG_PREFIX[mem.seg])
-            return Mem(mem.base, mem.index, mem.scale, mem.disp, SEG_DS)
-        return mem
+    def _op(self, name: str, op2: int = 0, width: int = 4, reg: int = 0,
+            rm: "int | Mem" = 0, imm: int = 0,
+            form: Optional[str] = None) -> None:
+        """Emit one instruction of table row *name* (see
+        :func:`repro.x86.decoder.encode`): prefixes, opcode, ModRM with
+        *reg* or the row's digit, immediate."""
+        opcode, digit, modrm, low3, size = encode(name, op2, width, form)
+        code = self.code
+        self.insn_offsets.append(len(code))
+        if isinstance(rm, Mem) and rm.seg in _SEG_PREFIX:
+            code.append(_SEG_PREFIX[rm.seg])
+        if width == 2:
+            code.append(0x66)
+        if opcode >> 8:
+            code.append(opcode >> 8)
+        code.append(opcode & 0xFF | (reg if low3 else 0))
+        if modrm:
+            self._modrm(reg if digit is None else digit, rm)
+        if size:
+            code += (imm & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+
+    def _reloc(self, symbol: str, kind: str) -> None:
+        """Relocate the instruction's trailing 32-bit field."""
+        self.relocs.append(Reloc(len(self.code) - 4, symbol, kind))
+
+    def _fixup(self, label: str) -> None:
+        """Point the instruction's trailing 32-bit field at *label*."""
+        self._label_fixups.append((len(self.code) - 4, label, 4))
 
     # -- data movement ------------------------------------------------------
 
     def mov_r_imm(self, reg: int, imm: int) -> None:
-        self._start()
-        self.emit(0xB8 + reg)
-        self.emit32(imm)
+        self._op("mov_r_imm", reg=reg, imm=imm)
 
     def mov_r_imm_sym(self, reg: int, symbol: str) -> None:
         """mov reg, &symbol — resolved at link time."""
-        self._start()
-        self.emit(0xB8 + reg)
-        self.relocs.append(Reloc(len(self.code), symbol, "abs32"))
-        self.emit32(0)
+        self._op("mov_r_imm", reg=reg)
+        self._reloc(symbol, "abs32")
 
     def mov_r_rm(self, reg: int, rm: "int | Mem", width: int = 4) -> None:
-        self._start()
-        rm = self._seg(rm)
-        if width == 2:
-            self.emit(0x66)
-        self.emit(0x8A if width == 1 else 0x8B)
-        self._modrm(reg, rm)
+        self._op("mov_r_rm", 0, width, reg, rm)
 
     def mov_rm_r(self, rm: "int | Mem", reg: int, width: int = 4) -> None:
-        self._start()
-        rm = self._seg(rm)
-        if width == 2:
-            self.emit(0x66)
-        self.emit(0x88 if width == 1 else 0x89)
-        self._modrm(reg, rm)
+        self._op("mov_rm_r", 0, width, reg, rm)
 
     def mov_rm_imm(self, rm: "int | Mem", imm: int, width: int = 4) -> None:
-        self._start()
-        rm = self._seg(rm)
-        if width == 2:
-            self.emit(0x66)
-        self.emit(0xC6 if width == 1 else 0xC7)
-        self._modrm(0, rm)
-        if width == 1:
-            self.emit(imm & 0xFF)
-        elif width == 2:
-            self.emit16(imm)
-        else:
-            self.emit32(imm)
+        self._op("mov_rm_imm", 0, width, rm=rm, imm=imm)
 
     def movzx(self, reg: int, rm: "int | Mem", src_width: int) -> None:
-        self._start()
-        rm = self._seg(rm)
-        self.emit(0x0F, 0xB6 if src_width == 1 else 0xB7)
-        self._modrm(reg, rm)
+        self._op("movzx", src_width, reg=reg, rm=rm)
 
     def movsx(self, reg: int, rm: "int | Mem", src_width: int) -> None:
-        self._start()
-        rm = self._seg(rm)
-        self.emit(0x0F, 0xBE if src_width == 1 else 0xBF)
-        self._modrm(reg, rm)
+        self._op("movsx", src_width, reg=reg, rm=rm)
 
     def lea(self, reg: int, mem: Mem) -> None:
-        self._start()
-        self.emit(0x8D)
-        self._modrm(reg, mem)
+        self._op("lea", reg=reg, rm=mem)
 
     def xchg_r_rm(self, reg: int, rm: "int | Mem") -> None:
-        self._start()
-        self.emit(0x87)
-        self._modrm(reg, rm)
+        self._op("xchg_r_rm", reg=reg, rm=rm)
 
     # -- ALU -----------------------------------------------------------------
 
     def alu_r_rm(self, op: str, reg: int, rm: "int | Mem",
                  width: int = 4) -> None:
-        self._start()
-        rm = self._seg(rm)
-        if width == 2:
-            self.emit(0x66)
-        base = ALU_CODES[op] << 3
-        self.emit(base + (0x02 if width == 1 else 0x03))
-        self._modrm(reg, rm)
+        self._op("alu_r_rm", ALU_NAMES.index(op), width, reg, rm)
 
     def alu_rm_r(self, op: str, rm: "int | Mem", reg: int,
                  width: int = 4) -> None:
-        self._start()
-        rm = self._seg(rm)
-        if width == 2:
-            self.emit(0x66)
-        base = ALU_CODES[op] << 3
-        self.emit(base + (0x00 if width == 1 else 0x01))
-        self._modrm(reg, rm)
+        self._op("alu_rm_r", ALU_NAMES.index(op), width, reg, rm)
 
     def alu_rm_imm(self, op: str, rm: "int | Mem", imm: int,
                    width: int = 4) -> None:
-        self._start()
-        rm = self._seg(rm)
-        if width == 2:
-            self.emit(0x66)
-        signed = imm - (1 << 32) if imm & 0x80000000 else imm
-        if width == 1:
-            self.emit(0x80)
-            self._modrm(ALU_CODES[op], rm)
-            self.emit(imm & 0xFF)
-        elif -128 <= signed <= 127:
-            self.emit(0x83)
-            self._modrm(ALU_CODES[op], rm)
-            self.emit(imm & 0xFF)
-        else:
-            self.emit(0x81)
-            self._modrm(ALU_CODES[op], rm)
-            if width == 2:
-                self.emit16(imm)
-            else:
-                self.emit32(imm)
+        self._op("grp1_rm_imm", ALU_NAMES.index(op), width, rm=rm, imm=imm,
+                 form="rm,imm8s" if width != 1 and _fits8(imm) else None)
 
     def test_rm_r(self, rm: "int | Mem", reg: int, width: int = 4) -> None:
-        self._start()
-        rm = self._seg(rm)
-        if width == 2:
-            self.emit(0x66)
-        self.emit(0x84 if width == 1 else 0x85)
-        self._modrm(reg, rm)
+        self._op("test_rm_r", 0, width, reg, rm)
 
     def imul_r_rm(self, reg: int, rm: "int | Mem") -> None:
-        self._start()
-        self.emit(0x0F, 0xAF)
-        self._modrm(reg, rm)
+        self._op("imul_r_rm", reg=reg, rm=rm)
 
     def imul_r_rm_imm(self, reg: int, rm: "int | Mem", imm: int) -> None:
-        self._start()
-        self.emit(0x69)
-        self._modrm(reg, rm)
-        self.emit32(imm)
+        self._op("imul_rmi", reg=reg, rm=rm, imm=imm)
 
     def div_rm(self, rm: "int | Mem") -> None:
-        self._start()
-        self.emit(0xF7)
-        self._modrm(6, rm)
+        self._op("grp3", GRP3.index("div"), rm=rm)
 
     def idiv_rm(self, rm: "int | Mem") -> None:
-        self._start()
-        self.emit(0xF7)
-        self._modrm(7, rm)
+        self._op("grp3", GRP3.index("idiv"), rm=rm)
 
     def neg_rm(self, rm: "int | Mem") -> None:
-        self._start()
-        self.emit(0xF7)
-        self._modrm(3, rm)
+        self._op("grp3", GRP3.index("neg"), rm=rm)
 
     def not_rm(self, rm: "int | Mem") -> None:
-        self._start()
-        self.emit(0xF7)
-        self._modrm(2, rm)
+        self._op("grp3", GRP3.index("not"), rm=rm)
 
     def shift_rm_imm(self, op: str, rm: "int | Mem", count: int) -> None:
-        self._start()
-        codes = {"rol": 0, "ror": 1, "shl": 4, "shr": 5, "sar": 7}
-        if count == 1:
-            self.emit(0xD1)
-            self._modrm(codes[op], rm)
-        else:
-            self.emit(0xC1)
-            self._modrm(codes[op], rm)
-            self.emit(count & 0x1F)
+        self._op("grp2", GRP2.index(op) | (GRP2_ONE if count == 1 else 0),
+                 rm=rm, imm=count & 0x1F)
 
     def shift_rm_cl(self, op: str, rm: "int | Mem") -> None:
-        self._start()
-        codes = {"rol": 0, "ror": 1, "shl": 4, "shr": 5, "sar": 7}
-        self.emit(0xD3)
-        self._modrm(codes[op], rm)
+        self._op("grp2", GRP2.index(op) | GRP2_CL, rm=rm)
 
     def inc_r(self, reg: int) -> None:
-        self._start()
-        self.emit(0x40 + reg)
+        self._op("inc_r", reg=reg)
 
     def dec_r(self, reg: int) -> None:
-        self._start()
-        self.emit(0x48 + reg)
+        self._op("dec_r", reg=reg)
 
     def cdq(self) -> None:
-        self._start()
-        self.emit(0x99)
+        self._op("cdq")
 
     # -- stack ---------------------------------------------------------------
 
     def push_r(self, reg: int) -> None:
-        self._start()
-        self.emit(0x50 + reg)
+        self._op("push_r", reg=reg)
 
     def pop_r(self, reg: int) -> None:
-        self._start()
-        self.emit(0x58 + reg)
+        self._op("pop_r", reg=reg)
 
     def push_imm(self, imm: int) -> None:
-        self._start()
-        signed = imm - (1 << 32) if imm & 0x80000000 else imm
-        if -128 <= signed <= 127:
-            self.emit(0x6A, imm & 0xFF)
-        else:
-            self.emit(0x68)
-            self.emit32(imm)
+        self._op("push_imm", imm=imm, form="imm8s" if _fits8(imm) else None)
 
     def push_rm(self, rm: "int | Mem") -> None:
-        self._start()
-        rm = self._seg(rm)
-        self.emit(0xFF)
-        self._modrm(6, rm)
+        self._op("grp5", GRP5.index("push"), rm=rm)
 
     # -- control flow ---------------------------------------------------------
 
     def call_sym(self, symbol: str) -> None:
-        self._start()
-        self.emit(0xE8)
-        self.relocs.append(Reloc(len(self.code), symbol, "rel32"))
-        self.emit32(0)
+        self._op("call_rel")
+        self._reloc(symbol, "rel32")
 
     def call_rm(self, rm: "int | Mem") -> None:
-        self._start()
-        self.emit(0xFF)
-        self._modrm(2, rm)
+        self._op("grp5", GRP5.index("call"), rm=rm)
 
     def jmp_label(self, label: str) -> None:
-        self._start()
-        self.emit(0xE9)
-        self._label_fixups.append((len(self.code), label, 4))
-        self.emit32(0)
+        self._op("jmp_rel", form="rel32")
+        self._fixup(label)
 
     def jcc_label(self, cond: str, label: str) -> None:
-        self._start()
-        self.emit(0x0F, 0x80 + COND_CODES[cond])
-        self._label_fixups.append((len(self.code), label, 4))
-        self.emit32(0)
+        self._op("jcc", COND_NAMES.index(cond), form="rel32")
+        self._fixup(label)
 
     def ret(self) -> None:
-        self._start()
-        self.emit(0xC3)
+        self._op("ret", form="none")
 
     def nop(self) -> None:
-        self._start()
-        self.emit(0x90)
+        self._op("nop")
 
     def ud2a(self) -> None:
-        self._start()
-        self.emit(0x0F, 0x0B)
+        self._op("ud2")
 
     def int_n(self, vector: int) -> None:
-        self._start()
-        self.emit(0xCD, vector & 0xFF)
+        self._op("int", imm=vector)
 
     def hlt(self) -> None:
-        self._start()
-        self.emit(0xF4)
+        self._op("hlt")
 
     # -- finalization -----------------------------------------------------------
 

@@ -18,13 +18,14 @@ Invalid-Instruction crash share in code campaigns (24% in the paper
 versus 41% on the G4).
 
 The opcode maps (one-byte, ``0x0F`` and ``rep``) are built from the
-table rows' encodings; the step executor of each row is re-exported
+table rows' encodings, and so is their inverse, :func:`encode`, which
+the assembler emits from; the step executor of each row is re-exported
 here as ``exec_<op>``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.isa.bits import sign_extend
 from repro.x86.insn import Instr
@@ -100,13 +101,24 @@ def _parse_modrm(buf: bytes, pos: int) -> _ModRM:
     return out
 
 
-def _immediate(buf: bytes, pos: int, kind: Optional[str], width: int,
-               digit: int):
-    """(value, size) of an immediate of *kind* at *pos*."""
+#: immediate kind -> size in bytes
+_IMM_SIZE = {None: 0, "b": 1, "bs": 1, "w": 2, "d": 4}
+
+
+def _imm_kind(kind: Optional[str], width: int, digit: int) -> Optional[str]:
+    """A form's immediate kind at *width* and ModRM *digit*: ``grp3``
+    and ``z`` resolved to ``b``/``w``/``d`` or None."""
     if kind == "grp3":
         kind = "z" if digit < 2 else None
     if kind == "z":
         kind = {1: "b", 2: "w"}.get(width, "d")
+    return kind
+
+
+def _immediate(buf: bytes, pos: int, kind: Optional[str], width: int,
+               digit: int):
+    """(value, size) of an immediate of *kind* at *pos*."""
+    kind = _imm_kind(kind, width, digit)
     if kind is None:
         return 0, 0
     if kind == "b":
@@ -179,19 +191,54 @@ class _Entry:
                      op2=self.op2s[digit])
 
 
-def _maps() -> List[Dict[int, _Entry]]:
+class Encoding(NamedTuple):
+    """How to emit one instruction of a row (see :func:`encode`)."""
+
+    code: int                 # the opcode, 0x0F/0xF3 escape included
+    digit: Optional[int]      # the ModRM /digit; None: reg is an operand
+    modrm: bool
+    low3: bool                # the register is added to the opcode
+    imm: int                  # immediate size in bytes
+
+
+EncodeKey = Tuple[str, int, int, Optional[str]]
+
+
+def _maps() -> Tuple[List[Dict[int, _Entry]], Dict[EncodeKey, Encoding]]:
     """The one-byte, ``0x0F`` and ``rep`` maps, by the byte that
-    selects the entry."""
+    selects the entry, and their inverse: each (row, op2, width, form)
+    an entry decodes to, and also (row, op2, width, None) for the
+    row's first such form."""
     maps: List[Dict[int, _Entry]] = [{}, {}, {}]
+    encodings: Dict[EncodeKey, Encoding] = {}
     for op in TABLE:
         for code, form in op.enc.items():
             table = maps[{0: 0, 0x0F: 1, 0xF3: 2}[code >> 8]]
             assert code & 0xFF not in table, f"{code:#x} decoded twice"
-            table[code & 0xFF] = _Entry(op, code, form)
-    return maps
+            entry = table[code & 0xFF] = _Entry(op, code, form)
+            low3 = FORMS[form][2] == "low3"
+            operand = not entry.modrm or len(set(entry.op2s)) == 1
+            for digit in (0,) if operand else entry.digits or range(8):
+                for width in (2, 4) if entry.sized else (entry.width,):
+                    enc = Encoding(
+                        code & ~7 if low3 else code,
+                        None if operand else digit, entry.modrm, low3,
+                        _IMM_SIZE[_imm_kind(entry.imm, width, digit)])
+                    for key in (form, None):
+                        encodings.setdefault(
+                            (op.name, entry.op2s[digit], width, key), enc)
+    return maps, encodings
 
 
-_ONE_BYTE, _TWO_BYTE, _REP = _maps()
+(_ONE_BYTE, _TWO_BYTE, _REP), _ENCODINGS = _maps()
+
+
+def encode(name: str, op2: int = 0, width: int = 4,
+           form: Optional[str] = None) -> Encoding:
+    """The encoding of row *name* with static operand *op2* at *width*,
+    in operand *form* (None: the first the row declares)."""
+    return _ENCODINGS[name, op2, width, form]
+
 
 for _op in TABLE:
     globals()[f"exec_{_op.name}"] = _op.execute

@@ -579,9 +579,13 @@ def _span(first: Code, count: int, form: str) -> Dict[Code, str]:
 
 
 _SUFFIX = "{op}{suffix} {imm},{rm}"
-_GRP2 = ("rol", "ror", "rcl", "rcr", "shl", "shr", "sal", "sar")
-_GRP3 = ("test", "test", "not", "neg", "mul", "imul", "div", "idiv")
-_GRP5 = ("inc", "dec", "call", "callf", "jmp", "jmpf", "push", "(bad)")
+#: the operations of groups 2, 3 and 5, by ModRM digit
+GRP2 = ("rol", "ror", "rcl", "rcr", "shl", "shr", "sal", "sar")
+GRP3 = ("test", "test", "not", "neg", "mul", "imul", "div", "idiv")
+GRP5 = ("inc", "dec", "call", "callf", "jmp", "jmpf", "push", "(bad)")
+#: group 2's op2 is the digit plus the count's source: 0 for imm8,
+#: GRP2_ONE for a count of one, GRP2_CL for CL
+GRP2_ONE, GRP2_CL = 8, 16
 _BT = ("bt", "bts", "btr", "btc")
 _BAD_SREG = [(lambda i: i.reg > 5, "(bad)")]
 
@@ -687,7 +691,7 @@ TABLE: Tuple[Op, ...] = (
         else:
             ud(f"grp5 /{op2}")""",
        tuple(f"{n} *{{rm}}" if n in ("call", "jmp") else f"{n} {{rm}}"
-             for n in _GRP5),
+             for n in GRP5),
        lambda c, op2: "grp5b" if c == 0xFE else "grp5", width="bw",
        cycles={0xFE: 1, 0xFF: 2}, op2=lambda code, d: d,
        digits={0xFE: (0, 1)},
@@ -709,7 +713,7 @@ TABLE: Tuple[Op, ...] = (
             branch(target)""", "{name} {target}", _cc("j"),
        op2=lambda code, d: code & 0xF, kind=lambda i: "branch"),
     # -- group 2 (shifts) and group 3 (mul/div/...) ---------------------------
-    # op2 is the digit plus the count's source: 0 imm8, 8 one, 16 CL
+    # op2 is the digit plus the count's source (GRP2_ONE, GRP2_CL)
     Op("grp2", {0xC0: "rm,imm8", 0xC1: "rm,imm8", 0xD1: "rm", 0xD3: "rm"}, """
         if op2 >> 3 == 0:
             n = imm & 31
@@ -749,11 +753,11 @@ TABLE: Tuple[Op, ...] = (
                 if c:
                     flags |= CF
                 rm = r""",
-       tuple(f"{n} {{imm}},{{rm}}" for n in _GRP2)
-       + tuple(f"{n} {{rm}}" for n in _GRP2)
-       + tuple(f"{n} %cl,{{rm}}" for n in _GRP2),
+       tuple(f"{n} {{imm}},{{rm}}" for n in GRP2)
+       + tuple(f"{n} {{rm}}" for n in GRP2)
+       + tuple(f"{n} %cl,{{rm}}" for n in GRP2),
        lambda c, op2: "grp2b" if c == 0xC0 else "grp2", width="bw",
-       op2=lambda code, d: d | {0xD1: 8, 0xD3: 16}.get(code, 0)),
+       op2=lambda code, d: d | {0xD1: GRP2_ONE, 0xD3: GRP2_CL}.get(code, 0)),
     Op("grp3", {0xF6: "rm[,imm]", 0xF7: "rm[,imm]"}, """
         v = rm
         if op2 < 2:
@@ -804,7 +808,7 @@ TABLE: Tuple[Op, ...] = (
             if width == 4:
                 edx = (n - q * d) & M
             cycles += 20""",
-       ("test {imm},{rm}",) * 2 + tuple(f"{n} {{rm}}" for n in _GRP3[2:]),
+       ("test {imm},{rm}",) * 2 + tuple(f"{n} {{rm}}" for n in GRP3[2:]),
        lambda c, op2: "grp3b" if c == 0xF6 else "grp3", width="bw",
        op2=lambda code, d: d),
     Op("imul_r_rm", {0x0FAF: "r,rm"}, """

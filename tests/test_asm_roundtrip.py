@@ -1,5 +1,11 @@
-"""Assembler <-> decoder round-trip tests for both architectures."""
+"""Assembler <-> decoder round-trip tests for both architectures.
 
+The x86 byte table below is an oracle independent of the instruction
+table the assembler emits from: every builder method's bytes, written
+out, over each addressing form, width and immediate edge.
+"""
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.ppc import decoder as ppc_decoder
@@ -8,10 +14,156 @@ from repro.ppc.disasm import disassemble_word
 from repro.x86 import decoder as x86_decoder
 from repro.x86.assembler import Mem, X86Assembler
 from repro.x86.disasm import disassemble_range
+from repro.x86.isa import op_of
+from repro.x86.registers import SEG_FS, SEG_GS
 
 reg = st.integers(min_value=0, max_value=7)
 ppc_reg = st.integers(min_value=0, max_value=31)
 imm16s = st.integers(min_value=-0x8000, max_value=0x7FFF)
+
+DISP8 = Mem(base=5, disp=-8)
+DISP32 = Mem(base=1, disp=0x1234)
+ESP_SIB = Mem(base=4, disp=8)
+ABSOLUTE = Mem(disp=0xC0300000)
+INDEX = Mem(index=1, scale=4, disp=0xC0300000)
+BASE_INDEX = Mem(base=3, index=6, scale=2)
+FS = Mem(base=5, disp=8, seg=SEG_FS)
+GS = Mem(disp=0x10, seg=SEG_GS)
+
+#: (builder, arguments, bytes, decoded row, op2, width); labels point
+#: at offset 0, a relocation is the trailing zero field
+X86_BYTES = [
+    ("mov_r_rm", (0, 3), "8b c3", "mov_r_rm", 0, 4),
+    ("mov_rm_r", (3, 2), "89 d3", "mov_rm_r", 0, 4),
+    ("mov_r_rm", (0, DISP8), "8b 45 f8", "mov_r_rm", 0, 4),
+    ("mov_rm_r", (DISP8, 2), "89 55 f8", "mov_rm_r", 0, 4),
+    ("mov_r_rm", (0, DISP32), "8b 81 34 12 00 00", "mov_r_rm", 0, 4),
+    ("mov_rm_r", (DISP32, 2), "89 91 34 12 00 00", "mov_rm_r", 0, 4),
+    ("mov_r_rm", (0, ESP_SIB), "8b 44 24 08", "mov_r_rm", 0, 4),
+    ("mov_rm_r", (ESP_SIB, 2), "89 54 24 08", "mov_rm_r", 0, 4),
+    ("mov_r_rm", (0, ABSOLUTE), "8b 05 00 00 30 c0", "mov_r_rm", 0, 4),
+    ("mov_rm_r", (ABSOLUTE, 2), "89 15 00 00 30 c0", "mov_rm_r", 0, 4),
+    ("mov_r_rm", (0, INDEX), "8b 04 8d 00 00 30 c0", "mov_r_rm", 0, 4),
+    ("mov_rm_r", (INDEX, 2), "89 14 8d 00 00 30 c0", "mov_rm_r", 0, 4),
+    ("mov_r_rm", (0, BASE_INDEX), "8b 04 73", "mov_r_rm", 0, 4),
+    ("mov_rm_r", (BASE_INDEX, 2), "89 14 73", "mov_rm_r", 0, 4),
+    ("mov_r_rm", (0, FS), "64 8b 45 08", "mov_r_rm", 0, 4),
+    ("mov_rm_r", (FS, 2), "64 89 55 08", "mov_rm_r", 0, 4),
+    ("mov_r_rm", (0, GS), "65 8b 05 10 00 00 00", "mov_r_rm", 0, 4),
+    ("mov_rm_r", (GS, 2), "65 89 15 10 00 00 00", "mov_rm_r", 0, 4),
+    ("mov_r_rm", (1, DISP8, 1), "8a 4d f8", "mov_r_rm", 0, 1),
+    ("mov_rm_r", (ESP_SIB, 2, 1), "88 54 24 08", "mov_rm_r", 0, 1),
+    ("mov_rm_r", (FS, 0, 1), "64 88 45 08", "mov_rm_r", 0, 1),
+    ("mov_r_rm", (1, DISP8, 2), "66 8b 4d f8", "mov_r_rm", 0, 2),
+    ("mov_rm_r", (ESP_SIB, 2, 2), "66 89 54 24 08", "mov_rm_r", 0, 2),
+    ("mov_rm_r", (FS, 0, 2), "64 66 89 45 08", "mov_rm_r", 0, 2),
+    ("mov_r_imm", (0, 0xDEADBEEF), "b8 ef be ad de", "mov_r_imm", 0, 4),
+    ("mov_r_imm", (7, 5), "bf 05 00 00 00", "mov_r_imm", 0, 4),
+    ("mov_r_imm_sym", (3, "jiffies"), "bb 00 00 00 00", "mov_r_imm", 0, 4),
+    ("mov_rm_imm", (Mem(base=5, disp=-4), 0x1234, 1), "c6 45 fc 34", "mov_rm_imm", 0, 1),
+    ("mov_rm_imm", (Mem(base=5, disp=-4), 0x1234, 2), "66 c7 45 fc 34 12", "mov_rm_imm", 0, 2),
+    ("mov_rm_imm", (Mem(base=5, disp=-4), 0x1234, 4), "c7 45 fc 34 12 00 00", "mov_rm_imm", 0, 4),
+    ("mov_rm_imm", (GS, 7), "65 c7 05 10 00 00 00 07 00 00 00", "mov_rm_imm", 0, 4),
+    ("movzx", (3, Mem(base=0), 1), "0f b6 18", "movzx", 1, 4),
+    ("movzx", (3, 1, 2), "0f b7 d9", "movzx", 2, 4),
+    ("movsx", (2, Mem(base=5, disp=-2), 1), "0f be 55 fe", "movsx", 1, 4),
+    ("movsx", (3, Mem(base=0), 2), "0f bf 18", "movsx", 2, 4),
+    ("lea", (4, Mem(base=5, disp=-12)), "8d 65 f4", "lea", 0, 4),
+    ("lea", (0, Mem(index=1, scale=8, disp=4)), "8d 04 cd 04 00 00 00", "lea", 0, 4),
+    ("lea", (1, Mem(base=4, disp=0x200)), "8d 8c 24 00 02 00 00", "lea", 0, 4),
+    ("xchg_r_rm", (0, 3), "87 c3", "xchg_r_rm", 0, 4),
+    ("xchg_r_rm", (1, Mem(base=5, disp=8)), "87 4d 08", "xchg_r_rm", 0, 4),
+    ("alu_r_rm", ("add", 0, 1, 4), "03 c1", "alu_r_rm", 0, 4),
+    ("alu_rm_r", ("add", 1, 3, 4), "01 d9", "alu_rm_r", 0, 4),
+    ("alu_r_rm", ("or", 0, DISP8, 4), "0b 45 f8", "alu_r_rm", 1, 4),
+    ("alu_rm_r", ("or", DISP8, 3, 4), "09 5d f8", "alu_rm_r", 1, 4),
+    ("alu_r_rm", ("adc", 0, 2, 1), "12 c2", "alu_r_rm", 2, 1),
+    ("alu_rm_r", ("adc", 2, 3, 1), "10 da", "alu_rm_r", 2, 1),
+    ("alu_r_rm", ("sbb", 0, Mem(base=4), 2), "66 1b 04 24", "alu_r_rm", 3, 2),
+    ("alu_rm_r", ("sbb", Mem(base=4), 3, 2), "66 19 1c 24", "alu_rm_r", 3, 2),
+    ("alu_r_rm", ("and", 0, ABSOLUTE, 4), "23 05 00 00 30 c0", "alu_r_rm", 4, 4),
+    ("alu_rm_r", ("and", ABSOLUTE, 3, 4), "21 1d 00 00 30 c0", "alu_rm_r", 4, 4),
+    ("alu_r_rm", ("sub", 0, FS, 4), "64 2b 45 08", "alu_r_rm", 5, 4),
+    ("alu_rm_r", ("sub", FS, 3, 4), "64 29 5d 08", "alu_rm_r", 5, 4),
+    ("alu_r_rm", ("xor", 0, 0, 4), "33 c0", "alu_r_rm", 6, 4),
+    ("alu_rm_r", ("xor", 0, 3, 4), "31 d8", "alu_rm_r", 6, 4),
+    ("alu_r_rm", ("cmp", 0, Mem(base=6, disp=0x100), 1), "3a 86 00 01 00 00", "alu_r_rm", 7, 1),
+    ("alu_rm_r", ("cmp", Mem(base=6, disp=0x100), 3, 1), "38 9e 00 01 00 00", "alu_rm_r", 7, 1),
+    ("alu_rm_imm", ("add", 4, 0x7F), "83 c4 7f", "grp1_rm_imm", 0, 4),
+    ("push_imm", (0x7F,), "6a 7f", "push_imm", 0, 4),
+    ("alu_rm_imm", ("add", 4, 0x80), "81 c4 80 00 00 00", "grp1_rm_imm", 0, 4),
+    ("push_imm", (0x80,), "68 80 00 00 00", "push_imm", 0, 4),
+    # -128 as a negative int takes the 32-bit form, as 0xFFFFFF80 the short
+    ("alu_rm_imm", ("add", 4, -128), "81 c4 80 ff ff ff", "grp1_rm_imm", 0, 4),
+    ("push_imm", (-128,), "68 80 ff ff ff", "push_imm", 0, 4),
+    ("alu_rm_imm", ("add", 4, -129), "81 c4 7f ff ff ff", "grp1_rm_imm", 0, 4),
+    ("push_imm", (-129,), "68 7f ff ff ff", "push_imm", 0, 4),
+    ("alu_rm_imm", ("add", 4, 0xFFFFFF80), "83 c4 80", "grp1_rm_imm", 0, 4),
+    ("push_imm", (0xFFFFFF80,), "6a 80", "push_imm", 0, 4),
+    ("alu_rm_imm", ("add", 4, 0xDEADBEEF), "81 c4 ef be ad de", "grp1_rm_imm", 0, 4),
+    ("push_imm", (0xDEADBEEF,), "68 ef be ad de", "push_imm", 0, 4),
+    ("alu_rm_imm", ("cmp", DISP8, 0x80, 1), "80 7d f8 80", "grp1_rm_imm", 7, 1),
+    ("alu_rm_imm", ("and", 0, 0x7F, 1), "80 e0 7f", "grp1_rm_imm", 4, 1),
+    ("alu_rm_imm", ("cmp", DISP8, 0x80, 2), "66 81 7d f8 80 00", "grp1_rm_imm", 7, 2),
+    ("alu_rm_imm", ("and", 0, 0x7F, 2), "66 83 e0 7f", "grp1_rm_imm", 4, 2),
+    ("alu_rm_imm", ("sub", Mem(base=5, disp=8, seg=SEG_GS), 0x10),
+     "65 83 6d 08 10", "grp1_rm_imm", 5, 4),
+    ("test_rm_r", (Mem(base=3), 0, 1), "84 03", "test_rm_r", 0, 1),
+    ("test_rm_r", (Mem(base=3), 0, 2), "66 85 03", "test_rm_r", 0, 2),
+    ("test_rm_r", (Mem(base=3), 0, 4), "85 03", "test_rm_r", 0, 4),
+    ("test_rm_r", (0, 0), "85 c0", "test_rm_r", 0, 4),
+    ("imul_r_rm", (0, 1), "0f af c1", "imul_r_rm", 0, 4),
+    ("imul_r_rm", (2, DISP8), "0f af 55 f8", "imul_r_rm", 0, 4),
+    ("imul_r_rm_imm", (1, 1, 28), "69 c9 1c 00 00 00", "imul_rmi", 0, 4),
+    ("imul_r_rm_imm", (0, Mem(base=4, disp=4), 0x12345),
+     "69 44 24 04 45 23 01 00", "imul_rmi", 0, 4),
+    ("div_rm", (1,), "f7 f1", "grp3", 6, 4),
+    ("div_rm", (DISP8,), "f7 75 f8", "grp3", 6, 4),
+    ("idiv_rm", (1,), "f7 f9", "grp3", 7, 4),
+    ("idiv_rm", (DISP8,), "f7 7d f8", "grp3", 7, 4),
+    ("neg_rm", (1,), "f7 d9", "grp3", 3, 4),
+    ("neg_rm", (DISP8,), "f7 5d f8", "grp3", 3, 4),
+    ("not_rm", (1,), "f7 d1", "grp3", 2, 4),
+    ("not_rm", (DISP8,), "f7 55 f8", "grp3", 2, 4),
+    ("shift_rm_imm", ("rol", 0, 1), "d1 c0", "grp2", 8, 4),
+    ("shift_rm_imm", ("rol", 0, 4), "c1 c0 04", "grp2", 0, 4),
+    ("shift_rm_cl", ("rol", 2), "d3 c2", "grp2", 16, 4),
+    ("shift_rm_imm", ("ror", 0, 1), "d1 c8", "grp2", 9, 4),
+    ("shift_rm_imm", ("ror", 0, 4), "c1 c8 04", "grp2", 1, 4),
+    ("shift_rm_cl", ("ror", 2), "d3 ca", "grp2", 17, 4),
+    ("shift_rm_imm", ("shl", 0, 1), "d1 e0", "grp2", 12, 4),
+    ("shift_rm_imm", ("shl", 0, 4), "c1 e0 04", "grp2", 4, 4),
+    ("shift_rm_cl", ("shl", 2), "d3 e2", "grp2", 20, 4),
+    ("shift_rm_imm", ("shr", 0, 1), "d1 e8", "grp2", 13, 4),
+    ("shift_rm_imm", ("shr", 0, 4), "c1 e8 04", "grp2", 5, 4),
+    ("shift_rm_cl", ("shr", 2), "d3 ea", "grp2", 21, 4),
+    ("shift_rm_imm", ("sar", 0, 1), "d1 f8", "grp2", 15, 4),
+    ("shift_rm_imm", ("sar", 0, 4), "c1 f8 04", "grp2", 7, 4),
+    ("shift_rm_cl", ("sar", 2), "d3 fa", "grp2", 23, 4),
+    ("shift_rm_imm", ("shl", DISP8, 1), "d1 65 f8", "grp2", 12, 4),
+    ("shift_rm_imm", ("sar", DISP8, 31), "c1 7d f8 1f", "grp2", 7, 4),
+    ("shift_rm_cl", ("shr", Mem(base=4)), "d3 2c 24", "grp2", 21, 4),
+    ("inc_r", (6,), "46", "inc_r", 0, 4),
+    ("dec_r", (7,), "4f", "dec_r", 0, 4),
+    ("cdq", (), "99", "cdq", 0, 4),
+    ("push_r", (5,), "55", "push_r", 0, 4),
+    ("pop_r", (3,), "5b", "pop_r", 0, 4),
+    ("push_rm", (Mem(base=5, disp=8),), "ff 75 08", "grp5", 6, 4),
+    ("push_rm", (2,), "ff f2", "grp5", 6, 4),
+    ("push_rm", (GS,), "65 ff 35 10 00 00 00", "grp5", 6, 4),
+    ("call_sym", ("schedule",), "e8 00 00 00 00", "call_rel", 0, 4),
+    ("call_rm", (0,), "ff d0", "grp5", 2, 4),
+    ("call_rm", (Mem(base=5, disp=0x7F),), "ff 55 7f", "grp5", 2, 4),
+    ("jmp_label", ("top",), "e9 fb ff ff ff", "jmp_rel", 0, 4),
+    ("jcc_label", ("e", "top"), "0f 84 fa ff ff ff", "jcc", 4, 4),
+    ("jcc_label", ("g", "top"), "0f 8f fa ff ff ff", "jcc", 15, 4),
+    ("jcc_label", ("o", "top"), "0f 80 fa ff ff ff", "jcc", 0, 4),
+    ("ret", (), "c3", "ret", 0, 4),
+    ("nop", (), "90", "nop", 0, 4),
+    ("ud2a", (), "0f 0b", "ud2", 0, 4),
+    ("int_n", (0x80,), "cd 80", "int", 0, 4),
+    ("hlt", (), "f4", "hlt", 0, 4),
+]
 
 
 class TestX86Roundtrip:
@@ -30,6 +182,23 @@ class TestX86Roundtrip:
         return decoded
 
     def test_every_assembler_form_roundtrips(self):
+        builders = {name for name in dir(X86Assembler)
+                    if not name.startswith(("_", "emit"))} - {
+                        "label", "new_label", "finish"}
+        assert builders == {case[0] for case in X86_BYTES}
+        for builder, args, expected, row, op2, width in X86_BYTES:
+            one = X86Assembler()
+            one.label("top")
+            getattr(one, builder)(*args)
+            code = one.finish()
+            assert code.hex(" ") == expected, (builder, args)
+            assert all(r.offset == len(code) - 4 for r in one.relocs)
+            instr = x86_decoder.decode(
+                code + b"\x00" * x86_decoder.MAX_INSN_LEN, 0)
+            assert instr.length == len(code), (builder, args)
+            assert (op_of(instr).name, instr.op2, instr.width) == \
+                (row, op2, width), (builder, args)
+
         asm = X86Assembler()
         asm.push_r(5)
         asm.mov_rm_r(5, 4)
@@ -66,6 +235,42 @@ class TestX86Roundtrip:
         asm.hlt()
         asm.ret()
         self._decode_all(asm)
+
+    @pytest.mark.parametrize("builder,args", [
+        ("lea", (0, FS)), ("xchg_r_rm", (0, FS)), ("imul_r_rm", (0, FS)),
+        ("imul_r_rm_imm", (0, FS, 3)), ("shift_rm_imm", ("shl", FS, 3)),
+        ("shift_rm_cl", ("sar", FS)), ("div_rm", (FS,)),
+        ("idiv_rm", (FS,)), ("neg_rm", (FS,)), ("not_rm", (FS,)),
+        ("call_rm", (FS,)),
+    ])
+    def test_segment_prefix_on_every_rm_form(self, builder, args):
+        plain, prefixed = X86Assembler(), X86Assembler()
+        getattr(plain, builder)(*(Mem(base=5, disp=8) if arg is FS else arg
+                                  for arg in args))
+        getattr(prefixed, builder)(*args)
+        code = prefixed.finish()
+        assert code == b"\x64" + plain.finish()
+        instr = x86_decoder.decode(
+            code + b"\x00" * x86_decoder.MAX_INSN_LEN, 0)
+        assert instr.length == len(code)
+        assert instr.seg == SEG_FS
+
+    def test_encode_inverts_decode(self):
+        """Each encoding, emitted with zero operands, decodes to the
+        row, op2 and width it was looked up by."""
+        from repro.x86.decoder import _ENCODINGS
+        for (row, op2, width, _), enc in _ENCODINGS.items():
+            code = bytearray(b"\x66" if width == 2 else b"")
+            if enc.code >> 8:
+                code.append(enc.code >> 8)
+            # register 1 in the opcode: 0x90 + 0 is nop, not xchg
+            code.append(enc.code & 0xFF | enc.low3)
+            if enc.modrm:
+                code.append(0xC0 | (enc.digit or 0) << 3)
+            instr = x86_decoder.decode(
+                bytes(code) + b"\x00" * x86_decoder.MAX_INSN_LEN, 0)
+            assert (op_of(instr).name, instr.op2, instr.width) == \
+                (row, op2, width), hex(enc.code)
 
     def test_mov16_prefix(self):
         asm = X86Assembler()

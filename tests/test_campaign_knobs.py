@@ -13,14 +13,16 @@ tests hold that design to its contract:
   service job index written then still reloads onto the same
   campaign.
 * **One default per knob.** The CLI, ``CampaignConfig``,
-  ``StudyConfig`` and the service agree on every default, so the same
-  request through any of them names the same stored campaign.
+  ``StudyConfig``, the service and the library entry points that take
+  a seed and ops agree on every default, so the same request through
+  any of them names the same stored campaign.
 * **Bounds everywhere.** A bad value is a field-named ``ValueError``
   from the config itself, whichever path built it.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -29,9 +31,14 @@ import pytest
 
 import repro.injection.campaign as campaign_mod
 from repro.__main__ import CLI_KNOBS, _campaign_config, build_parser, main
+from repro.analysis.fault_models import compare_models
+from repro.analysis.validate_static import (
+    distance_latency_probe, validate_propagation, validate_prune,
+)
 from repro.core import StudyConfig
 from repro.injection.campaign import (
-    IDENTITY_KNOBS, KNOBS, CampaignConfig, CampaignKnobs, run_campaign,
+    IDENTITY_KNOBS, KNOBS, CampaignConfig, CampaignContext, CampaignKnobs,
+    run_campaign,
 )
 from repro.injection.outcomes import CampaignKind
 from repro.service.jobs import campaign_identity
@@ -100,6 +107,16 @@ class TestOneDefault:
             for argv in (["campaign", "--kind", "data"], ["study"],
                          ["submit", "--kind", "data"]):
                 assert getattr(parser.parse_args(argv), name) == default
+
+    @pytest.mark.parametrize("entry", [
+        CampaignContext.get, compare_models, distance_latency_probe,
+        validate_prune, validate_propagation,
+    ], ids=lambda entry: entry.__name__)
+    def test_entry_points_take_the_table_defaults(self, entry):
+        defaults = {spec.name: spec.default for spec in KNOBS}
+        params = inspect.signature(entry).parameters
+        for name in ("seed", "ops"):
+            assert params[name].default == defaults[name]
 
     def test_study_scale(self):
         assert build_parser().parse_args(["study"]).scale == \

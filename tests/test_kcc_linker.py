@@ -1,5 +1,7 @@
 """Linker and layout tests."""
 
+import hashlib
+
 import pytest
 
 from repro.kcc import analyze, build_image, parse
@@ -117,3 +119,19 @@ class TestLink:
         assert x86_image.functions["kupdate"].subsystem == "fs"
         # the ppc data section is at least as large (word padding)
         assert len(ppc_image.data_bytes) >= len(x86_image.data_bytes)
+
+
+#: sha256 of text + data + heap of each kernel image: the compiler,
+#: the assemblers and the linker together, byte for byte
+IMAGE_SHA256 = {
+    "x86": "d8b1a090733280718e6e3d7a77bd448d84b5b2c60fabd1b888c4b163f9b03379",
+    "ppc": "07a395262475c255aa54a1eaf553f277893221f7bce14cfe601a2a17d1d1c69d",
+}
+
+
+@pytest.mark.parametrize("arch", ["x86", "ppc"])
+def test_kernel_image_bytes_pinned(arch, request):
+    image = request.getfixturevalue(f"{arch}_image")
+    digest = hashlib.sha256(
+        image.text_bytes + image.data_bytes + image.heap_bytes).hexdigest()
+    assert digest == IMAGE_SHA256[arch]
