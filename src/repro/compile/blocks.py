@@ -59,6 +59,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.isa.codecache import cached
 from repro.isa.faults import AccessKind, MemoryFault
 from repro.static.effects import (
     KIND_BRANCH, KIND_JUMP, UnknownInstructionError, insn_effects,
@@ -217,11 +218,25 @@ def _statics(arch: str, image) -> Tuple[frozenset, Looping]:
 
     A CFG that fails to build raises.  Cached on the image object
     itself — ``build_kernel`` is lru-cached, so every machine for an
-    arch shares one image and one analysis.
+    arch shares one image and one analysis — and in the code cache,
+    filed under what ``build_cfg`` reads of the image: its text and
+    each function's name, extent and instruction addresses.
     """
-    cached = getattr(image, _STATIC_ATTR, None)
-    if cached is not None:
-        return cached
+    statics = getattr(image, _STATIC_ATTR, None)
+    if statics is None:
+        leaders, starts, ends = cached(
+            f"<{arch} statics>",
+            (image.text_base, image.text_bytes,
+             tuple((name, info.addr, info.size, tuple(info.insn_addrs))
+                   for name, info in sorted(image.functions.items()))),
+            lambda: _analyse(arch, image))
+        statics = (frozenset(leaders), (starts, ends))
+        setattr(image, _STATIC_ATTR, statics)
+    return statics
+
+
+def _analyse(arch: str, image) -> Tuple[Tuple[int, ...], ...]:
+    """The sorted leaders, and the looping blocks' starts and ends."""
     from repro.static.cfg import build_cfg
     cfg = build_cfg(arch, image)
     leaders: Set[int] = set()
@@ -241,10 +256,8 @@ def _statics(arch: str, image) -> Tuple[frozenset, Looping]:
                     seen.add(succ)
                     stack.extend(blocks[succ].succs)
     looping.sort()
-    cached = (frozenset(leaders),
-              (tuple(a for a, _ in looping), tuple(b for _, b in looping)))
-    setattr(image, _STATIC_ATTR, cached)
-    return cached
+    return (tuple(sorted(leaders)), tuple(a for a, _ in looping),
+            tuple(b for _, b in looping))
 
 
 def _loops(looping: Optional[Looping], addr: int) -> bool:

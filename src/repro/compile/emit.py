@@ -25,9 +25,10 @@ leaves exactly the step core's partial-retirement state.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.isa.codecache import compile_cached
+from repro.isa.codecache import cached
 from repro.isa.faults import AccessKind, MemoryFault
 from repro.isa.memory import WORD
 
@@ -37,6 +38,15 @@ M = 0xFFFFFFFF
 #: a terminator/system instruction, and its static successors that are
 #: members (empty for a plain unit)
 Member = Tuple[List[Tuple[int, object]], bool, Tuple[int, ...]]
+
+
+def instr_key(cls: type, row: Callable[[object], object]) -> Callable:
+    """The cache key of a decoded *cls* instruction: the name of its
+    row (from ``row(instr)``, a table row with a ``name``), then every
+    other slot."""
+    others = attrgetter(*[slot for slot in cls.__slots__
+                          if slot != "execute"])
+    return lambda instr: (row(instr).name,) + others(instr)
 
 
 class Gen:
@@ -76,7 +86,8 @@ class Gen:
         self.max_cycles = 0
         self.pc_done = False        # a final branch already set pc
         self.returned = False       # generic-final emitted a return
-        self._n = 0
+        #: the generically-run instructions, in call order
+        self.calls: List[object] = []
         self.sync = self.state("cur", "nxt", "ins + ri")
 
     def state(self, cur: str, nxt: str, instret: str) -> str:
@@ -91,11 +102,12 @@ class Gen:
     def w(self, line: str) -> None:
         self.lines.append(line)
 
-    def bind(self, prefix: str, obj) -> str:
-        name = f"{prefix}{self._n}"
-        self._n += 1
-        self.ns[name] = obj
-        return name
+    def call(self, instr) -> Tuple[str, str]:
+        """The global names of a generically-run instruction's executor
+        and decoded instruction; :func:`unit` binds them."""
+        j = len(self.calls)
+        self.calls.append(instr)
+        return f"f{2 * j}", f"i{2 * j + 1}"
 
     def flush(self) -> None:
         if self.pend:
@@ -110,9 +122,32 @@ class Gen:
 
 def unit(g: Gen, members: Sequence[Member],
          body: Callable[[Gen, list, bool], None],
-         length: Callable[[object], int], tag: str):
+         length: Callable[[object], int], key: Callable[[object], tuple],
+         tag: str):
     """Compile *members* into one function; returns (fn, [max_cycles of
-    each member]).  *body* emits one member's instructions into ``g``."""
+    each member]).  *body* emits one member's instructions into ``g``;
+    *key* gives a decoded instruction's cache key.  The code comes from
+    the code cache, filed under every member's nodes (address and
+    ``key``), end and successors, so a cached unit generates no text."""
+    flat = [instr for nodes, _hard, _succs in members
+            for _addr, instr in nodes]
+    name = f"<{tag}@{members[0][0][0][0]:#x}>"
+    code, max_cycles, calls = cached(
+        name, tuple((tuple((addr,) + key(instr) for addr, instr in nodes),
+                     hard, succs) for nodes, hard, succs in members),
+        lambda: _generate(g, members, body, length, flat, name))
+    for j, position in enumerate(calls):
+        g.ns[f"f{2 * j}"] = flat[position].execute
+        g.ns[f"i{2 * j + 1}"] = flat[position]
+    exec(code, g.ns)
+    return g.ns["_unit"], list(max_cycles)
+
+
+def _generate(g: Gen, members: Sequence[Member],
+              body: Callable[[Gen, list, bool], None],
+              length: Callable[[object], int], flat: list, name: str):
+    """(code, max_cycles of each member, flat node position of each
+    generically-run instruction in call order) of one unit."""
     emitted = []
     for nodes, ends_hard, _succs in members:
         g.lines, g.max_cycles = [], 0
@@ -174,6 +209,7 @@ def unit(g: Gen, members: Sequence[Member],
             "        if not synced:",
             f"            {g.sync}",
             "        raise"]
-    exec(compile_cached("\n".join(src),
-                        f"<{tag}@{members[0][0][0][0]:#x}>"), g.ns)
-    return g.ns["_unit"], [out[1] for out in emitted]
+    position = {id(instr): p for p, instr in enumerate(flat)}
+    return (compile("\n".join(src), name, "exec"),
+            tuple(out[1] for out in emitted),
+            tuple(position[id(instr)] for instr in g.calls))

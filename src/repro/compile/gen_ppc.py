@@ -33,7 +33,7 @@ import re
 from typing import Callable, List, Sequence, Tuple
 
 from repro.compile.access import load, store
-from repro.compile.emit import Gen, Member, unit
+from repro.compile.emit import Gen, Member, instr_key, unit
 from repro.isa.faults import AccessKind
 from repro.ppc import decoder as pdec
 from repro.ppc import isa
@@ -47,6 +47,9 @@ GENERIC_SLACK = 150
 
 #: register-count-driven loops; cycle cost unbounded per instruction
 UNBOUNDED = frozenset()
+
+#: a decoded instruction's code-cache key (see emit.unit)
+_KEY = instr_key(PPCInstr, isa.op_of)
 
 
 def insn_length(instr) -> int:
@@ -367,8 +370,7 @@ _PLANS: dict = {}
 
 def _emit_generic(g: _Gen, i, a: int, n: int, k: int, final: bool) -> None:
     g.entry(a, n, k)
-    fn = g.bind("f", i.execute)
-    obj = g.bind("i", i)
+    fn, obj = g.call(i)
     g.w("cpu.current_pc = cur")
     g.w("cpu.pc = nxt")
     g.w("cpu.cycles = cyc")
@@ -407,4 +409,4 @@ def _body(g: _Gen, nodes: list, ends_hard: bool) -> None:
 
 
 def generate(members: Sequence[Member]):
-    return unit(_Gen(), members, _body, insn_length, "ppc-block")
+    return unit(_Gen(), members, _body, insn_length, _KEY, "ppc-block")

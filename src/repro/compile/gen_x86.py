@@ -50,7 +50,7 @@ import re
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.compile.access import load, store
-from repro.compile.emit import Gen, Member, unit
+from repro.compile.emit import Gen, Member, instr_key, unit
 from repro.isa.faults import AccessKind
 from repro.x86 import decoder as xdec
 from repro.x86 import isa
@@ -71,6 +71,9 @@ GENERIC_SLACK = 150
 #: executors whose cycle cost is unbounded (ecx-driven string loops) —
 #: never included in a block
 UNBOUNDED = frozenset(op.execute for op in isa.TABLE if op.unbounded)
+
+#: a decoded instruction's code-cache key (see emit.unit)
+_KEY = instr_key(Instr, isa.op_of)
 
 
 def insn_length(instr) -> int:
@@ -496,8 +499,7 @@ _FINAL = {"jcc": _e_jcc, "jmp_rel": _e_jmp_rel, "call_rel": _e_call_rel,
 
 def _emit_generic(g: Gen, i, a: int, n: int, k: int, final: bool) -> None:
     g.entry(a, n, k)
-    fn = g.bind("f", i.execute)
-    obj = g.bind("i", i)
+    fn, obj = g.call(i)
     g.w("cpu.current_eip = cur")
     g.w("cpu.eip = nxt")
     g.w("cpu.cycles = cyc")
@@ -544,4 +546,4 @@ def _body(g: Gen, nodes: list, ends_hard: bool) -> None:
 def generate(members: Sequence[Member]):
     """Compile one superblock, or a region of them, into (fn,
     [max_cycles of each member]); see :func:`repro.compile.emit.unit`."""
-    return unit(_Gen(), members, _body, insn_length, "x86-block")
+    return unit(_Gen(), members, _body, insn_length, _KEY, "x86-block")

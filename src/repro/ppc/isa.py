@@ -49,10 +49,11 @@ import ast
 import copy
 import re
 import textwrap
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.isa.bits import MASK32, sign_extend
-from repro.isa.codecache import compile_cached
+from repro.isa.codecache import cached
 from repro.ppc.exceptions import PPCVector, ProgramReason
 from repro.ppc.insn import PPCInstr
 from repro.ppc.registers import (
@@ -328,13 +329,18 @@ class _Step(Rename):
 
 
 def _step_function(op: "Op") -> Callable[..., None]:
-    code = "\n".join(ast.unparse(_Step().visit(s)) for s in op.body)
     fname = f"exec_{op.ident}"
-    src = (f"def {fname}(cpu, i):\n"
-           + ("    gpr = cpu.gpr\n" if "gpr[" in code else "")
-           + textwrap.indent(code, "    ") + "\n")
+    name = f"<ppc {op.name}>"
+
+    def build() -> CodeType:
+        code = "\n".join(ast.unparse(_Step().visit(s)) for s in op.body)
+        src = (f"def {fname}(cpu, i):\n"
+               + ("    gpr = cpu.gpr\n" if "gpr[" in code else "")
+               + textwrap.indent(code, "    ") + "\n")
+        return compile(src, name, "exec")
+
     ns = dict(NS)
-    exec(compile_cached(src, f"<ppc {op.name}>"), ns)
+    exec(cached(name, op.name, build), ns)
     return cast(Callable[..., None], ns[fname])
 
 

@@ -57,7 +57,7 @@ class CorruptionClass(enum.Enum):
 #: x86 execute functions that fault unconditionally when reached
 _X86_ALWAYS_ILLEGAL = (OPS["invalid"].execute, OPS["ud2"].execute)
 
-_X86_SEMANTIC_SLOTS = tuple(s for s in Instr.__slots__ if s != "raw")
+_X86_SEMANTIC_SLOTS = Instr.__slots__
 _PPC_SEMANTIC_SLOTS = tuple(s for s in PPCInstr.__slots__
                             if s != "word")
 

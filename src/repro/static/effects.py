@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from types import CodeType
 from typing import (
     Callable, Dict, FrozenSet, List, Optional, Tuple, Union, cast,
 )
 
-from repro.isa.codecache import compile_cached
+from repro.isa.codecache import cached
 from repro.x86 import isa as xisa
 from repro.x86.insn import Instr
 from repro.x86.registers import GPR_NAMES
@@ -246,9 +247,9 @@ class _X86Effects:
         if name not in defs:
             defs.append(name)
 
-    def function(self) -> Callable[[Instr, int], InsnEffects]:
-        """``effects(i, addr)``, naming the registers of one
-        instruction."""
+    def code(self) -> CodeType:
+        """The code of ``effects(i, addr)``, naming the registers of
+        one instruction."""
         def resource(name: str) -> str:
             if name in xisa.STATE:
                 return repr(EFLAGS)
@@ -276,11 +277,7 @@ class _X86Effects:
         lines.append(f"    return InsnEffects(frozenset(u), "
                      f"frozenset(({defs}{',' if defs else ''})), {flags}, "
                      f"{kind}, {target}, {faults})")
-        ns = {"GPR_NAMES": GPR_NAMES, "_xr": _xr, "_x_mem_uses": _x_mem_uses,
-              "_x_rel_target": _x_rel_target, "InsnEffects": InsnEffects,
-              "kind": self.kind}
-        exec(compile_cached("\n".join(lines), "<x86 effects>"), ns)
-        return cast(Callable[[Instr, int], InsnEffects], ns["effects"])
+        return compile("\n".join(lines), "<x86 effects>", "exec")
 
 
 #: effect function per (row, key), built on first use
@@ -291,8 +288,14 @@ def _x86_effects(op: xisa.Op, i: Instr, addr: int) -> InsnEffects:
     key = (op, op.key(i))
     effects = _X86_EFFECT_FNS.get(key)
     if effects is None:
-        effects = _X86_EFFECT_FNS[key] = _X86Effects(
-            op, op.resolved(i), i.rm_reg < 0).function()
+        ns = {"GPR_NAMES": GPR_NAMES, "_xr": _xr, "_x_mem_uses": _x_mem_uses,
+              "_x_rel_target": _x_rel_target, "InsnEffects": InsnEffects,
+              "kind": op.kind}
+        exec(cached("<x86 effects>", (op.name,) + key[1],
+                    lambda: _X86Effects(op, op.resolved(i),
+                                        i.rm_reg < 0).code()), ns)
+        effects = _X86_EFFECT_FNS[key] = cast(
+            Callable[[Instr, int], InsnEffects], ns["effects"])
     return effects(i, addr)
 
 
@@ -392,8 +395,10 @@ def _is_gpr(node: ast.Subscript) -> bool:
 def _ppc_effects(op: isa.Op) -> Callable[[PPCInstr, int], InsnEffects]:
     kind = op.kind if op.kind is not None else (lambda i: KIND_FALL)
     ns = dict(isa.NS, InsnEffects=InsnEffects, kind=kind)
-    exec(compile_cached("\n".join(_PPCEffects(op).lines),
-                        f"<effects {op.name}>"), ns)
+    name = f"<effects {op.name}>"
+    exec(cached(name, op.name,
+                lambda: compile("\n".join(_PPCEffects(op).lines), name,
+                                "exec")), ns)
     return cast(Callable[[PPCInstr, int], InsnEffects], ns["effects"])
 
 

@@ -55,6 +55,7 @@ class AssemblerError(Exception):
 
 def _fits8(imm: int) -> bool:
     """True when *imm* (taken as 32 bits) fits a sign-extended byte."""
+    imm &= 0xFFFFFFFF
     signed = imm - (1 << 32) if imm & 0x80000000 else imm
     return -128 <= signed <= 127
 

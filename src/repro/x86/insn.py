@@ -9,7 +9,7 @@ in plain int slots keeps the interpreter loop allocation-free.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.x86.registers import SEG_DS
 
@@ -20,7 +20,7 @@ class Instr:
     __slots__ = (
         "mnemonic", "length", "cycles", "execute",
         "reg", "rm_reg", "base", "index", "scale", "disp",
-        "imm", "width", "seg", "op2", "raw",
+        "imm", "width", "seg", "op2",
     )
 
     def __init__(self, mnemonic: str, length: int, cycles: int,
@@ -28,7 +28,7 @@ class Instr:
                  reg: int = 0, rm_reg: int = -1, base: int = -1,
                  index: int = -1, scale: int = 1, disp: int = 0,
                  imm: int = 0, width: int = 4, seg: int = SEG_DS,
-                 op2: int = 0, raw: Optional[bytes] = None) -> None:
+                 op2: int = 0) -> None:
         self.mnemonic = mnemonic
         self.length = length
         self.cycles = cycles
@@ -43,7 +43,6 @@ class Instr:
         self.width = width
         self.seg = seg
         self.op2 = op2
-        self.raw = raw
 
     @property
     def has_memory_operand(self) -> bool:

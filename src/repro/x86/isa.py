@@ -54,12 +54,13 @@ import copy
 import functools
 import re
 import textwrap
+from types import CodeType
 from typing import (
     Callable, Dict, List, Optional, Sequence, Tuple, Union, cast,
 )
 
 from repro.isa.bits import MASK32, sign_extend, to_signed
-from repro.isa.codecache import compile_cached
+from repro.isa.codecache import cached
 from repro.x86.exceptions import X86Vector
 from repro.x86.insn import Instr
 from repro.x86.registers import (
@@ -388,19 +389,24 @@ def _step_code(source: str, mem: Optional[bool]) -> str:
 def _step_function(op: "Op") -> Callable[..., None]:
     """``exec_<op>(cpu, i)``: a register and a memory variant when the
     body has an r/m operand."""
-    if any(mentions_memory(s) for s in op.body):
-        code = ("if i.rm_reg >= 0:\n"
-                + textwrap.indent(_step_code(op.source, False), "    ")
-                + "\nelse:\n"
-                + textwrap.indent(_step_code(op.source, True), "    "))
-    else:
-        code = _step_code(op.source, None)
     fname = f"exec_{op.name}"
-    src = (f"def {fname}(cpu, i):\n"
-           + ("    regs = cpu.regs\n" if "regs[" in code else "")
-           + textwrap.indent(code, "    ") + "\n")
+    name = f"<x86 {op.name}>"
+
+    def build() -> CodeType:
+        if any(mentions_memory(s) for s in op.body):
+            code = ("if i.rm_reg >= 0:\n"
+                    + textwrap.indent(_step_code(op.source, False), "    ")
+                    + "\nelse:\n"
+                    + textwrap.indent(_step_code(op.source, True), "    "))
+        else:
+            code = _step_code(op.source, None)
+        src = (f"def {fname}(cpu, i):\n"
+               + ("    regs = cpu.regs\n" if "regs[" in code else "")
+               + textwrap.indent(code, "    ") + "\n")
+        return compile(src, name, "exec")
+
     ns = dict(NS)
-    exec(compile_cached(src, f"<x86 {op.name}>"), ns)
+    exec(cached(name, op.name, build), ns)
     return cast(Callable[..., None], ns[fname])
 
 

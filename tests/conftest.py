@@ -7,9 +7,13 @@ kernel takes ~1 s and booting a machine ~0.5 s, so tests share them.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.injection.campaign import CampaignContext
+from repro.isa import codecache
 from repro.kernel.build import build_kernel, kernel_program
 from repro.machine.machine import Machine
 
@@ -25,6 +29,15 @@ def _isolated_campaign_context_cache():
     CampaignContext.clear_cache()
     yield
     CampaignContext.clear_cache()
+
+
+@pytest.fixture
+def code_cache(tmp_path, monkeypatch) -> Path:
+    """An empty code cache under *tmp_path*, with zeroed counters."""
+    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
+    monkeypatch.setattr(codecache, "stats",
+                        dict.fromkeys(codecache.stats, 0))
+    return tmp_path / "repro-generated"
 
 
 @pytest.fixture(scope="session")

@@ -93,9 +93,9 @@ X86_BYTES = [
     ("push_imm", (0x7F,), "6a 7f", "push_imm", 0, 4),
     ("alu_rm_imm", ("add", 4, 0x80), "81 c4 80 00 00 00", "grp1_rm_imm", 0, 4),
     ("push_imm", (0x80,), "68 80 00 00 00", "push_imm", 0, 4),
-    # -128 as a negative int takes the 32-bit form, as 0xFFFFFF80 the short
-    ("alu_rm_imm", ("add", 4, -128), "81 c4 80 ff ff ff", "grp1_rm_imm", 0, 4),
-    ("push_imm", (-128,), "68 80 ff ff ff", "push_imm", 0, 4),
+    # -128 is 0xFFFFFF80 taken as 32 bits: the short form either way
+    ("alu_rm_imm", ("add", 4, -128), "83 c4 80", "grp1_rm_imm", 0, 4),
+    ("push_imm", (-128,), "6a 80", "push_imm", 0, 4),
     ("alu_rm_imm", ("add", 4, -129), "81 c4 7f ff ff ff", "grp1_rm_imm", 0, 4),
     ("push_imm", (-129,), "68 7f ff ff ff", "push_imm", 0, 4),
     ("alu_rm_imm", ("add", 4, 0xFFFFFF80), "83 c4 80", "grp1_rm_imm", 0, 4),

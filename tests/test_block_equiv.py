@@ -961,9 +961,11 @@ class TestLeaders:
         assert leaders_for(arch, image) is leaders
 
     @pytest.mark.parametrize("arch", ["x86", "ppc"])
-    def test_cfg_failure_on_real_image_raises(self, arch, monkeypatch):
+    def test_cfg_failure_on_real_image_raises(self, arch, monkeypatch,
+                                              code_cache):
         """A real kernel whose CFG cannot be built must not fall back
-        silently to decode-until-branch blocks."""
+        silently to decode-until-branch blocks.  The code cache starts
+        empty, so the leaders are not served from an earlier build."""
         def broken(*args, **kwargs):
             raise RuntimeError("cfg build failed")
         monkeypatch.setattr(cfg_mod, "build_cfg", broken)

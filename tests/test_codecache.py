@@ -1,18 +1,18 @@
-"""The content-addressed cache of compiled generated source.
+"""The cache of values built from generated source.
 
-Every generated-source site (block units, both ISAs' step executors and
-both arches' effect functions) compiles through
-:func:`repro.isa.codecache.compile_cached`.  A cached code object must
-be exactly the one the site's own ``compile()`` would build, a warm
-context build must compile nothing, every pinned clean-pass and window
-figure must hold with the cache cold and warm, and a damaged entry must
-fail loudly.
+Every generated-source site (block units, both ISAs' step executors,
+both arches' effect functions) and the static-CFG block leaders go
+through :func:`repro.isa.codecache.cached`, filed under the inputs of
+generation rather than its output.  A value served on a hit must be
+exactly what its own ``build()`` gives afresh (a key that misses an
+input would serve a stale one), a warm context build must generate no
+source and build no CFG, every pinned clean-pass and window figure
+and a code campaign's results must hold with the cache cold and warm,
+and a damaged entry must fail loudly.
 """
 
 from __future__ import annotations
 
-import __future__
-import functools
 import marshal
 import multiprocessing
 import sys
@@ -21,28 +21,24 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.compile.blocks as blocks
 import repro.compile.emit as emit
+import repro.compile.gen_ppc as gen_ppc
+import repro.compile.gen_x86 as gen_x86
 import repro.ppc.isa as pisa
+import repro.static.cfg as cfg_mod
 import repro.static.effects as effects
 import repro.x86.isa as xisa
-from repro.injection.campaign import CampaignContext
+from repro.injection.campaign import Campaign, CampaignConfig, CampaignContext
+from repro.injection.outcomes import CampaignKind
 from repro.isa import codecache
-from repro.isa.codecache import CodeCacheError, compile_cached
-from repro.static.effects import UnknownInstructionError, insn_effects
-from repro.x86 import decoder as xdec
+from repro.isa.codecache import CodeCacheError, cached
+from repro.kernel.build import build_kernel
+from tests.test_campaign_digests import _digest
 from tests.test_clean_pass import DIGESTS, clean_pass_digest
 from tests.test_window_pass import PINS
 
-SITES = (emit, xisa, pisa, effects)
-
-
-@pytest.fixture
-def cache(tmp_path, monkeypatch) -> Path:
-    """An empty cache under *tmp_path*, with zeroed counters."""
-    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
-    monkeypatch.setattr(codecache, "stats",
-                        dict.fromkeys(codecache.stats, 0))
-    return tmp_path / "repro-generated"
+SITES = (emit, xisa, pisa, effects, blocks)
 
 
 @pytest.fixture
@@ -52,12 +48,23 @@ def no_contexts(monkeypatch):
     monkeypatch.setattr(CampaignContext, "_cache", {})
 
 
-def _future_flags(module) -> int:
-    """The ``__future__`` flags ``compile()`` inherits in *module*."""
-    return functools.reduce(
-        lambda flags, feature: flags | feature.compiler_flag,
-        (value for value in vars(module).values()
-         if isinstance(value, __future__._Feature)), 0)
+def _forget(monkeypatch) -> None:
+    """Drop what this process keeps of its earlier builds, so the next
+    one asks the code cache again: contexts, effect functions and each
+    image's block leaders."""
+    CampaignContext.clear_cache()
+    monkeypatch.setattr(effects, "_X86_EFFECT_FNS", {})
+    monkeypatch.setattr(effects, "_PPC_EFFECT_FNS", {})
+    for arch in ("x86", "ppc"):
+        monkeypatch.delattr(build_kernel(arch), blocks._STATIC_ATTR,
+                            raising=False)
+
+
+def _build_executors() -> None:
+    for op in xisa.TABLE:
+        xisa._step_function(op)
+    for op in pisa.TABLE:
+        pisa._step_function(op)
 
 
 def _check_context(arch: str) -> None:
@@ -73,67 +80,87 @@ def _check_context(arch: str) -> None:
         rungs = [[checkpoint.instret, checkpoint.last_pet]
                  for checkpoint in context.ladder(count).checkpoints]
         assert rungs == pins[f"ladder{count}"], count
-    blocks = context.base_machine.cpu._block_cache.snapshot()
-    assert [[addr, blocks[addr].n] for addr in sorted(blocks)] == \
+    blocks_ = context.base_machine.cpu._block_cache.snapshot()
+    assert [[addr, blocks_[addr].n] for addr in sorted(blocks_)] == \
         pins["window_blocks"]
 
 
-def test_every_site_matches_its_own_compile(cache, no_contexts,
-                                            monkeypatch):
-    """Cold or warm, each site gets byte for byte the code object a
-    ``compile()`` in its own module builds from the same text."""
-    calls = []
+def _code_campaign() -> str:
+    """The digest of an x86 code campaign on the (x86, 11, 48) context.
+    Its experiments compile blocks over flipped instructions: at the
+    addresses of the clean pass's blocks, with one field changed (an
+    immediate, a register, a row)."""
+    config = CampaignConfig(arch="x86", kind=CampaignKind.CODE, count=24,
+                            seed=11, ops=48)
+    result = Campaign(config, CampaignContext.get("x86", 11, 48)).run()
+    assert not result.failures
+    return _digest(result)
 
-    def recording(module, text, name):
-        calls.append((module, text, name))
-        return compile_cached(text, name)
+
+def test_every_hit_is_what_a_fresh_build_gives(code_cache, no_contexts,
+                                              monkeypatch):
+    """The stale-key guard: over a cold and then a warm clean pass of
+    both arches and an x86 code campaign, every value the cache
+    serves equals, under ``marshal``, what its own ``build()`` gives
+    afresh — so no input of generation is missing from its key."""
+    served = []
+
+    def recording(name, key, build):
+        hits = codecache.stats["hits"]
+        value = cached(name, key, build)
+        if codecache.stats["hits"] > hits:
+            served.append((name, value, build))
+        return value
 
     for module in SITES:
-        monkeypatch.setattr(module, "compile_cached",
-                            functools.partial(recording, module))
-    monkeypatch.setattr(effects, "_X86_EFFECT_FNS", {})
-    for op in xisa.TABLE:
-        xisa._step_function(op)
-    for op in pisa.TABLE:
-        pisa._step_function(op)
-        effects._ppc_effects(op)
-    for opcode in range(256):
-        instr = xdec.decode(bytes([opcode]) + bytes(12))
-        try:
-            insn_effects(instr, 0)
-        except UnknownInstructionError:
-            pass
-    CampaignContext.get("ppc", 0, 36)
-    names = {name for _module, _text, name in calls}
-    assert {module for module, _text, _name in calls} == set(SITES)
-    assert "<x86 effects>" in names and "<effects addi>" in names
-
-    assert codecache.stats["misses"] == codecache.stats["writes"] > 0
-    hits = codecache.stats["hits"]
-    for module, text, name in calls:
-        fresh = compile(text, name, "exec", flags=_future_flags(module),
-                        dont_inherit=True)
-        cached = compile_cached(text, name)
-        # both held, so marshal flags the same objects as shared
-        assert marshal.dumps(cached) == marshal.dumps(fresh), name
-    assert codecache.stats["hits"] - hits == len(calls)
-
-
-def test_warm_build_compiles_nothing_and_holds_the_pins(cache,
-                                                        no_contexts):
-    """A second cold build of both contexts in one process takes every
-    code object from the cache; both builds reproduce the pins."""
-    for warm in (False, True):
-        CampaignContext.clear_cache()
-        before = dict(codecache.stats)
+        monkeypatch.setattr(module, "cached", recording)
+    campaigns = []
+    for _warm in (False, True):
+        _forget(monkeypatch)
+        _build_executors()
         for arch in ("x86", "ppc"):
             _check_context(arch)
-        misses = codecache.stats["misses"] - before["misses"]
-        hits = codecache.stats["hits"] - before["hits"]
-        if warm:
-            assert misses == 0 and hits > 100
-        else:
-            assert misses > 100
+        campaigns.append(_code_campaign())
+    assert campaigns[0] == campaigns[1]
+
+    assert codecache.stats["misses"] == codecache.stats["writes"] > 0
+    names = {name for name, _value, _build in served}
+    for kind in ("<x86 alu_rm_r>", "<ppc addi>", "<x86 effects>",
+                 "<effects addi>", "<x86 statics>", "<ppc statics>"):
+        assert kind in names, kind
+    assert any("x86-block@" in name for name in names)
+    assert any("ppc-block@" in name for name in names)
+    for name, value, build in served:
+        assert marshal.dumps(value, 0) == marshal.dumps(build(), 0), name
+
+
+def test_warm_build_generates_nothing(code_cache, no_contexts,
+                                      monkeypatch):
+    """With a warm cache, building both contexts (and every step
+    executor) generates no source text and builds no CFG, and takes
+    everything from the cache; cold and warm builds hold the pins."""
+    _forget(monkeypatch)
+    _build_executors()
+    for arch in ("x86", "ppc"):
+        _check_context(arch)
+    assert codecache.stats["misses"] > 100
+
+    def generating(*args, **kwargs):
+        raise AssertionError("a warm build generated source")
+
+    for module, name in ((xisa, "_step_code"), (xisa, "_Step"),
+                         (pisa, "_Step"), (gen_x86, "_body"),
+                         (gen_ppc, "_body"), (emit, "_generate"),
+                         (effects, "_X86Effects"), (effects, "_PPCEffects"),
+                         (cfg_mod, "build_cfg")):
+        monkeypatch.setattr(module, name, generating)
+    _forget(monkeypatch)
+    before = dict(codecache.stats)
+    _build_executors()
+    for arch in ("x86", "ppc"):
+        _check_context(arch)
+    assert codecache.stats["misses"] == before["misses"]
+    assert codecache.stats["hits"] - before["hits"] > 100
     assert codecache.stats["write_skipped"] == 0
 
 
@@ -164,18 +191,53 @@ CORRUPTIONS = {
     "not-marshal": lambda path, blob: _rewrite(path, b"\xff" * 20),
     "not-code": lambda path, blob: _rewrite(path, marshal.dumps(42)),
     "other-file": lambda path, blob: _rewrite(path, marshal.dumps(
-        compile("x = 1\n", "<elsewhere>", "exec"))),
+        ("<elsewhere>", compile("x = 1\n", "<elsewhere>", "exec")))),
 }
 
 
+def _probe():
+    return compile("x = 1\n", "<probe>", "exec")
+
+
 @pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
-def test_corrupt_entry_is_a_typed_error_naming_its_file(cache, damage):
-    compile_cached("x = 1\n", "<probe>")
-    [path] = cache.iterdir()
+def test_corrupt_entry_is_a_typed_error_naming_its_file(code_cache,
+                                                       damage):
+    cached("<probe>", "x", _probe)
+    [path] = code_cache.iterdir()
     CORRUPTIONS[damage](path, path.read_bytes())
     with pytest.raises(CodeCacheError, match=str(path)) as raised:
-        compile_cached("x = 1\n", "<probe>")
+        cached("<probe>", "x", _probe)
     assert raised.value.path == path
+
+
+@pytest.fixture
+def package(tmp_path, monkeypatch):
+    """A stand-in package of one file, digested afresh."""
+    root = tmp_path / "package"
+    (root / "__pycache__").mkdir(parents=True)
+    (root / "module.py").write_text("x = 1\n")
+    monkeypatch.setattr(codecache, "_PACKAGE", root)
+    codecache._base.cache_clear()
+    yield root
+    codecache._base.cache_clear()
+
+
+def test_editing_the_package_invalidates_every_entry(code_cache, package):
+    """An entry is keyed by every file of the package: an edit anywhere
+    misses, a file in ``__pycache__`` does not count."""
+    def misses() -> int:
+        codecache._base.cache_clear()
+        before = codecache.stats["misses"]
+        cached("<probe>", "x", _probe)
+        return codecache.stats["misses"] - before
+
+    assert misses() == 1
+    (package / "__pycache__" / "module.pyc").write_bytes(b"\0")
+    assert misses() == 0
+    (package / "module.py").write_text("x = 2\n")
+    assert misses() == 1
+    (package / "other.txt").write_text("")
+    assert misses() == 1
 
 
 def test_default_location_is_the_package_pycache(monkeypatch):
@@ -187,10 +249,11 @@ def test_default_location_is_the_package_pycache(monkeypatch):
 def _fill(texts) -> None:
     for _ in range(3):
         for index, text in enumerate(texts):
-            compile_cached(text, f"<race {index}>")
+            name = f"<race {index}>"
+            cached(name, index, lambda: compile(text, name, "exec"))
 
 
-def test_concurrent_writers_never_expose_a_partial_entry(cache):
+def test_concurrent_writers_never_expose_a_partial_entry(code_cache):
     """Three processes on two cores write and read the same entries at
     once; every read sees a whole entry."""
     texts = [f"def f{n}(a):\n    return a * {n} + {n * n}\n" * 40
@@ -204,7 +267,7 @@ def test_concurrent_writers_never_expose_a_partial_entry(cache):
         worker.join(timeout=60)
     assert all(not worker.is_alive() and worker.exitcode == 0
                for worker in workers)
-    assert sorted(path.name for path in cache.iterdir()
+    assert sorted(path.name for path in code_cache.iterdir()
                   if path.name.startswith(".tmp")) == []
     _fill(texts)
     assert codecache.stats["misses"] == 0
