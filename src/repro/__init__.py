@@ -23,9 +23,17 @@ Quick start::
     print(study.render_all())
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from repro.core import CampaignKind, Study, StudyConfig, run_campaign
+__version__ = "1.0.0"
 
 __all__ = ["Study", "StudyConfig", "run_campaign", "CampaignKind",
            "__version__"]
+
+
+def __getattr__(name: str):
+    """The study API, imported on first use: a campaign process never
+    loads the study and analysis modules behind it."""
+    if name in __all__:
+        return getattr(importlib.import_module("repro.core"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

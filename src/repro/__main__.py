@@ -262,7 +262,7 @@ def cmd_disasm(args: argparse.Namespace) -> int:
 
 
 def cmd_static(args: argparse.Namespace) -> int:
-    from repro.static import analyze_kernel
+    from repro.static.predictor import analyze_kernel
     from repro.static.report import compare_rates
     arches = ("x86", "ppc") if args.arch == "both" else (args.arch,)
     reports = []

@@ -1,18 +1,2 @@
 """Off-line analysis: crash classification, latency, tables, figures,
 propagation, and JSON export."""
-
-from repro.analysis.classify import classify_crash
-from repro.analysis.export import dump_results, load_results
-from repro.analysis.figures import crash_cause_distribution
-from repro.analysis.latency import LATENCY_BUCKETS, latency_histogram
-from repro.analysis.propagation import code_propagation, propagation_rate
-from repro.analysis.tables import CampaignRow, build_table
-
-__all__ = [
-    "classify_crash",
-    "LATENCY_BUCKETS", "latency_histogram",
-    "CampaignRow", "build_table",
-    "crash_cause_distribution",
-    "code_propagation", "propagation_rate",
-    "dump_results", "load_results",
-]

@@ -13,23 +13,3 @@ Implements the paper's automated three-step process (Figure 2):
    :mod:`repro.injection.campaign`) — outcome classification, crash
    dumps over the lossy channel, and campaign statistics.
 """
-
-from repro.injection.outcomes import (
-    CampaignKind, CrashCauseG4, CrashCauseP4, InjectionResult, Outcome,
-)
-from repro.injection.targets import (
-    CodeTarget, DataTarget, RegisterTarget, StackTarget, TargetGenerator,
-)
-from repro.injection.collector import CrashDataCollector
-from repro.injection.campaign import Campaign, CampaignConfig, CampaignResult
-from repro.injection.parallel import ShardFailure, run_parallel
-
-__all__ = [
-    "Outcome", "CampaignKind", "CrashCauseP4", "CrashCauseG4",
-    "InjectionResult",
-    "CodeTarget", "StackTarget", "DataTarget", "RegisterTarget",
-    "TargetGenerator",
-    "CrashDataCollector",
-    "Campaign", "CampaignConfig", "CampaignResult",
-    "ShardFailure", "run_parallel",
-]

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.kcc.linker import KernelImage
+from repro.kernel.image import KernelImage
 from repro.ppc.registers import G4_SUPERVISOR_REGISTERS
 from repro.workload.profiler import FunctionProfile
 from repro.x86.registers import P4_SYSTEM_REGISTERS

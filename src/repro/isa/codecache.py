@@ -7,24 +7,31 @@ effect function (``repro.static.effects``) and each compiled block
 (``repro.compile.emit``) — is a function of this package's sources and
 a small key (a row's name; a block's decoded instructions).  A static
 CFG's block leaders (``repro.compile.blocks``) are a function of the
-same sources and of the kernel image's text and function layout.
+same sources and of the kernel image's text and function layout, and
+each linked kernel image (``repro.kernel.build``) of the sources and
+its arch.
 :func:`cached` files such a value under a hash of those inputs, so a
 process on a warm host loads it without generating any text.
 
-* **Key.** A hash of the interpreter's bytecode magic number, the
-  optimization level, a digest of every file of the ``repro`` package
-  (its bytes and relative path, read once per process, ``__pycache__``
-  pruned), the entry's name and its key (``marshal`` format 0, which
-  writes equal keys as equal bytes).  Editing any file under
-  ``src/repro`` therefore invalidates every entry.
+* **Generation.** A digest of every file of the ``repro`` package (its
+  bytes and relative path, read once per process, ``__pycache__``
+  pruned) names the directory the entries live in.  Editing any file
+  under ``src/repro`` therefore invalidates every entry, and the first
+  process that writes into the new generation removes every other
+  one, so the cache holds one source's entries at a time.
+* **Key.** Within a generation, a hash of the interpreter's bytecode
+  magic number, the optimization level, the entry's name and its key
+  (``marshal`` format 0, which writes equal keys as equal bytes).
 * **Entry.** ``marshal.dumps((name, value))`` behind a checksum of that
   payload, written to a temporary file and moved into place with
   ``os.replace``, so concurrent processes never see a partial entry.
-* **Location.** ``repro/__pycache__/generated/``, or
-  ``<prefix>/repro-generated/`` when Python's own ``sys.pycache_prefix``
-  is set (``-X pycache_prefix`` / ``PYTHONPYCACHEPREFIX``).  Deleting
-  the directory is always safe.  ``sys.dont_write_bytecode`` does not
-  apply: these entries are not the ``.pyc`` files it governs.
+* **Location.** ``repro/__pycache__/generated/<generation>/``, or
+  ``<prefix>/repro-generated/<generation>/`` when Python's own
+  ``sys.pycache_prefix`` is set (``-X pycache_prefix`` /
+  ``PYTHONPYCACHEPREFIX``).  Deleting the directory is always safe;
+  two checkouts of different sources that share one prefix evict each
+  other's generation.  ``sys.dont_write_bytecode`` does not apply:
+  these entries are not the ``.pyc`` files it governs.
 * **Failures.** An unwritable directory keeps the built value and
   counts a skipped write; a corrupt entry, or one filed under another
   name, raises :class:`CodeCacheError` naming its file.
@@ -41,11 +48,12 @@ import hashlib
 import importlib.util
 import marshal
 import os
+import shutil
 import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Dict, TypeVar
+from typing import Callable, Dict, Set, TypeVar
 
 _PACKAGE = Path(__file__).resolve().parents[1]
 
@@ -55,6 +63,9 @@ stats: Dict[str, int] = {"hits": 0, "misses": 0, "writes": 0,
 
 #: the service compiles in job threads
 _stats_lock = threading.Lock()
+
+#: generation directories this process has evicted the siblings of
+_evicted: Set[Path] = set()
 
 _CHECKSUM_BYTES = 16
 
@@ -86,31 +97,30 @@ def _checksum(payload: bytes) -> bytes:
 
 
 @functools.lru_cache(maxsize=None)
-def _base() -> "hashlib._Hash":
-    """The key hash of everything but the entry: interpreter, flags and
-    the package's files."""
-    base = hashlib.blake2b(importlib.util.MAGIC_NUMBER, digest_size=20)
-    base.update(b"%d\0" % sys.flags.optimize)
+def _generation() -> str:
+    """A digest of the package's files: the directory of their
+    entries."""
+    digest = hashlib.blake2b(digest_size=20)
     for root, dirs, files in os.walk(_PACKAGE):
         dirs[:] = sorted(name for name in dirs if name != "__pycache__")
         for name in sorted(files):
             path = os.path.join(root, name)
             with open(path, "rb") as source:
                 data = source.read()
-            base.update(b"%s\0%d\0" % (
+            digest.update(b"%s\0%d\0" % (
                 os.path.relpath(path, _PACKAGE).encode(), len(data)))
-            base.update(data)
-    return base
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def cached(name: str, key: object, build: Callable[[], T]) -> T:
     """``build()``, a marshal-able value determined by this package's
     sources and *key*; from the cache when an entry for (*name*, *key*)
     exists."""
-    digest = _base().copy()
-    digest.update(b"%s\0" % name.encode())
+    digest = hashlib.blake2b(importlib.util.MAGIC_NUMBER, digest_size=20)
+    digest.update(b"%d\0%s\0" % (sys.flags.optimize, name.encode()))
     digest.update(marshal.dumps(key, 0))
-    path = cache_dir() / digest.hexdigest()
+    path = cache_dir() / _generation() / digest.hexdigest()
     try:
         blob = path.read_bytes()
     except (FileNotFoundError, NotADirectoryError):
@@ -160,3 +170,21 @@ def _store(path: Path, payload: bytes) -> None:
             os.unlink(tmp)
         return
     _count("writes")
+    _evict(path.parent)
+
+
+def _evict(generation: Path) -> None:
+    """Remove every sibling of *generation* (older sources' entries),
+    once per process and cache directory."""
+    with _stats_lock:
+        if generation in _evicted:
+            return
+        _evicted.add(generation)
+    for sibling in generation.parent.iterdir():
+        if sibling == generation:
+            continue
+        if sibling.is_dir():
+            shutil.rmtree(sibling, ignore_errors=True)
+        else:                           # an entry of the flat layout
+            with contextlib.suppress(OSError):
+                sibling.unlink()

@@ -21,11 +21,11 @@ oracle for both backends.
 from repro.kcc.lexer import LexError, tokenize
 from repro.kcc.parser import ParseError, parse
 from repro.kcc.sema import SemaError, analyze
-from repro.kcc.linker import KernelImage, build_image
+from repro.kcc.linker import build_image
 
 __all__ = [
     "tokenize", "LexError",
     "parse", "ParseError",
     "analyze", "SemaError",
-    "build_image", "KernelImage",
+    "build_image",
 ]

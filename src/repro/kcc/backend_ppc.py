@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.kcc import ast
-from repro.kcc.layout import GlobalInfo, StructLayout
+from repro.kernel.image import GlobalInfo, StructLayout
 from repro.ppc.assembler import PPCAssembler, Reloc
 
 #: callee-saved registers for locals, allocated r31 downward

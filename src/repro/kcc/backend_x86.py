@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.kcc import ast
-from repro.kcc.layout import GlobalInfo, StructLayout
+from repro.kernel.image import GlobalInfo, StructLayout
 from repro.x86.assembler import Mem, Reloc, X86Assembler
 
 EAX, ECX, EDX, EBX, ESP, EBP, ESI, EDI = range(8)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.isa.memory import PhysicalMemory
 from repro.kcc import ast
-from repro.kcc.linker import KernelImage
+from repro.kernel.image import KernelImage
 
 MASK32 = 0xFFFFFFFF
 
@@ -50,10 +50,12 @@ class _ContinueSignal(Exception):
 
 
 class Interp:
-    """AST interpreter bound to a :class:`KernelImage` and a memory."""
+    """Interpreter of an analyzed *program*, bound to the
+    :class:`KernelImage` linked from it and to a memory."""
 
-    def __init__(self, image: KernelImage, memory: PhysicalMemory,
-                 max_steps: int = 2_000_000):
+    def __init__(self, program: ast.Program, image: KernelImage,
+                 memory: PhysicalMemory, max_steps: int = 2_000_000):
+        self.program = program
         self.image = image
         self.mem = memory
         self.max_steps = max_steps
@@ -84,7 +86,7 @@ class Interp:
 
     def call(self, name: str, args: Optional[List[int]] = None) -> int:
         """Run function *name* to completion and return its result."""
-        func = self.image.program.function_by_name(name)
+        func = self.program.function_by_name(name)
         args = list(args or [])
         if len(args) != len(func.params):
             raise InterpError(

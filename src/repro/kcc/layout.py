@@ -20,38 +20,10 @@ items (struct fields and scalar globals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.kcc import ast
-
-
-@dataclass(frozen=True)
-class FieldInfo:
-    """Access recipe for one struct field under one architecture."""
-
-    name: str
-    offset: int
-    access_width: int        # bytes moved by the load/store instruction
-    semantic_bits: int       # bits that carry meaning (8, 16, 32)
-    is_pointer: bool
-
-    @property
-    def load_mask(self) -> int:
-        """Mask applied in-register after the load (PPC sub-word fields)."""
-        if self.semantic_bits >= self.access_width * 8:
-            return 0          # no masking needed
-        return (1 << self.semantic_bits) - 1
-
-
-@dataclass(frozen=True)
-class StructLayout:
-    name: str
-    size: int
-    fields: Dict[str, FieldInfo]
-
-    def field(self, name: str) -> FieldInfo:
-        return self.fields[name]
+from repro.kernel.image import FieldInfo, GlobalInfo, StructLayout
 
 
 def _align(value: int, alignment: int) -> int:
@@ -89,27 +61,6 @@ def compute_struct_layouts(program: ast.Program, arch: str
                            ) -> Dict[str, StructLayout]:
     engine = layout_struct_x86 if arch == "x86" else layout_struct_ppc
     return {struct.name: engine(struct) for struct in program.structs}
-
-
-@dataclass(frozen=True)
-class GlobalInfo:
-    """Placement and access recipe for one global under one arch."""
-
-    name: str
-    addr: int
-    size: int                # total bytes including the whole array
-    count: int               # elements (1 for scalars)
-    elem_size: int           # distance between elements
-    access_width: int        # bytes per access instruction
-    semantic_bits: int
-    is_struct: bool
-    struct: str
-
-    @property
-    def load_mask(self) -> int:
-        if self.semantic_bits >= self.access_width * 8:
-            return 0
-        return (1 << self.semantic_bits) - 1
 
 
 def place_globals(program: ast.Program, arch: str, data_base: int,

@@ -1,99 +1,27 @@
 """Linker: lay out compiled functions and data into a kernel image.
 
-The image mimics a Linux 2.4 kernel mapping:
-
-* text at ``0xC0100000`` (read+execute; writes trap — the paper's
-  "writing to a read-only code segment" GP category on the P4);
-* data at ``0xC0300000`` (the section the data campaign samples);
-* per-task kernel stacks are mapped later by the machine layer.
-
-The image records per-function instruction maps (for the code-injection
-target generator and the profiler) and a reverse symbol index used by
-crash dumps to attribute a faulting address to a kernel function and
-subsystem.
+The image's mapping and records are described in
+:mod:`repro.kernel.image`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.kcc import ast
 from repro.kcc.backend_ppc import compile_function as compile_ppc
 from repro.kcc.backend_x86 import compile_function as compile_x86
 from repro.kcc.layout import (
-    GlobalInfo, StructLayout, build_data_image, compute_struct_layouts,
-    initialized_ranges, place_globals,
+    build_data_image, compute_struct_layouts, initialized_ranges,
+    place_globals,
 )
-
-TEXT_BASE = 0xC0100000
-DATA_BASE = 0xC0300000
-HEAP_BASE = 0xC0400000
+from repro.kernel.image import (
+    DATA_BASE, HEAP_BASE, TEXT_BASE, FunctionInfo, KernelImage,
+)
 
 
 class LinkError(Exception):
     pass
-
-
-@dataclass
-class FunctionInfo:
-    name: str
-    addr: int
-    size: int
-    insn_addrs: List[int]
-    subsystem: str = ""
-
-
-@dataclass
-class KernelImage:
-    """A fully linked kernel for one architecture."""
-
-    arch: str                           # "x86" or "ppc"
-    program: ast.Program
-    text_base: int
-    text_bytes: bytes
-    data_base: int
-    data_bytes: bytes
-    functions: Dict[str, FunctionInfo]
-    globals: Dict[str, GlobalInfo]
-    struct_layouts: Dict[str, StructLayout]
-    init_data_ranges: List[range] = field(default_factory=list)
-    #: dynamically-allocated-pool section (outside .data; not a
-    #: data-injection target)
-    heap_base: int = HEAP_BASE
-    heap_bytes: bytes = b""
-
-    @property
-    def little_endian(self) -> bool:
-        return self.arch == "x86"
-
-    @property
-    def text_end(self) -> int:
-        return self.text_base + len(self.text_bytes)
-
-    @property
-    def data_end(self) -> int:
-        return self.data_base + len(self.data_bytes)
-
-    def symbol(self, name: str) -> int:
-        if name in self.functions:
-            return self.functions[name].addr
-        if name in self.globals:
-            return self.globals[name].addr
-        raise KeyError(name)
-
-    def function_at(self, addr: int) -> Optional[FunctionInfo]:
-        """Attribute an address to the function containing it."""
-        for info in self.functions.values():
-            if info.addr <= addr < info.addr + info.size:
-                return info
-        return None
-
-    def sizeof(self, struct: str) -> int:
-        return self.struct_layouts[struct].size
-
-    def field(self, struct: str, name: str):
-        return self.struct_layouts[struct].field(name)
 
 
 def _align(value: int, alignment: int) -> int:
@@ -200,7 +128,7 @@ def build_image(program: ast.Program, arch: str,
         text[offset:offset + len(code)] = code
 
     return KernelImage(
-        arch=arch, program=program, text_base=text_base,
+        arch=arch, text_base=text_base,
         text_bytes=bytes(text), data_base=data_base,
         data_bytes=data_bytes, functions=functions,
         globals=globals_info, struct_layouts=layouts,

@@ -2,13 +2,8 @@
 
 The kernel proper is written once in the kcc DSL (``source/*.kc``) and
 compiled for both target architectures by :func:`repro.kernel.build.
-build_kernel`.  The subsystem split mirrors the kernel tree the paper
-profiles: ``lib``, ``spinlock`` (arch), ``sched`` (kernel/), ``mm``,
-``fs``, ``net``, ``ipc``, and the syscall table.
+build_kernel` into a :class:`repro.kernel.image.KernelImage`.  The
+subsystem split mirrors the kernel tree the paper profiles: ``lib``,
+``spinlock`` (arch), ``sched`` (kernel/), ``mm``, ``fs``, ``net``,
+``ipc``, and the syscall table.
 """
-
-from repro.kernel.build import build_kernel, kernel_program, kernel_source
-from repro.kernel.abi import Syscall, SYSCALL_NUMBERS
-
-__all__ = ["build_kernel", "kernel_program", "kernel_source",
-           "Syscall", "SYSCALL_NUMBERS"]

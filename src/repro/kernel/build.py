@@ -5,17 +5,24 @@ link order of a real kernel build.  Each function is tagged with the
 subsystem its source file represents so that crash dumps and the
 profiler can attribute activity the way the paper does ("the mm
 subsystem", "the network subsystem", ...).
+
+A linked image is a function of this package's sources and the arch
+alone, so :func:`build_kernel` files it in the code cache
+(:mod:`repro.isa.codecache`): a warm process loads it without
+importing the compiler.
 """
 
 from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.kcc import analyze, build_image, parse
-from repro.kcc.ast import Program
-from repro.kcc.linker import KernelImage
+from repro.isa.codecache import cached
+from repro.kernel.image import KernelImage
+
+if TYPE_CHECKING:
+    from repro.kcc.ast import Program
 
 #: concatenation order; (file stem, subsystem tag)
 SOURCE_ORDER: Tuple[Tuple[str, str], ...] = (
@@ -43,7 +50,7 @@ def kernel_source() -> str:
     return "\n".join(parts)
 
 
-def _subsystem_map(program: Program) -> Dict[str, str]:
+def _subsystem_map() -> Dict[str, str]:
     """Map each function to its subsystem by re-parsing per file."""
     mapping: Dict[str, str] = {}
     for stem, tag in SOURCE_ORDER:
@@ -60,6 +67,7 @@ def _subsystem_map(program: Program) -> Dict[str, str]:
 @functools.lru_cache(maxsize=None)
 def kernel_program() -> Program:
     """Parse and analyze the kernel once per process."""
+    from repro.kcc import analyze, parse
     return analyze(parse(kernel_source()))
 
 
@@ -72,12 +80,17 @@ HEAP_GLOBALS = frozenset({"mem_pool", "ramdisk", "buffer_data",
 
 @functools.lru_cache(maxsize=4)
 def build_kernel(arch: str) -> KernelImage:
-    """Compile and link the kernel for ``"x86"`` or ``"ppc"``.
+    """The kernel linked for ``"x86"`` or ``"ppc"``: from the code
+    cache, or compiled and linked on a miss.
 
-    Cached: images are immutable; the machine layer copies the bytes
-    into each fresh machine's memory.
+    Cached per process too: images are immutable; the machine layer
+    copies the bytes into each fresh machine's memory.
     """
-    program = kernel_program()
-    return build_image(program, arch,
-                       heap_globals=HEAP_GLOBALS,
-                       subsystem_of=_subsystem_map(program))
+    return KernelImage.unpack(cached(f"<kernel {arch}>", arch,
+                                     lambda: _link(arch).pack()))
+
+
+def _link(arch: str) -> KernelImage:
+    from repro.kcc import build_image
+    return build_image(kernel_program(), arch, heap_globals=HEAP_GLOBALS,
+                       subsystem_of=_subsystem_map())

@@ -1,6 +1,6 @@
 """The simulated target node: CPU + memory + kernel + devices.
 
-A machine boots a :class:`~repro.kcc.linker.KernelImage`, creates the
+A machine boots a :class:`~repro.kernel.image.KernelImage`, creates the
 task population (kernel threads ``kupdate`` and ``kjournald`` plus user
 workload tasks, each with its own 8 KiB kernel stack exactly like the
 Linux 2.4 task union), and then lets the workload drive syscalls into
@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.compile import BlockCache, lookup_block
 from repro.isa.memory import Region
-from repro.kcc.linker import KernelImage
+from repro.kernel.image import KernelImage
 from repro.kernel.build import build_kernel
 from repro.machine.events import CrashReport, HangDetected, KernelCrash
 from repro.machine.nic import LossyChannel, NIC, encode_crash_packet

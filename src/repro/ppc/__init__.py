@@ -18,13 +18,3 @@ G4 that the paper holds responsible for its error-sensitivity profile:
 * a supervisor SPR file of 99 registers of which only a handful (MSR,
   SDR1, SPRG2, HID0, BATs) have behavioural consequences.
 """
-
-from repro.ppc.cpu import PPCCPU
-from repro.ppc.exceptions import PPCFault, PPCVector
-from repro.ppc.assembler import PPCAssembler
-from repro.ppc.disasm import disassemble_word, disassemble_range
-
-__all__ = [
-    "PPCCPU", "PPCFault", "PPCVector", "PPCAssembler",
-    "disassemble_word", "disassemble_range",
-]

@@ -30,40 +30,3 @@ anything, from the compiled images alone:
 ``CampaignResult``, and checks that the report's provably-dead bits
 and its taint-proven-masked superset never manifest when injected.
 """
-
-from repro.static.cfg import BasicBlock, FunctionCFG, KernelCFG, build_cfg
-from repro.static.corruption import CorruptionClass, classify_flip
-from repro.static.effects import InsnEffects, insn_effects
-from repro.static.liveness import LivenessResult, compute_liveness
-from repro.static.predictor import (
-    PredictedOutcome, analyze_image, analyze_kernel,
-)
-from repro.static.report import BitPrediction, StaticSensitivityReport
-from repro.static.sinks import SINK_KINDS, sink_triggers
-from repro.static.taint import (
-    SinkHit, TaintEngine, TaintVerdict, transfer,
-)
-
-__all__ = [
-    "BasicBlock",
-    "BitPrediction",
-    "CorruptionClass",
-    "FunctionCFG",
-    "InsnEffects",
-    "KernelCFG",
-    "LivenessResult",
-    "PredictedOutcome",
-    "SINK_KINDS",
-    "SinkHit",
-    "StaticSensitivityReport",
-    "TaintEngine",
-    "TaintVerdict",
-    "analyze_image",
-    "analyze_kernel",
-    "build_cfg",
-    "classify_flip",
-    "compute_liveness",
-    "insn_effects",
-    "sink_triggers",
-    "transfer",
-]

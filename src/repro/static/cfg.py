@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.kcc.linker import KernelImage
+from repro.kernel.image import KernelImage
 from repro.ppc import decoder as pdec
 from repro.ppc.insn import PPCInstr
 from repro.static.effects import (

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from typing import Tuple, Union
 
-from repro.kcc.linker import KernelImage
+from repro.kernel.image import KernelImage
 from repro.ppc import decoder as pdec
 from repro.ppc.insn import PPCInstr
 from repro.static.cfg import decode_at

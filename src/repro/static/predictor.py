@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.kcc.linker import KernelImage
+from repro.kernel.image import KernelImage
 from repro.kernel.build import build_kernel
 from repro.static.cfg import AnyInstr, KernelCFG, build_cfg
 from repro.static.corruption import (

@@ -90,10 +90,19 @@ class CleanRunProbe:
         if self._index is not None:
             return self._index
         index: Dict[int, List[AccessRecord]] = {}
+        get = index.get
         for record in self.accesses:    # already in instret order
-            _, addr, width, _ = record
-            for word in range(addr >> 2, ((addr + width - 1) >> 2) + 1):
-                index.setdefault(word, []).append(record)
+            addr = record[1]
+            word, last = addr >> 2, (addr + record[2] - 1) >> 2
+            while True:
+                bucket = get(word)
+                if bucket is None:
+                    index[word] = [record]
+                else:
+                    bucket.append(record)
+                if word == last:
+                    break
+                word += 1
         self._index = index
         return index
 

@@ -13,19 +13,3 @@ that the paper holds responsible for its error-sensitivity profile:
 * no architectural stack-overflow detection: a corrupted stack pointer
   silently propagates until some dereference faults (paper Section 5.1).
 """
-
-from repro.x86.cpu import X86CPU
-from repro.x86.exceptions import X86Fault, X86Vector
-from repro.x86.registers import (
-    EAX, EBP, EBX, ECX, EDI, EDX, ESI, ESP,
-    GPR_NAMES, SEGMENT_NAMES,
-)
-from repro.x86.assembler import X86Assembler
-from repro.x86.disasm import disassemble, disassemble_range
-
-__all__ = [
-    "X86CPU", "X86Fault", "X86Vector", "X86Assembler",
-    "disassemble", "disassemble_range",
-    "EAX", "ECX", "EDX", "EBX", "ESP", "EBP", "ESI", "EDI",
-    "GPR_NAMES", "SEGMENT_NAMES",
-]

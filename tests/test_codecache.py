@@ -1,20 +1,26 @@
 """The cache of values built from generated source.
 
 Every generated-source site (block units, both ISAs' step executors,
-both arches' effect functions) and the static-CFG block leaders go
-through :func:`repro.isa.codecache.cached`, filed under the inputs of
-generation rather than its output.  A value served on a hit must be
-exactly what its own ``build()`` gives afresh (a key that misses an
-input would serve a stale one), a warm context build must generate no
-source and build no CFG, every pinned clean-pass and window figure
-and a code campaign's results must hold with the cache cold and warm,
-and a damaged entry must fail loudly.
+both arches' effect functions), the static-CFG block leaders and both
+linked kernel images go through :func:`repro.isa.codecache.cached`,
+filed under the inputs of generation rather than its output.  A value
+served on a hit must be exactly what its own ``build()`` gives afresh
+(a key that misses an input would serve a stale one), a warm context
+build must generate no source, build no CFG and compile no kernel, a
+warm campaign process must not import what it does not run, every
+pinned clean-pass and window figure and a code campaign's results must
+hold with the cache cold and warm, and a damaged entry must fail
+loudly.
 """
 
 from __future__ import annotations
 
+import json
 import marshal
 import multiprocessing
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,6 +31,8 @@ import repro.compile.blocks as blocks
 import repro.compile.emit as emit
 import repro.compile.gen_ppc as gen_ppc
 import repro.compile.gen_x86 as gen_x86
+import repro.kcc as kcc
+import repro.kernel.build as kernel_build
 import repro.ppc.isa as pisa
 import repro.static.cfg as cfg_mod
 import repro.static.effects as effects
@@ -38,7 +46,7 @@ from tests.test_campaign_digests import _digest
 from tests.test_clean_pass import DIGESTS, clean_pass_digest
 from tests.test_window_pass import PINS
 
-SITES = (emit, xisa, pisa, effects, blocks)
+SITES = (emit, xisa, pisa, effects, blocks, kernel_build)
 
 
 @pytest.fixture
@@ -50,14 +58,12 @@ def no_contexts(monkeypatch):
 
 def _forget(monkeypatch) -> None:
     """Drop what this process keeps of its earlier builds, so the next
-    one asks the code cache again: contexts, effect functions and each
-    image's block leaders."""
+    one asks the code cache again: contexts, effect functions and the
+    kernel images (with their block leaders)."""
     CampaignContext.clear_cache()
     monkeypatch.setattr(effects, "_X86_EFFECT_FNS", {})
     monkeypatch.setattr(effects, "_PPC_EFFECT_FNS", {})
-    for arch in ("x86", "ppc"):
-        monkeypatch.delattr(build_kernel(arch), blocks._STATIC_ATTR,
-                            raising=False)
+    build_kernel.cache_clear()
 
 
 def _build_executors() -> None:
@@ -126,7 +132,8 @@ def test_every_hit_is_what_a_fresh_build_gives(code_cache, no_contexts,
     assert codecache.stats["misses"] == codecache.stats["writes"] > 0
     names = {name for name, _value, _build in served}
     for kind in ("<x86 alu_rm_r>", "<ppc addi>", "<x86 effects>",
-                 "<effects addi>", "<x86 statics>", "<ppc statics>"):
+                 "<effects addi>", "<x86 statics>", "<ppc statics>",
+                 "<kernel x86>", "<kernel ppc>"):
         assert kind in names, kind
     assert any("x86-block@" in name for name in names)
     assert any("ppc-block@" in name for name in names)
@@ -137,8 +144,9 @@ def test_every_hit_is_what_a_fresh_build_gives(code_cache, no_contexts,
 def test_warm_build_generates_nothing(code_cache, no_contexts,
                                       monkeypatch):
     """With a warm cache, building both contexts (and every step
-    executor) generates no source text and builds no CFG, and takes
-    everything from the cache; cold and warm builds hold the pins."""
+    executor) generates no source text, builds no CFG and compiles no
+    kernel, and takes everything from the cache; cold and warm builds
+    hold the pins."""
     _forget(monkeypatch)
     _build_executors()
     for arch in ("x86", "ppc"):
@@ -152,7 +160,8 @@ def test_warm_build_generates_nothing(code_cache, no_contexts,
                          (pisa, "_Step"), (gen_x86, "_body"),
                          (gen_ppc, "_body"), (emit, "_generate"),
                          (effects, "_X86Effects"), (effects, "_PPCEffects"),
-                         (cfg_mod, "build_cfg")):
+                         (cfg_mod, "build_cfg"), (kcc, "parse"),
+                         (kcc, "build_image")):
         monkeypatch.setattr(module, name, generating)
     _forget(monkeypatch)
     before = dict(codecache.stats)
@@ -162,6 +171,55 @@ def test_warm_build_generates_nothing(code_cache, no_contexts,
     assert codecache.stats["misses"] == before["misses"]
     assert codecache.stats["hits"] - before["hits"] > 100
     assert codecache.stats["write_skipped"] == 0
+
+
+#: one process: both (arch, 11, 48) contexts and a 4-injection register
+#: campaign on each, then the modules it imported and its cache counters
+_CAMPAIGN_PROCESS = """
+import json, sys
+from repro.injection.campaign import Campaign, CampaignConfig, CampaignContext
+from repro.injection.outcomes import CampaignKind
+from repro.isa import codecache
+for arch in ("x86", "ppc"):
+    config = CampaignConfig(arch=arch, kind=CampaignKind.REGISTER, count=4,
+                            seed=11, ops=48)
+    result = Campaign(config, CampaignContext.get(arch, 11, 48)).run()
+    assert len(result.results) == 4 and not result.failures
+print(json.dumps({"modules": sorted(sys.modules), "stats": codecache.stats}))
+"""
+
+#: what no campaign runs: the compiler, the static analyses but the
+#: effect tables, the report-side analysis, the study, the assemblers
+#: and the disassemblers
+_NOT_RUN = re.compile(
+    r"repro\.(kcc(\..*)?|static\.(?!effects$).*"
+    r"|analysis\.(compare|figures|latency|propagation|tables)"
+    r"|core\.study|.*\.(assembler|disasm))")
+
+
+def test_warm_campaign_process_imports_only_what_it_runs(tmp_path):
+    """A fresh process on a warm cache takes its kernel images and all
+    its generated code from the cache and never imports the compiler
+    or any other module a campaign does not run."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+
+    def run() -> dict:
+        out = subprocess.run(
+            [sys.executable, "-X", f"pycache_prefix={tmp_path}", "-c",
+             _CAMPAIGN_PROCESS], env=env, capture_output=True, text=True,
+            timeout=600, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    cold = run()
+    assert cold["stats"]["writes"] > 0
+    assert "repro.kcc.parser" in cold["modules"]
+    warm = run()
+    assert warm["stats"]["misses"] == 0 < warm["stats"]["hits"]
+    assert "repro.static.effects" in warm["modules"]
+    assert [name for name in warm["modules"]
+            if _NOT_RUN.fullmatch(name)] == []
 
 
 def test_unwritable_directory_builds_identically(tmp_path, monkeypatch,
@@ -203,7 +261,8 @@ def _probe():
 def test_corrupt_entry_is_a_typed_error_naming_its_file(code_cache,
                                                        damage):
     cached("<probe>", "x", _probe)
-    [path] = code_cache.iterdir()
+    [generation] = code_cache.iterdir()
+    [path] = generation.iterdir()
     CORRUPTIONS[damage](path, path.read_bytes())
     with pytest.raises(CodeCacheError, match=str(path)) as raised:
         cached("<probe>", "x", _probe)
@@ -217,27 +276,39 @@ def package(tmp_path, monkeypatch):
     (root / "__pycache__").mkdir(parents=True)
     (root / "module.py").write_text("x = 1\n")
     monkeypatch.setattr(codecache, "_PACKAGE", root)
-    codecache._base.cache_clear()
+    monkeypatch.setattr(codecache, "_evicted", set())
+    codecache._generation.cache_clear()
     yield root
-    codecache._base.cache_clear()
+    codecache._generation.cache_clear()
 
 
 def test_editing_the_package_invalidates_every_entry(code_cache, package):
     """An entry is keyed by every file of the package: an edit anywhere
-    misses, a file in ``__pycache__`` does not count."""
+    misses, a file in ``__pycache__`` does not count.  The process that
+    writes the new generation's first entry removes the old one's
+    directory."""
     def misses() -> int:
-        codecache._base.cache_clear()
+        codecache._generation.cache_clear()
         before = codecache.stats["misses"]
         cached("<probe>", "x", _probe)
         return codecache.stats["misses"] - before
 
+    def generations() -> list:
+        return sorted(path.name for path in code_cache.iterdir())
+
     assert misses() == 1
+    [first] = generations()
     (package / "__pycache__" / "module.pyc").write_bytes(b"\0")
     assert misses() == 0
+    assert generations() == [first]
     (package / "module.py").write_text("x = 2\n")
     assert misses() == 1
+    [second] = generations()
+    assert second != first
     (package / "other.txt").write_text("")
     assert misses() == 1
+    [third] = generations()
+    assert third not in (first, second)
 
 
 def test_default_location_is_the_package_pycache(monkeypatch):
@@ -267,7 +338,6 @@ def test_concurrent_writers_never_expose_a_partial_entry(code_cache):
         worker.join(timeout=60)
     assert all(not worker.is_alive() and worker.exitcode == 0
                for worker in workers)
-    assert sorted(path.name for path in code_cache.iterdir()
-                  if path.name.startswith(".tmp")) == []
+    assert sorted(path.name for path in code_cache.rglob(".tmp*")) == []
     _fill(texts)
     assert codecache.stats["misses"] == 0

@@ -68,7 +68,7 @@ def differential(source: str, fname: str, args):
         image = build_image(program, arch)
         memory = PhysicalMemory()
         memory.write(image.data_base, image.data_bytes)
-        expected = Interp(image, memory).call(fname, list(args))
+        expected = Interp(program, image, memory).call(fname, list(args))
         expected_data = memory.read(image.data_base,
                                     len(image.data_bytes))
         got, got_data = run_compiled(image, fname, args)

@@ -12,7 +12,7 @@ def make_interp(source: str, arch: str = "ppc", **kwargs):
     image = build_image(program, arch)
     memory = PhysicalMemory()
     memory.write(image.data_base, image.data_bytes)
-    return Interp(image, memory, **kwargs), image, memory
+    return Interp(program, image, memory, **kwargs), image, memory
 
 
 class TestControlFlow:
@@ -111,16 +111,15 @@ class TestArchSensitivity:
         addr = info.addr + field.offset
         word = memory.read_u32(addr, False)
         memory.write_u32(addr, word ^ (1 << 17), False)
-        reread = Interp(image, memory)
+        reread = Interp(interp.program, image, memory)
         assert reread.call("poke") & 0xFF != 0  # still behaves
         # direct load of the field masks the corruption away
-        program = image.program
         probe = analyze(parse(self.SOURCE + """
             fn peek() -> u32 { var p: *s = &item; return p.b; }
         """))
         probe_image = build_image(probe, "ppc")
         # same layout; reuse memory contents at same base
-        probe_interp = Interp(probe_image, memory)
+        probe_interp = Interp(probe, probe_image, memory)
         assert probe_interp.call("peek") == 0xAB
 
     def test_x86_subword_field_has_no_slack(self):
@@ -135,5 +134,5 @@ class TestArchSensitivity:
             fn peek() -> u32 { var p: *s = &item; return p.b; }
         """))
         probe_image = build_image(probe, "x86")
-        probe_interp = Interp(probe_image, memory)
+        probe_interp = Interp(probe, probe_image, memory)
         assert probe_interp.call("peek") != 0xAB

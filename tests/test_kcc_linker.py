@@ -4,12 +4,14 @@ import hashlib
 
 import pytest
 
+from repro.isa import codecache
 from repro.kcc import analyze, build_image, parse
 from repro.kcc.layout import (
     compute_struct_layouts, layout_struct_ppc, layout_struct_x86,
     place_globals,
 )
 from repro.kcc.linker import LinkError
+from repro.kernel import build
 
 SOURCE = """
 struct widget { flag: u8; count: u16; total: u32; next: *widget; }
@@ -135,3 +137,17 @@ def test_kernel_image_bytes_pinned(arch, request):
     digest = hashlib.sha256(
         image.text_bytes + image.data_bytes + image.heap_bytes).hexdigest()
     assert digest == IMAGE_SHA256[arch]
+
+
+@pytest.mark.parametrize("arch", ["x86", "ppc"])
+def test_kernel_image_from_the_code_cache(arch, code_cache):
+    """An image built on a miss and one loaded on a hit are both the
+    linker's own image, and hold the pinned bytes."""
+    linked = build._link(arch)
+    for _ in ("miss", "hit"):
+        image = build.build_kernel.__wrapped__(arch)
+        assert image == linked
+        assert hashlib.sha256(
+            image.text_bytes + image.data_bytes + image.heap_bytes
+        ).hexdigest() == IMAGE_SHA256[arch]
+    assert codecache.stats["misses"] == codecache.stats["hits"] == 1
