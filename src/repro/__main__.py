@@ -51,10 +51,7 @@ import argparse
 import sys
 from dataclasses import fields
 
-from repro.analysis.figures import render_distribution
-from repro.analysis.latency import BUCKET_LABELS, latency_percentages
-from repro.analysis.tables import build_row, render_table
-from repro.core import Study, StudyConfig
+from repro.core.config import StudyConfig
 from repro.injection.campaign import (
     ARCHES, Campaign, CampaignConfig, CampaignKnobs, run_campaign,
 )
@@ -155,6 +152,7 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
+    from repro.core.study import Study
     _check_store_args(args)
     config = _config(StudyConfig, scale=args.scale, workers=args.workers,
                      store=args.store, resume=args.resume,
@@ -173,6 +171,9 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.analysis.figures import render_distribution
+    from repro.analysis.latency import BUCKET_LABELS, latency_percentages
+    from repro.analysis.tables import build_row, render_table
     _check_store_args(args)
     config = _campaign_config(args)
     kind = config.kind

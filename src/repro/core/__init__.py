@@ -17,10 +17,20 @@ Single campaigns::
     result = run_campaign("ppc", CampaignKind.CODE, count=200)
 """
 
+import importlib
+
 from repro.core.config import StudyConfig, EXPERIMENT_SETUP
-from repro.core.study import Study
 from repro.injection.campaign import run_campaign
 from repro.injection.outcomes import CampaignKind
 
 __all__ = ["Study", "StudyConfig", "EXPERIMENT_SETUP",
            "run_campaign", "CampaignKind"]
+
+
+def __getattr__(name: str):
+    """``Study``, imported on first use: the CLI and the campaign
+    processes that import this package never load the study and the
+    report-side analysis behind it."""
+    if name == "Study":
+        return importlib.import_module("repro.core.study").Study
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

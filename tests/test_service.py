@@ -28,6 +28,7 @@ import pytest
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.outcomes import CampaignKind
 from repro.service import CampaignService, ServiceClient, ServiceError
+from repro.service import scheduler as scheduler_mod
 from repro.service.jobs import FairQueue, Job, JobState
 from repro.service.protocol import (
     ValidationError, campaign_config_from_payload, config_to_payload,
@@ -391,21 +392,39 @@ class TestServiceEndToEnd:
                                                    x86_context)
 
     def test_cancel_queued_job_is_immediate(self, daemon,
-                                            x86_context):
+                                            x86_context, monkeypatch):
         client = daemon.client()
-        # saturate both slots, then queue one more and cancel it
+        # two blockers hold both slots until this test releases them,
+        # so the third job is still queued when its cancel lands
+        release = threading.Event()
+
+        class Blocker(Campaign):
+            def run(self, *args, **kwargs):
+                if self.config.dump_loss_probability < 0.09:
+                    assert release.wait(600), "blocker never released"
+                return super().run(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "Campaign", Blocker)
         blockers = [client.submit(
             {"arch": "x86", "kind": "data", "count": 30, "seed": 0,
              "ops": 36, "dump_loss_probability": 0.08 + index * 1e-6},
             workers=1)["job"]["id"] for index in range(2)]
-        queued = client.submit(
-            {"arch": "x86", "kind": "data", "count": 30, "seed": 0,
-             "ops": 36, "dump_loss_probability": 0.09})["job"]["id"]
-        view = client.cancel(queued)
-        assert view["state"] in ("cancelled", "queued")
-        final = client.wait(queued, timeout=60)
-        assert final["state"] == "cancelled"
-        assert final["done"] == 0      # never started
+        deadline = time.monotonic() + 60
+        while any(client.job(blocker)["state"] != "running"
+                  for blocker in blockers):
+            assert time.monotonic() < deadline, "blockers never started"
+            time.sleep(0.01)
+        try:
+            queued = client.submit(
+                {"arch": "x86", "kind": "data", "count": 30, "seed": 0,
+                 "ops": 36, "dump_loss_probability": 0.09})["job"]["id"]
+            view = client.cancel(queued)
+            assert view["state"] in ("cancelled", "queued")
+            final = client.wait(queued, timeout=60)
+            assert final["state"] == "cancelled"
+            assert final["done"] == 0      # never started
+        finally:
+            release.set()
         for blocker in blockers:
             assert client.wait(blocker,
                                timeout=600)["state"] == "done"
