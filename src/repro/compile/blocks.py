@@ -57,6 +57,7 @@ cache (see ``repro.checkpoint.ladder``).
 from __future__ import annotations
 
 import bisect
+import importlib
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa.codecache import cached
@@ -281,11 +282,7 @@ def leaders_for(arch: str, image) -> frozenset:
 
 
 def _generator(arch: str):
-    if arch == "x86":
-        from repro.compile import gen_x86
-        return gen_x86
-    from repro.compile import gen_ppc
-    return gen_ppc
+    return importlib.import_module(f"repro.compile.gen_{arch}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 what generation reads.
 
 Everything the simulator generates as Python text — each instruction's
-step executor (``repro.x86.isa``, ``repro.ppc.isa``), each static
+step executor (``repro.isa.table``), each static
 effect function (``repro.static.effects``) and each compiled block
 (``repro.compile.emit``) — is a function of this package's sources and
 a small key (a row's name; a block's decoded instructions).  A static
