@@ -15,7 +15,9 @@ serial one: per-target seeds derive from the *global* target index.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from functools import cached_property
+from importlib import import_module
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.checkpoint.ladder import (
     DEFAULT_CHECKPOINTS, BoundarySnapshots, CheckpointLadder, build_ladder,
@@ -30,6 +32,8 @@ from repro.injection.outcomes import (
 )
 from repro.injection.targets import TargetGenerator
 from repro.machine.machine import KSTACK_SIZE, Machine, MachineConfig
+from repro.machine.register_semantics import ABSORBING
+from repro.static.effects import insn_effects
 from repro.workload.driver import UnixBenchDriver
 from repro.workload.probe import CleanRunProbe, probe_clean_run
 from repro.workload.profiler import FunctionProfile, profile_kernel
@@ -279,6 +283,33 @@ class CampaignContext:
     def run_window(self) -> tuple:
         return (self.probe.boot_instret, self.probe.total_instret)
 
+    @property
+    def absorbing_registers(self) -> FrozenSet[str]:
+        """Registers whose flips end their run at the injection instant.
+
+        The arch's :data:`~repro.machine.register_semantics.ABSORBING`
+        table, when the clean window has no fail-silence violation and
+        executes no instruction whose effects carry ``system`` (the
+        only bodies that read supervisor registers); else empty.  With
+        such a register R flipped, every step of the injected run reads
+        the same values as the clean run's step, so (by induction over
+        the steps) the run equals the clean tail everywhere but R, and
+        completes as ``NOT_MANIFESTED``.
+        """
+        if self.probe.fsv_clean or self._window_runs_system_code:
+            return frozenset()
+        return ABSORBING[self.arch]
+
+    @cached_property
+    def _window_runs_system_code(self) -> bool:
+        """Whether the clean window executes an instruction whose
+        effects carry ``system``; scanned on the first register
+        experiment, never during set-up."""
+        decode = import_module(f"repro.compile.gen_{self.arch}").decode_raw
+        cpu = self.base_machine.cpu
+        return any(insn_effects(decode(cpu, addr), addr).system
+                   for addr in self.probe.first_executed)
+
 
 class Campaign:
     """One injection campaign (one row of Table 5 / Table 6)."""
@@ -379,6 +410,8 @@ class Campaign:
         the spec carries the latest clean-run snapshot at or before
         the target's trigger instant, and the injector fast-forwards
         only the residue (bit-identical, see :mod:`repro.checkpoint`).
+        A register target the context's clean window never reads is
+        marked ``absorbing``.
         """
         config = self.config
         checkpoint = None
@@ -398,7 +431,9 @@ class Campaign:
             dump_loss_probability=config.dump_loss_probability,
             exec_mode=config.exec_mode,
             fault_model=config.fault_model,
-            checkpoint=checkpoint)
+            checkpoint=checkpoint,
+            absorbing=config.kind is CampaignKind.REGISTER
+            and target.name in self.context.absorbing_registers)
 
     def run_target(self, index: int, target) -> InjectionResult:
         """Run one pre-generated target.

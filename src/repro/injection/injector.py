@@ -13,7 +13,10 @@ window, and classifies the outcome:
   value, per Section 3.3);
 * **register** — at the injection instant the register is flipped
   through the register-semantics layer (activation cannot be observed,
-  as the paper notes).
+  as the paper notes).  A spec marked ``absorbing`` flips a register
+  nothing in the rest of the window reads, so the run ends right there
+  with the record the full run would return (unless a tracer is
+  attached: a traced run always simulates its tail).
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ class RunSpec:
     #: — the snapshot is just further along the same deterministic
     #: pre-trigger execution
     checkpoint: Optional[Checkpoint] = None
+    #: a register target whose flip nothing after the injection instant
+    #: reads (``CampaignContext.absorbing_registers``): the run ends at
+    #: the flip, as ``NOT_MANIFESTED``, unless a tracer is attached
+    absorbing: bool = False
+
+
+class _Absorbed(Exception):
+    """Ends an absorbing register run at its injection instant."""
 
 
 class InjectionRun:
@@ -291,6 +302,11 @@ class InjectionRun:
                 machine.trace.on_inject(machine, detail,
                                         reg=target.name)
             apply_flips()
+            if self.spec.absorbing and machine.trace is None:
+                # the rest of the run is the clean run's tail, with
+                # the flip (and any retrigger) left unread in the
+                # register
+                raise _Absorbed
             self._arm_retriggers(plan, apply_flips, "register")
 
         machine.schedule_action(target.at_instret, inject)
@@ -304,7 +320,11 @@ class InjectionRun:
         base = dict(arch=self.machine.arch, kind=spec.kind,
                     target=spec.target)
         try:
-            result = self.driver.run(spec.ops)
+            events = self.driver.run(spec.ops).fsv_events
+        except _Absorbed:
+            # the clean window has no fail-silence violation (else the
+            # context's absorbing set is empty), nor has its tail
+            events = []
         except KernelCrash as crash:
             report = crash.report
             known = report.dump_delivered and not report.dump_failed
@@ -337,10 +357,10 @@ class InjectionRun:
             # activation unobservable: completing cleanly means the
             # flip was absorbed
             outcome = Outcome.FAIL_SILENCE_VIOLATION \
-                if result.fail_silence_violated else Outcome.NOT_MANIFESTED
+                if events else Outcome.NOT_MANIFESTED
         elif not self.activated:
             outcome = Outcome.NOT_ACTIVATED
-        elif result.fail_silence_violated:
+        elif events:
             outcome = Outcome.FAIL_SILENCE_VIOLATION
         else:
             outcome = Outcome.NOT_MANIFESTED
@@ -351,5 +371,5 @@ class InjectionRun:
             detail="; ".join(
                 f"{event.program}#{event.op_index}: "
                 f"expected {event.expected}, got {event.actual}"
-                for event in result.fsv_events[:3]),
+                for event in events[:3]),
             **base)

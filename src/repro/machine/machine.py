@@ -228,7 +228,6 @@ class Machine:
             self._expected["sprg2"] = SPRG2_VALUE
         else:
             self._expected["idtr_base"] = self.cpu.idtr_base
-            self._expected["gdtr_base"] = self.cpu.gdtr_base
         self.watchdog.pet(self.cpu.cycles)
         self._quantum_start_cycles = self.cpu.cycles
         self.booted = True

@@ -17,23 +17,56 @@ G4 (Section 5.2):
 * **SPRG2** corrupted -> the exception-entry stack switch jumps through
   garbage at the *next* exception (long latency, Illegal Instruction);
 * **HID0[BTIC]** enabled over invalid content -> the next taken branch
-  fetches a bogus target (Illegal Instruction);
-* everything else (PMCs, THRMx, spare SPRGs/BATs, segment registers in
-  our flat model, ...) absorbs flips silently.
+  fetches a bogus target (Illegal Instruction).
 
 P4: CR0/CR3/EFLAGS(NT)/FS/GS/ESP/EIP effects are implemented in the CPU
 and machine layers (selector validation at load/use, translation off on
 CR3/CR0.PG damage, NT checked at interrupt return, IDT checked at
 exception delivery).
+
+:data:`ABSORBING` names, per arch, the catalogue registers that have
+none of these effects: no code outside an instruction body reads them
+(the CPU, machine, driver and debug layers never look at them; a crash
+dump may, but only after a crash) and writing them changes nothing
+else.  Only an instruction body whose effects carry ``system`` (see
+:mod:`repro.static.effects`) can read one, so in a window that executes
+no such instruction a flip of one stays in that register and the run
+ends exactly like the clean run (``CampaignContext.absorbing_registers``
+turns this into the per-context set a campaign ends early).  A register
+not named here is simulated to the end of the window, so one added to
+the catalogue later stays simulated until it is declared.
 """
 
 from __future__ import annotations
+
+from typing import Dict, FrozenSet
 
 from repro.ppc.registers import HID0_BTIC, SPR_HID0, SPR_SDR1, SPR_SPRG2
 
 #: DBAT0/IBAT0 cover kernel lowmem in our model
 _IBAT0 = (528, 529)
 _DBAT0 = (536, 537)
+
+#: catalogue names (``RegisterTarget.name``) of the registers whose
+#: flips nothing outside an instruction body reads and whose writes
+#: have no effect; every register not named here is simulated
+ABSORBING: Dict[str, FrozenSet[str]] = {
+    "x86": frozenset({
+        "CR2", "CR4", "DR0", "DR1", "DR2", "DR3", "DR6", "DR7",
+        "GDTR_BASE", "GDTR_LIMIT", "LDTR", "TR"}),
+    "ppc": frozenset({
+        "SRR0", "SRR1", "DAR", "DSISR", "DEC", "TBL", "TBU", "PVR", "PIR",
+        "EAR",
+        *(f"SPRG{n}" for n in (0, 1, 3, 4, 5, 6, 7)),
+        *(f"{side}BAT{n}{half}" for side in "ID" for n in range(1, 8)
+          for half in "UL"),
+        "MMCR0", "MMCR1", "MMCR2", "BAMR", "SIAR",
+        *(f"PMC{n}" for n in range(1, 7)),
+        "HID1", "IABR", "DABR", "L2CR", "L3CR", "ICTC", "ICTRL", "LDSTCR",
+        "LDSTDB", "MSSCR0", "MSSSR0", "TLBMISS", "PTEHI", "PTELO",
+        "THRM1", "THRM2", "THRM3", "L3PM", "L3ITCR0",
+        *(f"SR{n}" for n in range(16))}),
+}
 
 
 def apply_ppc_spr_effect(machine, spr: int, old: int, new: int) -> None:

@@ -9,6 +9,11 @@ the (deterministic) target list, build the same :class:`RunSpec` the
 original run used via ``Campaign.spec_for``, and execute it — this
 time with the flight recorder armed.
 
+Replay attaches a recorder, runs in step mode from boot and uses no
+checkpoint rung, and a traced run simulates the tail of every register
+experiment, absorbing ones included (see :mod:`repro.injection.injector`):
+so it is an independent full-run check of each journaled record.
+
 The replayed result must match the journaled one bit for bit; any
 difference raises :class:`ReplayDivergence` naming the fields that
 drifted.  Divergence means the journal, the code, or the environment
