@@ -212,12 +212,11 @@ class BoundarySnapshots:
                     "captured machine carries a materialized RNG")
 
         # each rung was forked partway through the window; give it the
-        # blocks the whole window compiled, sound because the capture
-        # never changed kernel text (asserted above) and adopted blocks
-        # re-validate on first use
-        blocks = machine.cpu._block_cache
+        # blocks and decodes of the whole window, sound because the
+        # capture never changed kernel text (asserted above) and
+        # adopted entries re-validate on first use
         for checkpoint in checkpoints:
-            checkpoint.machine.cpu._block_cache.inherit(blocks)
+            checkpoint.machine.cpu.inherit(machine.cpu)
 
         return CheckpointLadder(
             arch=context.arch, seed=context.seed, ops=context.ops,

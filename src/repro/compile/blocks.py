@@ -30,24 +30,26 @@ set starts empty in every fork.
 
 Correctness contract (everything the step core observes must match):
 
-* Discovery never mutates CPU state: fetches go through the icache
-  tiers or a raw decode plus ``aspace.check`` — never ``decode_at`` /
-  ``_validate_fetch``, which set ``cr2``/``DAR`` on failure.
+* Discovery never mutates CPU state: it fetches through
+  ``Core.fetch`` (the decode tiers or a raw decode, plus
+  ``aspace.check``) — never ``decode_at`` / ``_validate_fetch``, which
+  set ``cr2``/``DAR`` on failure.
 * A block only runs from the *hot* tier, and a hot block guarantees
   every one of its instruction addresses is present in the CPU's hot
-  icache (``_prepare`` re-runs the same permission checks and the same
-  warm-tier promotion the step core would).  Any icache invalidation
-  or flush is forwarded here and demotes every hot block, so staleness
-  is impossible without an intervening re-validation.
+  decode tier (``_prepare`` re-runs the same permission checks and the
+  same warm-tier promotion the step core would).  Any decode
+  invalidation or flush is forwarded here and demotes every hot block,
+  so staleness is impossible without an intervening re-validation.
 * Blocks whose first instruction cannot be compiled (unknown encoding,
   unbounded string op) are cached as *negative markers*
   (``fn is None``) so the dispatch loop falls back to single-stepping
   without re-running discovery every visit.
 
-The cache mirrors the two-tier warm icache: ``fork()`` snapshots the
-parent's blocks into the child's warm tier (shared dict, copy-on-write
-on first eviction), and the first execution re-validates via
-``_prepare`` exactly like a warm icache hit does.  A campaign's
+The cache has the decode cache's tiers (both are
+:class:`repro.isa.core.Tiers`): a fork snapshots the parent's blocks
+into the child's warm tier (shared dict, copy-on-write on first
+eviction), and the first execution re-validates via ``_prepare``
+exactly like a warm decode hit does.  A campaign's
 machines start with the whole clean window's blocks: the observed
 clean pass (``repro.workload.probe``) compiles them once, and the
 context's base machine and every ladder rung ``inherit`` its final
@@ -61,6 +63,7 @@ import importlib
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa.codecache import cached
+from repro.isa.core import Tiers
 from repro.isa.faults import AccessKind, MemoryFault
 from repro.static.effects import (
     KIND_BRANCH, KIND_JUMP, UnknownInstructionError, insn_effects,
@@ -111,94 +114,39 @@ class CompiledBlock:
         return f"CompiledBlock({self.spans[0][0]:#x}, {tag})"
 
 
-class BlockCache:
-    """Two-tier compiled-block cache, mirroring the warm icache.
+class BlockCache(Tiers):
+    """The compiled-block tiers (:class:`repro.isa.core.Tiers`).
 
-    ``hot`` holds blocks whose instructions are all present in the hot
-    icache (safe to run directly); ``warm`` holds inherited or demoted
-    blocks that must pass ``_prepare`` before running.  The warm dict
-    may be shared with forked machines and is copied before the first
-    mutation.  ``missed`` holds the addresses the dispatch loop has
-    single-stepped on a first miss.  ``waiting`` holds region members
-    compiled along with another member, until their own second miss
-    (so a tier gains a block exactly when it would without regions).
-    Neither is inherited.
+    ``hot`` holds blocks whose instructions are all in the hot decode
+    tier (safe to run directly); ``warm`` holds inherited or demoted
+    blocks that must pass ``_prepare`` before running.  ``missed``
+    holds the addresses the dispatch loop has single-stepped on a first
+    miss.  ``waiting`` holds region members compiled along with another
+    member, until their own second miss (so a tier gains a block
+    exactly when it would without regions).  Neither is inherited.
     """
 
-    __slots__ = ("hot", "warm", "missed", "waiting", "_warm_owned",
-                 "_version", "_snapshot", "_snapshot_version")
+    __slots__ = ("missed", "waiting")
 
     def __init__(self) -> None:
-        self.hot: Dict[int, CompiledBlock] = {}
-        self.warm: Dict[int, CompiledBlock] = {}
+        super().__init__()
         self.missed: Set[int] = set()
         self.waiting: Dict[int, CompiledBlock] = {}
-        self._warm_owned = True
-        self._version = 0
-        self._snapshot: Optional[Dict[int, CompiledBlock]] = None
-        self._snapshot_version = -1
 
-    def _own_warm(self) -> Dict[int, CompiledBlock]:
-        if not self._warm_owned:
-            self.warm = dict(self.warm)
-            self._warm_owned = True
-        return self.warm
-
-    def insert_hot(self, addr: int, block: CompiledBlock) -> None:
-        self.hot[addr] = block
-        self._version += 1
-
-    def insert_warm(self, addr: int, block: CompiledBlock) -> None:
-        self._own_warm()[addr] = block
-        self._version += 1
+    def _restart(self) -> None:
+        self.waiting.clear()
+        super()._restart()
 
     def invalidate(self, addr: int, size: int = 1) -> None:
         """A write landed in ``[addr, addr+size)``: evict every block
-        whose extent overlaps it, then demote the remaining hot blocks
-        (their icache entries were just demoted too, so the hot-tier
-        invariant would no longer hold).  Waiting members are dropped."""
+        whose extent overlaps it and demote the rest (their decodes
+        were just demoted too, so the hot-tier invariant no longer
+        holds).  Waiting members are dropped."""
         self.waiting.clear()
         end = addr + max(size, 1)
-        hot = self.hot
-        stale_hot = [a for a, b in hot.items()
-                     if b.start < end and b.end > addr]
-        stale_warm = [a for a, b in self.warm.items()
-                      if b.start < end and b.end > addr]
-        if stale_warm:
-            warm = self._own_warm()
-            for a in stale_warm:
-                del warm[a]
-        for a in stale_hot:
-            del hot[a]
-        if hot:
-            warm = self._own_warm()
-            warm.update(hot)
-            hot.clear()
-        self._version += 1
-
-    def flush(self) -> None:
-        self.waiting.clear()
-        self.hot.clear()
-        self.warm = {}
-        self._warm_owned = True
-        self._version += 1
-
-    def snapshot(self) -> Dict[int, CompiledBlock]:
-        """Merged view of both tiers; cached until the next mutation so
-        sibling forks share one dict."""
-        if self._snapshot is None or self._snapshot_version != self._version:
-            merged = dict(self.warm)
-            merged.update(self.hot)
-            self._snapshot = merged
-            self._snapshot_version = self._version
-        return self._snapshot
-
-    def inherit(self, src: "BlockCache") -> None:
-        self.waiting.clear()
-        self.hot.clear()
-        self.warm = src.snapshot()
-        self._warm_owned = False
-        self._version += 1
+        self.evict([a for tier in (self.hot, self.warm)
+                    for a, b in tier.items()
+                    if b.start < end and b.end > addr])
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +250,10 @@ def _discover(cpu, addr: int, gen, leaders):
         if nodes and a in leaders:
             break
         try:
-            instr = gen.fetch(cpu, a)
+            instr = cpu.fetch(a)
         except MemoryFault:
             break
-        length = gen.insn_length(instr)
+        length = instr.length
         unbounded = instr.execute in gen.UNBOUNDED
         if not unbounded:
             try:
@@ -334,7 +282,7 @@ def _discover(cpu, addr: int, gen, leaders):
     if not nodes:
         return None
     last_a, last_i = nodes[-1]
-    after = last_a + gen.insn_length(last_i)
+    after = last_a + last_i.length
     if after > MASK32:
         succs = None                    # falls off the address space
     elif not hard_end:
@@ -413,7 +361,7 @@ def compile_block(cpu, addr: int, arch: str,
         if head[2] is not None and _loops(looping, addr) else {}
     members = list(found.values()) or [(head[0], head[1], ())]
     fn, max_cycles = gen.generate(members)
-    spans = [tuple((a, gen.insn_length(i)) for a, i in nodes)
+    spans = [tuple((a, i.length) for a, i in nodes)
              for nodes, _hard, _succs in members]
     ends = [own[-1][0] + own[-1][1] for own in spans]
     if not found:
@@ -428,17 +376,18 @@ def compile_block(cpu, addr: int, arch: str,
             for own, cycles in zip(spans, max_cycles)]
 
 
-def _prepare(cpu, block: CompiledBlock, gen) -> bool:
+def _prepare(cpu, block: CompiledBlock) -> bool:
     """Re-validate a block before its first hot run: every instruction
     address its function may run (every member's, for a region member)
-    must be in the hot icache afterwards.  Mirrors the step core's
+    must be in the hot decode tier afterwards.  Mirrors the step core's
     warm-hit path — permission check, then promotion of the *same*
     decode object from the warm tier (fresh raw decode on a true
     miss).  Returns False when any fetch check fails; the caller then
     single-steps, which raises the fault with correct attribution."""
-    icache = cpu._icache
+    decodes = cpu.decodes
+    hot = decodes.hot
     need = [span for span in block.region or block.spans
-            if span[0] not in icache]
+            if span[0] not in hot]
     if not need:
         return True
     aspace = cpu.aspace
@@ -447,13 +396,12 @@ def _prepare(cpu, block: CompiledBlock, gen) -> bool:
             aspace.check(a, length, _FETCH)
     except MemoryFault:
         return False
-    warm = cpu._icache_warm
+    warm = decodes.warm
     for a, _length in need:
         instr = warm.get(a)
         if instr is None:
-            instr = gen.decode_raw(cpu, a)
-        icache[a] = instr
-    cpu._icache_version += len(need)
+            instr = cpu.decode_raw(a)
+        decodes.insert_hot(a, instr)
     return True
 
 
@@ -463,10 +411,9 @@ def lookup_block(cpu, cache: BlockCache, addr: int, arch: str,
     waiting region members, else compile (always; the dispatch loop's
     second-miss policy decides when to call this).  Returns a hot-ready
     block, a negative marker, or None (caller single-steps)."""
-    gen = _generator(arch)
     block = cache.warm.get(addr)
     if block is not None:
-        if block.fn is None or _prepare(cpu, block, gen):
+        if block.fn is None or _prepare(cpu, block):
             cache.insert_hot(addr, block)
             return block
         return None
@@ -478,7 +425,7 @@ def lookup_block(cpu, cache: BlockCache, addr: int, arch: str,
         block = blocks[0]
         cache.waiting.update((member.spans[0][0], member)
                              for member in blocks[1:])
-    if block.fn is None or _prepare(cpu, block, gen):
+    if block.fn is None or _prepare(cpu, block):
         cache.insert_hot(addr, block)
         return block
     cache.insert_warm(addr, block)      # retry once the fault clears

@@ -93,12 +93,8 @@ class Gen:
 
     #: byte order, for repro.compile.access
     little: bool
-    #: the register file's attribute (also its local's name)
-    regs: str
     #: the flags' local and attribute
     flags: Tuple[str, str]
-    #: the current-pc and pc attributes
-    pcs: Tuple[str, str]
     #: the entry address, read from the CPU by a region's function
     entry_pc: str
     #: extra prologue lines
@@ -122,10 +118,6 @@ class Gen:
     #: lowerings of helpers other than load and store: fn(emit, argument
     #: templates, target)
     helpers: Dict[str, Callable] = {}
-
-    @staticmethod
-    def length(instr) -> int:
-        raise NotImplementedError
 
     @staticmethod
     def key(instr) -> tuple:
@@ -178,7 +170,7 @@ class Gen:
         """The line writing the locals back to the CPU: the watchpoint
         hook's sync, the fault trailer and every exit."""
         flags, attr = self.flags
-        cur_attr, pc_attr = self.pcs
+        cur_attr, pc_attr = self.lang.pcs
         return (f"cpu.cycles = cyc; cpu.instret = {instret}; "
                 f"cpu.{attr} = {flags}; cpu.{cur_attr} = {cur}; "
                 f"cpu.{pc_attr} = {nxt}")
@@ -238,7 +230,7 @@ def _generate(g: Gen, members: Sequence[Member], flat: list, name: str):
              for (nodes, _hard, _succs), out in zip(members, emitted)}
     flags, flags_attr = g.flags
     src = ["def _unit(cpu, ilim=0, clim=0):",
-           f"    {g.regs} = cpu.{g.regs}",
+           f"    {g.lang.file} = cpu.{g.lang.file}",
            "    mem = cpu.mem",
            "    rtlb = mem.rtlb",
            "    wtlb = mem.wtlb",
@@ -258,9 +250,9 @@ def _generate(g: Gen, members: Sequence[Member], flat: list, name: str):
             in zip(members, emitted):
         start, first = nodes[0]
         last_a, last_i = nodes[-1]
-        after = (last_a + g.length(last_i)) & M
+        after = (last_a + last_i.length) & M
         n = len(nodes)
-        reset = f"cur = {start}; nxt = {(start + g.length(first)) & M}; ri = 0"
+        reset = f"cur = {start}; nxt = {(start + first.length) & M}; ri = 0"
         out = lines if lines[:1] == [reset] else [reset] + lines
         if returned:
             pass
@@ -547,7 +539,7 @@ _CALLS = {"load": _load, "store": _store}
 
 def _emit_generic(g: Gen, i, a: int, n: int, k: int, final: bool) -> None:
     flags, flags_attr = g.flags
-    cur_attr, pc_attr = g.pcs
+    cur_attr, pc_attr = g.lang.pcs
     g.entry(a, n, k)
     fn, obj = g.call(i)
     g.w(f"cpu.{cur_attr} = cur")
@@ -575,7 +567,7 @@ def _body(g: Gen, nodes: list, ends_hard: bool) -> None:
     itself or must run generically as the final step)."""
     total = len(nodes)
     for k, (a, instr) in enumerate(nodes):
-        n = (a + g.length(instr)) & M
+        n = (a + instr.length) & M
         name = g.lang.rows[instr.execute].name
         if ends_hard and k == total - 1:
             emitter = g.final.get(name)

@@ -32,8 +32,6 @@ from typing import Sequence
 
 from repro.compile.access import load, store
 from repro.compile.emit import Gen, Member, instr_key, unit
-from repro.isa.faults import AccessKind
-from repro.ppc import decoder as pdec
 from repro.ppc import isa
 from repro.ppc.exceptions import PPCFault, PPCVector
 from repro.ppc.insn import PPCInstr
@@ -42,26 +40,6 @@ M = 0xFFFFFFFF
 
 #: register-count-driven loops; cycle cost unbounded per instruction
 UNBOUNDED = frozenset()
-
-
-def insn_length(instr) -> int:
-    return 4
-
-
-def decode_raw(cpu, addr: int):
-    return pdec.decode(cpu.mem.read_u32(addr, False), addr)
-
-
-def fetch(cpu, addr: int):
-    """Discovery-time fetch; raises MemoryFault on a failed check so
-    discovery can truncate without touching DAR/DSISR."""
-    instr = cpu._icache.get(addr)
-    if instr is None:
-        cpu.aspace.check(addr, 4, AccessKind.FETCH)
-        instr = cpu._icache_warm.get(addr)
-        if instr is None:
-            instr = decode_raw(cpu, addr)
-    return instr
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +196,7 @@ def _e_bcctr(g, i, a, n, k) -> bool:
 
 class _Gen(Gen):
     little = False
-    regs = "gpr"
     flags = ("cr", "cr")
-    pcs = ("current_pc", "pc")
     entry_pc = "cpu.pc & 4294967292"
     prologue = ("hdf = cpu._high_data_fault",)
     tag = "ppc-block"
@@ -241,7 +217,6 @@ class _Gen(Gen):
               for name, field in isa.FIELDS.items()}
     final = {"b": _e_b, "bc": _e_bc, "bclr": _e_bclr, "bcctr": _e_bcctr}
     explicit = {"lmw": _e_lmw, "stmw": _e_stmw}
-    length = staticmethod(insn_length)
     key = staticmethod(instr_key(PPCInstr, isa.op_of))
 
     def __init__(self) -> None:

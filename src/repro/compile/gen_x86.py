@@ -31,8 +31,6 @@ from repro.compile.access import load, store
 from repro.compile.emit import (
     Gen, Hole, Member, Template, _fill, instr_key, unit,
 )
-from repro.isa.faults import AccessKind
-from repro.x86 import decoder as xdec
 from repro.x86 import isa
 from repro.x86.insn import Instr
 from repro.x86.registers import SEG_CS, SEG_DS, SEG_ES, SEG_SS
@@ -44,28 +42,6 @@ _SAFE_SEGS = frozenset({SEG_ES, SEG_CS, SEG_SS, SEG_DS})
 #: executors whose cycle cost is unbounded (ecx-driven string loops) —
 #: never included in a block
 UNBOUNDED = frozenset(op.execute for op in isa.TABLE if op.unbounded)
-
-
-def insn_length(instr) -> int:
-    return instr.length
-
-
-def decode_raw(cpu, addr: int):
-    """Decode from memory bytes without touching fault state."""
-    return xdec.decode(cpu.mem.read(addr, xdec.MAX_INSN_LEN), addr)
-
-
-def fetch(cpu, addr: int):
-    """Discovery-time fetch mirroring ``step()``'s tier order; raises
-    MemoryFault (not X86Fault) on a failed check so discovery can
-    truncate without mutating cr2."""
-    instr = cpu._icache.get(addr)
-    if instr is None:
-        instr = cpu._icache_warm.get(addr)
-        if instr is None:
-            instr = decode_raw(cpu, addr)
-        cpu.aspace.check(addr, instr.length, AccessKind.FETCH)
-    return instr
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +206,7 @@ def _e_ret(g, i, a, n, k) -> bool:
 
 class _Gen(Gen):
     little = True
-    regs = "regs"
     flags = ("ef", "eflags")
-    pcs = ("current_eip", "eip")
     entry_pc = "cpu.eip"
     tag = "x86-block"
     lang = isa.LANG
@@ -248,7 +222,6 @@ class _Gen(Gen):
              "ret": _e_ret}
     helpers = {"add": _add, "sub": _sub, "logic": _logic, "incdec": _incdec,
                "push": _push_step, "pop": _pop}
-    length = staticmethod(insn_length)
     key = staticmethod(instr_key(Instr, isa.op_of))
 
     def __init__(self) -> None:

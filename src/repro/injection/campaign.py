@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from importlib import import_module
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.checkpoint.ladder import (
@@ -116,12 +115,13 @@ class CampaignKnobs:
     ops: int = knob("monitored workload window (operations)", 48,
                     low=1, identity=True)
     dump_loss_probability: float = knob(
-        "probability the crash dump is lost on the network", 0.08,
-        type=float, low=0.0, high=1.0, identity=True)
+        "probability the crash dump is lost on the network",
+        MachineConfig.dump_loss_probability, type=float, low=0.0,
+        high=1.0, identity=True)
     exec_mode: str = knob(
         "execution core: 'block' runs compiled superblocks, 'step' is "
         "the plain interpreter; bit-identical results either way",
-        "block", type=str, choices=("step", "block"))
+        MachineConfig.exec_mode, type=str, choices=("step", "block"))
     checkpoints: int = knob(
         "clean-run snapshots to dispatch experiments from (0 disables; "
         "bit-identical results either way)", DEFAULT_CHECKPOINTS, low=0)
@@ -199,9 +199,9 @@ class CampaignContext:
     One observed clean pass (probe + profile) simulates the window
     once: its start is forked into the base machine, its scheduling
     boundaries into candidate rungs from which the default ladder is
-    picked, and the blocks it compiles are adopted by the base machine
-    and every rung, as are its decodes by the base machine.  Every
-    injection forks from the base machine or a rung.
+    picked, and the blocks it compiles and the instructions it decodes
+    are adopted by the base machine and every rung.  Every injection
+    forks from the base machine or a rung.
     """
 
     _cache: Dict[tuple, "CampaignContext"] = {}
@@ -222,12 +222,11 @@ class CampaignContext:
         self._default_ladder = self._boundaries.ladder(
             self, DEFAULT_CHECKPOINTS)
         del self._boundaries          # the unpicked snapshots go too
-        # sound for the reason the rungs' adoption of the blocks is
-        # (see ``BoundarySnapshots.ladder``): the window wrote no kernel
+        # sound for the reason the rungs' adoption is (see
+        # ``BoundarySnapshots.ladder``): the window wrote no kernel
         # text.  Without the decodes, an experiment forked here would
         # decode afresh every window instruction its blocks promote.
-        self.base_machine.cpu._block_cache.inherit(clean_pass._block_cache)
-        self.base_machine.cpu.inherit_icache(clean_pass)
+        self.base_machine.cpu.inherit(clean_pass)
         #: ladders of other rung counts, replayed on first use and
         #: shared by every campaign
         self._ladders: Dict[int, CheckpointLadder] = {}
@@ -305,9 +304,8 @@ class CampaignContext:
         """Whether the clean window executes an instruction whose
         effects carry ``system``; scanned on the first register
         experiment, never during set-up."""
-        decode = import_module(f"repro.compile.gen_{self.arch}").decode_raw
         cpu = self.base_machine.cpu
-        return any(insn_effects(decode(cpu, addr), addr).system
+        return any(insn_effects(cpu.decode_raw(addr), addr).system
                    for addr in self.probe.first_executed)
 
 

@@ -54,8 +54,8 @@ class RunSpec:
     target: object
     ops: int
     seed: int
-    dump_loss_probability: float = 0.08
-    exec_mode: str = "block"
+    dump_loss_probability: float = MachineConfig.dump_loss_probability
+    exec_mode: str = MachineConfig.exec_mode
     #: registered fault-model name (:mod:`repro.faults`); the default
     #: reproduces the paper's single-bit single-shot model exactly
     fault_model: str = DEFAULT_MODEL
@@ -72,6 +72,14 @@ class RunSpec:
 
 class _Absorbed(Exception):
     """Ends an absorbing register run at its injection instant."""
+
+
+def _injected(what: str, flips: int, bit: int, where: str) -> str:
+    """The trace text of an injection: one bit, or a burst of *flips*
+    starting at *bit*."""
+    if flips == 1:
+        return f"{what} bit {bit} {where}"
+    return f"{what} burst x{flips} from bit {bit} {where}"
 
 
 class InjectionRun:
@@ -180,15 +188,11 @@ class InjectionRun:
         def flip() -> None:
             apply_flips()
             if machine.trace is not None:
-                if len(plan.flips) == 1:
-                    detail = (f"code bit {target.bit} at "
-                              f"{target.addr:#010x} ({target.function})")
-                else:
-                    detail = (f"code burst x{len(plan.flips)} from bit "
-                              f"{target.bit} at {target.addr:#010x} "
-                              f"({target.function})")
                 machine.trace.on_inject(
-                    machine, detail, addr=plan.flips[0][0])
+                    machine, _injected(
+                        "code", len(plan.flips), target.bit,
+                        f"at {target.addr:#010x} ({target.function})"),
+                    addr=plan.flips[0][0])
             self._arm_retriggers(plan, apply_flips, "code")
 
         def on_hit(hit) -> None:
@@ -247,14 +251,10 @@ class InjectionRun:
         def inject() -> None:
             apply_flips()
             if machine.trace is not None:
-                if len(plan.flips) == 1:
-                    detail = (f"memory bit {target.bit} at "
-                              f"{target.addr:#010x}")
-                else:
-                    detail = (f"memory burst x{len(plan.flips)} from "
-                              f"bit {target.bit} at {target.addr:#010x}")
-                machine.trace.on_inject(machine, detail,
-                                        addr=target.addr)
+                machine.trace.on_inject(
+                    machine, _injected("memory", len(plan.flips),
+                                       target.bit, f"at {target.addr:#010x}"),
+                    addr=target.addr)
             debug.set_watchpoint(span[0], length=span[1] - span[0])
             debug.on_watchpoint = on_access
             self._arm_retriggers(plan, apply_flips, "memory")
@@ -293,14 +293,10 @@ class InjectionRun:
             self.activation_cycles = cpu.cycles
             self.activation_instret = cpu.instret
             if machine.trace is not None:
-                if len(plan.register_bits) == 1:
-                    detail = (f"register bit {target.bit} in "
-                              f"{target.name}")
-                else:
-                    detail = (f"register burst x{len(plan.register_bits)}"
-                              f" from bit {target.bit} in {target.name}")
-                machine.trace.on_inject(machine, detail,
-                                        reg=target.name)
+                machine.trace.on_inject(
+                    machine, _injected("register", len(plan.register_bits),
+                                       target.bit, f"in {target.name}"),
+                    reg=target.name)
             apply_flips()
             if self.spec.absorbing and machine.trace is None:
                 # the rest of the run is the clean run's tail, with

@@ -30,9 +30,10 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.compile import BlockCache, lookup_block
+from repro.isa.core import Core
 from repro.isa.memory import Region
 from repro.kernel.image import KernelImage
 from repro.kernel.build import build_kernel
@@ -107,6 +108,19 @@ _DEFAULT_TASKS = (
 )
 
 
+#: the processor core of each arch
+CORES: Dict[str, Type[Core]] = {"x86": X86CPU, "ppc": PPCCPU}
+
+
+def _blocks(config: MachineConfig) -> Optional[BlockCache]:
+    """A new compiled-block cache for *config*'s exec mode ("step": none)."""
+    if config.exec_mode not in ("step", "block"):
+        raise ValueError(
+            f"exec_mode must be 'step' or 'block', "
+            f"got {config.exec_mode!r}")
+    return BlockCache() if config.exec_mode == "block" else None
+
+
 def _fetches_breakpoint(blk, breakpoints) -> bool:
     """Whether *blk*'s function can fetch an address that has an armed
     instruction breakpoint: one of the region's instructions for a
@@ -128,16 +142,9 @@ class Machine:
                  collector: Optional[Callable] = None):
         self.arch = arch
         self.image = image if image is not None else build_kernel(arch)
-        self.config = config if config is not None else MachineConfig()
-        self._rng: Optional[random.Random] = None
-        self.cpu = X86CPU() if arch == "x86" else PPCCPU()
-        self.clock_hz = self.cpu.CLOCK_HZ
-        self.tick_cycles = self.clock_hz // HZ
-
-        channel = LossyChannel(self.config.dump_loss_probability,
-                               seed=self.config.seed ^ 0x5EED)
-        self.nic = NIC(channel, receiver=collector)
-        self.watchdog = Watchdog(self.config.watchdog_cycles)
+        config = config if config is not None else MachineConfig()
+        self._attach(config, CORES[arch](blocks=_blocks(config)),
+                     collector)
 
         self.tasks: Dict[int, Task] = {}
         self.current_pid = 0
@@ -146,26 +153,32 @@ class Machine:
         self.timer_ticks = 0
         self._quantum_start_cycles = 0
 
-        # single scheduled action: (instret threshold, callback)
-        self._pending_action: Optional[Tuple[int, Callable]] = None
-
         # expected values of registers with deferred-check semantics
         self._expected: Dict[str, int] = {}
 
+        self._map_memory()
+
+    def _attach(self, config: MachineConfig, cpu: Core,
+                collector: Optional[Callable]) -> None:
+        """Give this machine *config*, *cpu* and the parts no two
+        machines share: NIC channel, watchdog, RNG, pending action and
+        flight recorder (all fresh)."""
+        self.config = config
+        self.cpu = cpu
+        self.clock_hz = cpu.CLOCK_HZ
+        self.tick_cycles = self.clock_hz // HZ
+        channel = LossyChannel(config.dump_loss_probability,
+                               seed=config.seed ^ 0x5EED)
+        self.nic = NIC(channel, receiver=collector)
+        self.watchdog = Watchdog(config.watchdog_cycles)
+        self._rng: Optional[random.Random] = None
+        # single scheduled action: (instret threshold, callback)
+        self._pending_action: Optional[Tuple[int, Callable]] = None
         # flight recorder (repro.trace): None = tracing disabled; set
         # through attach_tracer() only, mirrored into cpu.tracer
         self.trace = None
-
-        if self.config.exec_mode not in ("step", "block"):
-            raise ValueError(
-                f"exec_mode must be 'step' or 'block', "
-                f"got {self.config.exec_mode!r}")
-        if self.config.exec_mode == "block":
-            self.cpu._block_cache = BlockCache()
-
-        self._map_memory()
-        if arch == "ppc":
-            self.cpu.on_spr_write = self._spr_hook()
+        if self.arch == "ppc":
+            cpu.on_spr_write = self._spr_hook()
 
     @property
     def rng(self) -> random.Random:
@@ -242,11 +255,11 @@ class Machine:
         The clone shares memory pages copy-on-write with this machine
         (each side privatizes a page on first write, so the fork costs
         O(pages-written-after-fork), not O(pages-touched-at-boot)) and
-        starts with this machine's decoded-instruction cache as its
-        warm tier — safe because memory is bit-identical at the fork
-        instant and both CPUs invalidate decodes on text writes.  CPU
-        state and task bookkeeping are copied; the clone gets its own
-        debug unit, watchdog, NIC channel, and RNG (seeded from
+        starts with this machine's decodes and compiled blocks as its
+        warm tiers — safe because memory is bit-identical at the fork
+        instant and both caches evict on text writes (``Core.fork``).
+        CPU state and task bookkeeping are copied; the clone gets its
+        own debug unit, watchdog, NIC channel, and RNG (seeded from
         *config*), so campaigns can boot and set up the workload once
         and fork a pristine machine per injection.
         """
@@ -255,18 +268,9 @@ class Machine:
         clone = Machine.__new__(Machine)
         clone.arch = self.arch
         clone.image = self.image
-        clone.config = config if config is not None else self.config
-        clone._rng = None
-        memory = self.cpu.mem.fork()
-        clone.cpu = X86CPU(memory=memory) if self.arch == "x86" \
-            else PPCCPU(memory=memory)
-        clone.cpu.inherit_icache(self.cpu)
-        clone.clock_hz = self.clock_hz
-        clone.tick_cycles = self.tick_cycles
-        channel = LossyChannel(clone.config.dump_loss_probability,
-                               seed=clone.config.seed ^ 0x5EED)
-        clone.nic = NIC(channel, receiver=collector)
-        clone.watchdog = Watchdog(clone.config.watchdog_cycles)
+        config = config if config is not None else self.config
+        clone._attach(config, self.cpu.fork(self.cpu.mem.fork(),
+                                            _blocks(config)), collector)
         clone.tasks = {pid: Task(task.pid, task.name, task.kind,
                                  task.stack_base, task.stack_top,
                                  task.entry, task.seg_fs, task.seg_gs)
@@ -276,43 +280,8 @@ class Machine:
         clone.syscalls_completed = self.syscalls_completed
         clone.timer_ticks = self.timer_ticks
         clone._quantum_start_cycles = self._quantum_start_cycles
-        clone._pending_action = None
         clone._expected = dict(self._expected)
-        clone.trace = None               # tracing never inherits
-
-        if clone.config.exec_mode == "block":
-            cache = BlockCache()
-            if self.cpu._block_cache is not None:
-                cache.inherit(self.cpu._block_cache)
-            clone.cpu._block_cache = cache
-
-        # memory pages are shared above; adopt the already-validated
-        # region table wholesale
-        clone.cpu.aspace.clone_layout(self.cpu.aspace)
-
-        # CPU architectural state
-        src, dst = self.cpu, clone.cpu
-        if self.arch == "x86":
-            dst.regs = list(src.regs)
-            dst.eip = src.eip
-            dst.eflags = src.eflags
-            dst.sregs = list(src.sregs)
-            dst.cr0, dst.cr2, dst.cr3, dst.cr4 = \
-                src.cr0, src.cr2, src.cr3, src.cr4
-            dst.gdtr_base, dst.gdtr_limit = src.gdtr_base, src.gdtr_limit
-            dst.idtr_base, dst.idtr_limit = src.idtr_base, src.idtr_limit
-            dst.ldtr, dst.tr = src.ldtr, src.tr
-        else:
-            dst.gpr = list(src.gpr)
-            dst.pc = src.pc
-            dst.lr, dst.ctr, dst.cr, dst.xer = \
-                src.lr, src.ctr, src.cr, src.xer
-            dst.set_msr(src.msr)
-            dst.spr = dict(src.spr)
-            dst.on_spr_write = clone._spr_hook()
-        dst.cycles = src.cycles
-        dst.instret = src.instret
-        clone.watchdog.pet(dst.cycles)
+        clone.watchdog.pet(clone.cpu.cycles)
         return clone
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ class Packet:
 class LossyChannel:
     """Best-effort datagram delivery with seeded loss."""
 
-    def __init__(self, loss_probability: float = 0.08, seed: int = 0):
+    def __init__(self, loss_probability: float, seed: int = 0):
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss probability must be within [0, 1]")
         self.loss_probability = loss_probability

@@ -21,9 +21,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.isa.bits import MASK32
-from repro.isa.debug import DebugUnit
+from repro.isa.core import Core
 from repro.isa.faults import AccessKind, MemoryFault
-from repro.isa.memory import AddressSpace, PhysicalMemory
 from repro.ppc import decoder
 from repro.ppc.exceptions import (
     DSISR_PROTECTION, DSISR_STORE, PPCFault, PPCVector, ProgramReason,
@@ -34,7 +33,7 @@ from repro.ppc.registers import (
 )
 
 
-class PPCCPU:
+class PPCCPU(Core):
     """A 32-bit G4-flavoured processor core (big-endian)."""
 
     #: The paper's G4 runs at 1.0 GHz.
@@ -45,14 +44,13 @@ class PPCCPU:
     #: Kernel-high addresses require translation to be on.
     TRANSLATION_BASE = 0x80000000
 
-    def __init__(self, memory: Optional[PhysicalMemory] = None,
-                 aspace: Optional[AddressSpace] = None,
-                 debug: Optional[DebugUnit] = None) -> None:
-        self.mem = memory if memory is not None else PhysicalMemory()
-        self.aspace = aspace if aspace is not None else \
-            AddressSpace(self.mem)
-        self.debug = debug if debug is not None else DebugUnit(1, 1)
+    DEBUG_SLOTS = (1, 1)
+    REACH = 0
+    ALIGN = 4
+    STATE = Core.STATE + ("gpr", "pc", "lr", "ctr", "cr", "xer", "spr")
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.gpr = [0] * 32
         self.pc = 0
         self.current_pc = 0
@@ -62,18 +60,6 @@ class PPCCPU:
         self.xer = 0
         self.msr = MSR_ME | MSR_IR | MSR_DR
         self.spr: Dict[int, int] = {SPR_PVR: 0x80010201}   # MPC7455 2.1
-
-        self.cycles = 0
-        self.instret = 0
-        self.halted = False
-        self.user_mode = False
-
-        # Flight-recorder hook (repro.trace.recorder.TraceRecorder).
-        # None when tracing is disabled: every emission site below
-        # guards on this one attribute, so the disabled hot path pays
-        # a single flag test and nothing else.  An armed recorder only
-        # reads state — simulated cycles/instret/RNG are untouched.
-        self.tracer = None
 
         # Semantic side effects of supervisor-state writes; installed by
         # the machine layer (see repro.machine.register_semantics).
@@ -90,23 +76,6 @@ class PPCCPU:
         # BATs corrupted).
         self._high_data_fault: Optional[str] = None
         self._high_fetch_fault: Optional[str] = None
-        self._icache: Dict[int, PPCInstr] = {}
-        # Warm tier: decodes inherited from a fork parent (or demoted
-        # by a code write); valid bytes-wise, but the fetch checks have
-        # not run on this machine, so first use revalidates like a
-        # miss.  The dict may be shared by reference with a fork
-        # relative (``_warm_owned`` False) and is copied before the
-        # first mutation, so inheriting costs O(1), not O(entries).
-        self._icache_warm: Dict[int, PPCInstr] = {}
-        self._warm_owned = True
-        # bumped whenever either cache tier changes; guards the frozen
-        # merged snapshot handed to fork children
-        self._icache_version = 0
-        self._snapshot: Optional[Dict[int, PPCInstr]] = None
-        self._snapshot_version = -1
-        # compiled-block cache (attached by Machine in block exec mode);
-        # None means the step core runs alone
-        self._block_cache = None
 
     # ------------------------------------------------------------------
     # MSR / SPR
@@ -124,6 +93,11 @@ class PPCCPU:
             self._high_fetch_fault = "mc"
         elif self._high_fetch_fault == "mc":
             self._high_fetch_fault = None
+
+    def fork(self, *args, **kwargs) -> "PPCCPU":
+        clone = super().fork(*args, **kwargs)
+        clone.set_msr(self.msr)     # the translation and fault flags too
+        return clone
 
     def get_spr(self, spr: int) -> int:
         named = NAMED_SPRS.get(spr)
@@ -253,69 +227,6 @@ class PPCCPU:
     # ------------------------------------------------------------------
     # decode cache + step
 
-    def flush_icache(self) -> None:
-        self._icache.clear()
-        self._icache_warm = {}
-        self._warm_owned = True
-        self._icache_version += 1
-        if self._block_cache is not None:
-            self._block_cache.flush()
-
-    def _own_warm(self) -> Dict[int, PPCInstr]:
-        if not self._warm_owned:
-            self._icache_warm = dict(self._icache_warm)
-            self._warm_owned = True
-        return self._icache_warm
-
-    def invalidate_icache(self, addr: int, size: int = 1) -> None:
-        """Evict the word(s) a write to ``[addr, addr+size)`` touches.
-
-        Fixed 4-byte instructions make this exact: only the overwritten
-        words can decode differently.  Survivors demote to the warm
-        tier so their next fetch re-runs the permission/translation
-        checks, matching the full flush this replaces.
-        """
-        warm = self._own_warm()
-        first = addr & ~3
-        last = (addr + max(size, 1) - 1) & ~3
-        for word_addr in range(first, last + 4, 4):
-            self._icache.pop(word_addr & MASK32, None)
-            warm.pop(word_addr & MASK32, None)
-        if self._icache:
-            warm.update(self._icache)
-            self._icache.clear()
-        self._icache_version += 1
-        if self._block_cache is not None:
-            self._block_cache.invalidate(addr, size)
-
-    def icache_snapshot(self) -> Dict[int, PPCInstr]:
-        """A frozen warm-tier image for a fork child (never mutated).
-
-        Rebuilt only when a cache tier changed since the last fork, so
-        forking many clones from one static base pays the merge once.
-        """
-        if self._snapshot is None or \
-                self._snapshot_version != self._icache_version:
-            merged = dict(self._icache_warm)
-            merged.update(self._icache)
-            self._snapshot = merged
-            self._snapshot_version = self._icache_version
-        return self._snapshot
-
-    def inherit_icache(self, src: "PPCCPU") -> None:
-        """Adopt *src*'s decodes as the warm tier (fork instant only).
-
-        Safe for the same reason as on the x86 core: identical memory
-        at fork, write-path invalidation afterwards, and first-use
-        revalidation of the fetch checks on this machine.  The snapshot
-        dict is shared by reference and copied only if this core ever
-        needs to mutate it (a text write).
-        """
-        self._icache.clear()
-        self._icache_warm = src.icache_snapshot()
-        self._warm_owned = False
-        self._icache_version += 1
-
     def _validate_fetch(self, addr: int) -> None:
         if self._high_fetch_fault is not None and \
                 addr >= self.TRANSLATION_BASE:
@@ -333,10 +244,12 @@ class PPCCPU:
             raise PPCFault(PPCVector.ISI, mf.address,
                            "fetch from unmapped address") from None
 
+    def decode_raw(self, addr: int) -> PPCInstr:
+        return decoder.decode(self.mem.read_u32(addr, False), addr)
+
     def decode_at(self, addr: int) -> PPCInstr:
         self._validate_fetch(addr)
-        word = self.mem.read_u32(addr, False)
-        return decoder.decode(word, addr)
+        return self.decode_raw(addr)
 
     def step(self) -> None:
         """Execute one instruction (or raise a :class:`PPCFault`)."""
@@ -349,17 +262,17 @@ class PPCCPU:
             self.tracer.on_fetch(self, pc)
         if self.debug._insn_bps:
             self.debug.check_fetch(pc, self.cycles)
-        instr = self._icache.get(pc)
+        decodes = self.decodes
+        instr = decodes.hot.get(pc)
         if instr is None:
             # No pop: the warm dict may be shared with fork relatives.
-            # ``_icache`` is consulted first, so the duplicate is inert.
-            instr = self._icache_warm.get(pc)
+            # The hot tier is consulted first, so the duplicate is inert.
+            instr = decodes.warm.get(pc)
             if instr is not None:
                 self._validate_fetch(pc)
             else:
                 instr = self.decode_at(pc)
-            self._icache[pc] = instr
-            self._icache_version += 1
+            decodes.insert_hot(pc, instr)
         self.pc = (pc + 4) & MASK32
         instr.execute(self, instr)
         self.cycles += instr.cycles

@@ -17,6 +17,9 @@ class PPCInstr:
     __slots__ = ("mnemonic", "execute", "rt", "ra", "rb", "imm", "op2",
                  "cycles", "word")
 
+    #: every instruction is one word
+    length = 4
+
     def __init__(self, mnemonic: str,
                  execute: Callable[["object", "PPCInstr"], None],
                  rt: int = 0, ra: int = 0, rb: int = 0, imm: int = 0,

@@ -8,9 +8,10 @@ semantics remain testable.
 Architectural choices that matter to the study:
 
 * **decode cache** — decoded instructions are cached per address, like
-  the P4's trace cache; any write to the text region (including an
-  injected bit flip) flushes it, so corrupted bytes are re-decoded and
-  the stream re-synchronizes.
+  the P4's trace cache (:class:`repro.isa.core.Tiers`); a write to the
+  text region (including an injected bit flip) evicts every decode it
+  can corrupt, so corrupted bytes are re-decoded and the stream
+  re-synchronizes.
 * **no stack-overflow detection** — ``push``/``pop`` only fail when the
   memory system faults; a corrupted ESP silently walks out of the task
   stack (paper Section 5.1).
@@ -25,9 +26,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.isa.bits import MASK32, mask_for_width
-from repro.isa.debug import DebugUnit
+from repro.isa.core import Core
 from repro.isa.faults import AccessKind, MemoryFault
-from repro.isa.memory import AddressSpace, PhysicalMemory
 from repro.x86 import decoder
 from repro.x86.exceptions import X86Fault, X86Vector
 from repro.x86.insn import Instr
@@ -38,7 +38,7 @@ from repro.x86.registers import (
 _ARITH_FLAGS = FLAG_CF | FLAG_ZF | FLAG_SF | FLAG_OF | 0x14  # + PF, AF
 
 
-class X86CPU:
+class X86CPU(Core):
     """A 32-bit P4-flavoured processor core."""
 
     #: Parity-ish clock: the paper's P4 runs at 1.5 GHz.
@@ -46,14 +46,15 @@ class X86CPU:
     LITTLE_ENDIAN = True
     NAME = "P4"
 
-    def __init__(self, memory: Optional[PhysicalMemory] = None,
-                 aspace: Optional[AddressSpace] = None,
-                 debug: Optional[DebugUnit] = None) -> None:
-        self.mem = memory if memory is not None else PhysicalMemory()
-        self.aspace = aspace if aspace is not None else \
-            AddressSpace(self.mem)
-        self.debug = debug if debug is not None else DebugUnit(4, 4)
+    DEBUG_SLOTS = (4, 4)
+    REACH = decoder.MAX_INSN_LEN - 1
+    ALIGN = 1
+    STATE = Core.STATE + (
+        "regs", "eip", "eflags", "sregs", "cr0", "cr2", "cr3", "cr4",
+        "gdtr_base", "gdtr_limit", "idtr_base", "idtr_limit", "ldtr", "tr")
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.regs = [0] * 8
         self.eip = 0
         self.current_eip = 0
@@ -71,39 +72,6 @@ class X86CPU:
         self.idtr_base, self.idtr_limit = 0xC0091000, 0x7FF
         self.ldtr = 0x0
         self.tr = 0x80
-
-        self.cycles = 0
-        self.instret = 0
-        self.halted = False
-        self.user_mode = False
-
-        # Flight-recorder hook (repro.trace.recorder.TraceRecorder).
-        # None when tracing is disabled: every emission site below
-        # guards on this one attribute, so the disabled hot path pays
-        # a single flag test and nothing else.  An armed recorder only
-        # reads state — simulated cycles/instret/RNG are untouched.
-        self.tracer = None
-
-        self._icache: Dict[int, Instr] = {}
-        # Warm tier: decoded instructions inherited from a fork parent
-        # (or demoted by a code write).  A warm entry's decode is valid
-        # — it was produced from the same bytes this machine sees — but
-        # the fetch permission check has not run on *this* machine yet,
-        # so the first fetch revalidates exactly like a decode miss
-        # before promoting the entry to ``_icache``.  The dict may be
-        # shared by reference with a fork relative (``_warm_owned``
-        # False): it is then copied before the first mutation, so
-        # inheriting a warm cache costs O(1), not O(entries).
-        self._icache_warm: Dict[int, Instr] = {}
-        self._warm_owned = True
-        # bumped whenever either cache tier changes; guards the frozen
-        # merged snapshot handed to fork children
-        self._icache_version = 0
-        self._snapshot: Optional[Dict[int, Instr]] = None
-        self._snapshot_version = -1
-        # compiled-block cache (attached by Machine in block exec mode);
-        # None means the step core runs alone
-        self._block_cache = None
 
     # ------------------------------------------------------------------
     # register access helpers
@@ -355,74 +323,6 @@ class X86CPU:
     # ------------------------------------------------------------------
     # decode cache + step
 
-    def flush_icache(self) -> None:
-        """Invalidate the decode cache (called after any code write)."""
-        self._icache.clear()
-        self._icache_warm = {}
-        self._warm_owned = True
-        self._icache_version += 1
-        if self._block_cache is not None:
-            self._block_cache.flush()
-
-    def _own_warm(self) -> Dict[int, Instr]:
-        if not self._warm_owned:
-            self._icache_warm = dict(self._icache_warm)
-            self._warm_owned = True
-        return self._icache_warm
-
-    def invalidate_icache(self, addr: int, size: int = 1) -> None:
-        """Evict decodes a write to ``[addr, addr+size)`` could corrupt.
-
-        Variable-length encoding means any cached instruction starting
-        up to ``MAX_INSN_LEN - 1`` bytes before *addr* may span the
-        written bytes; those entries are dropped from both tiers.  The
-        survivors are demoted to the warm tier so their next fetch
-        re-runs the permission check — exactly what the full flush this
-        replaces forced — while keeping their (still valid) decodes.
-        """
-        warm = self._own_warm()
-        for start in range(addr - decoder.MAX_INSN_LEN + 1, addr + size):
-            self._icache.pop(start & MASK32, None)
-            warm.pop(start & MASK32, None)
-        if self._icache:
-            warm.update(self._icache)
-            self._icache.clear()
-        self._icache_version += 1
-        if self._block_cache is not None:
-            self._block_cache.invalidate(addr, size)
-
-    def icache_snapshot(self) -> Dict[int, Instr]:
-        """A frozen warm-tier image for a fork child (never mutated).
-
-        Rebuilt only when a cache tier changed since the last fork, so
-        forking many clones from one static base — the campaign
-        pattern — pays the merge once.
-        """
-        if self._snapshot is None or \
-                self._snapshot_version != self._icache_version:
-            merged = dict(self._icache_warm)
-            merged.update(self._icache)
-            self._snapshot = merged
-            self._snapshot_version = self._icache_version
-        return self._snapshot
-
-    def inherit_icache(self, src: "X86CPU") -> None:
-        """Adopt *src*'s decoded instructions as this core's warm tier.
-
-        Only valid when both memories hold identical bytes (a fork
-        instant): decode is a pure function of the bytes, and both
-        caches are invalidated on text writes, so the inherited decodes
-        can never go stale.  Every entry still revalidates its fetch
-        check on first use here, so a clone behaves bit-for-bit like a
-        cold core that decoded everything itself.  The snapshot dict is
-        shared by reference and copied only if this core ever needs to
-        mutate it (a text write).
-        """
-        self._icache.clear()
-        self._icache_warm = src.icache_snapshot()
-        self._warm_owned = False
-        self._icache_version += 1
-
     def _validate_fetch(self, addr: int, length: int) -> None:
         try:
             self.aspace.check(addr, length, AccessKind.FETCH)
@@ -435,9 +335,12 @@ class X86CPU:
                            "instruction fetch page fault",
                            error_code=0x10) from None
 
+    def decode_raw(self, addr: int) -> Instr:
+        return decoder.decode(self.mem.read(addr, decoder.MAX_INSN_LEN),
+                              addr)
+
     def decode_at(self, addr: int) -> Instr:
-        raw = self.mem.read(addr, decoder.MAX_INSN_LEN)
-        instr = decoder.decode(raw, addr)
+        instr = self.decode_raw(addr)
         self._validate_fetch(addr, instr.length)
         return instr
 
@@ -452,17 +355,17 @@ class X86CPU:
             self.tracer.on_fetch(self, eip)
         if self.debug._insn_bps:
             self.debug.check_fetch(eip, self.cycles)
-        instr = self._icache.get(eip)
+        decodes = self.decodes
+        instr = decodes.hot.get(eip)
         if instr is None:
             # No pop: the warm dict may be shared with fork relatives.
-            # ``_icache`` is consulted first, so the duplicate is inert.
-            instr = self._icache_warm.get(eip)
+            # The hot tier is consulted first, so the duplicate is inert.
+            instr = decodes.warm.get(eip)
             if instr is not None:
                 self._validate_fetch(eip, instr.length)
             else:
                 instr = self.decode_at(eip)
-            self._icache[eip] = instr
-            self._icache_version += 1
+            decodes.insert_hot(eip, instr)
         self.eip = (eip + instr.length) & MASK32
         instr.execute(self, instr)
         self.cycles += instr.cycles

@@ -576,7 +576,9 @@ TABLE: Tuple[Op, ...] = (
                 n = to_signed((edx << 32) | eax, 64)
             else:
                 n = to_signed(acc, bits)
-            q = int(n / d)
+            q = n // d
+            if q < 0 and q * d != n:
+                q += 1
             if not -(1 << (bits - 1)) <= q < (1 << (bits - 1)):
                 fault(DIVIDE_ERROR, detail="quotient overflow")
             acc = q & mask

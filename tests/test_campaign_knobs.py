@@ -40,7 +40,9 @@ from repro.injection.campaign import (
     IDENTITY_KNOBS, KNOBS, CampaignConfig, CampaignContext, CampaignKnobs,
     run_campaign,
 )
+from repro.injection.injector import RunSpec
 from repro.injection.outcomes import CampaignKind
+from repro.machine.machine import MachineConfig
 from repro.service.jobs import campaign_identity
 from repro.service.protocol import (
     campaign_config_from_payload, config_to_payload,
@@ -97,6 +99,11 @@ class TestOneDefault:
         default = {spec.name: spec.default for spec in KNOBS}[name]
         assert getattr(CampaignKnobs(), name) == default
         assert getattr(StudyConfig(), name) == default
+        # the lower layers that share a knob's name share its default
+        for layer in (RunSpec, MachineConfig):
+            for field in fields(layer):
+                if field.name == name and field.default is not MISSING:
+                    assert field.default == default, layer.__name__
         omitted = campaign_config_from_payload(
             {"arch": "x86", "kind": "data", "count": 1})
         assert getattr(omitted, name) == default

@@ -179,7 +179,7 @@ def test_rung_dispatched_experiments_start_warm(arch, request):
     assert _same_blocks(run.machine.cpu._block_cache, window_blocks)
     run = InjectionRun(dataclasses.replace(spec, checkpoint=None))
     assert _same_blocks(run.machine.cpu._block_cache, window_blocks)
-    warm = run.machine.cpu._icache_warm
+    warm = run.machine.cpu.decodes.warm
     assert all(addr in warm for block in window_blocks.values()
                for addr, _length in block.region or block.spans)
 

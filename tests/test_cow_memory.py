@@ -170,43 +170,90 @@ class TestCowEagerEquivalence:
 # per-address icache invalidation
 
 
+#: every ``Tiers`` user of a machine, as (arch, cache); the decode
+#: caches keep their arch-only ids
+TIERS = [pytest.param("x86", "decodes", id="x86"),
+         pytest.param("ppc", "decodes", id="ppc"),
+         pytest.param("x86", "blocks", id="x86-blocks"),
+         pytest.param("ppc", "blocks", id="ppc-blocks")]
+
+
+def _tiers(machine: Machine, cache: str):
+    return machine.cpu.decodes if cache == "decodes" \
+        else machine.cpu._block_cache
+
+
+def _warmed(base: Machine) -> Machine:
+    """A fork of *base* that ran one syscall twice: a block compiles on
+    its address's second miss, so both caches end with hot entries."""
+    clone = base.fork()
+    clone.syscall(1)
+    clone.syscall(1)
+    return clone
+
+
+def _spans(arch: str, cache: str, key: int, entry, addr: int) -> bool:
+    """Whether the cached *entry* at *key* covers byte *addr*."""
+    if cache == "blocks":
+        return entry.start <= addr < entry.end
+    from repro.x86 import decoder as x86_decoder
+    window = x86_decoder.MAX_INSN_LEN if arch == "x86" else 4
+    return addr - window < key <= addr
+
+
 class TestIcacheInvalidation:
-    @pytest.mark.parametrize("arch", ARCHES)
+    @pytest.mark.parametrize("arch,cache", TIERS)
     def test_text_flip_evicts_only_affected_decodes(
-            self, arch, booted_x86, booted_ppc):
-        base = _machine(arch, booted_x86, booted_ppc)
-        clone = base.fork()
-        clone.syscall(1)                       # warm the validated tier
-        cpu = clone.cpu
-        cached = dict(cpu._icache)
-        assert cached, "syscall should have populated the icache"
+            self, arch, cache, booted_x86, booted_ppc):
+        clone = _warmed(_machine(arch, booted_x86, booted_ppc))
+        tiers = _tiers(clone, cache)
+        cached = dict(tiers.hot)
+        assert cached, "syscall should have populated the hot tier"
         victim = sorted(cached)[len(cached) // 2]
         clone.flip_memory_bit(victim, 0)
-        # the victim's decode is gone from both tiers ...
-        assert victim not in cpu._icache
-        assert victim not in cpu._icache_warm
+        # the victim's entry is gone from both tiers ...
+        assert victim not in tiers.hot
+        assert victim not in tiers.warm
         # ... survivors were demoted to warm, not discarded ...
-        from repro.x86 import decoder as x86_decoder
-        window = x86_decoder.MAX_INSN_LEN if arch == "x86" else 4
-        survivors = {a: i for a, i in cached.items()
-                     if not (victim - window < a <= victim)}
-        for addr, instr in survivors.items():
-            assert cpu._icache_warm.get(addr) is instr, \
-                f"decode at {addr:#x} should have survived the flip"
+        survivors = {a: e for a, e in cached.items()
+                     if not _spans(arch, cache, a, e, victim)}
+        for addr, entry in survivors.items():
+            assert tiers.warm.get(addr) is entry, \
+                f"entry at {addr:#x} should have survived the flip"
         # ... and a subsequent fetch re-decodes the flipped word only
-        assert cpu._icache == {}
+        assert tiers.hot == {}
 
-    @pytest.mark.parametrize("arch", ARCHES)
+    @pytest.mark.parametrize("arch,cache", TIERS)
     def test_clone_inherits_parent_decodes_as_warm(
-            self, arch, booted_x86, booted_ppc):
+            self, arch, cache, booted_x86, booted_ppc):
         base = _machine(arch, booted_x86, booted_ppc)
         first = base.fork()
         first.syscall(1)
         # fork a sibling from the (still pristine) base: it inherits
         # whatever the base decoded during boot, all in the warm tier
         sibling = base.fork()
-        assert sibling.cpu._icache == {}
-        assert set(sibling.cpu._icache_warm) >= set(base.cpu._icache)
+        assert _tiers(sibling, cache).hot == {}
+        assert set(_tiers(sibling, cache).warm) >= \
+            set(_tiers(base, cache).hot)
+
+    @pytest.mark.parametrize("arch,cache", TIERS)
+    def test_eviction_spares_parent_and_sibling(
+            self, arch, cache, booted_x86, booted_ppc):
+        """A child's text flip copies the warm tier it shares before
+        evicting from it: the parent's tiers and a sibling's warm tier
+        keep every entry."""
+        parent = _warmed(_machine(arch, booted_x86, booted_ppc))
+        first, second = parent.fork(), parent.fork()
+        shared = _tiers(first, cache).warm
+        assert shared is _tiers(second, cache).warm
+        parent_tiers = _tiers(parent, cache)
+        before = (dict(parent_tiers.hot), dict(parent_tiers.warm),
+                  dict(shared))
+        victim = sorted(parent_tiers.hot)[len(parent_tiers.hot) // 2]
+        first.flip_memory_bit(victim, 0)
+        assert victim not in _tiers(first, cache).warm
+        assert victim in shared and _tiers(second, cache).warm is shared
+        assert (parent_tiers.hot, parent_tiers.warm, shared) == before
 
 
 # ---------------------------------------------------------------------------

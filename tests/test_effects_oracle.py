@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.isa.core import Tiers
 from repro.isa.debug import DebugUnit
 from repro.isa.memory import Region
 from repro.machine.machine import Machine, MachineConfig
@@ -181,8 +182,7 @@ def _shadow(arch: str, cpu, perturb: Dict[str, int]) -> _Run:
     shadow.mem = _Overlay(cpu.mem)
     shadow.aspace = copy.copy(cpu.aspace)
     shadow.debug = DebugUnit(1, 1)
-    shadow._icache = {}
-    shadow._icache_warm = {}
+    shadow.decodes = Tiers()
     shadow._block_cache = None
     if arch == "ppc":
         shadow.on_spr_write = None

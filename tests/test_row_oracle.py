@@ -301,10 +301,6 @@ _WIDE_DIVISOR = 2 ** 30 + 3
 _WIDE = 2 ** 30 * _WIDE_DIVISOR - 1
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "x86 idiv divides through a float: int(n / d) is off by one for "
-    "some 64-bit dividends (ROADMAP: A semantic oracle independent of "
-    "the tables)"))
 @pytest.mark.parametrize("mode", MODES)
 @TRIALS
 @given(hi=w32, lo=w32, d=w32)
