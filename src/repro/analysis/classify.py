@@ -20,7 +20,7 @@ anything unrecognized is a Bad Trap.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.injection.outcomes import CrashCauseG4, CrashCauseP4
 from repro.machine.events import CrashReport
@@ -94,7 +94,3 @@ def _classify_g4(report: CrashReport) -> CrashCauseG4:
     if vector == PPCVector.ALIGNMENT:
         return CrashCauseG4.ALIGNMENT
     return CrashCauseG4.BAD_TRAP
-
-
-def cause_label(cause: Optional[CrashCause]) -> str:
-    return cause.value if cause is not None else "(unknown)"

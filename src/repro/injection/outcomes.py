@@ -104,11 +104,3 @@ class InjectionResult:
         if self.crash_instret is None or self.activation_instret is None:
             return None
         return max(0, self.crash_instret - self.activation_instret)
-
-
-def summarize(results) -> dict:
-    """Counts per outcome (handy in tests and logs)."""
-    counts: dict = {}
-    for result in results:
-        counts[result.outcome] = counts.get(result.outcome, 0) + 1
-    return counts

@@ -103,10 +103,6 @@ class DebugUnit:
         self._insn_bps[addr] = breakpoint
         return breakpoint
 
-    def clear_instruction_breakpoint(self, breakpoint: InstructionBreakpoint
-                                     ) -> None:
-        self._insn_bps.pop(breakpoint.addr, None)
-
     def set_watchpoint(self, addr: int, length: int = 4,
                        on_read: bool = True, on_write: bool = True
                        ) -> Watchpoint:

@@ -288,13 +288,15 @@ class AddressSpace:
         self.memory.flush_tlb()
 
     def clone_layout(self, source: "AddressSpace") -> None:
-        """Adopt *source*'s region table wholesale (fork fast path).
+        """Adopt *source*'s region table and translation state
+        wholesale (fork fast path).
 
         Equivalent to replaying every ``map_region`` call in order —
         regions are immutable and already validated non-overlapping —
         without re-running the overlap checks.  The lists are copied,
         so later map/unmap calls stay private to each space.
         """
+        self.translation_on = source.translation_on
         self._starts = list(source._starts)
         self._regions = list(source._regions)
         self._last = None

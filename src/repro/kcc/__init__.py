@@ -4,7 +4,9 @@ The paper compiles one Linux 2.4.22 source tree with GCC 3.2.2 for two
 architectures; the cross-architecture differences in error sensitivity
 come from how the *same source* turns into machine state.  ``kcc``
 reproduces that: a small C-like language (see ``docs in
-repro.kernel.source``) is compiled by two backends:
+repro.kernel.source``) is compiled by two backends that share one
+function compiler (:mod:`repro.kcc.codegen`: statements, conditions
+and truth values take the same shape on both ISAs):
 
 * :mod:`repro.kcc.backend_x86` — packed struct layout with natural
   8/16/32-bit field access, locals mostly in stack slots (8 GPRs),

@@ -20,29 +20,21 @@ Code shape mirrors GCC 3.2 on PPC32 SysV:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.kcc import ast
+from repro.kcc.codegen import CompileError, FunctionCompiler
 from repro.kernel.image import GlobalInfo, StructLayout
-from repro.ppc.assembler import PPCAssembler, Reloc
+from repro.ppc.assembler import PPCAssembler
 
 #: callee-saved registers for locals, allocated r31 downward
 _CALLEE_SAVED = tuple(range(31, 13, -1))      # r31 .. r14
 #: volatile registers used as the expression temp pool
 _TEMP_POOL = tuple(range(3, 13))              # r3 .. r12
 
-
-class CompileError(Exception):
-    pass
-
-
-@dataclass
-class CompiledFunction:
-    name: str
-    code: bytes
-    relocs: List[Reloc]
-    insn_offsets: List[int]
+#: load and store mnemonics by access width (``x`` suffix: indexed)
+_LOAD = {4: "lwz", 2: "lhz", 1: "lbz"}
+_STORE = {4: "stw", 2: "sth", 1: "stb"}
 
 
 def _ha(addr: int) -> int:
@@ -50,24 +42,24 @@ def _ha(addr: int) -> int:
     return ((addr + 0x8000) >> 16) & 0xFFFF
 
 
-def _lo(addr: int) -> int:
-    return addr & 0xFFFF
+def _lo_signed(addr: int) -> int:
+    """Low 16 bits as the signed displacement paired with _ha()."""
+    low = addr & 0xFFFF
+    return low - 0x10000 if low & 0x8000 else low
 
 
-class PPCFunctionCompiler:
+class PPCFunctionCompiler(FunctionCompiler):
     """Compiles one analyzed :class:`ast.FuncDef` to PPC32 code."""
+
+    CONDITIONS = {"==": ("beq", "bne"), "!=": ("bne", "beq"),
+                  "<": ("blt", "bge"), "<=": ("ble", "bgt"),
+                  ">": ("bgt", "ble"), ">=": ("bge", "blt")}
+    RETURN_REG = 3
 
     def __init__(self, func: ast.FuncDef,
                  globals_info: Dict[str, GlobalInfo],
                  layouts: Dict[str, StructLayout]):
-        self.func = func
-        self.globals_info = globals_info
-        self.layouts = layouts
-        self.asm = PPCAssembler()
-        self._label_counter = 0
-        self._loop_stack: List[tuple] = []
-        self._epilogue_label = self._new_label("epilogue")
-
+        super().__init__(func, globals_info, layouts, PPCAssembler())
         if len(func.params) > 8:
             raise CompileError(f"{func.name}: more than 8 parameters")
 
@@ -92,7 +84,7 @@ class PPCFunctionCompiler:
         #   4: padding
         #   8: callee-saved save area (len(saved_regs) words)
         #   ...: frame-home slots (overflow locals)
-        #   ...: temp spill slots (10 words, one per pool register)
+        #   ...: temp spill slots (8 words)
         save_area = 8
         self._save_area_base = save_area
         # block layout ascending by register number (stmw order)
@@ -112,22 +104,6 @@ class PPCFunctionCompiler:
 
         self._in_use: List[int] = []              # allocated temp regs
 
-    # -- helpers -----------------------------------------------------------
-
-    def _new_label(self, hint: str = "L") -> str:
-        self._label_counter += 1
-        return f".{self.func.name}.{hint}{self._label_counter}"
-
-    def _alloc(self) -> int:
-        for reg in _TEMP_POOL:
-            if reg not in self._in_use:
-                self._in_use.append(reg)
-                return reg
-        raise CompileError(f"{self.func.name}: expression too deep")
-
-    def _free(self, reg: int) -> None:
-        self._in_use.remove(reg)
-
     def _home_of(self, kind: str, index: int) -> "int | None":
         key = f"{'p' if kind == 'param' else 'l'}{index}"
         return self.homes.get(key)
@@ -136,12 +112,10 @@ class PPCFunctionCompiler:
         key = f"{'p' if kind == 'param' else 'l'}{index}"
         return self._frame_home_base + 4 * self.frame_homes[key]
 
-    # -- entry point ----------------------------------------------------------
+    # -- frame ----------------------------------------------------------------
 
-    def compile(self) -> CompiledFunction:
+    def _prologue(self) -> None:
         asm = self.asm
-        insn_marks: List[int] = []
-
         asm.stwu(1, -self.frame_size, 1)
         asm.mflr(0)
         asm.stw(0, self.frame_size + 4, 1)
@@ -156,16 +130,10 @@ class PPCFunctionCompiler:
                 asm.stw(reg, self._save_offsets[reg], 1)
         # copy incoming args (r3..) into their homes
         for index in range(len(self.func.params)):
-            home = self._home_of("param", index)
-            if home is not None:
-                asm.mr(home, 3 + index)
-            else:
-                asm.stw(3 + index,
-                        self._frame_home_offset("param", index), 1)
+            self._store_var("param", index, 3 + index)
 
-        self.compile_block(self.func.body)
-
-        asm.label(self._epilogue_label)
+    def _epilogue(self) -> None:
+        asm = self.asm
         asm.lwz(0, self.frame_size + 4, 1)
         asm.mtlr(0)
         if len(self.saved_regs) >= 3:
@@ -180,66 +148,34 @@ class PPCFunctionCompiler:
         asm.lwz(1, 0, 1)
         asm.blr()
 
-        code = asm.finish()
-        insn_marks = [index * 4 for index in range(len(asm.words))]
-        return CompiledFunction(self.func.name, code, asm.relocs,
-                                insn_marks)
+    # -- primitive hooks ------------------------------------------------------
 
-    # -- statements ---------------------------------------------------------------
+    def _alloc(self) -> int:
+        for reg in _TEMP_POOL:
+            if reg not in self._in_use:
+                self._in_use.append(reg)
+                return reg
+        raise CompileError(f"{self.func.name}: expression too deep")
 
-    def compile_block(self, body: List[ast.Stmt]) -> None:
-        for stmt in body:
-            self.compile_stmt(stmt)
+    def _free(self, reg: int) -> None:
+        self._in_use.remove(reg)
 
-    def compile_stmt(self, stmt: ast.Stmt) -> None:
-        asm = self.asm
-        if isinstance(stmt, ast.VarDecl):
-            if stmt.init is not None:
-                reg = self.eval_expr(stmt.init)
-                self._store_var("local", stmt.index, reg)
-                self._free(reg)
-        elif isinstance(stmt, ast.Assign):
-            self.compile_assign(stmt)
-        elif isinstance(stmt, ast.If):
-            else_label = self._new_label("else")
-            end_label = self._new_label("endif")
-            self.compile_cond(stmt.cond, false_label=else_label)
-            self.compile_block(stmt.then_body)
-            if stmt.else_body:
-                asm.b_label(end_label)
-                asm.label(else_label)
-                self.compile_block(stmt.else_body)
-                asm.label(end_label)
-            else:
-                asm.label(else_label)
-        elif isinstance(stmt, ast.While):
-            head = self._new_label("while")
-            end = self._new_label("endwhile")
-            asm.label(head)
-            self.compile_cond(stmt.cond, false_label=end)
-            self._loop_stack.append((head, end))
-            self.compile_block(stmt.body)
-            self._loop_stack.pop()
-            asm.b_label(head)
-            asm.label(end)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                reg = self.eval_expr(stmt.value)
-                if reg != 3:
-                    asm.mr(3, reg)
-                self._free(reg)
-            else:
-                asm.li(3, 0)
-            asm.b_label(self._epilogue_label)
-        elif isinstance(stmt, ast.Break):
-            asm.b_label(self._loop_stack[-1][1])
-        elif isinstance(stmt, ast.Continue):
-            asm.b_label(self._loop_stack[-1][0])
-        elif isinstance(stmt, ast.ExprStmt):
-            reg = self.eval_expr(stmt.expr)
-            self._free(reg)
-        else:  # pragma: no cover
-            raise CompileError(f"unhandled stmt {type(stmt).__name__}")
+    def _jump(self, label: str) -> None:
+        self.asm.b_label(label)
+
+    def _branch(self, cond: str, label: str) -> None:
+        getattr(self.asm, cond)(label)
+
+    def _branch_if_zero(self, reg: int, label: str) -> None:
+        self.asm.cmplwi(reg, 0)
+        self.asm.beq(label)
+
+    def _set_const(self, reg: int, value: int) -> None:
+        self.asm.li(reg, value)
+
+    def _set_return(self, reg: int) -> None:
+        if reg != 3:
+            self.asm.mr(3, reg)
 
     def _store_var(self, kind: str, index: int, reg: int) -> None:
         home = self._home_of(kind, index)
@@ -247,6 +183,15 @@ class PPCFunctionCompiler:
             self.asm.mr(home, reg)
         else:
             self.asm.stw(reg, self._frame_home_offset(kind, index), 1)
+
+    def _compare(self, left: ast.Expr, right: ast.Expr) -> int:
+        left_reg = self.eval_expr(left)
+        right_reg = self.eval_expr(right)
+        self.asm.cmplw(left_reg, right_reg)
+        self._free(right_reg)
+        return left_reg
+
+    # -- assignment -----------------------------------------------------------
 
     def compile_assign(self, stmt: ast.Assign) -> None:
         asm = self.asm
@@ -256,11 +201,12 @@ class PPCFunctionCompiler:
             if target.kind in ("local", "param"):
                 self._store_var(target.kind, target.index, reg)
             else:
+                # scalar globals: word slot unless a dense array
                 info = self.globals_info[target.name]
                 addr_reg = self._alloc()
                 asm.lis(addr_reg, _ha(info.addr))
-                self._store_word_like(reg, _lo_signed(info.addr),
-                                      addr_reg, info.access_width)
+                getattr(asm, _STORE[info.access_width])(
+                    reg, _lo_signed(info.addr), addr_reg)
                 self._free(addr_reg)
             self._free(reg)
         elif isinstance(target, ast.FieldAccess):
@@ -273,32 +219,17 @@ class PPCFunctionCompiler:
             self._free(base)
         elif isinstance(target, ast.Index):
             info = self.globals_info[target.name]
-            index = self.eval_expr(target.index)
-            offset = self._scale_index(index, info)
+            offset = self._scale_index(self.eval_expr(target.index), info)
             base = self._alloc()
-            self._load_imm32(base, info.addr)
+            asm.load_imm32(base, info.addr)
             value = self.eval_expr(stmt.value)
-            if info.access_width == 4:
-                asm.stwx(value, base, offset)
-            elif info.access_width == 2:
-                asm.sthx(value, base, offset)
-            else:
-                asm.stbx(value, base, offset)
+            getattr(asm, _STORE[info.access_width] + "x")(
+                value, base, offset)
             self._free(value)
             self._free(base)
             self._free(offset)
         else:  # pragma: no cover
             raise CompileError("invalid assignment target")
-
-    def _store_word_like(self, value_reg: int, offset: int, base_reg: int,
-                         width: int) -> None:
-        # scalar globals: word slot on PPC (width 4) unless dense array
-        if width == 4:
-            self.asm.stw(value_reg, offset, base_reg)
-        elif width == 2:
-            self.asm.sth(value_reg, offset, base_reg)
-        else:
-            self.asm.stb(value_reg, offset, base_reg)
 
     def _scale_index(self, index_reg: int, info: GlobalInfo) -> int:
         """Return a temp register holding index*elem_size (frees input)."""
@@ -315,85 +246,34 @@ class PPCFunctionCompiler:
         self._free(index_reg)
         return out
 
-    # -- conditions ---------------------------------------------------------------
+    # -- expressions ----------------------------------------------------------
 
-    def compile_cond(self, expr: ast.Expr, false_label: str) -> None:
-        """Branch to *false_label* when *expr* is false."""
-        asm = self.asm
-        if isinstance(expr, ast.Binary) and expr.op in _CMP_FALSE_BRANCH:
-            left = self.eval_expr(expr.left)
-            right = self.eval_expr(expr.right)
-            asm.cmplw(left, right)
-            self._free(right)
-            self._free(left)
-            _CMP_FALSE_BRANCH[expr.op](asm, false_label)
-            return
-        if isinstance(expr, ast.Binary) and expr.op == "&&":
-            self.compile_cond(expr.left, false_label)
-            self.compile_cond(expr.right, false_label)
-            return
-        if isinstance(expr, ast.Binary) and expr.op == "||":
-            true_label = self._new_label("or")
-            fall = self._new_label("orfall")
-            self.compile_cond(expr.left, fall)
-            asm.b_label(true_label)
-            asm.label(fall)
-            self.compile_cond(expr.right, false_label)
-            asm.label(true_label)
-            return
-        if isinstance(expr, ast.Unary) and expr.op == "!":
-            true_label = self._new_label("nottrue")
-            self.compile_cond(expr.operand, true_label)
-            asm.b_label(false_label)
-            asm.label(true_label)
-            return
-        reg = self.eval_expr(expr)
-        asm.cmplwi(reg, 0)
-        self._free(reg)
-        asm.beq(false_label)
-
-    # -- expressions ------------------------------------------------------------------
-
-    def eval_expr(self, expr: ast.Expr) -> int:
+    def _eval_value(self, expr: ast.Expr) -> int:
         """Evaluate *expr* into a freshly allocated temp register."""
         asm = self.asm
         if isinstance(expr, ast.Num):
             reg = self._alloc()
-            self._load_imm32(reg, expr.value)
+            asm.load_imm32(reg, expr.value)
             return reg
         if isinstance(expr, ast.Name):
             return self._eval_name(expr)
         if isinstance(expr, ast.AddrOf):
             reg = self._alloc()
             if expr.kind == "global":
-                self._load_imm32(reg, self.globals_info[expr.name].addr)
+                asm.load_imm32(reg, self.globals_info[expr.name].addr)
             else:
-                asm.relocs.append(Reloc(asm.size, expr.name, "hi16"))
-                asm.lis(reg, 0)
-                asm.relocs.append(Reloc(asm.size, expr.name, "lo16"))
-                asm.ori(reg, reg, 0)
+                asm.load_addr_sym(reg, expr.name)
             return reg
         if isinstance(expr, ast.SizeOf):
             reg = self._alloc()
-            self._load_imm32(reg, self.layouts[expr.struct].size)
+            asm.load_imm32(reg, self.layouts[expr.struct].size)
             return reg
         if isinstance(expr, ast.Unary):
             reg = self.eval_expr(expr.operand)
             if expr.op == "-":
                 asm.neg(reg, reg)
-            elif expr.op == "~":
+            else:   # ~
                 asm.nor(reg, reg, reg)
-            else:   # !
-                # reg = (reg == 0) ? 1 : 0
-                zero = self._new_label("notz")
-                end = self._new_label("notend")
-                asm.cmplwi(reg, 0)
-                asm.beq(zero)
-                asm.li(reg, 0)
-                asm.b_label(end)
-                asm.label(zero)
-                asm.li(reg, 1)
-                asm.label(end)
             return reg
         if isinstance(expr, ast.Binary):
             return self._eval_binary(expr)
@@ -413,21 +293,6 @@ class PPCFunctionCompiler:
         raise CompileError(f"unhandled expr "
                            f"{type(expr).__name__}")  # pragma: no cover
 
-    def _load_imm32(self, reg: int, value: int) -> None:
-        value &= 0xFFFFFFFF
-        high = (value >> 16) & 0xFFFF
-        low = value & 0xFFFF
-        if high:
-            self.asm.lis(reg, high)
-            if low:
-                self.asm.ori(reg, reg, low)
-        else:
-            if low & 0x8000:
-                self.asm.li(reg, 0)
-                self.asm.ori(reg, reg, low)
-            else:
-                self.asm.li(reg, low)
-
     def _eval_name(self, expr: ast.Name) -> int:
         asm = self.asm
         reg = self._alloc()
@@ -441,17 +306,13 @@ class PPCFunctionCompiler:
         elif expr.kind == "global":
             info = self.globals_info[expr.name]
             asm.lis(reg, _ha(info.addr))
-            if info.access_width == 4:
-                asm.lwz(reg, _lo_signed(info.addr), reg)
-                if info.load_mask:
-                    bits = info.semantic_bits
-                    asm.rlwinm(reg, reg, 0, 32 - bits, 31)
-            elif info.access_width == 2:
-                asm.lhz(reg, _lo_signed(info.addr), reg)
-            else:
-                asm.lbz(reg, _lo_signed(info.addr), reg)
+            getattr(asm, _LOAD[info.access_width])(
+                reg, _lo_signed(info.addr), reg)
+            if info.access_width == 4 and info.load_mask:
+                bits = info.semantic_bits
+                asm.rlwinm(reg, reg, 0, 32 - bits, 31)
         elif expr.kind == "const":
-            self._load_imm32(reg, expr.index)
+            asm.load_imm32(reg, expr.index)
         else:  # pragma: no cover
             raise CompileError(f"unbound name {expr.name}")
         return reg
@@ -459,42 +320,19 @@ class PPCFunctionCompiler:
     def _eval_index(self, expr: ast.Index) -> int:
         asm = self.asm
         info = self.globals_info[expr.name]
-        index = self.eval_expr(expr.index)
-        if expr.struct_array:
-            offset = self._scale_index(index, info)
-            base = self._alloc()
-            self._load_imm32(base, info.addr)
-            asm.add(base, base, offset)
-            self._free(offset)
-            return base
-        offset = self._scale_index(index, info)
+        offset = self._scale_index(self.eval_expr(expr.index), info)
         base = self._alloc()
-        self._load_imm32(base, info.addr)
-        if info.access_width == 4:
-            asm.lwzx(base, base, offset)
-        elif info.access_width == 2:
-            asm.lhzx(base, base, offset)
+        asm.load_imm32(base, info.addr)
+        if expr.struct_array:
+            asm.add(base, base, offset)
         else:
-            asm.lbzx(base, base, offset)
+            getattr(asm, _LOAD[info.access_width] + "x")(base, base, offset)
         self._free(offset)
         return base
 
     def _eval_binary(self, expr: ast.Binary) -> int:
         asm = self.asm
         op = expr.op
-        if op in ("&&", "||"):
-            reg = self._alloc()
-            false_label = self._new_label("sc_false")
-            end = self._new_label("sc_end")
-            self._free(reg)          # keep pool clean for compile_cond
-            self.compile_cond(expr, false_label)
-            reg2 = self._alloc()
-            asm.li(reg2, 1)
-            asm.b_label(end)
-            asm.label(false_label)
-            asm.li(reg2, 0)
-            asm.label(end)
-            return reg2
         left = self.eval_expr(expr.left)
         right = self.eval_expr(expr.right)
         if op == "+":
@@ -522,16 +360,6 @@ class PPCFunctionCompiler:
             asm.slw(left, left, right)
         elif op == ">>":
             asm.srw(left, left, right)
-        elif op in _CMP_FALSE_BRANCH:
-            true_label = self._new_label("cmp1")
-            end = self._new_label("cmpend")
-            asm.cmplw(left, right)
-            _CMP_TRUE_BRANCH[op](asm, true_label)
-            asm.li(left, 0)
-            asm.b_label(end)
-            asm.label(true_label)
-            asm.li(left, 1)
-            asm.label(end)
         else:  # pragma: no cover
             raise CompileError(f"unhandled operator {op}")
         self._free(right)
@@ -590,23 +418,13 @@ class PPCFunctionCompiler:
         if name in ("__load8", "__load16", "__load32"):
             width = {"__load8": 1, "__load16": 2, "__load32": 4}[name]
             reg = self.eval_expr(expr.args[0])
-            if width == 4:
-                asm.lwz(reg, 0, reg)
-            elif width == 2:
-                asm.lhz(reg, 0, reg)
-            else:
-                asm.lbz(reg, 0, reg)
+            getattr(asm, _LOAD[width])(reg, 0, reg)
             return reg
         if name in ("__store8", "__store16", "__store32"):
             width = {"__store8": 1, "__store16": 2, "__store32": 4}[name]
             addr = self.eval_expr(expr.args[0])
             value = self.eval_expr(expr.args[1])
-            if width == 4:
-                asm.stw(value, 0, addr)
-            elif width == 2:
-                asm.sth(value, 0, addr)
-            else:
-                asm.stb(value, 0, addr)
+            getattr(asm, _STORE[width])(value, 0, addr)
             self._free(value)
             return addr          # reuse as (meaningless) result
         if name == "__bug":
@@ -628,41 +446,3 @@ class PPCFunctionCompiler:
             return self._call(name, expr.args[1:], indirect=expr.args[0])
         raise CompileError(f"unknown intrinsic {name}")  # pragma: no cover
 
-
-def _lo_signed(addr: int) -> int:
-    """Low 16 bits as the signed displacement paired with _ha()."""
-    low = addr & 0xFFFF
-    return low - 0x10000 if low & 0x8000 else low
-
-
-def _false_branch(cond: str):
-    def emit(asm: PPCAssembler, label: str) -> None:
-        getattr(asm, cond)(label)
-    return emit
-
-
-# branch taken when the comparison is FALSE (inverted condition)
-_CMP_FALSE_BRANCH = {
-    "==": _false_branch("bne"),
-    "!=": _false_branch("beq"),
-    "<": _false_branch("bge"),
-    "<=": _false_branch("bgt"),
-    ">": _false_branch("ble"),
-    ">=": _false_branch("blt"),
-}
-
-# branch taken when the comparison is TRUE
-_CMP_TRUE_BRANCH = {
-    "==": _false_branch("beq"),
-    "!=": _false_branch("bne"),
-    "<": _false_branch("blt"),
-    "<=": _false_branch("ble"),
-    ">": _false_branch("bgt"),
-    ">=": _false_branch("bge"),
-}
-
-
-def compile_function(func: ast.FuncDef,
-                     globals_info: Dict[str, GlobalInfo],
-                     layouts: Dict[str, StructLayout]) -> CompiledFunction:
-    return PPCFunctionCompiler(func, globals_info, layouts).compile()

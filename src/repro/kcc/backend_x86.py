@@ -18,12 +18,12 @@ paper's kernel was built with:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.kcc import ast
+from repro.kcc.codegen import CompileError, FunctionCompiler
 from repro.kernel.image import GlobalInfo, StructLayout
-from repro.x86.assembler import Mem, Reloc, X86Assembler
+from repro.x86.assembler import Mem, X86Assembler
 
 EAX, ECX, EDX, EBX, ESP, EBP, ESI, EDI = range(8)
 
@@ -31,33 +31,23 @@ EAX, ECX, EDX, EBX, ESP, EBP, ESI, EDI = range(8)
 #: order matches GCC's preference: ebx, esi, edi)
 _REG_HOMES = (EBX, ESI, EDI)
 
-
-class CompileError(Exception):
-    pass
-
-
-@dataclass
-class CompiledFunction:
-    name: str
-    code: bytes
-    relocs: List[Reloc]
-    insn_offsets: List[int]
+#: two-operand ALU operators (``op %ecx,%eax``)
+_ALU = {"+": "add", "-": "sub", "&": "and", "|": "or", "^": "xor"}
 
 
-class X86FunctionCompiler:
-    """Compiles one analyzed :class:`ast.FuncDef` to IA-32 code."""
+class X86FunctionCompiler(FunctionCompiler):
+    """Compiles one analyzed :class:`ast.FuncDef` to IA-32 code.
+
+    Every value is computed in EAX; intermediates are pushed."""
+
+    CONDITIONS = {"==": ("e", "ne"), "!=": ("ne", "e"), "<": ("b", "ae"),
+                  "<=": ("be", "a"), ">": ("a", "be"), ">=": ("ae", "b")}
+    RETURN_REG = EAX
 
     def __init__(self, func: ast.FuncDef,
                  globals_info: Dict[str, GlobalInfo],
                  layouts: Dict[str, StructLayout]):
-        self.func = func
-        self.globals_info = globals_info
-        self.layouts = layouts
-        self.asm = X86Assembler()
-        self._label_counter = 0
-        self._loop_stack: List[tuple] = []   # (continue_label, break_label)
-        self._epilogue_label = self._new_label("epilogue")
-
+        super().__init__(func, globals_info, layouts, X86Assembler())
         # locals: first three in callee-saved registers, rest on stack
         self.reg_locals: Dict[int, int] = {}       # local index -> reg
         self.slot_locals: Dict[int, int] = {}      # local index -> ebp disp
@@ -69,21 +59,12 @@ class X86FunctionCompiler:
                 self.slot_locals[index] = -16 - 4 * slot
         self.stack_slot_count = max(0, len(func.locals) - len(_REG_HOMES))
 
-    # -- small helpers --------------------------------------------------------
-
-    def _new_label(self, hint: str = "L") -> str:
-        self._label_counter += 1
-        return f".{self.func.name}.{hint}{self._label_counter}"
-
     def _param_mem(self, index: int) -> Mem:
         return Mem(base=EBP, disp=8 + 4 * index)
 
-    def _local_is_reg(self, index: int) -> bool:
-        return index in self.reg_locals
+    # -- frame ------------------------------------------------------------------
 
-    # -- entry point ------------------------------------------------------------
-
-    def compile(self) -> CompiledFunction:
+    def _prologue(self) -> None:
         asm = self.asm
         asm.push_r(EBP)
         asm.mov_rm_r(EBP, ESP)                # mov %esp,%ebp
@@ -92,87 +73,79 @@ class X86FunctionCompiler:
         asm.push_r(EBX)
         if self.stack_slot_count:
             asm.alu_rm_imm("sub", ESP, 4 * self.stack_slot_count)
-        self.compile_block(self.func.body)
-        # fall-through return (value undefined, eax as-is)
-        asm.label(self._epilogue_label)
+
+    def _epilogue(self) -> None:
+        asm = self.asm
         asm.lea(ESP, Mem(base=EBP, disp=-12))
         asm.pop_r(EBX)
         asm.pop_r(ESI)
         asm.pop_r(EDI)
         asm.pop_r(EBP)
         asm.ret()
-        code = asm.finish()
-        return CompiledFunction(self.func.name, code, asm.relocs,
-                                list(asm.insn_offsets))
 
-    # -- statements -----------------------------------------------------------------
+    # -- primitive hooks --------------------------------------------------------
 
-    def compile_block(self, body: List[ast.Stmt]) -> None:
-        for stmt in body:
-            self.compile_stmt(stmt)
+    def _alloc(self) -> int:
+        return EAX
 
-    def compile_stmt(self, stmt: ast.Stmt) -> None:
-        asm = self.asm
-        if isinstance(stmt, ast.VarDecl):
-            if stmt.init is not None:
-                self.eval_expr(stmt.init)
-                self._store_local(stmt.index)
-        elif isinstance(stmt, ast.Assign):
-            self.compile_assign(stmt)
-        elif isinstance(stmt, ast.If):
-            else_label = self._new_label("else")
-            end_label = self._new_label("endif")
-            self.compile_cond(stmt.cond, false_label=else_label)
-            self.compile_block(stmt.then_body)
-            if stmt.else_body:
-                asm.jmp_label(end_label)
-                asm.label(else_label)
-                self.compile_block(stmt.else_body)
-                asm.label(end_label)
-            else:
-                asm.label(else_label)
-        elif isinstance(stmt, ast.While):
-            head = self._new_label("while")
-            end = self._new_label("endwhile")
-            asm.label(head)
-            self.compile_cond(stmt.cond, false_label=end)
-            self._loop_stack.append((head, end))
-            self.compile_block(stmt.body)
-            self._loop_stack.pop()
-            asm.jmp_label(head)
-            asm.label(end)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self.eval_expr(stmt.value)
-            else:
-                asm.mov_r_imm(EAX, 0)
-            asm.jmp_label(self._epilogue_label)
-        elif isinstance(stmt, ast.Break):
-            asm.jmp_label(self._loop_stack[-1][1])
-        elif isinstance(stmt, ast.Continue):
-            asm.jmp_label(self._loop_stack[-1][0])
-        elif isinstance(stmt, ast.ExprStmt):
-            self.eval_expr(stmt.expr)
-        else:  # pragma: no cover
-            raise CompileError(f"unhandled stmt {type(stmt).__name__}")
+    def _free(self, loc: int) -> None:
+        pass
 
-    def _store_local(self, index: int) -> None:
-        """Store EAX into a local's home."""
-        if self._local_is_reg(index):
-            self.asm.mov_rm_r(self.reg_locals[index], EAX)
+    def _jump(self, label: str) -> None:
+        self.asm.jmp_label(label)
+
+    def _branch(self, cond: str, label: str) -> None:
+        self.asm.jcc_label(cond, label)
+
+    def _branch_if_zero(self, loc: int, label: str) -> None:
+        self.asm.test_rm_r(loc, loc)
+        self.asm.jcc_label("e", label)
+
+    def _set_const(self, loc: int, value: int) -> None:
+        self.asm.mov_r_imm(loc, value)
+
+    def _set_return(self, loc: int) -> None:
+        pass                                  # already in EAX
+
+    def _store_var(self, kind: str, index: int, loc: int) -> None:
+        if kind == "param":
+            home = self._param_mem(index)
+        elif index in self.reg_locals:
+            home = self.reg_locals[index]
         else:
-            self.asm.mov_rm_r(Mem(base=EBP,
-                                  disp=self.slot_locals[index]), EAX)
+            home = Mem(base=EBP, disp=self.slot_locals[index])
+        self.asm.mov_rm_r(home, loc)
+
+    def _compare(self, left: ast.Expr, right: ast.Expr) -> int:
+        self._eval_operands(left, right)
+        self.asm.alu_r_rm("cmp", EAX, ECX)
+        return EAX
+
+    def _eval_operands(self, left: ast.Expr, right: ast.Expr) -> None:
+        """Left operand into EAX, right into ECX (through the stack)."""
+        asm = self.asm
+        self.eval_expr(left)
+        asm.push_r(EAX)
+        self.eval_expr(right)
+        asm.mov_rm_r(ECX, EAX)
+        asm.pop_r(EAX)
+
+    def _load(self, src: Mem, width: int) -> None:
+        """Load a *width*-byte value into EAX, zero-extended."""
+        if width == 4:
+            self.asm.mov_r_rm(EAX, src)
+        else:
+            self.asm.movzx(EAX, src, width)
+
+    # -- assignment -------------------------------------------------------------
 
     def compile_assign(self, stmt: ast.Assign) -> None:
         asm = self.asm
         target = stmt.target
         if isinstance(target, ast.Name):
             self.eval_expr(stmt.value)
-            if target.kind == "local":
-                self._store_local(target.index)
-            elif target.kind == "param":
-                asm.mov_rm_r(self._param_mem(target.index), EAX)
+            if target.kind in ("local", "param"):
+                self._store_var(target.kind, target.index, EAX)
             else:   # global scalar
                 info = self.globals_info[target.name]
                 asm.mov_rm_r(Mem(disp=info.addr), EAX,
@@ -202,54 +175,10 @@ class X86FunctionCompiler:
         else:  # pragma: no cover
             raise CompileError("invalid assignment target")
 
-    # -- conditions -------------------------------------------------------------------
+    # -- expressions ------------------------------------------------------------
 
-    _NEGATED = {"==": "ne", "!=": "e", "<": "ae", "<=": "a",
-                ">": "be", ">=": "b"}
-
-    def compile_cond(self, expr: ast.Expr, false_label: str) -> None:
-        """Branch to *false_label* when *expr* is false (0)."""
-        asm = self.asm
-        if isinstance(expr, ast.Binary) and expr.op in self._NEGATED:
-            self.eval_expr(expr.left)
-            asm.push_r(EAX)
-            self.eval_expr(expr.right)
-            asm.mov_rm_r(ECX, EAX)
-            asm.pop_r(EAX)
-            asm.alu_r_rm("cmp", EAX, ECX)
-            asm.jcc_label(self._NEGATED[expr.op], false_label)
-            return
-        if isinstance(expr, ast.Binary) and expr.op == "&&":
-            self.compile_cond(expr.left, false_label)
-            self.compile_cond(expr.right, false_label)
-            return
-        if isinstance(expr, ast.Binary) and expr.op == "||":
-            true_label = self._new_label("or")
-            self.compile_truthy(expr.left, true_label)
-            self.compile_cond(expr.right, false_label)
-            asm.label(true_label)
-            return
-        if isinstance(expr, ast.Unary) and expr.op == "!":
-            true_label = self._new_label("nottrue")
-            self.compile_cond(expr.operand, true_label)
-            asm.jmp_label(false_label)
-            asm.label(true_label)
-            return
-        self.eval_expr(expr)
-        asm.test_rm_r(EAX, EAX)
-        asm.jcc_label("e", false_label)
-
-    def compile_truthy(self, expr: ast.Expr, true_label: str) -> None:
-        """Branch to *true_label* when *expr* is true (non-zero)."""
-        fall = self._new_label("truthyfall")
-        self.compile_cond(expr, false_label=fall)
-        self.asm.jmp_label(true_label)
-        self.asm.label(fall)
-
-    # -- expressions -----------------------------------------------------------------
-
-    def eval_expr(self, expr: ast.Expr) -> None:
-        """Evaluate *expr*; result in EAX (clobbers ECX/EDX, may push)."""
+    def _eval_value(self, expr: ast.Expr) -> int:
+        """Evaluate *expr* into EAX (clobbers ECX/EDX, may push)."""
         asm = self.asm
         if isinstance(expr, ast.Num):
             asm.mov_r_imm(EAX, expr.value)
@@ -266,18 +195,8 @@ class X86FunctionCompiler:
             self.eval_expr(expr.operand)
             if expr.op == "-":
                 asm.neg_rm(EAX)
-            elif expr.op == "~":
+            else:   # ~
                 asm.not_rm(EAX)
-            else:   # !
-                zero = self._new_label("notz")
-                end = self._new_label("notend")
-                asm.test_rm_r(EAX, EAX)
-                asm.jcc_label("e", zero)
-                asm.mov_r_imm(EAX, 0)
-                asm.jmp_label(end)
-                asm.label(zero)
-                asm.mov_r_imm(EAX, 1)
-                asm.label(end)
         elif isinstance(expr, ast.Binary):
             self._eval_binary(expr)
         elif isinstance(expr, ast.Call):
@@ -285,20 +204,17 @@ class X86FunctionCompiler:
         elif isinstance(expr, ast.FieldAccess):
             field = self.layouts[expr.struct].field(expr.field_name)
             self.eval_expr(expr.base)
-            src = Mem(base=EAX, disp=field.offset)
-            if field.access_width == 4:
-                asm.mov_r_rm(EAX, src)
-            else:
-                asm.movzx(EAX, src, field.access_width)
+            self._load(Mem(base=EAX, disp=field.offset), field.access_width)
         elif isinstance(expr, ast.Index):
             self._eval_index(expr)
         else:  # pragma: no cover
             raise CompileError(f"unhandled expr {type(expr).__name__}")
+        return EAX
 
     def _eval_name(self, expr: ast.Name) -> None:
         asm = self.asm
         if expr.kind == "local":
-            if self._local_is_reg(expr.index):
+            if expr.index in self.reg_locals:
                 asm.mov_rm_r(EAX, self.reg_locals[expr.index])
             else:
                 asm.mov_r_rm(EAX, Mem(base=EBP,
@@ -307,11 +223,7 @@ class X86FunctionCompiler:
             asm.mov_r_rm(EAX, self._param_mem(expr.index))
         elif expr.kind == "global":
             info = self.globals_info[expr.name]
-            src = Mem(disp=info.addr)
-            if info.access_width == 4:
-                asm.mov_r_rm(EAX, src)
-            else:
-                asm.movzx(EAX, src, info.access_width)
+            self._load(Mem(disp=info.addr), info.access_width)
         elif expr.kind == "const":
             asm.mov_r_imm(EAX, expr.index)
         else:  # pragma: no cover
@@ -329,76 +241,28 @@ class X86FunctionCompiler:
                 asm.imul_r_rm_imm(EAX, EAX, info.elem_size)
                 asm.alu_rm_imm("add", EAX, info.addr)
             return
-        if info.elem_size in (1, 2, 4):
-            src = Mem(index=EAX, scale=info.elem_size, disp=info.addr)
-        else:  # pragma: no cover - scalar arrays always 1/2/4
+        if info.elem_size not in (1, 2, 4):  # pragma: no cover
             raise CompileError("bad element size")
-        if info.access_width == 4:
-            asm.mov_r_rm(EAX, src)
-        else:
-            asm.movzx(EAX, src, info.access_width)
+        self._load(Mem(index=EAX, scale=info.elem_size, disp=info.addr),
+                   info.access_width)
 
     def _eval_binary(self, expr: ast.Binary) -> None:
         asm = self.asm
         op = expr.op
-        if op in ("&&", "||"):
-            end = self._new_label("sc_end")
-            if op == "&&":
-                false_label = self._new_label("sc_false")
-                self.compile_cond(expr, false_label)
-                asm.mov_r_imm(EAX, 1)
-                asm.jmp_label(end)
-                asm.label(false_label)
-                asm.mov_r_imm(EAX, 0)
-            else:
-                false_label = self._new_label("sc_false")
-                self.compile_cond(expr, false_label)
-                asm.mov_r_imm(EAX, 1)
-                asm.jmp_label(end)
-                asm.label(false_label)
-                asm.mov_r_imm(EAX, 0)
-            asm.label(end)
-            return
-        self.eval_expr(expr.left)
-        asm.push_r(EAX)
-        self.eval_expr(expr.right)
-        asm.mov_rm_r(ECX, EAX)               # right -> ecx
-        asm.pop_r(EAX)                       # left  -> eax
-        if op == "+":
-            asm.alu_r_rm("add", EAX, ECX)
-        elif op == "-":
-            asm.alu_r_rm("sub", EAX, ECX)
-        elif op == "&":
-            asm.alu_r_rm("and", EAX, ECX)
-        elif op == "|":
-            asm.alu_r_rm("or", EAX, ECX)
-        elif op == "^":
-            asm.alu_r_rm("xor", EAX, ECX)
+        self._eval_operands(expr.left, expr.right)
+        if op in _ALU:
+            asm.alu_r_rm(_ALU[op], EAX, ECX)
         elif op == "*":
             asm.imul_r_rm(EAX, ECX)
-        elif op == "/":
+        elif op in ("/", "%"):
             asm.alu_r_rm("xor", EDX, EDX)
             asm.div_rm(ECX)
-        elif op == "%":
-            asm.alu_r_rm("xor", EDX, EDX)
-            asm.div_rm(ECX)
-            asm.mov_rm_r(EAX, EDX)
+            if op == "%":
+                asm.mov_rm_r(EAX, EDX)
         elif op == "<<":
             asm.shift_rm_cl("shl", EAX)
         elif op == ">>":
             asm.shift_rm_cl("shr", EAX)
-        elif op in self._NEGATED:
-            true_label = self._new_label("cmp1")
-            end = self._new_label("cmpend")
-            asm.alu_r_rm("cmp", EAX, ECX)
-            cond = {"==": "e", "!=": "ne", "<": "b", "<=": "be",
-                    ">": "a", ">=": "ae"}[op]
-            asm.jcc_label(cond, true_label)
-            asm.mov_r_imm(EAX, 0)
-            asm.jmp_label(end)
-            asm.label(true_label)
-            asm.mov_r_imm(EAX, 1)
-            asm.label(end)
         else:  # pragma: no cover
             raise CompileError(f"unhandled operator {op}")
 
@@ -420,10 +284,7 @@ class X86FunctionCompiler:
         if name in ("__load8", "__load16", "__load32"):
             width = {"__load8": 1, "__load16": 2, "__load32": 4}[name]
             self.eval_expr(expr.args[0])
-            if width == 4:
-                asm.mov_r_rm(EAX, Mem(base=EAX))
-            else:
-                asm.movzx(EAX, Mem(base=EAX), width)
+            self._load(Mem(base=EAX), width)
         elif name in ("__store8", "__store16", "__store32"):
             width = {"__store8": 1, "__store16": 2, "__store32": 4}[name]
             self.eval_expr(expr.args[0])
@@ -452,9 +313,3 @@ class X86FunctionCompiler:
                 asm.alu_rm_imm("add", ESP, 4 * extra)
         else:  # pragma: no cover
             raise CompileError(f"unknown intrinsic {name}")
-
-
-def compile_function(func: ast.FuncDef,
-                     globals_info: Dict[str, GlobalInfo],
-                     layouts: Dict[str, StructLayout]) -> CompiledFunction:
-    return X86FunctionCompiler(func, globals_info, layouts).compile()

@@ -89,20 +89,11 @@ def place_globals(program: ast.Program, arch: str, data_base: int,
             semantic_bits = 32
         else:
             width = item.var_type.width
-            if item.count > 1:
-                # dense arrays on both architectures
-                elem_size = width
-                access_width = width
-                semantic_bits = width * 8
-            elif arch == "ppc":
-                # discrete data item: one word, masked at load
-                elem_size = 4
-                access_width = 4
-                semantic_bits = width * 8
-            else:
-                elem_size = width
-                access_width = width
-                semantic_bits = width * 8
+            semantic_bits = width * 8
+            # arrays are dense on both architectures; a discrete PPC
+            # item is one word, masked at load
+            discrete_word = arch == "ppc" and item.count <= 1
+            elem_size = access_width = 4 if discrete_word else width
         size = elem_size * item.count
         if item.name in heap_names:
             heap_cursor = _align(heap_cursor, 4)
@@ -148,14 +139,6 @@ def build_data_image(program: ast.Program, arch: str, data_base: int,
                 .to_bytes(info.access_width, order)
             image[offset:offset + info.access_width] = raw
     return bytes(image)
-
-
-def globals_total_span(globals_info: Dict[str, GlobalInfo]) -> int:
-    if not globals_info:
-        return 0
-    lo = min(info.addr for info in globals_info.values())
-    hi = max(info.addr + info.size for info in globals_info.values())
-    return hi - lo
 
 
 def initialized_ranges(program: ast.Program,

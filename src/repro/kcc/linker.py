@@ -9,10 +9,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.kcc import ast
-from repro.kcc.backend_ppc import compile_function as compile_ppc
-from repro.kcc.backend_x86 import compile_function as compile_x86
+from repro.kcc.backend_ppc import PPCFunctionCompiler
+from repro.kcc.backend_x86 import X86FunctionCompiler
 from repro.kcc.layout import (
-    build_data_image, compute_struct_layouts, initialized_ranges,
+    _align, build_data_image, compute_struct_layouts, initialized_ranges,
     place_globals,
 )
 from repro.kernel.image import (
@@ -22,10 +22,6 @@ from repro.kernel.image import (
 
 class LinkError(Exception):
     pass
-
-
-def _align(value: int, alignment: int) -> int:
-    return (value + alignment - 1) & ~(alignment - 1)
 
 
 def build_image(program: ast.Program, arch: str,
@@ -63,8 +59,8 @@ def build_image(program: ast.Program, arch: str,
                                   little_endian, names=heap_names) \
         if heap_names else b""
 
-    compile_one = compile_x86 if arch == "x86" else compile_ppc
-    compiled = [compile_one(func, globals_info, layouts)
+    compiler = X86FunctionCompiler if arch == "x86" else PPCFunctionCompiler
+    compiled = [compiler(func, globals_info, layouts).compile()
                 for func in program.functions]
 
     # assign addresses

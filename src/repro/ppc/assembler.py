@@ -73,6 +73,11 @@ class PPCAssembler:
     def size(self) -> int:
         return len(self.words) * 4
 
+    @property
+    def insn_offsets(self) -> List[int]:
+        """Byte offset of each emitted instruction."""
+        return list(range(0, self.size, 4))
+
     # -- arithmetic ---------------------------------------------------------
 
     def addi(self, rt: int, ra: int, imm: int) -> None:

@@ -47,7 +47,9 @@ class PPCCPU(Core):
     DEBUG_SLOTS = (1, 1)
     REACH = 0
     ALIGN = 4
-    STATE = Core.STATE + ("gpr", "pc", "lr", "ctr", "cr", "xer", "spr")
+    STATE = Core.STATE + ("gpr", "pc", "lr", "ctr", "cr", "xer", "spr",
+                          "btic_poisoned", "_high_data_fault",
+                          "_high_fetch_fault")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

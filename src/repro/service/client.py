@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from http.client import HTTPConnection
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 from urllib.parse import urlencode, urlsplit
 
 
@@ -206,8 +206,3 @@ class ServiceClient:
             return data
         finally:
             connection.close()
-
-
-def digest_of_jobs(views: List[dict]) -> Dict[str, Optional[str]]:
-    """``{job_id: digest}`` convenience for scripts and CI smoke."""
-    return {view["id"]: view.get("digest") for view in views}

@@ -77,17 +77,6 @@ class FunctionCFG:
     #: contains an indirect jump, making reachability conservative
     has_indirect_jump: bool
 
-    @property
-    def unreachable_blocks(self) -> List[BasicBlock]:
-        return [b for a, b in sorted(self.blocks.items())
-                if a not in self.reachable]
-
-    def block_of(self, addr: int) -> Optional[BasicBlock]:
-        for block in self.blocks.values():
-            if block.start <= addr < block.end:
-                return block
-        return None
-
 
 @dataclass
 class KernelCFG:
@@ -98,13 +87,6 @@ class KernelCFG:
     functions: Dict[str, FunctionCFG]
     #: addr -> (function name, block start) for every instruction
     insn_map: Dict[int, Tuple[str, int]]
-
-    def insn_reachable(self, addr: int) -> bool:
-        entry = self.insn_map.get(addr)
-        if entry is None:
-            return False
-        name, block_start = entry
-        return block_start in self.functions[name].reachable
 
     @property
     def total_blocks(self) -> int:

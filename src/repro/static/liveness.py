@@ -76,20 +76,6 @@ class LivenessResult:
             return frozenset()
         return effects.defs - live
 
-    def is_dead_write(self, addr: int, effects: InsnEffects) -> bool:
-        """True when the instruction's only architectural effect is
-        writing resources that are dead afterwards."""
-        if not effects.defs:
-            return False
-        if effects.writes_mem or effects.system or effects.may_fault:
-            return False
-        if effects.is_terminator:
-            return False
-        live = self.live_out.get(addr)
-        if live is None:
-            return False
-        return not (effects.defs & live)
-
 
 def _insn_transfer(eff: InsnEffects, live: Set[str],
                    call_uses: FrozenSet[str],

@@ -51,7 +51,8 @@ class X86CPU(Core):
     ALIGN = 1
     STATE = Core.STATE + (
         "regs", "eip", "eflags", "sregs", "cr0", "cr2", "cr3", "cr4",
-        "gdtr_base", "gdtr_limit", "idtr_base", "idtr_limit", "ldtr", "tr")
+        "gdtr_base", "gdtr_limit", "idtr_base", "idtr_limit", "ldtr", "tr",
+        "dr0", "dr1", "dr2", "dr3", "dr6", "dr7")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -46,10 +46,6 @@ class X86Fault(Fault):
         self.error_code = error_code
         super().__init__(vector=vector, address=address, detail=detail)
 
-    @property
-    def x86_vector(self) -> X86Vector:
-        return self.vector  # typed alias
-
 
 #: Vectors whose delivery Linux 2.4 treats as a fatal kernel oops when
 #: they occur in kernel mode (everything except the syscall gate and the

@@ -44,10 +44,6 @@ class Instr:
         self.seg = seg
         self.op2 = op2
 
-    @property
-    def has_memory_operand(self) -> bool:
-        return self.rm_reg < 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Instr({self.mnemonic!r}, len={self.length}, "
                 f"reg={self.reg}, rm_reg={self.rm_reg}, base={self.base}, "

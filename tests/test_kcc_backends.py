@@ -7,6 +7,7 @@ hypothesis-driven generator also produces random arithmetic functions
 and checks all three executors agree.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.memory import PhysicalMemory, Region
@@ -252,6 +253,67 @@ class TestDataSemantics:
         ppc = build_image(program, "ppc")
         assert x86.sizeof("s") == 8           # packed
         assert ppc.sizeof("s") == 16          # word per field
+
+
+
+_PAIRS = [(1, 2), (2, 1), (3, 3), (5, 0)]
+
+
+class TestSharedLowering:
+    """Forms that both backends lower through the one shared path in
+    :mod:`repro.kcc.codegen`."""
+
+    @pytest.mark.parametrize("a, b", _PAIRS)
+    def test_and_in_value_context(self, a, b):
+        differential("""
+            fn f(a: u32, b: u32) -> u32 { return (a > b) && (b != 0); }
+        """, "f", [a, b])
+
+    @pytest.mark.parametrize("a, b", _PAIRS)
+    def test_or_in_value_context(self, a, b):
+        differential("""
+            fn f(a: u32, b: u32) -> u32 { return (a < b) || (b == 0); }
+        """, "f", [a, b])
+
+    @pytest.mark.parametrize("a, b", _PAIRS)
+    def test_not_in_condition(self, a, b):
+        differential("""
+            fn f(a: u32, b: u32) -> u32 {
+                if (!(a == b)) { return 7; } else { return 9; }
+            }
+        """, "f", [a, b])
+
+    @pytest.mark.parametrize("a, b", _PAIRS)
+    def test_nested_short_circuit_with_calls(self, a, b):
+        """``hits`` records which right-hand calls ran."""
+        differential("""
+            global hits: u32 = 0;
+            fn bump(x: u32) -> u32 { hits = hits + x; return x & 1; }
+            fn f(a: u32, b: u32) -> u32 {
+                var r: u32 = 0;
+                if (a > b && (a == 5 || bump(1) == 1)) { r = r + 10; }
+                if ((a < b || bump(2) == 0) && bump(4) == 0) {
+                    r = r + 100;
+                }
+                return r + hits * 1000;
+            }
+        """, "f", [a, b])
+
+    def test_bare_return_value_ignored(self):
+        differential("""
+            global hits: u32 = 0;
+            fn touch(x: u32) {
+                if (x == 0) { return; }
+                hits = hits + x;
+                return;
+            }
+            fn f(a: u32) -> u32 {
+                touch(a);
+                touch(0);
+                touch(a + 1);
+                return hits;
+            }
+        """, "f", [20])
 
 
 _small = st.integers(min_value=0, max_value=0xFFFF)

@@ -115,3 +115,32 @@ class TestX86RegisterFlips:
         with pytest.raises(KernelCrash) as exc:
             machine.deliver_timer()            # vectoring fails
         assert exc.value.report.dump_failed    # triple-fault-like
+
+
+@pytest.mark.parametrize("arch", ["x86", "ppc"])
+def test_fork_keeps_state_derived_from_corrupted_registers(arch, request):
+    """A fork of a damaged machine is damaged the same way: the fault
+    flags a corrupted register left behind travel with the CPU state,
+    and a fork does not heal broken translation."""
+    machine = request.getfixturevalue(f"fresh_{arch}")
+    if arch == "ppc":
+        apply_ppc_spr_effect(machine, SPR_SDR1, old=0, new=0x00400000)
+        apply_ppc_spr_effect(machine, 528, old=0, new=4)        # IBAT0U
+        apply_ppc_spr_effect(machine, SPR_HID0, old=0, new=HID0_BTIC)
+        watched = ("_high_data_fault", "_high_fetch_fault",
+                   "btic_poisoned")
+    else:
+        apply_x86_register_flip(machine, "cr3", machine.cpu.cr3 ^ 0x1000)
+        watched = ("dr0", "dr1", "dr2", "dr3", "dr6", "dr7")
+        for value, name in enumerate(watched, start=0x400):
+            apply_x86_register_flip(machine, name, value)
+    expected = {name: getattr(machine.cpu, name) for name in watched}
+    clone = machine.fork().cpu
+    assert {name: getattr(clone, name) for name in watched} == expected
+    if arch == "ppc":
+        assert expected == {"_high_data_fault": "dsi",
+                            "_high_fetch_fault": "isi",
+                            "btic_poisoned": True}
+    else:
+        assert not machine.cpu.aspace.translation_on
+        assert not clone.aspace.translation_on
