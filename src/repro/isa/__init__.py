@@ -4,7 +4,9 @@ This package holds everything the two simulated processors (``repro.x86``
 and ``repro.ppc``) have in common: bit manipulation helpers, the sparse
 physical memory model, the address-space/permission layer, the hardware
 fault taxonomy, and the debug unit (instruction breakpoints and data
-watchpoints) that the NFTAPE-style injector drives.
+watchpoints) that the NFTAPE-style injector drives.  The assembler core
+(:mod:`repro.isa.assembler`) and the CPU core (:mod:`repro.isa.core`)
+are imported by their users only.
 """
 
 from repro.isa.bits import (

@@ -15,6 +15,10 @@ and truth values take the same shape on both ISAs):
   word and accessed with ``lwz``/``stw`` plus in-register masking,
   locals homed in callee-saved r14-r31, SysV-style frames.
 
+Both backends emit through one assembler core
+(:mod:`repro.isa.assembler`), and :mod:`repro.kcc.linker` fills every
+relocation they leave through its one ``patch``.
+
 A reference AST interpreter (:mod:`repro.kcc.interp`) executes the same
 program over the same memory image and serves as the differential
 oracle for both backends.

@@ -24,6 +24,7 @@ from typing import Dict, List
 
 from repro.kcc import ast
 from repro.kcc.codegen import CompileError, FunctionCompiler
+from repro.kcc.sema import INTRINSICS
 from repro.kernel.image import GlobalInfo, StructLayout
 from repro.ppc.assembler import PPCAssembler
 
@@ -355,7 +356,7 @@ class PPCFunctionCompiler(FunctionCompiler):
         elif op == "|":
             asm.or_(left, left, right)
         elif op == "^":
-            asm.xor_(left, left, right)
+            asm.xor(left, left, right)
         elif op == "<<":
             asm.slw(left, left, right)
         elif op == ">>":
@@ -415,13 +416,13 @@ class PPCFunctionCompiler(FunctionCompiler):
     def _eval_intrinsic(self, expr: ast.Call) -> int:
         asm = self.asm
         name = expr.name
-        if name in ("__load8", "__load16", "__load32"):
-            width = {"__load8": 1, "__load16": 2, "__load32": 4}[name]
+        if name.startswith("__load"):
+            width = INTRINSICS[name].width
             reg = self.eval_expr(expr.args[0])
             getattr(asm, _LOAD[width])(reg, 0, reg)
             return reg
-        if name in ("__store8", "__store16", "__store32"):
-            width = {"__store8": 1, "__store16": 2, "__store32": 4}[name]
+        if name.startswith("__store"):
+            width = INTRINSICS[name].width
             addr = self.eval_expr(expr.args[0])
             value = self.eval_expr(expr.args[1])
             getattr(asm, _STORE[width])(value, 0, addr)

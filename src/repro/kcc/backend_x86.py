@@ -22,6 +22,7 @@ from typing import Dict
 
 from repro.kcc import ast
 from repro.kcc.codegen import CompileError, FunctionCompiler
+from repro.kcc.sema import INTRINSICS
 from repro.kernel.image import GlobalInfo, StructLayout
 from repro.x86.assembler import Mem, X86Assembler
 
@@ -281,12 +282,12 @@ class X86FunctionCompiler(FunctionCompiler):
     def _eval_intrinsic(self, expr: ast.Call) -> None:
         asm = self.asm
         name = expr.name
-        if name in ("__load8", "__load16", "__load32"):
-            width = {"__load8": 1, "__load16": 2, "__load32": 4}[name]
+        if name.startswith("__load"):
+            width = INTRINSICS[name].width
             self.eval_expr(expr.args[0])
             self._load(Mem(base=EAX), width)
-        elif name in ("__store8", "__store16", "__store32"):
-            width = {"__store8": 1, "__store16": 2, "__store32": 4}[name]
+        elif name.startswith("__store"):
+            width = INTRINSICS[name].width
             self.eval_expr(expr.args[0])
             asm.push_r(EAX)
             self.eval_expr(expr.args[1])

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Tuple
 
+from repro.isa.assembler import Reloc
 from repro.kcc import ast
 from repro.kernel.image import GlobalInfo, StructLayout
 
@@ -43,7 +44,7 @@ class CompileError(Exception):
 class CompiledFunction:
     name: str
     code: bytes
-    relocs: list                 # the assembler's Reloc records
+    relocs: List[Reloc]          # left for the linker
     insn_offsets: List[int]
 
 

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.isa.memory import PhysicalMemory
 from repro.kcc import ast
+from repro.kcc.sema import INTRINSICS
 from repro.kernel.image import KernelImage
 
 MASK32 = 0xFFFFFFFF
@@ -287,11 +288,11 @@ class Interp:
             args = [self._eval(arg, frame) for arg in expr.args]
             return self.call(expr.name, args)
         name = expr.name
-        if name in ("__load8", "__load16", "__load32"):
-            width = {"__load8": 1, "__load16": 2, "__load32": 4}[name]
+        if name.startswith("__load"):
+            width = INTRINSICS[name].width
             return self._read(self._eval(expr.args[0], frame), width)
-        if name in ("__store8", "__store16", "__store32"):
-            width = {"__store8": 1, "__store16": 2, "__store32": 4}[name]
+        if name.startswith("__store"):
+            width = INTRINSICS[name].width
             addr = self._eval(expr.args[0], frame)
             value = self._eval(expr.args[1], frame)
             self._write(addr, value, width)

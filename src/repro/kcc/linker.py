@@ -1,16 +1,21 @@
 """Linker: lay out compiled functions and data into a kernel image.
 
-The image's mapping and records are described in
-:mod:`repro.kernel.image`.
+Functions are placed 16-byte aligned from ``text_base``; each
+relocation a backend left is then filled with its symbol's address
+through the assembler core's :func:`repro.isa.assembler.patch`, which
+knows every relocation kind of both ISAs.  The image's mapping and
+records are described in :mod:`repro.kernel.image`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.isa.assembler import AssemblerError, patch
 from repro.kcc import ast
 from repro.kcc.backend_ppc import PPCFunctionCompiler
 from repro.kcc.backend_x86 import X86FunctionCompiler
+from repro.kcc.codegen import CompiledFunction
 from repro.kcc.layout import (
     _align, build_data_image, compute_struct_layouts, initialized_ranges,
     place_globals,
@@ -66,7 +71,7 @@ def build_image(program: ast.Program, arch: str,
     # assign addresses
     functions: Dict[str, FunctionInfo] = {}
     cursor = text_base
-    placed: List[Tuple[int, object]] = []
+    placed: List[Tuple[int, CompiledFunction]] = []
     for unit in compiled:
         cursor = _align(cursor, 16)
         functions[unit.name] = FunctionInfo(
@@ -76,52 +81,23 @@ def build_image(program: ast.Program, arch: str,
         placed.append((cursor, unit))
         cursor += len(unit.code)
 
-    # resolve relocations
+    # resolve relocations: a function's name before a global's
+    symbols = {name: info.addr for name, info in globals_info.items()}
+    symbols.update((name, info.addr) for name, info in functions.items())
     text = bytearray(cursor - text_base)
     for addr, unit in placed:
-        code = bytearray(unit.code)
-        for reloc in unit.relocs:
-            target = functions.get(reloc.symbol)
-            if target is None:
-                info = globals_info.get(reloc.symbol)
-                if info is None:
-                    raise LinkError(
-                        f"{unit.name}: undefined symbol {reloc.symbol}")
-                value = info.addr
-            else:
-                value = target.addr
-            if reloc.kind == "rel32":           # x86 call/jmp
-                rel = value - (addr + reloc.offset + 4)
-                code[reloc.offset:reloc.offset + 4] = \
-                    (rel & 0xFFFFFFFF).to_bytes(4, "little")
-            elif reloc.kind == "abs32":
-                code[reloc.offset:reloc.offset + 4] = \
-                    value.to_bytes(4, "little")
-            elif reloc.kind == "rel24":         # ppc bl
-                rel = value - (addr + reloc.offset)
-                if not -(1 << 25) <= rel < (1 << 25):
-                    raise LinkError(f"bl out of range to {reloc.symbol}")
-                word = int.from_bytes(
-                    code[reloc.offset:reloc.offset + 4], "big")
-                word |= rel & 0x03FFFFFC
-                code[reloc.offset:reloc.offset + 4] = \
-                    word.to_bytes(4, "big")
-            elif reloc.kind == "hi16":          # ppc lis (paired w/ lo16)
-                word = int.from_bytes(
-                    code[reloc.offset:reloc.offset + 4], "big")
-                word = (word & 0xFFFF0000) | ((value >> 16) & 0xFFFF)
-                code[reloc.offset:reloc.offset + 4] = \
-                    word.to_bytes(4, "big")
-            elif reloc.kind == "lo16":
-                word = int.from_bytes(
-                    code[reloc.offset:reloc.offset + 4], "big")
-                word = (word & 0xFFFF0000) | (value & 0xFFFF)
-                code[reloc.offset:reloc.offset + 4] = \
-                    word.to_bytes(4, "big")
-            else:  # pragma: no cover
-                raise LinkError(f"unknown reloc kind {reloc.kind}")
         offset = addr - text_base
-        text[offset:offset + len(code)] = code
+        text[offset:offset + len(unit.code)] = unit.code
+        for reloc in unit.relocs:
+            if reloc.symbol not in symbols:
+                raise LinkError(
+                    f"{unit.name}: undefined symbol {reloc.symbol}")
+            try:
+                patch(text, offset + reloc.offset, reloc.kind,
+                      symbols[reloc.symbol], text_base)
+            except AssemblerError as error:
+                raise LinkError(f"{unit.name}: {reloc.symbol}: "
+                                f"{error}") from error
 
     return KernelImage(
         arch=arch, text_base=text_base,

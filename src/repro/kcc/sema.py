@@ -11,7 +11,7 @@ unique name.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, NamedTuple, Set
 
 from repro.kcc import ast
 from repro.kcc.ast import Type, U32
@@ -23,20 +23,27 @@ class SemaError(Exception):
         self.line = line
 
 
-#: intrinsic name -> (number of args, returns a value?)
-INTRINSICS: Dict[str, tuple] = {
-    "__load8": (1, True),
-    "__load16": (1, True),
-    "__load32": (1, True),
-    "__store8": (2, False),
-    "__store16": (2, False),
-    "__store32": (2, False),
-    "__bug": (0, False),
-    "__panic": (1, False),
-    "__icall0": (1, True),
-    "__icall1": (2, True),
-    "__icall2": (3, True),
-    "__icall3": (4, True),
+class Intrinsic(NamedTuple):
+    """A compiler intrinsic, stated once for sema, both backends and
+    the reference interpreter."""
+
+    arity: int
+    width: int = 0           # bytes a memory intrinsic accesses
+
+
+INTRINSICS: Dict[str, Intrinsic] = {
+    "__load8": Intrinsic(1, 1),
+    "__load16": Intrinsic(1, 2),
+    "__load32": Intrinsic(1, 4),
+    "__store8": Intrinsic(2, 1),
+    "__store16": Intrinsic(2, 2),
+    "__store32": Intrinsic(2, 4),
+    "__bug": Intrinsic(0),
+    "__panic": Intrinsic(1),
+    "__icall0": Intrinsic(1),
+    "__icall1": Intrinsic(2),
+    "__icall2": Intrinsic(3),
+    "__icall3": Intrinsic(4),
 }
 
 
@@ -201,7 +208,7 @@ class Analyzer:
         elif isinstance(expr, ast.Call):
             if expr.name in INTRINSICS:
                 expr.intrinsic = True
-                arity, _ = INTRINSICS[expr.name]
+                arity = INTRINSICS[expr.name].arity
                 if len(expr.args) != arity:
                     raise SemaError(
                         f"{expr.name} expects {arity} args, "

@@ -4,27 +4,43 @@
     c008d79c: 2c 0b 00 00   cmpwi r11,0
 
 Each row of :mod:`repro.ppc.isa` carries its syntax (and aliases such
-as ``li``/``mr``/``blr``); this module only fills in the operands.
+as ``li``/``mr``/``blr``); this module only fills in the operands, each
+syntax name from the fields :data:`repro.ppc.isa.SYNTAX` gives it.  A
+compare's CR field and a branch's LK bit show only when set
+(``cmpwi cr7,r11,5``, ``bctrl``).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.isa.bits import to_signed
 from repro.ppc import decoder
 from repro.ppc.insn import PPCInstr
-from repro.ppc.isa import op_of
+from repro.ppc.isa import SYNTAX, op_of
 
 
-def _bc_name(bo: int, bi: int) -> str:
+def _cond(bo: int, bi: int) -> str:
     if bo & 0x10:
         return "bc"
-    cond = ("lt", "gt", "eq", "so")[bi & 3]
-    crf = bi >> 2
-    prefix = "b" if bo & 0x8 else "bn"
-    suffix = f" cr{crf}," if crf else ""
-    return f"{prefix}{cond}{suffix}".rstrip(",")
+    taken = ("lt", "gt", "eq", "so") if bo & 0x8 else ("ge", "le", "ne", "ns")
+    return "b" + taken[bi & 3]
+
+
+#: syntax name -> its text, from the values of its fields (the
+#: :data:`repro.ppc.isa.SYNTAX` table); ``target`` depends on the
+#: address and is formatted in :func:`format_instr`
+_TEXT: Dict[str, Callable[..., object]] = {
+    "rt": "r{}".format, "ra": "r{}".format, "rb": "r{}".format,
+    "si": to_signed, "ui": int, "mb": int, "spr": int, "sh": int,
+    "me": int, "to": int, "bo": int, "bi": int,
+    "d": lambda imm, ra: f"{to_signed(imm)}(r{ra})",
+    "cond": _cond,
+    "crb": lambda bo, bi: f"cr{bi >> 2}," if bi >> 2 and not bo & 0x10
+    else "",
+    "crf": lambda crf: f"cr{crf}," if crf else "",
+    "lk": lambda op2: "l" if op2 & 1 else "",
+}
 
 
 def format_instr(i: PPCInstr, addr: int = 0) -> str:
@@ -33,10 +49,9 @@ def format_instr(i: PPCInstr, addr: int = 0) -> str:
                   op.asm)
     target = i.imm if i.op2 & 2 else (addr + i.imm) & 0xFFFFFFFF
     return syntax.format(
-        name=i.mnemonic, rt=f"r{i.rt}", ra=f"r{i.ra}", rb=f"r{i.rb}",
-        si=to_signed(i.imm), ui=i.imm, d=f"{to_signed(i.imm)}(r{i.ra})",
-        sh=i.rb, mb=i.imm, me=i.op2, to=i.rt, spr=i.imm, bo=i.rt, bi=i.ra,
-        target=f"{target:#x}", cond=_bc_name(i.rt, i.ra), word=i.word)
+        name=i.mnemonic, target=f"{target:#x}", word=i.word,
+        **{name: text(*[getattr(i, field) for field in SYNTAX[name]])
+           for name, text in _TEXT.items()})
 
 
 def disassemble_word(word: int, addr: int = 0) -> Tuple[PPCInstr, str]:

@@ -10,7 +10,9 @@ semantics over named operands.  Every view is derived from the rows:
 * the step executors, the block lowering (:mod:`repro.compile.emit`)
   and the effect summaries (:mod:`repro.static.effects`), from the
   bodies, through the body language of :mod:`repro.isa.table`;
-* the disassembly text (:mod:`repro.ppc.disasm`).
+* the disassembly text (:mod:`repro.ppc.disasm`) and the assembler's
+  row emitters (:mod:`repro.ppc.assembler`), from each row's syntax
+  template through :data:`SYNTAX`.
 
 The body vocabulary is :data:`LANG`: the register operands
 (:data:`OPERANDS`: ``rt``/``ra``/``rb`` the GPRs the fields name,
@@ -244,11 +246,32 @@ _BO = """
 
 _NOP = "cycles += 2"          # barriers and cache ops: timing only
 
+# -- syntax --------------------------------------------------------------
+
+#: syntax name -> the operand fields it shows (``cond`` and ``crb``: the
+#: condition and the CR field a ``bc`` tests).  A row's emitter takes
+#: the fields in the order its template names them (first mention
+#: wins); the disassembler formats each name from the same fields.
+SYNTAX: Dict[str, Tuple[str, ...]] = {
+    "rt": ("rt",), "ra": ("ra",), "rb": ("rb",),
+    "si": ("imm",), "ui": ("imm",), "mb": ("imm",), "spr": ("imm",),
+    "target": ("imm",), "sh": ("rb",), "me": ("op2",),
+    "to": ("rt",), "bo": ("rt",), "bi": ("ra",), "d": ("imm", "ra"),
+    "cond": ("rt", "ra"), "crb": ("rt", "ra"),
+    "crf": ("op2",), "lk": ("op2",),
+}
+#: syntax names an emitter takes as keyword-only arguments that
+#: default to 0, and the disassembler shows only when set: the CR field
+#: a compare writes and the LK bit of a branch
+OPTIONAL = frozenset({"crf", "lk"})
+
 RT_RA_SI = "{name} {rt},{ra},{si}"
 RA_RT_UI = "{name} {ra},{rt},{ui}"
 RT_RA_RB = "{name} {rt},{ra},{rb}"
 RA_RT_RB = "{name} {ra},{rt},{rb}"
 MEM = "{name} {rt},{d}"
+CMP_RB = "{name} {crf}{ra},{rb}"
+BO_BI = "{name}{lk} {bo},{bi}"
 
 ILLEGAL_OP = Op("(illegal)", None, None, "NONE", 1, "illegal()",
                 asm=".long {word:#010x}  (illegal)",
@@ -343,19 +366,19 @@ TABLE: Tuple[Op, ...] = (
     Op("cmpwi", 11, None, "CMPI", 1, """
         a = signed(ra)
         crf = LT if a < imm else (GT if a > imm else EQ)""",
-       "{name} {ra},{si}"),
+       "{name} {crf}{ra},{si}"),
     Op("cmplwi", 10, None, "CMPLI", 1, """
         a = ra
         crf = LT if a < imm else (GT if a > imm else EQ)""",
-       "{name} {ra},{ui}"),
+       "{name} {crf}{ra},{ui}"),
     Op("cmpw", 31, 0, "XCMP", 1, """
         a = signed(ra)
         b = signed(rb)
-        crf = LT if a < b else (GT if a > b else EQ)""", "{name} {ra},{rb}"),
+        crf = LT if a < b else (GT if a > b else EQ)""", CMP_RB),
     Op("cmplw", 31, 32, "XCMP", 1, """
         a = ra
         b = rb
-        crf = LT if a < b else (GT if a > b else EQ)""", "{name} {ra},{rb}"),
+        crf = LT if a < b else (GT if a > b else EQ)""", CMP_RB),
     # -- loads and stores ---------------------------------------------------
     Op("lwz", 32, None, "D", 3, "rt = load((ra0 + imm) & M, 4)", MEM),
     Op("lbz", 34, None, "D", 3, "rt = load((ra0 + imm) & M, 1)", MEM),
@@ -412,7 +435,7 @@ TABLE: Tuple[Op, ...] = (
         if lk:
             lr = nia""" + _BO + """
         if ok:
-            branch(target)""", "{cond} {target}",
+            branch(target)""", "{cond}{lk} {crb}{target}",
        kind=lambda i: "call" if i.op2 & 1 else
        "branch" if _conditional(i) else "jump"),
     Op("bclr", 19, 16, "XL", 2, _BO + """
@@ -420,8 +443,8 @@ TABLE: Tuple[Op, ...] = (
         if lk:
             lr = nia
         if ok:
-            branch(t)""", "{name} {bo},{bi}",
-       [(lambda i: i.rt & 0x14 == 0x14, "blr")],
+            branch(t)""", BO_BI,
+       [(lambda i: i.rt & 0x14 == 0x14, "blr{lk}")],
        kind=lambda i: "branch" if _conditional(i) else "ret"),
     # bcctr never decrements CTR; LR is written only when taken
     Op("bcctr", 19, 528, "XL", 2, """
@@ -433,8 +456,8 @@ TABLE: Tuple[Op, ...] = (
         else:
             if lk:
                 lr = nia
-            branch(ctr & ~3)""", "{name} {bo},{bi}",
-       [(lambda i: i.rt & 0x14 == 0x14, "bctr")],
+            branch(ctr & ~3)""", BO_BI,
+       [(lambda i: i.rt & 0x14 == 0x14, "bctr{lk}")],
        kind=lambda i: "jump-indirect"),
     # -- system ---------------------------------------------------------------
     Op("sc", 17, None, "SC", 10, "syscall()", "sc"),

@@ -3,22 +3,26 @@
 This is a builder API, not a text assembler: the compiler backend calls
 methods like :meth:`X86Assembler.mov_r_rm` and the encoder produces the
 same byte sequences GCC 3.2 emits for the paper's examples (``8d 65 f4
-lea -0xc(%ebp),%esp``; ``5b pop %ebx``; ...).  Labels are local;
-cross-function calls become relocations resolved by the linker.
+lea -0xc(%ebp),%esp``; ``5b pop %ebx``; ...).  Code, labels,
+instruction offsets and relocations live in the shared core
+(:mod:`repro.isa.assembler`): a jump to a label is a ``rel32`` fixup
+resolved by ``finish()``, a call or address of a symbol a ``rel32`` or
+``abs32`` relocation resolved by the linker.
 
 Every byte comes from the instruction table (:mod:`repro.x86.isa`):
 each builder names a row, its op2 (ALU, condition and group numbers
 are positions in the table's name tuples) and a width, and
 :func:`repro.x86.decoder.encode` supplies the opcode, the ModRM digit
-and the immediate size.  This module adds only the prefixes, ModRM/SIB
-addressing, labels and relocations.
+and the immediate size.  This module adds only the prefixes and
+ModRM/SIB addressing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
+from repro.isa.assembler import Assembler
 from repro.isa.bits import to_unsigned
 from repro.x86.decoder import encode
 from repro.x86.isa import (
@@ -40,19 +44,6 @@ class Mem:
     seg: int = SEG_DS
 
 
-@dataclass
-class Reloc:
-    """An unresolved reference to an external symbol."""
-
-    offset: int           # where the 32-bit field sits in the code
-    symbol: str
-    kind: str             # "rel32" (call/jmp) or "abs32"
-
-
-class AssemblerError(Exception):
-    pass
-
-
 def _fits8(imm: int) -> bool:
     """True when *imm* (taken as 32 bits) fits a sign-extended byte."""
     imm &= 0xFFFFFFFF
@@ -60,16 +51,8 @@ def _fits8(imm: int) -> bool:
     return -128 <= signed <= 127
 
 
-class X86Assembler:
-    """Accumulates encoded instructions plus labels and relocations."""
-
-    def __init__(self) -> None:
-        self.code = bytearray()
-        self.labels: Dict[str, int] = {}
-        self._label_fixups: List[Tuple[int, str, int]] = []  # off, lbl, size
-        self.relocs: List[Reloc] = []
-        #: byte offset of each emitted instruction (for injection maps)
-        self.insn_offsets: List[int] = []
+class X86Assembler(Assembler):
+    """Encodes IA-32 instructions into the shared assembler core."""
 
     # -- plumbing ---------------------------------------------------------
 
@@ -78,14 +61,6 @@ class X86Assembler:
 
     def emit32(self, value: int) -> None:
         self.code.extend(to_unsigned(value).to_bytes(4, "little"))
-
-    def label(self, name: str) -> None:
-        if name in self.labels:
-            raise AssemblerError(f"duplicate label {name}")
-        self.labels[name] = len(self.code)
-
-    def new_label(self, hint: str = "L") -> str:
-        return f".{hint}{len(self._label_fixups)}_{len(self.code)}"
 
     def _modrm(self, reg: int, rm: "int | Mem") -> None:
         """Emit ModRM (+SIB +disp) addressing *rm* with /reg field *reg*."""
@@ -145,14 +120,6 @@ class X86Assembler:
             self._modrm(reg if digit is None else digit, rm)
         if size:
             code += (imm & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-
-    def _reloc(self, symbol: str, kind: str) -> None:
-        """Relocate the instruction's trailing 32-bit field."""
-        self.relocs.append(Reloc(len(self.code) - 4, symbol, kind))
-
-    def _fixup(self, label: str) -> None:
-        """Point the instruction's trailing 32-bit field at *label*."""
-        self._label_fixups.append((len(self.code) - 4, label, 4))
 
     # -- data movement ------------------------------------------------------
 
@@ -262,11 +229,11 @@ class X86Assembler:
 
     def jmp_label(self, label: str) -> None:
         self._op("jmp_rel", form="rel32")
-        self._fixup(label)
+        self._fixup(label, "rel32")
 
     def jcc_label(self, cond: str, label: str) -> None:
         self._op("jcc", COND_NAMES.index(cond), form="rel32")
-        self._fixup(label)
+        self._fixup(label, "rel32")
 
     def ret(self) -> None:
         self._op("ret", form="none")
@@ -282,16 +249,3 @@ class X86Assembler:
 
     def hlt(self) -> None:
         self._op("hlt")
-
-    # -- finalization -----------------------------------------------------------
-
-    def finish(self) -> bytes:
-        """Resolve local label fixups; relocations stay for the linker."""
-        for offset, label, size in self._label_fixups:
-            if label not in self.labels:
-                raise AssemblerError(f"undefined label {label}")
-            rel = self.labels[label] - (offset + size)
-            self.code[offset:offset + size] = \
-                to_unsigned(rel).to_bytes(size, "little")
-        self._label_fixups.clear()
-        return bytes(self.code)

@@ -2,20 +2,27 @@
 
 The x86 byte table below is an oracle independent of the instruction
 table the assembler emits from: every builder method's bytes, written
-out, over each addressing form, width and immediate edge.
+out, over each addressing form, width and immediate edge.  On PPC,
+every emitter derived from the table is driven with random operands
+and read back through the decoder and the disassembler, whose text is
+checked against objdump-style rules written out here; the pseudo-ops'
+text is written out too.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.isa.assembler import Assembler, AssemblerError
 from repro.ppc import decoder as ppc_decoder
-from repro.ppc.assembler import PPCAssembler, dform, xform
-from repro.ppc.disasm import disassemble_word
+from repro.ppc.assembler import PPCAssembler, method_name, operands
+from repro.ppc.disasm import disassemble_word, format_instr
+from repro.ppc.isa import TABLE, op_of as ppc_op_of
 from repro.x86 import decoder as x86_decoder
 from repro.x86.assembler import Mem, X86Assembler
 from repro.x86.disasm import disassemble_range
 from repro.x86.isa import op_of
 from repro.x86.registers import SEG_FS, SEG_GS
+from tests.ppc_words import dform, xform
 
 reg = st.integers(min_value=0, max_value=7)
 ppc_reg = st.integers(min_value=0, max_value=31)
@@ -183,8 +190,8 @@ class TestX86Roundtrip:
 
     def test_every_assembler_form_roundtrips(self):
         builders = {name for name in dir(X86Assembler)
-                    if not name.startswith(("_", "emit"))} - {
-                        "label", "new_label", "finish"}
+                    if not name.startswith(("_", "emit"))} - set(
+                        dir(Assembler))
         assert builders == {case[0] for case in X86_BYTES}
         for builder, args, expected, row, op2, width in X86_BYTES:
             one = X86Assembler()
@@ -310,86 +317,148 @@ class TestX86Roundtrip:
         assert "lea -0xc(%ebp),%esp" in lines[2]
 
 
-class TestPPCRoundtrip:
-    def _roundtrip(self, asm: PPCAssembler):
-        code = asm.finish()
-        out = []
-        for index in range(len(code) // 4):
-            word = int.from_bytes(code[index * 4:index * 4 + 4], "big")
-            instr = ppc_decoder.decode(word)
-            assert instr.execute is not ppc_decoder.exec_illegal, \
-                f"word {index} ({word:#010x}) decodes illegal"
-            out.append(instr)
-        return out
+_S16 = st.integers(-0x8000, 0x7FFF)
+_U16 = st.integers(0, 0xFFFF)
+_BIT = st.integers(0, 1)
+_CRF = st.integers(0, 7)
 
-    def test_every_assembler_form_roundtrips(self):
+#: operand fields of each PPC form -> values it encodes exactly (the
+#: decoder gives each back as ``value & 0xFFFFFFFF``); op2 is the CR
+#: field of a compare, the LK bit of a branch, ME of rlwinm
+PPC_FIELDS = {
+    "D": {"rt": ppc_reg, "ra": ppc_reg, "imm": _S16},
+    "DU": {"rt": ppc_reg, "ra": ppc_reg, "imm": _U16},
+    "CMPI": {"ra": ppc_reg, "imm": _S16, "op2": _CRF},
+    "CMPLI": {"ra": ppc_reg, "imm": _U16, "op2": _CRF},
+    "M": {"rt": ppc_reg, "ra": ppc_reg, "rb": ppc_reg, "imm": ppc_reg,
+          "op2": ppc_reg},
+    "B": {"imm": st.integers(-(1 << 23), (1 << 23) - 1).map(lambda n: 4 * n),
+          "op2": _BIT},
+    "BC": {"rt": ppc_reg, "ra": ppc_reg,
+           "imm": st.integers(-(1 << 13), (1 << 13) - 1).map(
+               lambda n: 4 * n), "op2": _BIT},
+    "XL": {"rt": ppc_reg, "ra": ppc_reg, "op2": _BIT},
+    "X": {"rt": ppc_reg, "ra": ppc_reg, "rb": ppc_reg},
+    "XCMP": {"ra": ppc_reg, "rb": ppc_reg, "op2": _CRF},
+    "XFX": {"rt": ppc_reg, "imm": st.integers(0, 1023)},
+    "NONE": {},
+    "SC": {},
+}
+
+
+def _cond(f):
+    if f["rt"] & 0x10:
+        return "bc"
+    true = f["rt"] & 8       # branch if the CR bit is set
+    return "b" + (("lt", "gt", "eq", "so") if true else
+                  ("ge", "le", "ne", "ns"))[f["ra"] & 3]
+
+
+#: how each syntax name reads, objdump style, from the operand fields
+#: an emitter was given (a branch target at address 0)
+PPC_TEXT = {
+    "rt": lambda f: f"r{f['rt']}", "ra": lambda f: f"r{f['ra']}",
+    "rb": lambda f: f"r{f['rb']}", "si": lambda f: f["imm"],
+    "ui": lambda f: f["imm"], "d": lambda f: f"{f['imm']}(r{f['ra']})",
+    "sh": lambda f: f["rb"], "mb": lambda f: f["imm"],
+    "me": lambda f: f["op2"], "to": lambda f: f["rt"],
+    "spr": lambda f: f["imm"], "bo": lambda f: f["rt"],
+    "bi": lambda f: f["ra"], "target": lambda f: f"{f['imm'] & 0xFFFFFFFF:#x}",
+    "cond": _cond,
+    "crb": lambda f: f"cr{f['ra'] >> 2}," if f["ra"] >> 2
+    and not f["rt"] & 0x10 else "",
+    "crf": lambda f: f"cr{f['op2']}," if f["op2"] else "",
+    "lk": lambda f: "l" if f["op2"] else "",
+}
+
+
+def _word(asm: PPCAssembler) -> int:
+    code = asm.finish()
+    assert len(code) == 4
+    return int.from_bytes(code, "big")
+
+
+class TestPPCRoundtrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_assembler_form_roundtrips(self, data):
+        """Each row's emitter: its word decodes to that row and the
+        fields it was given (the rest 0), and disassembles as the row's
+        syntax filled with the same operands.  A form's op2 (CR field,
+        LK bit) must be an operand, so that both show."""
+        for op in TABLE:
+            domain = PPC_FIELDS[op.form]
+            fields, option = operands(op)
+            given_ = {field: data.draw(domain[field], label=op.name)
+                      for field in fields}
+            options = {}
+            if option is not None:
+                options[option] = given_["op2"] = data.draw(domain["op2"])
+            assert "op2" in given_ or "op2" not in domain \
+                or op.mnemonics, f"{op.name} drops its op2 field"
+            asm = PPCAssembler()
+            getattr(asm, method_name(op.name))(
+                *(given_[field] for field in fields), **options)
+            instr = ppc_decoder.decode(_word(asm))
+            assert ppc_op_of(instr) is op
+            every = {"rt": 0, "ra": 0, "rb": 0, "imm": 0, "op2": 0, **given_}
+            assert (instr.rt, instr.ra, instr.rb, instr.imm, instr.op2) == \
+                tuple(value & 0xFFFFFFFF for value in every.values()), \
+                op.name
+            syntax = next((text for applies, text in op.aliases
+                           if applies(instr)), op.asm)
+            name = op.mnemonics[instr.op2] if op.mnemonics else op.name
+            assert format_instr(instr) == syntax.format(
+                name=name, **{key: text(every)
+                              for key, text in PPC_TEXT.items()}), given_
+
+    @pytest.mark.parametrize("emit,text", [
+        (lambda a: a.li(3, -5), "li r3,-5"),
+        (lambda a: a.lis(3, 0x1234), "lis r3,4660"),
+        (lambda a: a.mr(3, 4), "mr r3,r4"),
+        (lambda a: a.nop(), "nop"),
+        (lambda a: a.mflr(0), "mflr r0"),
+        (lambda a: a.mtlr(0), "mtlr r0"),
+        (lambda a: a.mfctr(9), "mfctr r9"),
+        (lambda a: a.mtctr(9), "mtctr r9"),
+        (lambda a: a.trap(), "tw 31,r0,r0"),
+        (lambda a: a.blr(), "blr"),
+        (lambda a: a.bctr(), "bctr"),
+        (lambda a: a.bctrl(), "bctrl"),
+        (lambda a: a.beq(".x", crf=1), "beq cr1,0x0"),
+        (lambda a: a.bne(".x"), "bne 0x0"),
+        (lambda a: a.blt(".x"), "blt 0x0"),
+        (lambda a: a.bge(".x"), "bge 0x0"),
+        (lambda a: a.bgt(".x"), "bgt 0x0"),
+        (lambda a: a.ble(".x", crf=7), "ble cr7,0x0"),
+        (lambda a: a.bc_label(16, 0, ".x"), "bc 0x0"),
+        (lambda a: a.b_label(".x"), "b 0x0"),
+    ])
+    def test_pseudo_ops(self, emit, text):
         asm = PPCAssembler()
-        asm.addi(3, 1, -32)
-        asm.addis(4, 0, 0x1234)
-        asm.mulli(5, 3, 100)
-        asm.add(3, 4, 5)
-        asm.subf(3, 4, 5)
-        asm.neg(3, 4)
-        asm.mullw(3, 4, 5)
-        asm.divw(3, 4, 5)
-        asm.divwu(3, 4, 5)
-        asm.and_(3, 4, 5)
-        asm.or_(3, 4, 5)
-        asm.mr(3, 4)
-        asm.xor_(3, 4, 5)
-        asm.nor(3, 4, 5)
-        asm.slw(3, 4, 5)
-        asm.srw(3, 4, 5)
-        asm.sraw(3, 4, 5)
-        asm.srawi(3, 4, 7)
-        asm.ori(3, 4, 0xFFFF)
-        asm.xori(3, 4, 1)
-        asm.andi_dot(3, 4, 0xFF)
-        asm.rlwinm(3, 4, 2, 0, 29)
-        asm.cmpwi(3, -1)
-        asm.cmplwi(3, 10)
-        asm.cmpw(3, 4)
-        asm.cmplw(3, 4)
-        asm.lwz(11, 40, 31)
-        asm.lwzu(11, 4, 31)
-        asm.lbz(3, 0, 4)
-        asm.lhz(3, 2, 4)
-        asm.lha(3, 2, 4)
-        asm.stw(3, 0, 1)
-        asm.stwu(1, -32, 1)
-        asm.stb(3, 1, 4)
-        asm.sth(3, 2, 4)
-        asm.lmw(29, 8, 1)
-        asm.stmw(29, 8, 1)
-        asm.lwzx(3, 4, 5)
-        asm.stwx(3, 4, 5)
-        asm.lhzx(3, 4, 5)
-        asm.sthx(3, 4, 5)
-        asm.lbzx(3, 4, 5)
-        asm.stbx(3, 4, 5)
-        asm.mflr(0)
-        asm.mtlr(0)
-        asm.mfctr(9)
-        asm.mtctr(9)
-        asm.mfspr(3, 274)
-        asm.mtspr(274, 3)
-        asm.mfmsr(3)
-        asm.mtmsr(3)
-        asm.sc()
-        asm.twi(31, 0, 0)
-        asm.trap()
-        asm.isync()
-        asm.sync()
-        asm.blr()
-        asm.bctr()
+        asm.label(".x")
+        emit(asm)
+        assert disassemble_word(_word(asm))[1] == text
+
+    def test_symbol_forms_leave_relocations(self):
+        asm = PPCAssembler()
         asm.nop()
-        self._roundtrip(asm)
+        asm.bl_sym("callee")
+        asm.load_addr_sym(5, "table")
+        code = asm.finish()
+        assert [(r.offset, r.symbol, r.kind) for r in asm.relocs] == [
+            (4, "callee", "rel24"), (8, "table", "hi16"),
+            (12, "table", "lo16")]
+        assert asm.insn_offsets == [0, 4, 8, 12]
+        assert [disassemble_word(int.from_bytes(code[n:n + 4], "big"))[1]
+                for n in range(4, 16, 4)] == [
+            "bl 0x0", "lis r5,0", "ori r5,r5,0"]
 
     @given(ppc_reg, ppc_reg, imm16s)
     def test_dform_fields(self, rt, ra, imm):
         asm = PPCAssembler()
         asm.lwz(rt, imm, ra)
-        word = asm.words[0]
+        word = _word(asm)
         instr = ppc_decoder.decode(word)
         assert instr.rt == rt
         assert instr.ra == ra
@@ -399,7 +468,7 @@ class TestPPCRoundtrip:
     def test_spr_field_swap(self, spr):
         asm = PPCAssembler()
         asm.mfspr(5, spr)
-        instr = ppc_decoder.decode(asm.words[0])
+        instr = ppc_decoder.decode(_word(asm))
         assert instr.imm == spr
 
     def test_disassembly_matches_paper(self):
@@ -428,3 +497,75 @@ class TestPPCRoundtrip:
         }
         for word, expected in cases.items():
             assert disassemble_word(word)[1] == expected
+
+
+def _assembler(arch: str):
+    return X86Assembler() if arch == "x86" else PPCAssembler()
+
+
+def _jump(asm, label: str) -> None:
+    if isinstance(asm, X86Assembler):
+        asm.jmp_label(label)
+    else:
+        asm.b_label(label)
+
+
+def _pad(asm, size: int) -> None:
+    """*size* zero bytes of never-executed padding."""
+    asm.code.extend(bytes(size))
+
+
+class TestLoudFailures:
+    """Labels and displacements that cannot be resolved raise
+    :class:`AssemblerError` on both ISAs, never emit a wrong word."""
+
+    @pytest.mark.parametrize("arch", ["x86", "ppc"])
+    def test_duplicate_label(self, arch):
+        asm = _assembler(arch)
+        asm.label("here")
+        with pytest.raises(AssemblerError, match="duplicate label here"):
+            asm.label("here")
+
+    @pytest.mark.parametrize("arch", ["x86", "ppc"])
+    def test_undefined_label(self, arch):
+        asm = _assembler(arch)
+        _jump(asm, "nowhere")
+        asm.label("elsewhere")
+        with pytest.raises(AssemblerError, match="undefined label nowhere"):
+            asm.finish()
+
+    @pytest.mark.parametrize("distance,fits", [
+        (0x7FFC, True), (0x8000, False), (-0x8000, True), (-0x8004, False)])
+    def test_bc_label_range(self, distance, fits):
+        """A conditional branch reaches ±32 KiB (rel14)."""
+        asm = PPCAssembler()
+        if distance < 0:
+            asm.label("far")
+            _pad(asm, -distance)
+        asm.beq("far")
+        if distance > 0:
+            _pad(asm, distance - 4)
+            asm.label("far")
+        if not fits:
+            with pytest.raises(AssemblerError, match="rel14 overflow"):
+                asm.finish()
+            return
+        code = asm.finish()
+        at = max(0, -distance)
+        instr = ppc_decoder.decode(int.from_bytes(code[at:at + 4], "big"))
+        assert instr.imm == distance & 0xFFFFFFFF
+
+    @pytest.mark.parametrize("distance,fits", [
+        ((1 << 25) - 4, True), (1 << 25, False)])
+    def test_b_label_range(self, distance, fits):
+        """An unconditional branch reaches ±32 MiB (rel24)."""
+        asm = PPCAssembler()
+        asm.b_label("far")
+        _pad(asm, distance - 4)
+        asm.label("far")
+        if not fits:
+            with pytest.raises(AssemblerError, match="rel24 overflow"):
+                asm.finish()
+            return
+        word = int.from_bytes(asm.finish()[:4], "big")
+        assert ppc_decoder.decode(word).imm == distance

@@ -485,8 +485,9 @@ def _counted_loop(arch: str, count: int, base: int):
     asm.bc_label(16, 0, "a")               # bdnz
     asm.label("done")
     _ppc_halt(asm)
-    a, b = asm.labels["a"], asm.labels["b"]
-    return asm.finish(), a, 4 * a, b - a, 4 * b, 1
+    index = asm.insn_offsets.index
+    a, b = index(asm.labels["a"]), index(asm.labels["b"])
+    return asm.finish(), a, asm.labels["a"], b - a, asm.labels["b"], 1
 
 
 class _Loop:
@@ -693,7 +694,7 @@ def ppc_programs(draw):
             op(r, ra, rb)
         elif kind == "logic":
             op = draw(st.sampled_from(
-                [asm.and_, asm.or_, asm.xor_, asm.nor]))
+                [asm.and_, asm.or_, asm.xor, asm.nor]))
             op(r, ra, rb)
         elif kind == "shift":
             asm.srawi(r, ra, draw(st.integers(0, 31)))
@@ -722,7 +723,7 @@ def ppc_programs(draw):
             asm.li(r, draw(st.integers(-0x8000, 0x7FFF)))
             asm.label(skip)
     _ppc_halt(asm)
-    return asm.finish(), len(asm.words)
+    return asm.finish(), len(asm.insn_offsets)
 
 
 class TestHypothesisStreams:

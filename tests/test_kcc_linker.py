@@ -5,13 +5,15 @@ import hashlib
 import pytest
 
 from repro.isa import codecache
-from repro.kcc import analyze, build_image, parse
+from repro.kcc import analyze, build_image, linker, parse
+from repro.kcc.backend_ppc import PPCFunctionCompiler
 from repro.kcc.layout import (
     compute_struct_layouts, layout_struct_ppc, layout_struct_x86,
     place_globals,
 )
 from repro.kcc.linker import LinkError
 from repro.kernel import build
+from repro.kernel.image import TEXT_BASE
 
 SOURCE = """
 struct widget { flag: u8; count: u16; total: u32; next: *widget; }
@@ -101,6 +103,31 @@ class TestLink:
         bad.functions = [bad.functions[0]]
         with pytest.raises(LinkError):
             build_image(bad, "x86")
+
+    def test_undefined_symbol_fails_on_ppc(self):
+        bad = analyze(parse(
+            "fn f() -> u32 { return __icall0(&f) + g(); }"
+            "fn g() -> u32 { return 0; }"))
+        bad.functions = [bad.functions[0]]
+        with pytest.raises(LinkError, match="f: undefined symbol g"):
+            build_image(bad, "ppc")
+
+    def test_rel24_overflow_fails(self, monkeypatch):
+        """A ``bl`` to a symbol beyond ±32 MiB fails to link, loudly."""
+        class FarCall(PPCFunctionCompiler):
+            def _prologue(self):
+                self.asm.bl_sym("far")
+                super()._prologue()
+
+        monkeypatch.setattr(linker, "PPCFunctionCompiler", FarCall)
+        program = analyze(parse(
+            "global far: u32; fn f() -> u32 { return far; }"))
+        with pytest.raises(LinkError, match="f: far: rel24 overflow"):
+            build_image(program, "ppc", data_base=TEXT_BASE + (1 << 26))
+        near = analyze(parse(
+            "global far: u32; fn f() -> u32 { return far; }"))
+        image = build_image(near, "ppc")
+        assert image.globals["far"].addr - TEXT_BASE < 1 << 25
 
     @pytest.mark.parametrize("arch", ["x86", "ppc"])
     def test_insn_addr_maps(self, program, arch):

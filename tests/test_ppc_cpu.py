@@ -28,7 +28,7 @@ def run(asm: PPCAssembler, steps: int = None, cpu: PPCCPU = None
     if cpu is None:
         cpu = make_cpu()
     cpu.mem.write(TEXT, asm.finish())
-    count = steps if steps is not None else len(asm.words)
+    count = steps if steps is not None else len(asm.insn_offsets)
     for _ in range(count):
         cpu.step()
     return cpu

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.ppc.decoder import decode, exec_illegal, exec_lhax, exec_mfspr
-from repro.ppc.assembler import dform, xform
+from tests.ppc_words import dform, xform
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 

@@ -4,9 +4,9 @@ zeros, sign extension (all reachable by corrupted code)."""
 import pytest
 
 from repro.isa.memory import Region
-from repro.ppc.assembler import dform, xform
 from repro.ppc.cpu import PPCCPU
 from repro.ppc.decoder import decode, exec_illegal
+from tests.ppc_words import dform, xform
 
 TEXT = 0xC0100000
 

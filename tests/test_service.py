@@ -365,16 +365,40 @@ class TestServiceEndToEnd:
         assert "Stack" in summary["table"]
 
     def test_cancel_frees_slots_then_resume_completes(self, daemon,
-                                                      x86_context):
+                                                      x86_context,
+                                                      monkeypatch):
         client = daemon.client()
+        # the job is mostly screened and would finish within
+        # milliseconds: once it has reported done >= 2, its next batch
+        # waits until the cancel below has returned
+        cancel_returned = threading.Event()
+
+        class Paced(Campaign):
+            def run(self, *args, progress_callback=None, **kwargs):
+                reported = []
+
+                def paced(done, total, batch):
+                    if reported:
+                        assert cancel_returned.wait(600), "never cancelled"
+                    progress_callback(done, total, batch)
+                    if done >= 2:
+                        reported.append(done)
+
+                return super().run(*args, progress_callback=paced,
+                                   **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "Campaign", Paced)
         payload = {"arch": "x86", "kind": "data", "count": 48,
                    "seed": 0, "ops": 36}
         job_id = client.submit(payload)["job"]["id"]
-        for event in client.stream(job_id):
-            if (event["event"] == "progress"
-                    and event["done"] >= 2):
-                break
-        cancelled = client.cancel(job_id)
+        try:
+            for event in client.stream(job_id):
+                if (event["event"] == "progress"
+                        and event["done"] >= 2):
+                    break
+            cancelled = client.cancel(job_id)
+        finally:
+            cancel_returned.set()
         assert cancelled["cancel_requested"] is True \
             or cancelled["state"] == "cancelled"
         final = client.wait(job_id, timeout=120)
