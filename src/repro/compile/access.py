@@ -4,14 +4,16 @@ A compiled load or store probes the memory's soft TLB
 (:class:`repro.isa.memory.PhysicalMemory` ``rtlb``/``wtlb``) with the
 page index, and a hit whose bytes stay inside the page is served
 straight from the page buffer.  Everything else runs the step core's
-exact slow path — ``aspace.check`` (a fault translated by
-``cpu._memfault``), then ``mem.read_*``/``write_*`` — and offers the
-page to the TLB.  Either way the access then costs ``cyc += 2`` and
-calls the watchpoint hook with fully synced state.
+exact slow path — the pending flags built (``g.settle``), since the
+check may fault, then ``aspace.check`` (a fault translated by
+``cpu._memfault``) and ``mem.read_*``/``write_*`` — and offers the page
+to the TLB.  Either way the access then costs ``cyc += 2`` and calls
+the watchpoint hook (``g.watch``), which syncs what the debug unit may
+see.  The hit path touches neither the CPU object nor the flags.
 
-The generator supplies the byte order (``g.little``), the line that
-syncs the CPU's state from the block's locals (``g.sync``), and, bound
-in its namespace as ``unpack_from``/``pack_into``, that byte order's
+The generator supplies the byte order (``g.little``), those two hooks
+(:class:`repro.compile.emit.Gen`), and, bound in its namespace as
+``unpack_from``/``pack_into``, that byte order's
 32-bit word codec (:data:`repro.isa.memory.WORD`): a word moves through
 ``struct`` in one call, while 1- and 2-byte accesses stay byte-wise.
 Address in ``a_``; a load leaves its value in ``v_``.
@@ -31,8 +33,10 @@ def _probe(g, tlb: str, width: int, aligned: bool) -> None:
 
 
 def _slow(g, width: int, kind: str, access: str, write: bool) -> None:
-    """The miss branch: the step core's check and access, then fill."""
+    """The miss branch: the flags built, the step core's check and
+    access, then fill; and after either branch the watchpoint hook."""
     g.w("else:")
+    g.settle("    ", keep=True)
     g.w("    try:")
     g.w(f"        aspace.check(a_, {width}, {kind})")
     g.w("    except MF as mf:")
@@ -40,9 +44,7 @@ def _slow(g, width: int, kind: str, access: str, write: bool) -> None:
     g.w(f"    {access}")
     g.w(f"    aspace.tlb_fill(a_, {write})")
     g.w("cyc += 2")
-    g.w("if debug._watchpoints:")
-    g.w(f"    {g.sync}")
-    g.w(f"    debug.check_access(a_, {width}, {kind}, cyc)")
+    g.watch(width, kind)
 
 
 def _shifts(g, width: int):

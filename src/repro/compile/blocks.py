@@ -376,13 +376,33 @@ def compile_block(cpu, addr: int, arch: str,
             for own, cycles in zip(spans, max_cycles)]
 
 
+def _fetchable(aspace, block: CompiledBlock, need) -> bool:
+    """Whether every span in *need* passes its fetch check.  One check
+    of the block's extent implies them all; it is not tried with
+    translation off, where ``check`` tests only an access's first
+    address against the translated range."""
+    if aspace.translation_on:
+        try:
+            aspace.check(block.start, block.end - block.start, _FETCH)
+            return True
+        except MemoryFault:
+            pass
+    try:
+        for a, length in need:
+            aspace.check(a, length, _FETCH)
+    except MemoryFault:
+        return False
+    return True
+
+
 def _prepare(cpu, block: CompiledBlock) -> bool:
     """Re-validate a block before its first hot run: every instruction
     address its function may run (every member's, for a region member)
     must be in the hot decode tier afterwards.  Mirrors the step core's
-    warm-hit path — permission check, then promotion of the *same*
-    decode object from the warm tier (fresh raw decode on a true
-    miss).  Returns False when any fetch check fails; the caller then
+    warm-hit path — permission check (:func:`_fetchable`), then
+    promotion of the *same* decode object from the warm tier (fresh raw
+    decode on a true miss), with one ``version`` bump for them all.
+    Returns False when any fetch check fails; the caller then
     single-steps, which raises the fault with correct attribution."""
     decodes = cpu.decodes
     hot = decodes.hot
@@ -390,18 +410,13 @@ def _prepare(cpu, block: CompiledBlock) -> bool:
             if span[0] not in hot]
     if not need:
         return True
-    aspace = cpu.aspace
-    try:
-        for a, length in need:
-            aspace.check(a, length, _FETCH)
-    except MemoryFault:
+    if not _fetchable(cpu.aspace, block, need):
         return False
+    decodes.version += 1
     warm = decodes.warm
     for a, _length in need:
         instr = warm.get(a)
-        if instr is None:
-            instr = cpu.decode_raw(a)
-        decodes.insert_hot(a, instr)
+        hot[a] = instr if instr is not None else cpu.decode_raw(a)
     return True
 
 

@@ -35,10 +35,41 @@ superblocks into one compiled function, ``fn(cpu, ilim=0, clim=0)``.
 Inside a body ``cur``/``nxt``/``ri`` hold what ``current_pc``/``pc``/
 the retired count would be mid-step; each member resets them on entry
 (unless its first instruction's own sync point does), so a fault
-leaves exactly the step core's partial-retirement state.  The flags
-local shadows the CPU's flags; a block-final branch sets the ``pc``
-local.  Lowering is only attempted for instruction *instances*; one
-that does not qualify degrades to a generic step, never to an error.
+leaves exactly the step core's partial-retirement state.  A
+block-final branch sets the ``pc`` local.  Lowering is only attempted
+for instruction *instances*; one that does not qualify degrades to a
+generic step, never to an error.
+
+* **Registers in locals.**  Generators write a register as the file's
+  literal element (``regs[3]``, ``gpr[31]``); the unit reads every
+  element it names into a local (``regs3``) in its prologue and works
+  on the locals.  It writes back the elements it assigns wherever the
+  CPU can be observed: at every exit, in the ``except`` sync, in the
+  watchpoint branch and before a generic call; after the last two it
+  reads every element again.  A row body that indexes the file by a
+  computed number runs generically.
+* **Flags where they are read.**  The flags local shadows the CPU's
+  flags.  A generator may leave a flag-setting operation *pending*
+  (``Gen.lazy``: its kind and its operands, copied into locals)
+  instead of computing the flags, and builds them (:meth:`Gen.settle`)
+  only where they can be read: before a statement that names a flag
+  operand (``Gen.flag_operands``) or writes a flags field, at a
+  flag-reading final branch, before a generic call and at a member's
+  end; and, leaving the operation pending, on the paths that can fault
+  or observe it: a TLB miss before ``aspace.check``, and the
+  watchpoint branch.  Building twice from the same operands yields the
+  same flags, so a build on a path taken only sometimes needs no
+  bookkeeping, and a fault always leaves the flags local built.  The
+  TLB-hit path never builds them.
+* **Watchpoints.**  The prologue reads the debug unit's watchpoint
+  list and ``touches_cpu`` once: the list is only ever mutated in
+  place, so a callback that arms or clears a slot is seen by the next
+  access.  For a unit that touches the CPU the hook syncs the pcs,
+  ``cycles``, ``instret``, registers and flags, and reads the registers
+  back after it: a callback may write registers but not the flags
+  (:class:`repro.isa.debug.DebugUnit`).  For one that does not (the
+  clean pass's access log, on every access of that pass) it syncs
+  ``instret`` alone.
 """
 
 from __future__ import annotations
@@ -85,6 +116,11 @@ Template = Tuple[str, Tuple[Hole, ...]]
 #: an explicit emitter: fn(g, instr, address, next address, index)
 Emitter = Callable[["Gen", object, int, int, int], bool]
 
+#: placeholders in a unit's text: write the assigned register locals
+#: back, and read every register local afresh (see :func:`_registers`)
+WRITEBACK = "__writeback__"
+RELOAD = "__reload__"
+
 
 class Gen:
     """Line buffer, bound-name namespace and batched cycle counter, and
@@ -111,6 +147,8 @@ class Gen:
     narrow: FrozenSet[str] = frozenset()
     #: 4-bit fields of the flags local: name -> their shift, as fn(i)
     fields: Dict[str, Callable[[object], int]] = {}
+    #: operands whose block text reads or writes the flags local
+    flag_operands: FrozenSet[str] = frozenset()
     #: rows written out by the generator rather than derived: as a
     #: block's last instruction, and anywhere else
     final: Dict[str, Emitter] = {}
@@ -144,6 +182,13 @@ class Gen:
         """The width of *i*'s memory operand *name*."""
         raise NotImplementedError
 
+    def build_flags(self, kind: str, a: str, b: str,
+                    inline: bool) -> List[str]:
+        """Lines building the flags local from a pending operation
+        (:attr:`lazy`) of *kind* over operands *a*, *b*: written out
+        *inline*, or as one call where it runs only sometimes."""
+        raise NotImplementedError
+
     def __init__(self) -> None:
         self.lines: List[str] = []
         word = WORD[self.little]
@@ -164,16 +209,45 @@ class Gen:
         self.returned = False       # generic-final emitted a return
         #: the generically-run instructions, in call order
         self.calls: List[object] = []
-        self.sync = self.state("cur", "nxt", "ins + ri")
+        #: the pending flag-setting operation, (kind, a, b), or None
+        self.lazy: Optional[Tuple[str, str, str]] = None
 
     def state(self, cur: str, nxt: str, instret: str) -> str:
-        """The line writing the locals back to the CPU: the watchpoint
-        hook's sync, the fault trailer and every exit."""
+        """The line writing the locals other than registers back to the
+        CPU: the watchpoint hook's sync, the fault trailer and every
+        exit."""
         flags, attr = self.flags
         cur_attr, pc_attr = self.lang.pcs
         return (f"cpu.cycles = cyc; cpu.instret = {instret}; "
                 f"cpu.{attr} = {flags}; cpu.{cur_attr} = {cur}; "
                 f"cpu.{pc_attr} = {nxt}")
+
+    def watch(self, width: int, kind: str) -> None:
+        """The watchpoint hook after an access of *width* bytes at
+        ``a_`` (*kind* ``AKR``/``AKW``): for a debug unit that touches
+        the CPU, with the CPU synced and its register writes read back
+        afterwards; for one that does not, with ``instret`` synced."""
+        call = f"debug.check_access(a_, {width}, {kind}, cyc)"
+        self.w("if wps:")
+        self.w("    if wsync:")
+        self.w(f"        {WRITEBACK}")
+        self.settle("        ", keep=True)
+        self.w(f"        {self.state('cur', 'nxt', 'ins + ri')}")
+        self.w(f"        {call}")
+        self.w(f"        {RELOAD}")
+        self.w("    else:")
+        self.w("        cpu.instret = ins + ri")
+        self.w(f"        {call}")
+
+    def settle(self, indent: str = "", keep: bool = False) -> None:
+        """Build the flags local from the pending operation, if any.
+        *keep* it pending on a path taken only sometimes (a TLB miss,
+        the watchpoint branch): a later build yields the same flags."""
+        if self.lazy is not None:
+            for line in self.build_flags(*self.lazy, inline=not keep):
+                self.w(indent + line)
+            if not keep:
+                self.lazy = None
 
     def w(self, line: str) -> None:
         self.lines.append(line)
@@ -222,7 +296,10 @@ def _generate(g: Gen, members: Sequence[Member], flat: list, name: str):
     for nodes, ends_hard, _succs in members:
         g.lines, g.max_cycles = [], 0
         g.pc_done = g.returned = False
+        g.lazy = None
         _body(g, nodes, ends_hard)
+        if not g.returned:
+            g.settle()
         g.flush()
         emitted.append((g.lines, g.max_cycles, g.pc_done, g.returned))
     region = any(succs for _nodes, _hard, succs in members)
@@ -231,11 +308,14 @@ def _generate(g: Gen, members: Sequence[Member], flat: list, name: str):
     flags, flags_attr = g.flags
     src = ["def _unit(cpu, ilim=0, clim=0):",
            f"    {g.lang.file} = cpu.{g.lang.file}",
+           f"    {RELOAD}",
            "    mem = cpu.mem",
            "    rtlb = mem.rtlb",
            "    wtlb = mem.wtlb",
            "    aspace = cpu.aspace",
            "    debug = cpu.debug",
+           "    wps = debug._watchpoints",
+           "    wsync = debug.touches_cpu",
            "    cyc = cpu.cycles",
            "    ins = cpu.instret",
            f"    {flags} = cpu.{flags_attr}"]
@@ -257,8 +337,9 @@ def _generate(g: Gen, members: Sequence[Member], flat: list, name: str):
         if returned:
             pass
         elif not region:
-            out.append(g.state(str(last_a), "pc" if pc_done else str(after),
-                               f"ins + {n}"))
+            out += [WRITEBACK,
+                    g.state(str(last_a), "pc" if pc_done else str(after),
+                            f"ins + {n}")]
         else:
             if not pc_done:
                 out.append(f"pc = {after}")
@@ -269,7 +350,7 @@ def _generate(g: Gen, members: Sequence[Member], flat: list, name: str):
                         f"    if ins + {succ_n} <= ilim"
                         f" and cyc + {succ_cycles} <= clim:",
                         "        continue"]
-            out += [g.state(str(last_a), "pc", "ins"), "return"]
+            out += [WRITEBACK, g.state(str(last_a), "pc", "ins"), "return"]
         if region:
             src.append(f"            if pc == {start}:")
             src += ["                " + line for line in out]
@@ -277,12 +358,35 @@ def _generate(g: Gen, members: Sequence[Member], flat: list, name: str):
             src += ["        " + line for line in out]
     src += ["    except BaseException:",
             "        if not synced:",
-            f"            {g.sync}",
+            f"            {WRITEBACK}",
+            f"            {g.state('cur', 'nxt', 'ins + ri')}",
             "        raise"]
     position = {id(instr): p for p, instr in enumerate(flat)}
-    return (compile("\n".join(src), name, "exec"),
+    return (compile(_registers(g.lang.file, "\n".join(src)), name, "exec"),
             tuple(out[1] for out in emitted),
             tuple(position[id(instr)] for instr in g.calls))
+
+
+def _registers(file: str, text: str) -> str:
+    """*text* with each literal element of the register *file* held in
+    a local (``regs[3]`` -> ``regs3``), and the :data:`RELOAD` and
+    :data:`WRITEBACK` placeholders filled: every element named read
+    afresh, every element assigned written back."""
+    used, written = set(), set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Subscript) and \
+                isinstance(node.value, ast.Name) and node.value.id == file:
+            index = cast(ast.Constant, node.slice).value
+            assert isinstance(index, int), ast.unparse(node)
+            used.add(index)
+            if isinstance(node.ctx, ast.Store):
+                written.add(index)
+    text = re.sub(rf"(?<![\w.]){file}\[(\d+)\]", rf"{file}\1", text)
+    writeback = "; ".join(f"{file}[{k}] = {file}{k}"
+                          for k in sorted(written)) or "pass"
+    reload = "; ".join(f"{file}{k} = {file}[{k}]"
+                       for k in sorted(used)) or "pass"
+    return text.replace(WRITEBACK, writeback).replace(RELOAD, reload)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +433,9 @@ def _template(g: Gen, node: ast.AST, mem: bool) -> Template:
             return hole(lambda i, a, n: f"({value(i, a, n)!r})")
         if node.id in lang.consts:
             return ast.Constant(lang.consts[node.id])
-        if node.id in lang.passed or node.id == lang.file:
+        if node.id == lang.file:
+            raise Unlowerable(node.id)              # a computed index
+        if node.id in lang.passed:
             return None
         return ast.Name(f"x_{node.id}", node.ctx)
 
@@ -364,10 +470,15 @@ def _plan(g: Gen, stmts: List[ast.stmt], mem: bool) -> list:
     """Lowering steps of a resolved body for one memory form:
     ("code", template), ("cycles", n), ("rmload", operand) (a memory
     operand into ``v_``), ("assign", target, value) where the target is
-    a template or :data:`MEMORY_TARGET`, and ("call", helper, argument
-    templates, target or None).  Raises :class:`Unlowerable`."""
+    a template or :data:`MEMORY_TARGET`, ("call", helper, argument
+    templates, target or None), and ("flags",) before a statement that
+    reads or writes the flags (:meth:`Gen.settle`).  Raises
+    :class:`Unlowerable`."""
     lang = g.lang
     steps: list = []
+    flag_names = set(g.flag_operands)
+    flag_names.update(name for name, helper in lang.helpers.items()
+                      if g.flag_operands.intersection(helper.uses))
 
     def reads(node: ast.AST) -> None:
         found = [n for n in names_in(node) if n in lang.memory]
@@ -389,6 +500,8 @@ def _plan(g: Gen, stmts: List[ast.stmt], mem: bool) -> list:
         calls = {lang.helper(c) for c in ast.walk(s)} - {None}
         if isinstance(s, ast.Pass):
             continue
+        if _field(g, s) is not None or not flag_names.isdisjoint(names_in(s)):
+            steps.append(("flags",))
         if isinstance(s, ast.AugAssign) and ast.unparse(s.target) == "cycles":
             if not isinstance(s.value, ast.Constant):
                 raise Unlowerable(ast.unparse(s))
@@ -510,6 +623,8 @@ class Emit:
             elif kind == "cycles":
                 g.pend += step[1]
                 g.max_cycles += step[1]
+            elif kind == "flags":
+                g.settle()
             elif kind == "rmload":
                 self.address()
                 g.load(g.width(step[1], self.i))
@@ -541,7 +656,9 @@ def _emit_generic(g: Gen, i, a: int, n: int, k: int, final: bool) -> None:
     flags, flags_attr = g.flags
     cur_attr, pc_attr = g.lang.pcs
     g.entry(a, n, k)
+    g.settle()
     fn, obj = g.call(i)
+    g.w(WRITEBACK)
     g.w(f"cpu.{cur_attr} = cur")
     g.w(f"cpu.{pc_attr} = nxt")
     g.w("cpu.cycles = cyc")
@@ -557,6 +674,7 @@ def _emit_generic(g: Gen, i, a: int, n: int, k: int, final: bool) -> None:
     else:
         g.w(f"cyc = cpu.cycles + {i.cycles}")
         g.w(f"{flags} = cpu.{flags_attr}")
+        g.w(RELOAD)
         g.w("synced = False")
     g.max_cycles += i.cycles + GENERIC_SLACK
 

@@ -5,14 +5,21 @@ region of such runs) into one compiled function through the shared
 generator of :mod:`repro.compile.emit`, which lowers each row body of
 the :mod:`repro.x86.isa` table.  This module names what is x86's:
 
-* registers are addressed by literal index in the ``regs`` list, and
-  EFLAGS is carried in the ``ef`` local (``cpu.eflags`` on exit);
-  ``cur``/``nxt`` shadow ``current_eip``/``eip``;
+* registers are addressed by literal index in the ``regs`` list (the
+  shared generator holds each in a local), and EFLAGS is carried in
+  the ``ef`` local (``cpu.eflags`` on exit); ``cur``/``nxt`` shadow
+  ``current_eip``/``eip``;
 * the block text of each operand: a GPR at its width (sub-word only
   as a ``movzx``/``movsx`` source), a condition code over ``ef``, the
   effective address of the ModRM memory operand;
-* the helper lowerings beyond load and store: the EFLAGS algebra of
-  ``add``/``sub``/``logic``/``incdec``, and ``push``/``pop``;
+* the helper lowerings beyond load and store: ``push``/``pop``, and
+  the EFLAGS algebra (QEMU's lazy ``cc_op``): ``add``/``sub``/``logic``
+  compute only their result and leave the flags pending over copies of
+  their operands, built where :mod:`repro.compile.emit` settles them —
+  written out on the straight path, one call of a prebuilt
+  ``flags_<kind>`` function on a TLB miss or in the watchpoint branch.
+  ``incdec`` keeps CF, so it settles first and computes its flags at
+  once;
 * which instances run inline: only 32-bit ones, and only when every
   memory access goes through a safe segment (ES/CS/SS/DS, whose base
   is 0).  Accesses are lowered by :mod:`repro.compile.access`; no
@@ -25,7 +32,7 @@ the :mod:`repro.x86.isa` table.  This module names what is x86's:
 from __future__ import annotations
 
 import re
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 from repro.compile.access import load, store
 from repro.compile.emit import (
@@ -109,36 +116,61 @@ def _local(g: Gen, name: str, value: str) -> str:
     return name
 
 
-def _add(e, args: Sequence[Template], target) -> None:
-    g = e.g
-    a = _local(g, "va_", e.fill(args[0]))
-    b = _local(g, "vb_", e.fill(args[1]))
-    g.w(f"t_ = {a} + {b}")
-    g.w("r_ = t_ & 4294967295")
-    g.w("ef = (ef & -2262) | " + _ZF_SF.format(r="r_"))
-    g.w("if t_ > 4294967295:")
-    g.w("    ef |= 1")
-    g.w(f"if ({a} ^ {b} ^ 4294967295) & ({a} ^ r_) & 2147483648:")
-    g.w("    ef |= 2048")
-    e.assign(target, "r_")
+def _operand(g: Gen, name: str, value: str) -> str:
+    """*value* as an operand of a pending flag computation: a literal
+    as it is, anything else copied into *name*, since the names it
+    reads may change before the flags are built."""
+    if value.isdigit():
+        return value
+    g.w(f"{name} = {value}")
+    return name
 
 
-def _sub(e, args: Sequence[Template], target) -> None:
-    g = e.g
-    a = _local(g, "va_", e.fill(args[0]))
-    b = _local(g, "vb_", e.fill(args[1]))
-    g.w(f"r_ = ({a} - {b}) & 4294967295")
-    g.w("ef = (ef & -2262) | " + _ZF_SF.format(r="r_"))
-    g.w(f"if {a} < {b}:")
-    g.w("    ef |= 1")
-    g.w(f"if ({a} ^ {b}) & ({a} ^ r_) & 2147483648:")
-    g.w("    ef |= 2048")
-    e.assign(target, "r_")
+def _build_flags(kind: str, a: str, b: str) -> List[str]:
+    """The EFLAGS algebra of a pending ``add``/``sub``/``logic``."""
+    if kind == "logic":
+        return ["ef = (ef & -2262) | " + _ZF_SF.format(r=a)]
+    if kind == "add":
+        lines = [f"ft_ = {a} + {b}", "fr_ = ft_ & 4294967295"]
+        carry = "ft_ > 4294967295"
+        overflow = f"({a} ^ {b} ^ 4294967295) & ({a} ^ fr_) & 2147483648"
+    else:
+        lines = [f"fr_ = ({a} - {b}) & 4294967295"]
+        carry = f"{a} < {b}"
+        overflow = f"({a} ^ {b}) & ({a} ^ fr_) & 2147483648"
+    return lines + ["ef = (ef & -2262) | " + _ZF_SF.format(r="fr_")
+                    + f" | (1 if {carry} else 0)"
+                    + f" | (2048 if {overflow} else 0)"]
+
+
+def _flag_function(kind: str):
+    """:func:`_build_flags` as ``fn(ef, a, b) -> ef``, for the paths
+    that build the flags only sometimes."""
+    body = "".join(f"    {line}\n" for line in _build_flags(kind, "a", "b"))
+    ns: dict = {}
+    exec(f"def flags(ef, a, b):\n{body}    return ef\n", ns)
+    return ns["flags"]
+
+
+#: the bound names of the flag functions, per kind
+_FLAG_FUNCTIONS = {f"flags_{kind}": _flag_function(kind)
+                   for kind in ("add", "sub", "logic")}
+
+
+def _arith(kind: str, result: str):
+    """The lowering of ``add``/``sub``: the operands kept, the flags
+    left pending, the *result* over operands ``{a}`` and ``{b}``."""
+    def lower(e, args: Sequence[Template], target) -> None:
+        a = _operand(e.g, "fa_", e.fill(args[0]))
+        b = _operand(e.g, "fb_", e.fill(args[1]))
+        e.g.lazy = (kind, a, b)
+        e.assign(target, result.format(a=a, b=b))
+    return lower
 
 
 def _logic(e, args: Sequence[Template], target) -> None:
-    r = _local(e.g, "r_", e.fill(args[0]))
-    e.g.w("ef = (ef & -2262) | " + _ZF_SF.format(r=r))
+    r = _operand(e.g, "fa_", e.fill(args[0]))
+    e.g.lazy = ("logic", r, "")
     e.assign(target, r)
 
 
@@ -166,6 +198,7 @@ def _pop(e, args: Sequence[Template], target) -> None:
 
 
 def _e_jcc(g, i, a, n, k) -> bool:
+    g.settle()
     g.w(f"if {_COND_TEXT[i.op2]}:")
     g.w(f"    pc = {(n + i.imm) & M}")
     g.w("    cyc += 2")
@@ -216,20 +249,29 @@ class _Gen(Gen):
         "ea": lambda i, a, n: f"({_ea_expr(i)})",
     }
     fixed = {"flags": "ef", "cf": "(ef & 1)"}
+    flag_operands = frozenset({"flags", "cf", "cond"})
     narrow = frozenset(name for name, (_, width) in isa.GPR_OPERANDS.items()
                        if width not in ("4", "i.width"))
     final = {"jcc": _e_jcc, "jmp_rel": _e_jmp_rel, "call_rel": _e_call_rel,
              "ret": _e_ret}
-    helpers = {"add": _add, "sub": _sub, "logic": _logic, "incdec": _incdec,
+    helpers = {"add": _arith("add", "({a} + {b}) & 4294967295"),
+               "sub": _arith("sub", "({a} - {b}) & 4294967295"),
+               "logic": _logic, "incdec": _incdec,
                "push": _push_step, "pop": _pop}
     key = staticmethod(instr_key(Instr, isa.op_of))
 
     def __init__(self) -> None:
         super().__init__()
-        self.ns.update(isa.PASS)
+        self.ns.update(isa.PASS, **_FLAG_FUNCTIONS)
 
     def address(self, i) -> str:
         return _ea_expr(i)
+
+    def build_flags(self, kind: str, a: str, b: str,
+                    inline: bool) -> List[str]:
+        if inline:
+            return _build_flags(kind, a, b)
+        return [f"ef = flags_{kind}(ef, {a}, {b or 0})"]
 
     def width(self, name: str, i) -> int:
         return isa.WIDTH[name](i)

@@ -82,7 +82,19 @@ class DebugUnit:
     are delivered to the registered callbacks; the fetch callback runs
     *before* the instruction is decoded so it may rewrite the
     instruction bytes (that is how code injection works).
+
+    Compiled blocks keep registers and flags in locals.  Before
+    :meth:`check_access` they write both back, and after it they read
+    the registers again, so a watchpoint callback may read the CPU and
+    write memory, the slots and registers, but never the flags: a
+    block may rebuild them from a pending operation after the hit.
+    A unit whose :meth:`check_access` reads nothing of the CPU but
+    ``instret`` (and its *cycles* argument), and never raises, clears
+    ``touches_cpu``; blocks then sync ``instret`` alone before calling
+    it.
     """
+
+    touches_cpu = True
 
     def __init__(self, insn_slots: int = 4, data_slots: int = 4) -> None:
         self.insn_slots = insn_slots

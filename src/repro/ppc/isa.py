@@ -99,6 +99,30 @@ FORMS: Dict[str, Tuple[Decoder, Encoder]] = {
     "SC": (lambda w: (0, 0, 0, 0, 0), lambda rt, ra, rb, imm, op2: 2),
 }
 
+_REG = range(32)
+_S16 = range(-0x8000, 0x10000)      # signed or unsigned: li -1, lis 0xc010
+_U16 = range(0x10000)
+
+#: operand form -> the values each field it encodes may hold (field
+#: order rt, ra, rb, imm, op2; a field the form does not encode must
+#: be 0), so that :func:`encode` never truncates one
+ENCODABLE: Dict[str, Tuple[range, ...]] = {
+    "D": (_REG, _REG, range(1), _S16, range(1)),
+    "DU": (_REG, _REG, range(1), _U16, range(1)),
+    "CMPI": (range(1), _REG, range(1), _S16, range(8)),
+    "CMPLI": (range(1), _REG, range(1), _U16, range(8)),
+    "M": (_REG, _REG, _REG, _REG, _REG),
+    "B": (range(1), range(1), range(1), range(-1 << 25, 1 << 25, 4),
+          range(4)),
+    "BC": (_REG, _REG, range(1), range(-1 << 15, 1 << 15, 4), range(4)),
+    "XL": (_REG, _REG, range(1), range(1), range(2)),
+    "X": (_REG, _REG, _REG, range(1), range(1)),
+    "XCMP": (range(1), _REG, _REG, range(1), range(8)),
+    "XFX": (_REG, range(1), range(1), range(1024), range(1)),
+    "NONE": (range(1),) * 5,
+    "SC": (range(1),) * 5,
+}
+
 # -- body vocabulary ---------------------------------------------------------
 
 
@@ -532,8 +556,18 @@ def lookup(word: int) -> Op:
 
 def encode(name: str, rt: int = 0, ra: int = 0, rb: int = 0, imm: int = 0,
            op2: int = 0) -> int:
-    """The word for row *name* with the given operand fields."""
+    """The word for row *name* with the given operand fields; raises
+    :class:`repro.isa.assembler.AssemblerError` for a value its form
+    cannot hold (:data:`ENCODABLE`)."""
     op = OPS[name]
     assert op.primary is not None
+    fields = (rt, ra, rb, imm, op2)
+    for field, value, valid in zip(("rt", "ra", "rb", "imm", "op2"), fields,
+                                   ENCODABLE[op.form]):
+        if value not in valid:
+            # imported here: a warm run decodes but never assembles
+            from repro.isa.assembler import AssemblerError
+            raise AssemblerError(f"{name}: {field} {value:#x} does not fit "
+                                 f"its {op.form}-form field")
     word = op.primary << 26 | (op.ext << 1 if op.ext is not None else 0)
-    return word | FORMS[op.form][1](rt & 31, ra & 31, rb & 31, imm, op2)
+    return word | FORMS[op.form][1](*fields)

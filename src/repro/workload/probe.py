@@ -179,7 +179,10 @@ class _AccessLog(DebugUnit):
     each load and store whenever a watchpoint slot is occupied, with
     ``instret`` already synced, so one placeholder slot makes this the
     single access channel for stepped instructions and compiled blocks
-    alike.  Its ``check_access`` ignores the slots."""
+    alike.  Its ``check_access`` ignores the slots and reads only
+    ``instret`` of the CPU (``touches_cpu`` is clear)."""
+
+    touches_cpu = False
 
     def __init__(self, cpu, accesses: List[AccessRecord]) -> None:
         super().__init__()

@@ -569,3 +569,16 @@ class TestLoudFailures:
             return
         word = int.from_bytes(asm.finish()[:4], "big")
         assert ppc_decoder.decode(word).imm == distance
+
+    @pytest.mark.parametrize("emit,field", [
+        (lambda asm: asm.cmpwi(3, 5, crf=8), "op2 0x8"),
+        (lambda asm: asm.addi(3, 4, 0x12345), "imm 0x12345"),
+        (lambda asm: asm.li(40, 1), "rt 0x28"),
+    ], ids=["cr_field_8", "addi_imm_17_bits", "register_40"])
+    def test_ppc_field_out_of_range(self, emit, field):
+        """A PPC operand its field cannot hold raises; it is never
+        truncated into a neighbouring field or a different value."""
+        asm = PPCAssembler()
+        with pytest.raises(AssemblerError, match=field):
+            emit(asm)
+        assert not asm.code

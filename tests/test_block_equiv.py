@@ -34,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.static.cfg as cfg_mod
 from repro.compile import BlockCache, leaders_for, lookup_block
+from repro.compile.blocks import _prepare
 from repro.injection.campaign import (
     Campaign, CampaignConfig, CampaignContext,
 )
@@ -618,6 +619,102 @@ class TestRegionLockstep:
 
 
 # ---------------------------------------------------------------------------
+# registers in locals, flags where they are read: the points where an
+# x86 block must write its register locals back or build pending flags
+
+
+def _x86_pair(code: bytes):
+    """Block and step x86 CPUs loaded with *code*."""
+    cpus = _make_cpu("x86"), _make_cpu("x86")
+    for cpu in cpus:
+        cpu.mem.write(TEXT, code)
+    return cpus
+
+
+class TestLazyState:
+    """x86 blocks hold GPRs in locals and leave the flags of
+    ``add``/``sub``/``logic`` pending; each test observes one point
+    where they must be synced or built, in lockstep with the step
+    core."""
+
+    def test_add_then_faulting_load(self):
+        """A load after an add misses the TLB and faults: the fault
+        sees the add's flags built and its result written back."""
+        asm = X86Assembler()
+        asm.mov_r_imm(0, 0xFFFFFFFF)
+        asm.mov_r_imm(1, 1)
+        asm.alu_r_rm("add", 0, 1)              # eax = 0, CF|ZF pending
+        asm.mov_r_rm(2, Mem(disp=0x100))       # unmapped -> #PF
+        asm.hlt()
+        cpus = _x86_pair(asm.finish())
+        _b, compiled, fault = _lockstep("x86", *cpus, BlockCache(), 8)
+        assert compiled == 1 and fault is not None
+        assert cpus[0].regs[0] == 0 and cpus[0].eflags & 0x41 == 0x41
+
+    @pytest.mark.parametrize("limited", [False, True],
+                             ids=["one-member", "limits"])
+    def test_watchpoint_callback_mid_region(self, limited):
+        """A watchpoint on the store right after an add, in the first
+        member of a two-member loop: the callback sees the add's flags
+        and the registers, and rewrites the addend, which the rest of
+        the loop must use."""
+        asm = X86Assembler()
+        asm.mov_r_imm(1, 12)                   # ecx counts down
+        asm.mov_r_imm(6, DATA)                 # esi walks the words
+        asm.mov_r_imm(7, 0x80000000)           # edi: the addend
+        asm.label("a")
+        asm.mov_r_rm(0, Mem(base=6))
+        asm.alu_r_rm("add", 0, 7)              # flags pending at ...
+        asm.mov_rm_r(Mem(base=6), 0)           # ... this store's hook
+        asm.alu_rm_imm("add", 6, 4)
+        asm.alu_rm_imm("cmp", 1, 1)
+        asm.jcc_label("e", "done")
+        asm.label("b")
+        asm.dec_r(1)
+        asm.jmp_label("a")
+        asm.label("done")
+        asm.hlt()
+        a, b = TEXT + asm.labels["a"], TEXT + asm.labels["b"]
+        cpus = _x86_pair(asm.finish())
+        seen = ([], [])
+        for cpu, log in zip(cpus, seen):
+            cpu.mem.write(DATA, (0x80000000).to_bytes(4, "little") * 12)
+            cpu.debug.set_watchpoint(DATA + 4 * 6, on_read=False)
+
+            def hit(event, cpu=cpu, log=log):
+                log.append((cpu.eflags, _snapshot("x86", cpu)))
+                cpu.regs[7] ^= 0x40000001
+            cpu.debug.on_watchpoint = hit
+        cache = BlockCache()
+        _b, compiled, fault = _lockstep("x86", *cpus, cache, 3 + 12 * 8,
+                                        10 ** 9 if limited else None)
+        assert fault is None and cpus[0].halted
+        assert len(seen[0]) == 1 and seen[0] == seen[1]
+        assert seen[0][0][0] & 0x841 == 0x841  # 2**31 + 2**31: OF ZF CF
+        blocks = {**cache.waiting, **cache.snapshot()}
+        assert blocks[a].fn is blocks[b].fn     # one region
+        if limited:
+            assert compiled < 12
+
+    def test_flag_reader_after_access(self):
+        """``adc`` reads the carry of an add across a load that hits
+        the soft TLB, the path that builds no flags."""
+        asm = X86Assembler()
+        asm.mov_r_imm(0, 0xFFFFFFFF)
+        asm.mov_rm_r(Mem(disp=DATA), 0)        # the page resident ...
+        asm.mov_r_rm(3, Mem(disp=DATA + 4))    # ... and in the read TLB
+        asm.mov_r_imm(1, 1)
+        asm.alu_r_rm("add", 0, 1)              # CF pending
+        asm.mov_r_rm(2, Mem(disp=DATA))        # a TLB hit
+        asm.alu_r_rm("adc", 2, 3)              # edx = ~0 + 0 + CF = 0
+        asm.hlt()
+        cpus = _x86_pair(asm.finish())
+        _b, compiled, fault = _lockstep("x86", *cpus, BlockCache(), 16)
+        assert compiled >= 1 and fault is None
+        assert cpus[0].regs[2] == 0 and cpus[0].eflags & 1
+
+
+# ---------------------------------------------------------------------------
 # hypothesis-generated streams
 
 
@@ -944,6 +1041,47 @@ def test_code_campaign_steps_little(arch, monkeypatch):
     result = Campaign(config, context).run()
     assert len(result.results) == 24
     assert stepped < 5_000
+
+
+class TestPrepare:
+    """Re-validating a block whose decodes were demoted (as after a
+    fork or a flush): one fetch check of its extent, or one per
+    instruction where that check fails."""
+
+    @staticmethod
+    def _demoted(second: str):
+        """A five-instruction block whose text spans two regions, the
+        second (from its third instruction on) with permissions
+        *second*, compiled and then demoted to the warm tier."""
+        asm = X86Assembler()
+        for reg in range(4):
+            asm.mov_r_imm(reg, reg)            # 5 bytes each
+        asm.hlt()
+        code = asm.finish()
+        cpu = X86CPU()
+        cpu.aspace.map_region(Region(TEXT, 10, "rx", "text"))
+        cpu.aspace.map_region(Region(TEXT + 10, 0xFF6, "rx", "more"))
+        cpu.mem.write(TEXT, code)
+        block = lookup_block(cpu, BlockCache(), TEXT, "x86", None)
+        assert block is not None and len(block.spans) == 5
+        cpu.decodes.evict(())
+        if second != "rx":
+            cpu.aspace.unmap_region("more")
+            cpu.aspace.map_region(Region(TEXT + 10, 0xFF6, second, "more"))
+        assert not cpu.decodes.hot
+        return cpu, block
+
+    def test_extent_across_regions_checks_each_instruction(self):
+        cpu, block = self._demoted("rx")
+        version = cpu.decodes.version
+        assert _prepare(cpu, block)
+        assert sorted(cpu.decodes.hot) == [a for a, _n in block.spans]
+        assert cpu.decodes.version == version + 1
+
+    def test_unexecutable_instruction_refuses_the_block(self):
+        cpu, block = self._demoted("rw")
+        assert not _prepare(cpu, block)
+        assert not cpu.decodes.hot
 
 
 class TestLeaders:

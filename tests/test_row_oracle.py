@@ -13,15 +13,13 @@ each row, for hypothesis-drawn operands, against
 Covered: compares and traps, shifts and rotates, multiply and divide,
 sign and zero extension, and the carry/overflow flags.
 
-Three row families are known to be wrong and are marked
+Two row families are known to be wrong and are marked
 ``xfail(strict=True)``, each with an explicit failing example (see the
-ROADMAP item "A semantic oracle independent of the tables"):
+ROADMAP item "Fix the row defects the semantic oracle found"):
 
 * ppc ``cmpwi``/``twi`` with a negative immediate compare against the
   32-bit unsigned image of the immediate (``cmpwi r3,-1`` with
   r3 = 0xFFFFFFFF sets LT, not EQ);
-* x86 ``idiv r/m32`` truncates a float quotient, which is off by one
-  for some dividends beyond 2**53;
 * x86 ``adc``/``sbb`` fold the carry into the source operand before
   adding, so a source of 0xFFFFFFFF with CF set loses the carry out.
 """
@@ -179,8 +177,8 @@ def test_x86_add_sub(code_cache, mode, a, b, carry):
 
 @pytest.mark.xfail(strict=True, reason=(
     "x86 adc/sbb add the carry into the source first, (src + cf) & mask, "
-    "so src = 0xFFFFFFFF with CF set loses the carry out (ROADMAP: A "
-    "semantic oracle independent of the tables)"))
+    "so src = 0xFFFFFFFF with CF set loses the carry out (ROADMAP: Fix "
+    "the row defects the semantic oracle found)"))
 @pytest.mark.parametrize("mode", MODES)
 @TRIALS
 @given(a=w32, b=w32, carry=st.integers(0, 1))
@@ -404,12 +402,12 @@ def _check_cr(word: int, gpr: Dict[int, int], field: int, value: int,
     assert (cr >> (28 - 4 * field)) & 0xF == value
 
 
-#: the signed-immediate rows' defect (ROADMAP: A semantic oracle
-#: independent of the tables)
+#: the signed-immediate rows' defect (ROADMAP: Fix the row defects the
+#: semantic oracle found)
 _SIGNED_IMMEDIATE = pytest.mark.xfail(strict=True, reason=(
     "ppc cmpwi/twi compare signed(ra) with the 32-bit unsigned image of "
-    "a negative immediate (ROADMAP: A semantic oracle independent of "
-    "the tables)"))
+    "a negative immediate (ROADMAP: Fix the row defects the semantic "
+    "oracle found)"))
 
 
 @pytest.mark.parametrize("mode", MODES)
